@@ -158,24 +158,32 @@ class JumpDensity:
     """Finite jump measure with a density on 1 < |y| <= y_max.
 
     A cumulative table built at construction provides inverse-CDF
-    sampling; an analytic ``sampler(rng, size)`` may be supplied instead.
+    sampling.  An analytic ``sampler(rng, size)`` may be supplied
+    instead, together with the measure's ``total_rate``; no table is
+    built then.
     """
 
-    def __init__(self, density, y_max, table_size=4096, sampler=None):
+    def __init__(self, density, y_max, table_size=4096, sampler=None, total_rate=None):
         if not y_max > 1.0:
             raise ValueError("y_max must exceed 1")
+        if (sampler is None) != (total_rate is None):
+            raise ValueError("an analytic sampler and its total_rate go together")
         self.density = density
         self.y_max = float(y_max)
         self._sampler = sampler
-        grid = np.geomspace(1.0, self.y_max, table_size)
-        pos = np.asarray([max(density(y), 0.0) for y in grid])
-        neg = np.asarray([max(density(-y), 0.0) for y in grid])
-        pos_cum = np.concatenate([[0.0], np.cumsum(0.5 * (pos[1:] + pos[:-1]) * np.diff(grid))])
-        neg_cum = np.concatenate([[0.0], np.cumsum(0.5 * (neg[1:] + neg[:-1]) * np.diff(grid))])
-        self._grid = grid
-        self._pos_cum = pos_cum
-        self._neg_cum = neg_cum
-        self.total_rate = float(pos_cum[-1] + neg_cum[-1])
+        if sampler is None:
+            grid = np.geomspace(1.0, self.y_max, table_size)
+            pos = np.asarray([max(density(y), 0.0) for y in grid])
+            neg = np.asarray([max(density(-y), 0.0) for y in grid])
+            pos_cum = np.concatenate(
+                [[0.0], np.cumsum(0.5 * (pos[1:] + pos[:-1]) * np.diff(grid))])
+            neg_cum = np.concatenate(
+                [[0.0], np.cumsum(0.5 * (neg[1:] + neg[:-1]) * np.diff(grid))])
+            self._grid = grid
+            self._pos_cum = pos_cum
+            self._neg_cum = neg_cum
+            total_rate = pos_cum[-1] + neg_cum[-1]
+        self.total_rate = float(total_rate)
         if not np.isfinite(self.total_rate):
             raise ValueError("big-jump density has non-finite mass on (1, y_max]")
 
@@ -386,8 +394,8 @@ def truncated_stable_triplet(spec, level, delta=0.05):
         return sign * mag
 
     big = JumpDensity(lambda y: levy_k * abs(y) ** (-1.0 - alpha),
-                      y_max=level, sampler=tail_sampler)
-    big.total_rate = 2.0 * tail_rate_one_side  # analytic, replaces the table value
+                      y_max=level, sampler=tail_sampler,
+                      total_rate=2.0 * tail_rate_one_side)
     return LevyTripletSpec(gaussian_a=0.0, drift_b=0.0, small_jump_density=beta1,
                            big_jumps=big, delta=delta, small_jump_scheme="gaussian")
 

@@ -119,13 +119,14 @@ def gaussian_kernel(u, eps):
 def smoothed_density(mu, eps, x, block=1 << 22):
     """Gaussian smoothing of the measure: (1/n) sum_i g_eps(x - x_i).
 
-    Strictly positive and smooth in x.  Accepts scalar or array x;
-    the pairwise sum is blocked to bound memory.
+    Strictly positive and smooth in x.  ``mu`` is an EmpiricalMeasure or
+    its array of samples; scalar or array x; the pairwise sum is blocked
+    to bound memory and runs in sample order.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
     xq = np.atleast_1d(np.asarray(x, dtype=float))
-    s = mu.samples
+    s = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
     out = np.zeros(xq.shape)
     step = max(1, block // max(1, xq.size))
     for lo in range(0, s.size, step):

@@ -119,9 +119,13 @@ class SimulationConfig:
 
     ``horizon_T`` is snapped to a whole number of steps of length ``dt``
     at construction and the effective step recorded in ``dt_effective``.
-    A finite ``truncation_N`` on a stable driver is materialized once as
-    the equivalent triplet with the tail cut, so stepping only ever sees
-    drivers it can sample directly.
+    A finite ``truncation_N`` on a stable driver is materialized as the
+    equivalent triplet with the tail cut (``effective_driver``), so
+    stepping only ever sees drivers it can sample directly.  Every
+    construction, ``dataclasses.replace`` included, builds that triplet
+    again; a triplet passed as ``driver`` is kept as it is, together with
+    ``truncation_N``, so configs derived from
+    ``replace(cfg, driver=cfg.effective_driver)`` share one build.
     """
 
     n_particles: int
@@ -223,23 +227,25 @@ class _SigmaEvaluator:
         self.grid_points = grid_points
         self.grid_threshold = grid_threshold
 
+    def _use_grid(self, samples):
+        return isinstance(self.sigma, SmoothedDensityPower) and (
+            self.mode == "grid"
+            or (self.mode == "auto" and samples.size > self.grid_threshold))
+
     def against_samples(self, x, samples):
         sigma = self.sigma
         if isinstance(sigma, Constant):
             return np.full(np.shape(x), sigma.value)
         # canonical (sorted) sample order: the measure is order-free, and a
         # fixed reduction order keeps interacting and frozen-flow stepping
-        # bit-identical
+        # bit-identical.  The built-in families take the sorted array as it
+        # is: a non-finite sample gives non-finite sigma, which the
+        # finiteness check on the advanced positions reports.
         samples = np.sort(samples)
-        if isinstance(sigma, LinearInteraction):
+        if self._use_grid(samples):
+            return self.from_table(x, self.density_table(samples))
+        if isinstance(sigma, (LinearInteraction, SmoothedDensityPower)):
             return sigma.evaluate(x, samples)
-        if isinstance(sigma, SmoothedDensityPower):
-            use_grid = self.mode == "grid" or (
-                self.mode == "auto" and samples.size > self.grid_threshold)
-            if use_grid:
-                table = self.density_table(samples)
-                return self.from_table(x, table)
-            return sigma.evaluate(x, EmpiricalMeasure(samples))
         return sigma.evaluate(x, EmpiricalMeasure(samples))
 
     # --- reusable per-measure reductions (frozen-flow stepping) ---
@@ -250,9 +256,7 @@ class _SigmaEvaluator:
             return ("const", sigma.value)
         if isinstance(sigma, LinearInteraction) and isinstance(sigma.kernel, SineKernel):
             return ("sine", sigma.kernel.summary_stats(samples))
-        if isinstance(sigma, SmoothedDensityPower) and (
-                self.mode == "grid" or (self.mode == "auto"
-                                        and samples.size > self.grid_threshold)):
+        if self._use_grid(samples):
             return ("table", self.density_table(samples))
         return ("samples", samples)
 
@@ -434,11 +438,20 @@ def simulate_coupled(cfg, reference_flow):
     paired-configuration bound |xi - zeta| / sqrt(n); the worst excess is
     reported (it must be nonpositive up to roundoff).
     """
-    x_sys = initial_positions(cfg)
-    x_cop = x_sys.copy()
     ev = _evaluator(cfg)
     summaries = [ev.summary(m.samples) for m in reference_flow.marginals]
-    ref_times = reference_flow.times
+    return _simulate_coupled(cfg, ev, reference_flow.times, summaries)
+
+
+def _simulate_coupled(cfg, ev, ref_times, summaries):
+    """The stepping loop of :func:`simulate_coupled`.
+
+    ``summaries[j]`` is ``ev.summary`` of the reference marginal recorded
+    at ``ref_times[j]``; it is only read here, so one list can serve many
+    runs, concurrent ones included.
+    """
+    x_sys = initial_positions(cfg)
+    x_cop = x_sys.copy()
     sup_gap = np.zeros(x_sys.size)
     worst_excess = -math.inf
     for k in range(cfg.n_steps):
@@ -512,6 +525,13 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
     repetition) pair gets fresh substreams, including a fresh initial
     sample.  The reference error adds a size-independent floor, so keep
     the largest requested size well below ``n_ref``.
+
+    What is fixed per experiment is resolved once and shared read-only
+    by every run, across threads too: the driver (``cfg_base``'s
+    ``effective_driver``, so a truncated stable driver is not rebuilt
+    for the reference or any run) and the sigma summaries of the
+    reference marginals.  Each run's result equals that of
+    ``simulate_coupled`` on the same config, bit for bit.
     """
     n_list = list(n_list)
     if sorted(n_list) != n_list or len(n_list) < 4:
@@ -521,15 +541,19 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
     if n_ref < 10 * max(n_list):
         raise ValueError("reference size must be at least 10x the largest system")
     threads = max(1, getattr(cfg_base, "threads", 1))
-    ref_cfg = replace(cfg_base, n_particles=n_ref,
+    base = replace(cfg_base, driver=cfg_base.effective_driver)
+    ref_cfg = replace(base, n_particles=n_ref,
                       seed=derive_key(cfg_base.seed, 0xFEED))
     reference_flow = simulate(ref_cfg)
+    ev = _evaluator(base)
+    summaries = [ev.summary(m.samples) for m in reference_flow.marginals]
 
     def one_run(task):
         i, n, r = task
-        run_cfg = replace(cfg_base, n_particles=n,
+        run_cfg = replace(base, n_particles=n,
                           seed=derive_key(cfg_base.seed, i + 1, r))
-        return simulate_coupled(run_cfg, reference_flow).mean_sq()
+        return _simulate_coupled(run_cfg, ev, reference_flow.times,
+                                 summaries).mean_sq()
 
     tasks = [(i, n, r) for i, n in enumerate(n_list) for r in range(reps)]
     if threads > 1:

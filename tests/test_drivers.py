@@ -251,3 +251,23 @@ class TestTruncatedStable:
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
             truncated_stable_triplet(StableDriverSpec(1.5, 1.0), 0.8)
+
+    def test_tail_rate_is_analytic(self):
+        # rate of 1 < |y| <= N under K|y|^(-1-a): 2K(1 - N^-a)/a
+        alpha, level, scale = 1.5, 2.0, 0.5
+        trip = truncated_stable_triplet(StableDriverSpec(alpha, scale), level)
+        k_levy = levy_constant_from_cf_constant(scale, alpha)
+        expected = 2.0 * k_levy * (1.0 - level ** -alpha) / alpha
+        assert trip.big_jumps.total_rate == pytest.approx(expected, rel=1e-14)
+        assert trip.big_rate == trip.big_jumps.total_rate
+
+    def test_analytic_sampler_needs_finite_rate(self):
+        sampler = lambda rng, size: np.full(size, 1.5)
+        with pytest.raises(ValueError):
+            JumpDensity(lambda y: 1.0, y_max=2.0, sampler=sampler)
+        with pytest.raises(ValueError):
+            JumpDensity(lambda y: 1.0, y_max=2.0, sampler=sampler,
+                        total_rate=math.inf)
+        dens = JumpDensity(lambda y: 1.0, y_max=2.0, sampler=sampler, total_rate=0.25)
+        assert dens.total_rate == 0.25
+        assert np.all(dens.sample(substream(22), 3) == 1.5)

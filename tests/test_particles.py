@@ -1,24 +1,26 @@
 """Particle engine: exactness controls, hand-rolled oracles, couplings."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from levymv import particles
 from levymv.coefficients import (Constant, LinearInteraction, SineKernel,
                                  SmoothedDensityPower)
 from levymv.drivers import LevyTripletSpec, StableDriverSpec
 from levymv.exports import (chaos_table_to_csv, flow_from_binary, flow_to_binary,
                             flow_to_csv)
 from levymv.measures import EmpiricalMeasure, second_moment, wasserstein2
-from levymv.particles import (ChaosRateTable, FileLaw, GaussianLaw, MarginalFlow,
-                              ParticleState, PointMass, SimulationConfig,
+from levymv.particles import (ChaosRateTable, CouplingResult, FileLaw, GaussianLaw,
+                              MarginalFlow, ParticleState, PointMass, SimulationConfig,
                               SimulationError, UniformLaw, chaos_rate_experiment,
                               initial_positions, picard_flow, simulate,
                               simulate_coupled, step_frozen_flow, step_increments,
                               step_interacting)
-from levymv.rng import substream
+from levymv.rng import derive_key, substream
 
 
 def make_cfg(**kw):
@@ -271,6 +273,45 @@ class TestChaosExperiment:
         t1 = chaos_rate_experiment(cfg1, [10, 20, 40, 80], reps=4, n_ref=800)
         t4 = chaos_rate_experiment(cfg4, [10, 20, 40, 80], reps=4, n_ref=800)
         assert [r.mean_sq_gap for r in t1.rows] == [r.mean_sq_gap for r in t4.rows]
+
+    @pytest.mark.parametrize("sigma, n_ref", [
+        (LinearInteraction(SineKernel(1.0, 0.5)), 800),
+        # above the 3000-sample grid threshold: "table" summaries
+        (SmoothedDensityPower(0.5, 0.5), 3200),
+    ])
+    def test_runs_equal_public_simulate_coupled(self, monkeypatch, sigma, n_ref):
+        # every run's mean_sq(), in task order (one thread)
+        recorded = []
+        mean_sq = CouplingResult.mean_sq
+
+        def recording_mean_sq(res):
+            recorded.append(mean_sq(res))
+            return recorded[-1]
+
+        monkeypatch.setattr(CouplingResult, "mean_sq", recording_mean_sq)
+        cfg = make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=54, sigma=sigma)
+        n_list, reps = [10, 20, 40, 80], 2
+        chaos_rate_experiment(cfg, n_list, reps, n_ref=n_ref)
+        ref = simulate(replace(cfg, n_particles=n_ref,
+                               seed=derive_key(cfg.seed, 0xFEED)))
+        expected = [mean_sq(simulate_coupled(
+                        replace(cfg, n_particles=n, seed=derive_key(cfg.seed, i + 1, r)),
+                        ref))
+                    for i, n in enumerate(n_list) for r in range(reps)]
+        assert recorded == expected
+
+    def test_truncated_driver_built_once_per_experiment(self, monkeypatch):
+        builds = []
+        build = particles.truncated_stable_triplet
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(particles, "truncated_stable_triplet", counting_build)
+        cfg = make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=55)
+        chaos_rate_experiment(cfg, [10, 20, 40, 80], reps=2, n_ref=800)
+        assert len(builds) == 1  # the config's own; reference and runs reuse it
 
     def test_validation_of_arguments(self):
         cfg = make_cfg()
