@@ -2,13 +2,10 @@
 driven by alpha-stable Levy noise."""
 
 from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
-                           SmoothedDensityPower, evaluate, evaluate_on_density,
-                           lipschitz_probe)
-from .drivers import (IncrementRecord, JumpAtoms, JumpDensity, LevyTripletSpec,
-                      StableDriverSpec, cf_constant_from_levy_constant,
-                      levy_constant_from_cf_constant, sample_stable_increment,
-                      sample_triplet_increment, truncate_increments,
-                      truncated_stable_triplet)
+                           SmoothedDensityPower, evaluate_on_density, lipschitz_probe)
+from .drivers import (JumpAtoms, JumpDensity, LevyTripletSpec, StableDriverSpec,
+                      cf_constant_from_levy_constant, levy_constant_from_cf_constant,
+                      sample_stable_increment, truncated_stable_triplet)
 from .fokker_planck import (AdjointReport, DensityGrid, FractionalParams, FpResult,
                             StabilityError, adjoint_identity_check, bump,
                             fractional_laplacian, gaussian_grid, solve_fp,
@@ -18,10 +15,9 @@ from .measures import (EmpiricalMeasure, GapEstimate, MetricReport,
                        metric_report, second_moment, smoothed_density,
                        truncated_wasserstein2_upper, wasserstein2)
 from .particles import (ChaosRateTable, CouplingResult, FileLaw, GaussianLaw,
-                        MarginalFlow, ParticleState, PicardResult, PointMass,
-                        SimulationConfig, SimulationError, UniformLaw,
-                        chaos_rate_experiment, picard_flow, simulate,
-                        simulate_coupled, step_frozen_flow, step_interacting)
+                        MarginalFlow, PicardResult, PointMass, SimulationConfig,
+                        SimulationError, UniformLaw, chaos_rate_experiment,
+                        picard_flow, simulate, simulate_coupled)
 from .perturbation import (H1Report, PerturbationParams, perturbation_profile,
                            perturbation_profile_deriv, verify_h1)
 from .rng import substream

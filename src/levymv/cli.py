@@ -140,18 +140,9 @@ def cmd_simulate(cfg, outdir, threads):
         alpha = cfg["driver"]["alpha"]
         c_tot = (cfg["driver"].get("scale", 1.0) * cfg["horizon"]
                  * abs(sigma_cfg["value"]) ** alpha)
-        init = _build_initial(cfg.get("initial", {"kind": "gaussian"}))
         xi = np.array(cfg.get("cf_xi_grid", [0.25, 0.5, 1.0, 2.0]))
         emp = np.exp(1j * xi[:, None] * flow.final().samples[None, :]).mean(axis=1)
-        if isinstance(init, PointMass):
-            base = np.exp(1j * xi * init.x0)
-        elif isinstance(init, GaussianLaw):
-            base = np.exp(1j * xi * init.mean - 0.5 * (xi * init.std) ** 2)
-        elif isinstance(init, UniformLaw):
-            base = (np.exp(1j * xi * init.hi) - np.exp(1j * xi * init.lo)) \
-                / (1j * xi * (init.hi - init.lo))
-        else:
-            base = None
+        base = sim.initial_law.cf(xi)
         if base is not None:
             expected = base * np.exp(-c_tot * np.abs(xi) ** alpha)
             gap = float(np.max(np.abs(emp - expected)))

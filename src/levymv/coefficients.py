@@ -10,9 +10,14 @@ Three families:
 * ``SmoothedDensityPower`` -- (g_eps * mu (x))^s, a strictly positive
   nonlocal coefficient built from Gaussian smoothing of the measure.
 
-Each family evaluates against empirical measures and against periodic
-grid densities (duck-typed: any object with .values, .nodes, .dx,
-.half_width, .m).
+Every family has the same methods, so a new family is one class.
+``evaluate(x, mu)`` is the exact sigma against an empirical measure or its
+samples (the oracle of the tests and of :func:`lipschitz_probe`).
+``summarize(samples)`` reduces a sorted sample array once and
+``from_summary(x, summary)`` evaluates many points from that reduction;
+the particle engine calls only these two.  ``_on_grid`` evaluates against
+periodic grid densities (duck-typed: any object with .values, .nodes,
+.dx, .half_width, .m).
 """
 
 import math
@@ -28,12 +33,15 @@ __all__ = [
     "SmoothedDensityPower",
     "SineKernel",
     "CauchyKernel",
-    "evaluate",
     "evaluate_on_density",
     "lipschitz_probe",
     "LipschitzEstimate",
     "sigma_on_grid_values",
 ]
+
+# smoothed-density summaries bin above this many samples, on this many nodes
+BINNING_THRESHOLD = 3000
+BINNING_POINTS = 2048
 
 
 class Constant:
@@ -49,17 +57,18 @@ class Constant:
             raise ValueError("constant coefficient must be nonzero "
                              "(pass check_nonzero=False for degenerate controls)")
         self.value = float(value)
-        self.k1_bound = 0.0
-        self.k2_bound = 0.0
 
     def evaluate(self, x, mu):
         return np.broadcast_to(self.value, np.shape(x)).copy() if np.ndim(x) else self.value
 
+    def summarize(self, samples):
+        return None
+
+    def from_summary(self, x, summary):
+        return np.full(np.shape(x), self.value)
+
     def _on_grid(self, values, nodes, dx, half_width):
         return np.full(values.size, self.value)
-
-    def config_dict(self):
-        return {"kind": "constant", "value": self.value}
 
 
 class SineKernel:
@@ -72,22 +81,14 @@ class SineKernel:
     def __call__(self, x, y):
         return self.c0 + self.c1 * np.sin(x - y)
 
-    def mean_against(self, x, samples):
-        # sin(x - y) = sin x cos y - cos x sin y: one pass over samples
-        mc = float(np.mean(np.cos(samples)))
-        ms = float(np.mean(np.sin(samples)))
-        return self.c0 + self.c1 * (np.sin(x) * mc - np.cos(x) * ms)
-
     def summary_stats(self, samples):
         """Per-measure reduction reused across many query points."""
+        # sin(x - y) = sin x cos y - cos x sin y: one pass over samples
         return (float(np.mean(np.cos(samples))), float(np.mean(np.sin(samples))))
 
     def mean_from_stats(self, x, stats):
         mc, ms = stats
         return self.c0 + self.c1 * (np.sin(x) * mc - np.cos(x) * ms)
-
-    def config_dict(self):
-        return {"kind": "sine", "c0": self.c0, "c1": self.c1}
 
 
 class CauchyKernel:
@@ -101,9 +102,6 @@ class CauchyKernel:
         d = x - y
         return self.c0 + self.c1 / (1.0 + d * d)
 
-    def config_dict(self):
-        return {"kind": "cauchy", "c0": self.c0, "c1": self.c1}
-
 
 class LinearInteraction:
     """sigma(x, mu) = mean of kernel(x, y) over the samples of mu.
@@ -111,7 +109,9 @@ class LinearInteraction:
     The kernel must be bounded with bounded first and second
     x-derivatives; construction probes those bounds by finite
     differences on an expanding grid and rejects kernels whose probes
-    keep growing with the window.
+    keep growing with the window.  A kernel with ``summary_stats`` and
+    ``mean_from_stats`` (``SineKernel``) is summarized by those; any other
+    kernel by the samples, against which it is summed pairwise.
     """
 
     def __init__(self, kernel, probe_halfwidths=(10.0, 30.0), probe_points=201):
@@ -138,15 +138,23 @@ class LinearInteraction:
 
     def evaluate(self, x, mu):
         samples = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu)
-        if hasattr(self.kernel, "mean_against"):
-            return self.kernel.mean_against(x, samples)
+        return self.from_summary(x, self.summarize(samples))
+
+    def summarize(self, samples):
+        if hasattr(self.kernel, "summary_stats"):
+            return self.kernel.summary_stats(samples)
+        return samples
+
+    def from_summary(self, x, summary):
+        if hasattr(self.kernel, "mean_from_stats"):
+            return self.kernel.mean_from_stats(x, summary)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(xq.shape)
         step = max(1, (1 << 22) // max(1, xq.size))
-        for lo in range(0, samples.size, step):
-            chunk = samples[lo:lo + step]
+        for lo in range(0, summary.size, step):
+            chunk = summary[lo:lo + step]
             out += self.kernel(xq[:, None], chunk[None, :]).sum(axis=1)
-        out /= samples.size
+        out /= summary.size
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -161,13 +169,13 @@ class LinearInteraction:
         mat = self.kernel(nodes[:, None], nodes[None, :])
         return mat @ (values * dx)
 
-    def config_dict(self):
-        return {"kind": "linear", "kernel": self.kernel.config_dict()
-                if hasattr(self.kernel, "config_dict") else "custom"}
-
 
 class SmoothedDensityPower:
-    """sigma(x, mu) = (g_eps * mu (x))^s, strictly positive by construction."""
+    """sigma(x, mu) = (g_eps * mu (x))^s, strictly positive by construction.
+
+    Summaries above ``BINNING_THRESHOLD`` samples are binned density tables,
+    read back by linear interpolation (zero density outside the table).
+    """
 
     def __init__(self, eps, s):
         if not eps > 0.0:
@@ -181,6 +189,18 @@ class SmoothedDensityPower:
         base = smoothed_density(mu, self.eps, x)
         return base ** self.s
 
+    def summarize(self, samples):
+        if samples.size > BINNING_THRESHOLD:
+            return _binned_gaussian_smoothing(samples, self.eps)
+        return samples
+
+    def from_summary(self, x, summary):
+        if isinstance(summary, np.ndarray):
+            return self.evaluate(x, summary)
+        grid, dens = summary
+        base = np.interp(x, grid, dens, left=0.0, right=0.0)
+        return np.maximum(base, 0.0) ** self.s
+
     def _on_grid(self, values, nodes, dx, half_width):
         if self.eps < 4.0 * dx ** 2:
             raise ValueError(f"grid too coarse for eps={self.eps}: "
@@ -190,8 +210,29 @@ class SmoothedDensityPower:
         # negative base to a fractional power
         return np.maximum(conv, 0.0) ** self.s
 
-    def config_dict(self):
-        return {"kind": "smoothed_power", "eps": self.eps, "s": self.s}
+
+def _binned_gaussian_smoothing(samples, eps):
+    """(grid, g_eps * mu on grid): the samples linearly binned on
+    ``BINNING_POINTS`` nodes, convolved with the Gaussian window."""
+    span = 6.0 * math.sqrt(eps)
+    lo = float(samples.min()) - span
+    hi = float(samples.max()) + span
+    m = BINNING_POINTS
+    dx = (hi - lo) / (m - 1)
+    grid = lo + dx * np.arange(m)
+    # linear (cloud-in-cell) binning of unit weights
+    pos = np.clip((samples - lo) / dx, 0.0, m - 1.000001)
+    left = pos.astype(int)
+    frac = pos - left
+    weights = np.zeros(m)
+    np.add.at(weights, left, 1.0 - frac)
+    np.add.at(weights, left + 1, frac)
+    weights /= samples.size * dx
+    half = int(math.ceil(span / dx))
+    offs = dx * np.arange(-half, half + 1)
+    kern = np.exp(-offs * offs / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
+    dens = np.convolve(weights, kern, mode="same") * dx
+    return grid, dens
 
 
 def _periodic_gaussian_convolution(values, dx, half_width, eps):
@@ -201,11 +242,6 @@ def _periodic_gaussian_convolution(values, dx, half_width, eps):
     dist = np.minimum(offsets, 2.0 * half_width - offsets)
     kern = np.exp(-dist * dist / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
     return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kern), n=m) * dx
-
-
-def evaluate(spec, x, mu):
-    """sigma(x, mu) for any coefficient family."""
-    return spec.evaluate(x, mu)
 
 
 def evaluate_on_density(spec, grid):
@@ -249,10 +285,10 @@ def lipschitz_probe(spec, trials, rng, measure_size=64):
                                          measure_size))
         x0, x1 = rng.normal(0.0, 2.0, 2)
         if x0 != x1:
-            num = abs(evaluate(spec, x1, mu) - evaluate(spec, x0, mu))
+            num = abs(spec.evaluate(x1, mu) - spec.evaluate(x0, mu))
             best_x = max(best_x, num / abs(x1 - x0))
         d = wasserstein2(mu, nu)
         if d > 1e-12:
-            num = abs(evaluate(spec, x0, mu) - evaluate(spec, x0, nu))
+            num = abs(spec.evaluate(x0, mu) - spec.evaluate(x0, nu))
             best_m = max(best_m, num / d)
     return LipschitzEstimate(in_state=best_x, in_measure=best_m)

@@ -5,10 +5,10 @@ Three layers:
 * exact symmetric alpha-stable increments via the polar
   (Chambers-Mallows-Stuck) transform,
 * general drivers specified by a characteristic triplet, assembled per
-  step as drift + diffusion + compensated mid-size jumps + individually
-  recorded big jumps, with jumps below a cutoff ``delta`` replaced by a
-  variance-matched Gaussian (or dropped),
-* pathwise removal of recorded jumps above a level ``N``, which turns a
+  step as drift + diffusion + compensated mid-size jumps + big jumps,
+  with jumps below a cutoff ``delta`` replaced by a variance-matched
+  Gaussian (or dropped),
+* pathwise removal of the big jumps above a level ``N``, which turns a
   heavy-tailed driver into a square-integrable one.
 
 Scale convention for the stable family: ``scale`` is the characteristic
@@ -28,13 +28,10 @@ import numpy as np
 __all__ = [
     "StableDriverSpec",
     "LevyTripletSpec",
-    "IncrementRecord",
     "JumpAtoms",
     "JumpDensity",
     "sample_stable_increment",
-    "sample_triplet_increment",
     "sample_triplet_increments",
-    "truncate_increments",
     "sample_increment_array",
     "truncated_stable_triplet",
     "cf_constant_from_levy_constant",
@@ -100,36 +97,6 @@ def sample_stable_increment(spec, dt, rng, size=None):
     if size is None:
         return float(z[0])
     return z
-
-
-@dataclass(frozen=True)
-class IncrementRecord:
-    """One driver increment with its big jumps listed individually.
-
-    ``total`` already includes the big jumps; subtracting the recorded
-    amplitudes leaves the drift + diffusion + small/mid jump part.
-    """
-
-    total: float
-    big_jumps: tuple = ()
-
-    def retained_part(self):
-        return self.total - sum(a for _, a in self.big_jumps)
-
-
-def truncate_increments(record, level_n):
-    """Increment of the driver with jumps above ``level_n`` removed.
-
-    Subtracts every recorded jump with |amplitude| > level_n from the
-    total; level_n = inf returns the total unchanged.
-    """
-    if not level_n > 0.0:
-        raise ValueError("truncation level must be positive")
-    out = record.total
-    for _, amp in record.big_jumps:
-        if abs(amp) > level_n:
-            out -= amp
-    return out
 
 
 class JumpAtoms:
@@ -303,16 +270,22 @@ class LevyTripletSpec:
         return out
 
 
+def _check_truncation(level):
+    if level is not None and not level > 0.0:
+        raise ValueError(f"truncation level must be positive or inf, got {level}")
+
+
 def sample_triplet_increments(spec, dt, n, rng, truncation=None):
     """Vectorized triplet increments for n particles over one step.
 
     Returns (totals, big_jump_sums) where big_jump_sums[i] collects this
     particle's jumps with |amplitude| > truncation (0 when truncation is
-    None); totals always include every jump, so
+    None or inf); totals always include every jump, so
     ``totals - big_jump_sums`` is the truncated-driver increment.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    _check_truncation(truncation)
     totals = np.full(n, spec.drift_b * dt)
     small_var = spec.gaussian_a * dt
     if spec.small_jump_scheme == "gaussian":
@@ -340,33 +313,6 @@ def sample_triplet_increments(spec, dt, n, rng, truncation=None):
                 if over.any():
                     big_sums += np.bincount(owners[over], weights=amps[over], minlength=n)
     return totals, big_sums
-
-
-def sample_triplet_increment(spec, dt, rng):
-    """One triplet increment with its big jumps individually recorded."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    total = spec.drift_b * dt
-    small_var = spec.gaussian_a * dt
-    if spec.small_jump_scheme == "gaussian":
-        small_var += spec.small_jump_var * dt
-    if small_var > 0.0:
-        total += math.sqrt(small_var) * rng.standard_normal()
-    if spec.mid_rate > 0.0:
-        k = rng.poisson(spec.mid_rate * dt)
-        if k:
-            total += float(spec._sample_mid(rng, int(k)).sum())
-        total -= spec.mid_compensator * dt
-    jumps = []
-    if spec.big_rate > 0.0:
-        k = int(rng.poisson(spec.big_rate * dt))
-        if k:
-            amps = spec.big_jumps.sample(rng, k)
-            offsets = np.sort(rng.uniform(0.0, dt, k))
-            for t_off, amp in zip(offsets, amps):
-                jumps.append((float(t_off), float(amp)))
-                total += float(amp)
-    return IncrementRecord(total=float(total), big_jumps=tuple(jumps))
 
 
 def truncated_stable_triplet(spec, level, delta=0.05):
@@ -408,6 +354,7 @@ def sample_increment_array(driver, dt, n, rng, truncation=None):
     (the engine does this once at configuration time).
     """
     if isinstance(driver, StableDriverSpec):
+        _check_truncation(truncation)
         if truncation is not None and np.isfinite(truncation) and driver.alpha < 2.0:
             raise ValueError("truncated stable sampling requires the triplet form; "
                              "build it once with truncated_stable_triplet()")

@@ -3,15 +3,18 @@
 Fixed-step Euler scheme for
     X^i_{t+dt} = X^i_t + sigma(X^i_t, mu_t) * dZ^i
 with the coefficient frozen at the step start (left-limit convention)
-and driver increments drawn exactly per step.  The same stepping kernel
-runs three modes:
+and driver increments drawn exactly per step.  Every step evaluates
+sigma through the coefficient's ``summarize``/``from_summary`` pair
+(see :mod:`levymv.coefficients`), in three modes:
 
-* interacting -- sigma sees the system's own empirical measure,
-* frozen flow -- sigma sees an externally supplied marginal flow, which
-  turns the system into n independent copies of a linear equation,
-* coupled -- both at once with shared increments per particle index,
-  which is the construction behind the pathwise convergence-rate
-  experiments.
+* interacting (:func:`simulate`) -- sigma sees the system's own
+  empirical measure, summarized afresh at every step,
+* frozen flow (:func:`picard_flow`) -- sigma sees an externally supplied
+  marginal flow, summarized once per marginal, which turns the system
+  into n independent copies of a linear equation,
+* coupled (:func:`simulate_coupled`, :func:`chaos_rate_experiment`) --
+  both at once with shared increments per particle index, which is the
+  construction behind the pathwise convergence-rate experiments.
 
 Randomness comes from counter-based substreams keyed by
 (seed, role, step), drawn in particle-major order, so runs are
@@ -24,28 +27,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import Constant, LinearInteraction, SineKernel, SmoothedDensityPower
-from .drivers import (StableDriverSpec, sample_increment_array,
+from .drivers import (StableDriverSpec, _check_truncation, sample_increment_array,
                       truncated_stable_triplet)
 from .measures import EmpiricalMeasure, wasserstein2
 from .rng import derive_key, substream
 
 __all__ = [
-    "InitialLaw",
     "PointMass",
     "GaussianLaw",
     "UniformLaw",
     "FileLaw",
     "SimulationConfig",
-    "ParticleState",
     "MarginalFlow",
     "ChaosRateTable",
     "ChaosRow",
     "PicardResult",
     "CouplingResult",
     "SimulationError",
-    "step_interacting",
-    "step_frozen_flow",
     "simulate",
     "picard_flow",
     "simulate_coupled",
@@ -68,8 +66,8 @@ class PointMass:
     def sample(self, n, rng):
         return np.full(n, self.x0)
 
-    def config_dict(self):
-        return {"kind": "point", "x0": self.x0}
+    def cf(self, xi):
+        return np.exp(1j * xi * self.x0)
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,8 @@ class GaussianLaw:
     def sample(self, n, rng):
         return self.mean + self.std * rng.standard_normal(n)
 
-    def config_dict(self):
-        return {"kind": "gaussian", "mean": self.mean, "std": self.std}
+    def cf(self, xi):
+        return np.exp(1j * xi * self.mean - 0.5 * (xi * self.std) ** 2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,9 @@ class UniformLaw:
     def sample(self, n, rng):
         return rng.uniform(self.lo, self.hi, n)
 
-    def config_dict(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
+    def cf(self, xi):
+        return (np.exp(1j * xi * self.hi) - np.exp(1j * xi * self.lo)) \
+            / (1j * xi * (self.hi - self.lo))
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,9 @@ class FileLaw:
         samples = EmpiricalMeasure.from_csv(self.path).samples
         return samples[rng.integers(0, samples.size, n)]
 
-    def config_dict(self):
-        return {"kind": "file", "path": self.path}
-
-
-InitialLaw = (PointMass, GaussianLaw, UniformLaw, FileLaw)
+    def cf(self, xi):
+        """None: a resampled file has no closed-form characteristic function."""
+        return None
 
 
 @dataclass
@@ -136,8 +133,6 @@ class SimulationConfig:
     sigma: object
     initial_law: object = field(default_factory=GaussianLaw)
     truncation_N: float = None
-    sigma_mode: str = "auto"        # auto | exact | grid
-    sigma_grid_points: int = 2048
     threads: int = 1
 
     def __post_init__(self):
@@ -147,11 +142,8 @@ class SimulationConfig:
             raise ValueError("dt and horizon must be positive")
         self.n_steps = max(1, int(round(self.horizon_T / self.dt)))
         self.dt_effective = self.horizon_T / self.n_steps
-        if self.sigma_mode not in ("auto", "exact", "grid"):
-            raise ValueError("sigma_mode must be auto, exact or grid")
         trunc = self.truncation_N
-        if trunc is not None and not math.isinf(trunc) and trunc <= 0.0:
-            raise ValueError("truncation level must be positive")
+        _check_truncation(trunc)
         if (isinstance(self.driver, StableDriverSpec) and trunc is not None
                 and math.isfinite(trunc) and self.driver.alpha < 2.0):
             self.effective_driver = truncated_stable_triplet(self.driver, trunc)
@@ -162,19 +154,6 @@ class SimulationConfig:
 
     def times(self):
         return self.dt_effective * np.arange(self.n_steps + 1)
-
-
-@dataclass
-class ParticleState:
-    time: float
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-
-    @property
-    def n(self):
-        return self.positions.size
 
 
 @dataclass
@@ -211,98 +190,15 @@ def _check_finite(positions, step_index, time):
             f"{step_index} (t={time:.6g}); the run is unusable past this point")
 
 
-class _SigmaEvaluator:
-    """Evaluates sigma(x_i, measure) for all particles at one step.
+def _sigma_on_own_measure(sigma, x):
+    """sigma(x_i, mu^n) for every particle, mu^n the system's empirical measure.
 
-    Smoothed-density coefficients switch to a binned-grid convolution
-    above ``grid_threshold`` samples: the measure is linearly binned,
-    convolved with the Gaussian window, and interpolated back at the
-    query points.  Queries outside the grid see zero density.  The
-    threshold keeps small systems on the exact pairwise sum.
+    Summarized in canonical (sorted) order: the measure is order-free, and a
+    fixed reduction order keeps interacting and frozen-flow stepping
+    bit-identical.  A non-finite sample gives non-finite sigma, which the
+    finiteness check on the advanced positions reports.
     """
-
-    def __init__(self, sigma, mode="auto", grid_points=2048, grid_threshold=3000):
-        self.sigma = sigma
-        self.mode = mode
-        self.grid_points = grid_points
-        self.grid_threshold = grid_threshold
-
-    def _use_grid(self, samples):
-        return isinstance(self.sigma, SmoothedDensityPower) and (
-            self.mode == "grid"
-            or (self.mode == "auto" and samples.size > self.grid_threshold))
-
-    def against_samples(self, x, samples):
-        sigma = self.sigma
-        if isinstance(sigma, Constant):
-            return np.full(np.shape(x), sigma.value)
-        # canonical (sorted) sample order: the measure is order-free, and a
-        # fixed reduction order keeps interacting and frozen-flow stepping
-        # bit-identical.  The built-in families take the sorted array as it
-        # is: a non-finite sample gives non-finite sigma, which the
-        # finiteness check on the advanced positions reports.
-        samples = np.sort(samples)
-        if self._use_grid(samples):
-            return self.from_table(x, self.density_table(samples))
-        if isinstance(sigma, (LinearInteraction, SmoothedDensityPower)):
-            return sigma.evaluate(x, samples)
-        return sigma.evaluate(x, EmpiricalMeasure(samples))
-
-    # --- reusable per-measure reductions (frozen-flow stepping) ---
-
-    def summary(self, samples):
-        sigma = self.sigma
-        if isinstance(sigma, Constant):
-            return ("const", sigma.value)
-        if isinstance(sigma, LinearInteraction) and isinstance(sigma.kernel, SineKernel):
-            return ("sine", sigma.kernel.summary_stats(samples))
-        if self._use_grid(samples):
-            return ("table", self.density_table(samples))
-        return ("samples", samples)
-
-    def against_summary(self, x, summary):
-        tag, payload = summary
-        if tag == "const":
-            return np.full(np.shape(x), payload)
-        if tag == "sine":
-            return self.sigma.kernel.mean_from_stats(x, payload)
-        if tag == "table":
-            return self.from_table(x, payload)
-        return self.against_samples(x, payload)
-
-    # --- binned Gaussian smoothing ---
-
-    def density_table(self, samples):
-        eps = self.sigma.eps
-        span = 6.0 * math.sqrt(eps)
-        lo = float(samples.min()) - span
-        hi = float(samples.max()) + span
-        m = self.grid_points
-        dx = (hi - lo) / (m - 1)
-        grid = lo + dx * np.arange(m)
-        # linear (cloud-in-cell) binning of unit weights
-        pos = np.clip((samples - lo) / dx, 0.0, m - 1.000001)
-        left = pos.astype(int)
-        frac = pos - left
-        weights = np.zeros(m)
-        np.add.at(weights, left, 1.0 - frac)
-        np.add.at(weights, left + 1, frac)
-        weights /= samples.size * dx
-        half = int(math.ceil(span / dx))
-        offs = dx * np.arange(-half, half + 1)
-        kern = np.exp(-offs * offs / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
-        dens = np.convolve(weights, kern, mode="same") * dx
-        return grid, dens
-
-    def from_table(self, x, table):
-        grid, dens = table
-        base = np.interp(x, grid, dens, left=0.0, right=0.0)
-        return np.maximum(base, 0.0) ** self.sigma.s
-
-
-def _evaluator(cfg):
-    return _SigmaEvaluator(cfg.sigma, mode=cfg.sigma_mode,
-                           grid_points=cfg.sigma_grid_points)
+    return sigma.from_summary(x, sigma.summarize(np.sort(x)))
 
 
 def _advance(positions, sigma_values, increments):
@@ -328,37 +224,14 @@ def initial_positions(cfg, n=None):
     return cfg.initial_law.sample(cfg.n_particles if n is None else n, rng)
 
 
-def step_interacting(state, cfg, rng):
-    """One Euler step against the system's own empirical measure."""
-    dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                state.n, rng, truncation=cfg.effective_truncation)
-    sig = _evaluator(cfg).against_samples(state.positions, state.positions)
-    new = _advance(state.positions, sig, dz)
-    t = state.time + cfg.dt_effective
-    _check_finite(new, round(t / cfg.dt_effective), t)
-    return ParticleState(time=t, positions=new)
-
-
-def step_frozen_flow(state, flow_marginal, cfg, rng):
-    """One Euler step with sigma evaluated against an external marginal."""
-    dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                state.n, rng, truncation=cfg.effective_truncation)
-    sig = _evaluator(cfg).against_samples(state.positions, flow_marginal.samples)
-    new = _advance(state.positions, sig, dz)
-    t = state.time + cfg.dt_effective
-    _check_finite(new, round(t / cfg.dt_effective), t)
-    return ParticleState(time=t, positions=new)
-
-
 def simulate(cfg, record_every=1):
     """Run the interacting system, recording the marginal at every step."""
     x = initial_positions(cfg)
-    ev = _evaluator(cfg)
     times = [0.0]
     marginals = [EmpiricalMeasure(x)]
     for k in range(cfg.n_steps):
         dz = step_increments(cfg, k, n=x.size)
-        sig = ev.against_samples(x, x)
+        sig = _sigma_on_own_measure(cfg.sigma, x)
         x = _advance(x, sig, dz)
         t = (k + 1) * cfg.dt_effective
         _check_finite(x, k + 1, t)
@@ -390,12 +263,12 @@ def picard_flow(cfg, iterations, common_increments=True):
     times = cfg.times()
     flat = MarginalFlow(times=times,
                         marginals=[EmpiricalMeasure(x0)] * (cfg.n_steps + 1))
-    ev = _evaluator(cfg)
+    sigma = cfg.sigma
     flows = [flat]
     gaps = []
     for j in range(1, iterations + 1):
         prev = flows[-1]
-        summaries = [ev.summary(m.samples) for m in prev.marginals]
+        summaries = [sigma.summarize(m.samples) for m in prev.marginals]
         x = x0.copy()
         marginals = [EmpiricalMeasure(x)]
         for k in range(cfg.n_steps):
@@ -406,7 +279,7 @@ def picard_flow(cfg, iterations, common_increments=True):
             dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
                                         x.size, rng,
                                         truncation=cfg.effective_truncation)
-            sig = ev.against_summary(x, summaries[k])
+            sig = sigma.from_summary(x, summaries[k])
             x = _advance(x, sig, dz)
             _check_finite(x, k + 1, (k + 1) * cfg.dt_effective)
             marginals.append(EmpiricalMeasure(x))
@@ -438,18 +311,18 @@ def simulate_coupled(cfg, reference_flow):
     paired-configuration bound |xi - zeta| / sqrt(n); the worst excess is
     reported (it must be nonpositive up to roundoff).
     """
-    ev = _evaluator(cfg)
-    summaries = [ev.summary(m.samples) for m in reference_flow.marginals]
-    return _simulate_coupled(cfg, ev, reference_flow.times, summaries)
+    summaries = [cfg.sigma.summarize(m.samples) for m in reference_flow.marginals]
+    return _simulate_coupled(cfg, reference_flow.times, summaries)
 
 
-def _simulate_coupled(cfg, ev, ref_times, summaries):
+def _simulate_coupled(cfg, ref_times, summaries):
     """The stepping loop of :func:`simulate_coupled`.
 
-    ``summaries[j]`` is ``ev.summary`` of the reference marginal recorded
-    at ``ref_times[j]``; it is only read here, so one list can serve many
-    runs, concurrent ones included.
+    ``summaries[j]`` is ``cfg.sigma.summarize`` of the reference marginal
+    recorded at ``ref_times[j]``; it is only read here, so one list can
+    serve many runs, concurrent ones included.
     """
+    sigma = cfg.sigma
     x_sys = initial_positions(cfg)
     x_cop = x_sys.copy()
     sup_gap = np.zeros(x_sys.size)
@@ -458,8 +331,8 @@ def _simulate_coupled(cfg, ev, ref_times, summaries):
         t = k * cfg.dt_effective
         idx = int(np.searchsorted(ref_times, t + 1e-12, side="right")) - 1
         dz = step_increments(cfg, k, n=x_sys.size)
-        sig_sys = ev.against_samples(x_sys, x_sys)
-        sig_cop = ev.against_summary(x_cop, summaries[max(idx, 0)])
+        sig_sys = _sigma_on_own_measure(sigma, x_sys)
+        sig_cop = sigma.from_summary(x_cop, summaries[max(idx, 0)])
         x_sys = _advance(x_sys, sig_sys, dz)
         x_cop = _advance(x_cop, sig_cop, dz)
         t_next = (k + 1) * cfg.dt_effective
@@ -545,15 +418,13 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
     ref_cfg = replace(base, n_particles=n_ref,
                       seed=derive_key(cfg_base.seed, 0xFEED))
     reference_flow = simulate(ref_cfg)
-    ev = _evaluator(base)
-    summaries = [ev.summary(m.samples) for m in reference_flow.marginals]
+    summaries = [base.sigma.summarize(m.samples) for m in reference_flow.marginals]
 
     def one_run(task):
         i, n, r = task
         run_cfg = replace(base, n_particles=n,
                           seed=derive_key(cfg_base.seed, i + 1, r))
-        return _simulate_coupled(run_cfg, ev, reference_flow.times,
-                                 summaries).mean_sq()
+        return _simulate_coupled(run_cfg, reference_flow.times, summaries).mean_sq()
 
     tasks = [(i, n, r) for i, n in enumerate(n_list) for r in range(reps)]
     if threads > 1:

@@ -65,6 +65,22 @@ class TestSimulateCommand:
         assert summary["cf_test"]["pass"] is True
         assert summary["pass"] is True
 
+    def test_cf_check_for_every_closed_form_initial_law(self, tmp_path, capsys):
+        for init in ({"kind": "gaussian", "mean": 0.5, "std": 0.7},
+                     {"kind": "uniform", "lo": -1.0, "hi": 2.0}):
+            cfg = write_config(tmp_path, {**SIM_CFG, "initial": init})
+            out = str(tmp_path / init["kind"])
+            assert main(["simulate", cfg, "--out", out]) == 0
+            summary = json.load(open(os.path.join(out, "summary.json")))
+            assert summary["cf_test"]["pass"] is True, init
+
+    def test_nan_truncation_rejected(self, tmp_path, capsys):
+        # json reads NaN, so a config file can carry one
+        cfg = write_config(tmp_path, {**SIM_CFG, "truncation": float("nan")})
+        assert "NaN" in open(cfg).read()
+        assert main(["simulate", cfg, "--out", str(tmp_path / "nan")]) != 0
+        assert "error:" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIM_CFG)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

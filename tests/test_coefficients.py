@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction,
-                                 SineKernel, SmoothedDensityPower, evaluate,
-                                 evaluate_on_density, lipschitz_probe)
+from levymv.coefficients import (BINNING_POINTS, BINNING_THRESHOLD, CauchyKernel,
+                                 Constant, LinearInteraction, SineKernel,
+                                 SmoothedDensityPower, evaluate_on_density,
+                                 lipschitz_probe)
 from levymv.fokker_planck import DensityGrid, gaussian_grid
 from levymv.measures import EmpiricalMeasure
 from levymv.rng import substream
@@ -17,8 +18,8 @@ class TestConstant:
     def test_value_everywhere(self):
         sig = Constant(1.0)
         mu = EmpiricalMeasure([1.0, 2.0, 3.0])
-        assert evaluate(sig, 0.7, mu) == 1.0
-        assert np.all(evaluate(sig, np.linspace(-3, 3, 7), mu) == 1.0)
+        assert sig.evaluate(0.7, mu) == 1.0
+        assert np.all(sig.evaluate(np.linspace(-3, 3, 7), mu) == 1.0)
 
     def test_zero_rejected_by_default(self):
         with pytest.raises(ValueError):
@@ -34,7 +35,7 @@ class TestLinearInteraction:
     def test_constant_kernel_reduces_to_c0(self):
         sig = LinearInteraction(SineKernel(c0=0.7, c1=0.0))
         mu = EmpiricalMeasure(substream(200).normal(0, 5, 50))
-        assert evaluate(sig, 1.3, mu) == pytest.approx(0.7)
+        assert sig.evaluate(1.3, mu) == pytest.approx(0.7)
 
     def test_sine_fast_path_matches_pair_sum(self):
         sig = LinearInteraction(SineKernel(1.0, 0.5))
@@ -42,7 +43,7 @@ class TestLinearInteraction:
         samples = rng.normal(0, 2, 300)
         mu = EmpiricalMeasure(samples)
         x = rng.normal(0, 2, 11)
-        fast = evaluate(sig, x, mu)
+        fast = sig.evaluate(x, mu)
         naive = np.array([np.mean(1.0 + 0.5 * np.sin(xq - mu.samples)) for xq in x])
         assert np.max(np.abs(fast - naive)) < 1e-12
 
@@ -52,7 +53,7 @@ class TestLinearInteraction:
         mu = EmpiricalMeasure(rng.normal(0, 1, 100))
         x = 0.3
         naive = np.mean(0.5 + 1.0 / (1.0 + (x - mu.samples) ** 2))
-        assert evaluate(sig, x, mu) == pytest.approx(float(naive))
+        assert sig.evaluate(x, mu) == pytest.approx(float(naive))
 
     def test_duplicating_samples_leaves_value_unchanged(self):
         # uniform weights: repeating the sample list is the same measure
@@ -61,7 +62,7 @@ class TestLinearInteraction:
         xs = rng.normal(0, 1, 40)
         mu = EmpiricalMeasure(xs)
         mu2 = EmpiricalMeasure(np.concatenate([xs, xs]))
-        assert evaluate(sig, 0.9, mu) == pytest.approx(evaluate(sig, 0.9, mu2))
+        assert sig.evaluate(0.9, mu) == pytest.approx(sig.evaluate(0.9, mu2))
 
     def test_unbounded_kernel_rejected(self):
         class Linear:
@@ -90,7 +91,7 @@ class TestSmoothedDensityPower:
         eps, s = 0.4, 0.7
         sig = SmoothedDensityPower(eps, s)
         mu = EmpiricalMeasure([0.0])
-        assert evaluate(sig, 0.0, mu) == pytest.approx(
+        assert sig.evaluate(0.0, mu) == pytest.approx(
             (2 * math.pi * eps) ** (-s / 2.0))
 
     def test_strictly_positive(self):
@@ -99,7 +100,7 @@ class TestSmoothedDensityPower:
         for _ in range(50):
             mu = EmpiricalMeasure(rng.normal(0, 3, 20))
             x = rng.uniform(-30, 30)
-            assert evaluate(sig, x, mu) > 0.0
+            assert sig.evaluate(x, mu) > 0.0
 
     def test_grid_convolution_matches_monte_carlo(self):
         rng = substream(205)
@@ -109,6 +110,24 @@ class TestSmoothedDensityPower:
         mu = EmpiricalMeasure(rng.standard_normal(1_000_000))
         mc = sig.evaluate(grid.nodes, mu)
         assert np.max(np.abs(on_grid - mc)) < 0.01
+
+    def test_binned_summary_agrees_with_exact_sum(self):
+        sig = SmoothedDensityPower(0.5, 0.5)
+        x = np.linspace(-4.0, 4.0, 81)
+        for n in (3001, 8000, 100_000):
+            s = np.sort(substream(210, n).normal(0.0, 1.5, n))
+            exact = sig.evaluate(x, s)
+            binned = sig.from_summary(x, sig.summarize(s))
+            assert np.max(np.abs(binned / exact - 1.0)) < 1e-4, n
+
+    def test_summary_bins_only_above_the_threshold(self):
+        assert BINNING_THRESHOLD == 3000
+        sig = SmoothedDensityPower(0.5, 0.5)
+        s = np.sort(substream(211).normal(0.0, 1.5, 3001))
+        small = s[:3000]
+        assert sig.summarize(small) is small
+        grid, dens = sig.summarize(s)
+        assert grid.size == dens.size == BINNING_POINTS
 
     def test_grid_too_coarse_rejected(self):
         grid = gaussian_grid(16.0, 16)  # dx = 2 -> needs eps >= 16
@@ -120,6 +139,23 @@ class TestSmoothedDensityPower:
             SmoothedDensityPower(0.0, 1.0)
         with pytest.raises(ValueError):
             SmoothedDensityPower(1.0, 0.0)
+
+
+class TestSummaryProtocol:
+    @pytest.mark.parametrize("sig", [Constant(1.3), LinearInteraction(SineKernel(1.0, 0.5)),
+                                     LinearInteraction(CauchyKernel(0.5, 1.0)),
+                                     SmoothedDensityPower(0.5, 0.5)])
+    def test_from_summary_of_summary_equals_evaluate(self, sig):
+        s = np.sort(substream(212).normal(0.0, 1.0, 200))
+        x = np.linspace(-3.0, 3.0, 13)
+        assert np.array_equal(sig.from_summary(x, sig.summarize(s)), sig.evaluate(x, s))
+
+    def test_what_each_family_keeps(self):
+        s = np.sort(substream(213).normal(0.0, 1.0, 50))
+        assert Constant(1.0).summarize(s) is None
+        sine = SineKernel(1.0, 0.5)
+        assert LinearInteraction(sine).summarize(s) == sine.summary_stats(s)
+        assert LinearInteraction(CauchyKernel()).summarize(s) is s
 
 
 class TestEvaluateOnDensityGuards:

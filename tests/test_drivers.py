@@ -7,11 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from levymv.drivers import (IncrementRecord, JumpAtoms, JumpDensity, LevyTripletSpec,
-                            StableDriverSpec, cf_constant_from_levy_constant,
+from levymv.drivers import (JumpAtoms, JumpDensity, LevyTripletSpec, StableDriverSpec,
+                            cf_constant_from_levy_constant,
                             levy_constant_from_cf_constant, sample_increment_array,
-                            sample_stable_increment, sample_triplet_increment,
-                            sample_triplet_increments, truncate_increments,
+                            sample_stable_increment, sample_triplet_increments,
                             truncated_stable_triplet)
 from levymv.rng import substream
 
@@ -121,9 +120,9 @@ class TestConstants:
 class TestTripletSampler:
     def test_pure_drift_is_exact(self):
         spec = LevyTripletSpec(gaussian_a=0.0, drift_b=1.0)
-        rec = sample_triplet_increment(spec, 0.5, substream(11))
-        assert rec.total == 0.5
-        assert rec.big_jumps == ()
+        tot, big = sample_triplet_increments(spec, 0.5, 10, substream(11), truncation=0.1)
+        assert np.all(tot == 0.5)
+        assert np.all(big == 0.0)
 
     def test_gaussian_part_variance(self):
         spec = LevyTripletSpec(gaussian_a=2.0, drift_b=0.0)
@@ -131,17 +130,17 @@ class TestTripletSampler:
         assert abs(tot.var() - 1.0) < 0.01  # a * dt = 1
 
     def test_big_jump_atom_poisson_count(self):
+        # a truncation below the atom collects every jump in big_sums
         lam, dt = 3.0, 0.25
         spec = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, lam)]))
-        rng = substream(13)
-        counts = [len(sample_triplet_increment(spec, dt, rng).big_jumps)
-                  for _ in range(20_000)]
-        counts = np.asarray(counts)
+        tot, big = sample_triplet_increments(spec, dt, 20_000, substream(13),
+                                             truncation=1.5)
+        counts = big / 2.0
+        # all amplitudes sit on the atom: whole counts, and nothing else moves
+        assert np.array_equal(counts, np.round(counts))
+        assert np.array_equal(tot, big)
         target = lam * dt
         assert abs(counts.mean() - target) < 4.0 * math.sqrt(target / counts.size)
-        # all amplitudes sit on the atom
-        rec = sample_triplet_increment(spec, 5.0, substream(14))
-        assert all(amp == 2.0 for _, amp in rec.big_jumps)
 
     def test_compensated_mid_band_mean_zero(self):
         # asymmetric band density: compensation must keep the mean at zero
@@ -152,19 +151,16 @@ class TestTripletSampler:
         assert abs(tot.mean()) < 4.0 * tot.std() / math.sqrt(tot.size)
 
     def test_record_total_minus_jumps_is_retained(self):
-        spec = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3,
-                               big_jumps=JumpAtoms([(3.0, 2.0), (-2.0, 1.0)]))
-        rng = substream(16)
-        for _ in range(50):
-            rec = sample_triplet_increment(spec, 1.0, rng)
-            retained = rec.total - sum(a for _, a in rec.big_jumps)
-            assert retained == pytest.approx(rec.retained_part(), abs=1e-12)
-
-    def test_offsets_sorted_within_step(self):
-        spec = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, 50.0)]))
-        rec = sample_triplet_increment(spec, 1.0, substream(17))
-        offs = [t for t, _ in rec.big_jumps]
-        assert offs == sorted(offs) and all(0 <= t <= 1.0 for t in offs)
+        # with every jump above the level, totals - big_sums is the drift +
+        # diffusion part, drawn first from the stream as without jumps
+        jumps = JumpAtoms([(3.0, 2.0), (-2.0, 1.0)])
+        spec = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3, big_jumps=jumps)
+        tot, big = sample_triplet_increments(spec, 1.0, 50, substream(16),
+                                             truncation=1.5)
+        plain, _ = sample_triplet_increments(
+            LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3), 1.0, 50, substream(16))
+        assert np.any(big != 0.0)
+        assert np.allclose(tot - big, plain, rtol=0.0, atol=1e-12)
 
     def test_nonintegrable_density_rejected(self):
         beta1 = lambda y: abs(y) ** -3.5 if y != 0 else math.inf
@@ -184,35 +180,54 @@ class TestTripletSampler:
             LevyTripletSpec(delta=0.0)
 
 
+ATOMS = LevyTripletSpec(drift_b=0.25, big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
+
+
+def increments(driver, truncation, n=2000, key=18):
+    return sample_increment_array(driver, 1.0, n, substream(key), truncation=truncation)
+
+
 class TestTruncation:
     def test_direct_subtraction(self):
-        rec = IncrementRecord(total=3.0, big_jumps=((0.1, 2.5),))
-        assert truncate_increments(rec, 2.0) == pytest.approx(0.5)
+        # a level of 2 removes the 2.5 jumps and keeps the -1.5 ones
+        tot = increments(ATOMS, None)
+        cut = increments(ATOMS, 2.0)
+        removed = (tot - cut) / 2.5
+        kept = (cut - 0.25) / -1.5
+        assert np.any(removed > 0) and np.any(kept > 0)
+        assert np.allclose(removed, np.round(removed), rtol=0.0, atol=1e-9)
+        assert np.allclose(kept, np.round(kept), rtol=0.0, atol=1e-9)
 
     def test_noop_without_jumps(self):
-        rec = IncrementRecord(total=1.234)
-        assert truncate_increments(rec, 7.0) == 1.234
-        assert truncate_increments(rec, math.inf) == 1.234
+        driver = LevyTripletSpec(gaussian_a=1.0, drift_b=0.5)
+        tot = increments(driver, None)
+        assert np.array_equal(increments(driver, 7.0), tot)
+        assert np.array_equal(increments(driver, math.inf), tot)
 
     def test_level_inf_keeps_everything(self):
-        rec = IncrementRecord(total=5.0, big_jumps=((0.2, 4.0),))
-        assert truncate_increments(rec, math.inf) == 5.0
+        assert np.array_equal(increments(ATOMS, math.inf), increments(ATOMS, None))
 
-    def test_idempotence_on_random_records(self):
-        rng = substream(18)
-        for _ in range(200):
-            jumps = tuple((float(t), float(a)) for t, a in
-                          zip(rng.uniform(0, 1, 5), rng.normal(0, 3, 5)))
-            rec = IncrementRecord(total=float(rng.normal()), big_jumps=jumps)
-            level = float(rng.uniform(0.5, 4.0))
-            once = truncate_increments(rec, level)
-            kept = tuple((t, a) for t, a in jumps if abs(a) <= level)
-            again = truncate_increments(IncrementRecord(once, kept), level)
-            assert again == pytest.approx(once, abs=1e-12)
+    def test_level_above_every_atom_keeps_everything(self):
+        # a driver whose jumps all lie within the level is its own truncation
+        rng = substream(19)
+        for key in range(20):
+            atoms = [(float(y), float(r)) for y, r in
+                     zip(rng.uniform(1.1, 4.0, 3) * rng.choice([-1.0, 1.0], 3),
+                         rng.uniform(0.1, 3.0, 3))]
+            driver = LevyTripletSpec(gaussian_a=0.3, big_jumps=JumpAtoms(atoms))
+            level = max(abs(y) for y, _ in atoms) + float(rng.uniform(0.0, 1.0))
+            assert np.array_equal(increments(driver, level, n=200, key=key),
+                                  increments(driver, None, n=200, key=key))
 
     def test_level_must_be_positive(self):
-        with pytest.raises(ValueError):
-            truncate_increments(IncrementRecord(1.0), 0.0)
+        for level in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                sample_triplet_increments(ATOMS, 1.0, 10, substream(20),
+                                          truncation=level)
+            with pytest.raises(ValueError):
+                increments(ATOMS, level)
+            with pytest.raises(ValueError):
+                increments(StableDriverSpec(2.0, 1.0), level)
 
 
 class TestTruncatedStable:

@@ -8,18 +8,17 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levymv import particles
-from levymv.coefficients import (Constant, LinearInteraction, SineKernel,
-                                 SmoothedDensityPower)
+from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction,
+                                 SineKernel, SmoothedDensityPower)
 from levymv.drivers import LevyTripletSpec, StableDriverSpec
 from levymv.exports import (chaos_table_to_csv, flow_from_binary, flow_to_binary,
                             flow_to_csv)
 from levymv.measures import EmpiricalMeasure, second_moment, wasserstein2
 from levymv.particles import (ChaosRateTable, CouplingResult, FileLaw, GaussianLaw,
-                              MarginalFlow, ParticleState, PointMass, SimulationConfig,
+                              MarginalFlow, PointMass, SimulationConfig,
                               SimulationError, UniformLaw, chaos_rate_experiment,
                               initial_positions, picard_flow, simulate,
-                              simulate_coupled, step_frozen_flow, step_increments,
-                              step_interacting)
+                              simulate_coupled, step_increments)
 from levymv.rng import derive_key, substream
 
 
@@ -35,18 +34,18 @@ def make_cfg(**kw):
 class TestStepping:
     def test_zero_coefficient_freezes_positions(self):
         cfg = make_cfg(sigma=Constant(0.0, check_nonzero=False))
-        state = ParticleState(0.0, initial_positions(cfg))
-        new = step_interacting(state, cfg, substream(1))
-        assert np.array_equal(new.positions, state.positions)
-        assert new.time == pytest.approx(cfg.dt_effective)
+        flow = simulate(cfg)
+        x0 = np.sort(initial_positions(cfg))
+        for marg in flow.marginals:
+            assert np.array_equal(marg.samples, x0)
+        assert flow.times[1] == pytest.approx(cfg.dt_effective)
 
     def test_pure_drift_driver_moves_deterministically(self):
         driver = LevyTripletSpec(gaussian_a=0.0, drift_b=1.0)
         cfg = make_cfg(driver=driver, sigma=Constant(1.0), dt=0.5, horizon_T=0.5,
                        truncation_N=None)
-        state = ParticleState(0.0, initial_positions(cfg))
-        new = step_interacting(state, cfg, substream(2))
-        assert np.allclose(new.positions - state.positions, 0.5)
+        flow = simulate(cfg)
+        assert np.allclose(flow.final().samples - flow.marginals[0].samples, 0.5)
 
     def test_two_particle_hand_rolled_update(self):
         cfg = make_cfg(n_particles=2, seed=7)
@@ -60,37 +59,40 @@ class TestStepping:
         assert np.allclose(flow.marginals[1].samples, got, atol=1e-14)
 
     def test_frozen_flow_equals_interacting_for_constant_sigma(self):
+        # the copies see an unrelated external measure; a constant
+        # coefficient ignores it, so they move exactly like the system
         cfg = make_cfg(sigma=Constant(1.3))
-        x0 = initial_positions(cfg)
         ext = EmpiricalMeasure(substream(3).normal(5.0, 2.0, 64))
-        a = step_interacting(ParticleState(0.0, x0), cfg, substream(4, 0))
-        b = step_frozen_flow(ParticleState(0.0, x0), ext, cfg, substream(4, 0))
-        assert np.array_equal(a.positions, b.positions)
+        res = simulate_coupled(cfg, MarginalFlow(times=[0.0], marginals=[ext]))
+        assert np.all(res.sup_abs_gaps == 0.0)
 
     def test_frozen_flow_self_consistency(self):
-        # feeding the system its own marginal with the same increments
-        # reproduces the interacting step
-        cfg = make_cfg(seed=11)
-        x0 = initial_positions(cfg)
-        own = EmpiricalMeasure(x0)
-        a = step_interacting(ParticleState(0.0, x0), cfg, substream(5, 1))
-        b = step_frozen_flow(ParticleState(0.0, x0), own, cfg, substream(5, 1))
-        assert np.array_equal(a.positions, b.positions)
+        # copies fed the system's own recorded flow, with the same
+        # increments, reproduce the interacting system bit for bit
+        cases = [(LinearInteraction(SineKernel(1.0, 0.5)), 100),
+                 (LinearInteraction(CauchyKernel(1.0, 0.5)), 100),
+                 (SmoothedDensityPower(0.5, 0.5), 100),
+                 # above the 3000-sample threshold: binned summaries on both sides
+                 (SmoothedDensityPower(0.5, 0.5), 3200)]
+        for sigma, n in cases:
+            cfg = make_cfg(n_particles=n, seed=11, sigma=sigma)
+            res = simulate_coupled(cfg, simulate(cfg))
+            assert np.all(res.sup_abs_gaps == 0.0), (sigma, n)
 
     def test_one_particle_frozen_step_hand_check(self):
         cfg = make_cfg(n_particles=1, sigma=SmoothedDensityPower(0.5, 0.5), seed=9,
-                       sigma_mode="exact")
-        x0 = initial_positions(cfg)
+                       horizon_T=0.05)
+        x0 = initial_positions(cfg)[0]
         ext = EmpiricalMeasure([0.0, 1.0])
-        new = step_frozen_flow(ParticleState(0.0, x0), ext, cfg, substream(6))
-        base = 0.5 * (math.exp(-x0[0] ** 2) + math.exp(-(x0[0] - 1.0) ** 2)) \
+        res = simulate_coupled(cfg, MarginalFlow(times=[0.0], marginals=[ext]))
+        base = 0.5 * (math.exp(-x0 ** 2) + math.exp(-(x0 - 1.0) ** 2)) \
             / math.sqrt(2 * math.pi * 0.5)
-        sig = base ** 0.5
-        # same substream key, so this draw equals what the step consumed
-        from levymv.drivers import sample_increment_array
-        dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective, 1,
-                                    substream(6), truncation=cfg.effective_truncation)
-        assert new.positions[0] == pytest.approx(x0[0] + sig * dz[0], rel=1e-12)
+        sig_cop = base ** 0.5
+        # the lone particle sees a point mass at itself
+        sig_sys = (2 * math.pi * 0.5) ** -0.25
+        dz = step_increments(cfg, 0)[0]
+        assert res.sup_abs_gaps[0] == pytest.approx(abs(sig_sys - sig_cop) * abs(dz),
+                                                    rel=1e-12)
 
     def test_nonfinite_positions_abort(self):
         driver = LevyTripletSpec(gaussian_a=0.0, drift_b=1e308)
@@ -177,9 +179,10 @@ class TestSimulate:
         with pytest.raises(ValueError):
             make_cfg(dt=-0.1)
         with pytest.raises(ValueError):
-            make_cfg(sigma_mode="magic")
-        with pytest.raises(ValueError):
             make_cfg(truncation_N=-2.0)
+        with pytest.raises(ValueError):
+            make_cfg(truncation_N=math.nan)
+        assert make_cfg(truncation_N=math.inf).effective_truncation == math.inf
 
 
 class TestPicard:
@@ -223,8 +226,7 @@ class TestCoupling:
         assert res.distance_bound_excess <= 1e-12
 
     def test_single_particle_gap_matches_two_manual_runs(self):
-        cfg = make_cfg(n_particles=1, seed=42, sigma=SmoothedDensityPower(0.5, 0.5),
-                       sigma_mode="exact")
+        cfg = make_cfg(n_particles=1, seed=42, sigma=SmoothedDensityPower(0.5, 0.5))
         ref_cfg = make_cfg(n_particles=200, seed=43,
                            sigma=SmoothedDensityPower(0.5, 0.5))
         ref = simulate(ref_cfg)
@@ -332,11 +334,21 @@ class TestInitialLaws:
         u = UniformLaw(-2.0, 3.0).sample(100_000, substream(63))
         assert u.min() >= -2.0 and u.max() <= 3.0
 
+    @pytest.mark.parametrize("law", [PointMass(0.7), GaussianLaw(1.0, 0.5),
+                                     UniformLaw(-2.0, 3.0)])
+    def test_cf_matches_empirical_cf(self, law):
+        n = 100_000
+        draws = law.sample(n, substream(65))
+        xi = np.array([0.25, 0.5, 1.0, 2.0])
+        emp = np.exp(1j * xi[:, None] * draws[None, :]).mean(axis=1)
+        assert np.max(np.abs(law.cf(xi) - emp)) < 4.0 / math.sqrt(n)
+
     def test_file_law_resamples_csv(self, tmp_path):
         path = tmp_path / "init.csv"
         EmpiricalMeasure([1.0, 2.0, 3.0]).to_csv(path)
         draws = FileLaw(str(path)).sample(1000, substream(64))
         assert set(np.unique(draws)) <= {1.0, 2.0, 3.0}
+        assert FileLaw(str(path)).cf(np.array([1.0])) is None
 
 
 class TestExports:
