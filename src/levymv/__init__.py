@@ -3,7 +3,7 @@ driven by alpha-stable Levy noise."""
 
 from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
                            SmoothedDensityPower, evaluate_on_density, lipschitz_probe)
-from .drivers import (JumpAtoms, JumpDensity, LevyTripletSpec, StableDriverSpec,
+from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec,
                       cf_constant_from_levy_constant, levy_constant_from_cf_constant,
                       sample_stable_increment, truncated_stable_triplet)
 from .fokker_planck import (AdjointReport, DensityGrid, FractionalParams, FpResult,

@@ -27,20 +27,26 @@ from .presets import PRESETS
 from .rng import substream
 
 
+_DRIVER_KEYS = {"stable": {"kind", "alpha", "scale"},
+                "triplet": {"kind", "gaussian_a", "drift_b", "big_jump_atoms"}}
+
+
 def _build_driver(d):
     kind = d["kind"]
+    if kind not in _DRIVER_KEYS:
+        raise ValueError(f"unknown driver kind {kind!r}")
+    unread = sorted(set(d) - _DRIVER_KEYS[kind])
+    if unread:
+        raise ValueError(f"driver kind {kind!r} does not read key(s) "
+                         + ", ".join(repr(k) for k in unread))
     if kind == "stable":
         return StableDriverSpec(alpha=d["alpha"], scale=d.get("scale", 1.0))
-    if kind == "triplet":
-        big = None
-        if d.get("big_jump_atoms"):
-            big = JumpAtoms(d["big_jump_atoms"])
-        return LevyTripletSpec(gaussian_a=d.get("gaussian_a", 0.0),
-                               drift_b=d.get("drift_b", 0.0),
-                               big_jumps=big,
-                               delta=d.get("delta", 0.1),
-                               small_jump_scheme=d.get("scheme", "gaussian"))
-    raise ValueError(f"unknown driver kind {kind!r}")
+    big = None
+    if d.get("big_jump_atoms"):
+        big = JumpAtoms(d["big_jump_atoms"])
+    return LevyTripletSpec(gaussian_a=d.get("gaussian_a", 0.0),
+                           drift_b=d.get("drift_b", 0.0),
+                           big_jumps=big)
 
 
 def _build_sigma(d):

@@ -5,11 +5,12 @@ Three layers:
 * exact symmetric alpha-stable increments via the polar
   (Chambers-Mallows-Stuck) transform,
 * general drivers specified by a characteristic triplet, assembled per
-  step as drift + diffusion + compensated mid-size jumps + big jumps,
-  with jumps below a cutoff ``delta`` replaced by a variance-matched
-  Gaussian (or dropped),
+  step as drift + diffusion + a symmetric jump band on |y| <= 1 + big
+  jumps on |y| > 1,
 * pathwise removal of the big jumps above a level ``N``, which turns a
-  heavy-tailed driver into a square-integrable one.
+  heavy-tailed driver into a square-integrable one; for the stable
+  driver the cut triplet is built in closed form, with the jumps below
+  ``DELTA`` replaced by a variance-matched Gaussian.
 
 Scale convention for the stable family: ``scale`` is the characteristic
 function constant, one increment over ``dt`` has CF
@@ -21,6 +22,7 @@ explicitly instead of guessed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ __all__ = [
     "StableDriverSpec",
     "LevyTripletSpec",
     "JumpAtoms",
-    "JumpDensity",
     "sample_stable_increment",
     "sample_triplet_increments",
     "sample_increment_array",
@@ -37,6 +38,10 @@ __all__ = [
     "cf_constant_from_levy_constant",
     "levy_constant_from_cf_constant",
 ]
+
+# jumps of the truncated stable driver below this size are replaced by a
+# Gaussian of the same variance
+DELTA = 0.05
 
 
 def cf_constant_from_levy_constant(levy_k, alpha):
@@ -121,157 +126,63 @@ class JumpAtoms:
         return positions[idx]
 
 
-class JumpDensity:
-    """Finite jump measure with a density on 1 < |y| <= y_max.
+class _PowerJumps:
+    """Symmetric finite jump measure K|y|^(-1-alpha) on lo < |y| <= hi.
 
-    A cumulative table built at construction provides inverse-CDF
-    sampling.  An analytic ``sampler(rng, size)`` may be supplied
-    instead, together with the measure's ``total_rate``; no table is
-    built then.
+    Its total rate and inverse CDF are closed forms: a fraction v of the
+    one-sided mass lies below |y| = (lo^-a - v (lo^-a - hi^-a))^(-1/a).
     """
 
-    def __init__(self, density, y_max, table_size=4096, sampler=None, total_rate=None):
-        if not y_max > 1.0:
-            raise ValueError("y_max must exceed 1")
-        if (sampler is None) != (total_rate is None):
-            raise ValueError("an analytic sampler and its total_rate go together")
-        self.density = density
-        self.y_max = float(y_max)
-        self._sampler = sampler
-        if sampler is None:
-            grid = np.geomspace(1.0, self.y_max, table_size)
-            pos = np.asarray([max(density(y), 0.0) for y in grid])
-            neg = np.asarray([max(density(-y), 0.0) for y in grid])
-            pos_cum = np.concatenate(
-                [[0.0], np.cumsum(0.5 * (pos[1:] + pos[:-1]) * np.diff(grid))])
-            neg_cum = np.concatenate(
-                [[0.0], np.cumsum(0.5 * (neg[1:] + neg[:-1]) * np.diff(grid))])
-            self._grid = grid
-            self._pos_cum = pos_cum
-            self._neg_cum = neg_cum
-            total_rate = pos_cum[-1] + neg_cum[-1]
-        self.total_rate = float(total_rate)
-        if not np.isfinite(self.total_rate):
-            raise ValueError("big-jump density has non-finite mass on (1, y_max]")
+    def __init__(self, levy_k, alpha, lo, hi):
+        self.alpha = alpha
+        self.lo = lo
+        self.hi = hi
+        self.total_rate = 2.0 * levy_k * (lo ** -alpha - hi ** -alpha) / alpha
+
+    def _magnitude(self, v):
+        a = self.alpha
+        return (self.lo ** -a - v * (self.lo ** -a - self.hi ** -a)) ** (-1.0 / a)
 
     def sample(self, rng, size):
-        if self._sampler is not None:
-            return self._sampler(rng, size)
+        """Magnitude from one uniform, sign from a second."""
+        mag = self._magnitude(rng.uniform(0.0, 1.0, size))
+        return np.where(rng.uniform(0.0, 1.0, size) < 0.5, 1.0, -1.0) * mag
+
+    def sample_by_halves(self, rng, size):
+        """One uniform on [0, total_rate) each: the lower half gives the
+        positive jumps, the upper half the negative ones."""
         u = rng.uniform(0.0, self.total_rate, size)
-        out = np.empty(size)
-        on_pos = u < self._pos_cum[-1]
-        out[on_pos] = np.interp(u[on_pos], self._pos_cum, self._grid)
-        rest = u[~on_pos] - self._pos_cum[-1]
-        out[~on_pos] = -np.interp(rest, self._neg_cum, self._grid)
-        return out
-
-
-def _shell_integral(fn, lo, hi, points_per_shell=64):
-    """Trapezoid integral of fn on [lo, hi] over geometric shells (lo > 0)."""
-    if hi <= lo:
-        return 0.0
-    n_shell = max(1, int(math.ceil(math.log(hi / lo) / math.log(2.0))))
-    edges = np.geomspace(lo, hi, n_shell * points_per_shell + 1)
-    vals = np.asarray([fn(y) for y in edges])
-    return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(edges)))
-
-
-def _head_integral(fn, hi, n_shells=46):
-    """int_0^hi of an integrable power-like fn: dyadic shells down to
-    hi*2^-n_shells, remainder extrapolated geometrically from the last
-    shell ratio.  Returns (value, shells) so callers can also judge
-    convergence; raises if the shell sums do not converge."""
-    shells = np.array([_shell_integral(fn, hi * 2.0 ** -(k + 1), hi * 2.0 ** -k, 24)
-                       for k in range(n_shells)])
-    if not np.all(np.isfinite(shells)):
-        raise ValueError("shell quadrature produced non-finite values near 0")
-    total = float(shells.sum())
-    if shells[-2] > 0.0 and shells[-1] > 0.0:
-        r = shells[-1] / shells[-2]
-        if r >= 0.97:
-            raise ValueError("integral does not converge at the origin "
-                             f"(shell ratio {r:.3f})")
-        total += float(shells[-1]) * r / (1.0 - r)
-    return total, shells
+        half = 0.5 * self.total_rate
+        on_pos = u < half
+        mag = self._magnitude(np.where(on_pos, u, u - half) / half)
+        return np.where(on_pos, mag, -mag)
 
 
 class LevyTripletSpec:
     """Driver specified by (gaussian_a, drift_b, jump measure).
 
-    The jump measure splits into an evaluatable density ``beta1`` on
-    [-1, 1] and a finite big-jump part on |y| > 1.  Jumps below
-    ``delta`` are replaced according to ``small_jump_scheme``:
-    ``"gaussian"`` substitutes a Gaussian with the matching variance,
-    ``"drop"`` discards them (both keep the increment centered, the
-    density is assumed symmetric enough that the sub-delta compensator
-    is negligible; the delta..1 band is compensated exactly).
-
-    Construction integrates ``(1 ^ y^2) beta(dy)`` numerically and
-    rejects specs for which it does not converge, as well as ``delta``
-    choices whose mid-band intensity is not finite-computable.
+    The jump measure is an optional symmetric ``band`` on |y| <= 1, which
+    needs no compensator (the one :func:`truncated_stable_triplet` builds),
+    plus finite ``big_jumps`` on |y| > 1 (e.g. :class:`JumpAtoms`).
     """
 
-    def __init__(self, gaussian_a=0.0, drift_b=0.0, small_jump_density=None,
-                 big_jumps=None, delta=0.1, small_jump_scheme="gaussian",
-                 table_size=4096):
+    def __init__(self, gaussian_a=0.0, drift_b=0.0, band=None, big_jumps=None):
         if gaussian_a < 0.0:
             raise ValueError("gaussian coefficient must be nonnegative")
-        if not 0.0 < delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if small_jump_scheme not in ("gaussian", "drop"):
-            raise ValueError("small_jump_scheme must be 'gaussian' or 'drop'")
         self.gaussian_a = float(gaussian_a)
         self.drift_b = float(drift_b)
-        self.small_jump_density = small_jump_density
+        self.band = band
         self.big_jumps = big_jumps
-        self.delta = float(delta)
-        self.small_jump_scheme = small_jump_scheme
-
-        beta1 = small_jump_density
-        if beta1 is None:
-            self.small_jump_var = 0.0
-            self.mid_rate = 0.0
-            self.mid_compensator = 0.0
-            self._mid_grid = None
-        else:
-            # int_{|y|<=delta} y^2 beta1(y) dy; _head_integral also verifies
-            # that int (1 ^ y^2) beta(dy) converges at the origin
-            self.small_jump_var, _ = _head_integral(
-                lambda y: y * y * (beta1(y) + beta1(-y)), delta)
-            if delta < 1.0:
-                grid = np.geomspace(delta, 1.0, table_size)
-                pos = np.asarray([max(beta1(y), 0.0) for y in grid])
-                neg = np.asarray([max(beta1(-y), 0.0) for y in grid])
-                pos_cum = np.concatenate(
-                    [[0.0], np.cumsum(0.5 * (pos[1:] + pos[:-1]) * np.diff(grid))])
-                neg_cum = np.concatenate(
-                    [[0.0], np.cumsum(0.5 * (neg[1:] + neg[:-1]) * np.diff(grid))])
-                self.mid_rate = float(pos_cum[-1] + neg_cum[-1])
-                self.mid_compensator = float(
-                    np.trapezoid(grid * pos, grid) - np.trapezoid(grid * neg, grid))
-                self._mid_grid = grid
-                self._mid_pos_cum = pos_cum
-                self._mid_neg_cum = neg_cum
-            else:
-                self.mid_rate = 0.0
-                self.mid_compensator = 0.0
-                self._mid_grid = None
-            if not (np.isfinite(self.mid_rate) and np.isfinite(self.small_jump_var)):
-                raise ValueError("mid-band intensity not finite-computable for this delta")
+        self.band_rate = 0.0 if band is None else band.total_rate
         self.big_rate = 0.0 if big_jumps is None else big_jumps.total_rate
-
-    def _sample_mid(self, rng, size):
-        u = rng.uniform(0.0, self.mid_rate, size)
-        out = np.empty(size)
-        on_pos = u < self._mid_pos_cum[-1]
-        out[on_pos] = np.interp(u[on_pos], self._mid_pos_cum, self._mid_grid)
-        rest = u[~on_pos] - self._mid_pos_cum[-1]
-        out[~on_pos] = -np.interp(rest, self._mid_neg_cum, self._mid_grid)
-        return out
 
 
 def _check_truncation(level):
-    if level is not None and not level > 0.0:
+    if level is None:
+        return
+    if isinstance(level, bool) or not isinstance(level, numbers.Real):
+        raise ValueError(f"truncation level must be a number, got {level!r}")
+    if not level > 0.0:
         raise ValueError(f"truncation level must be positive or inf, got {level}")
 
 
@@ -288,18 +199,15 @@ def sample_triplet_increments(spec, dt, n, rng, truncation=None):
     _check_truncation(truncation)
     totals = np.full(n, spec.drift_b * dt)
     small_var = spec.gaussian_a * dt
-    if spec.small_jump_scheme == "gaussian":
-        small_var += spec.small_jump_var * dt
     if small_var > 0.0:
         totals += math.sqrt(small_var) * rng.standard_normal(n)
-    if spec.mid_rate > 0.0:
-        counts = rng.poisson(spec.mid_rate * dt, n)
+    if spec.band_rate > 0.0:
+        counts = rng.poisson(spec.band_rate * dt, n)
         k = int(counts.sum())
         if k:
-            amps = spec._sample_mid(rng, k)
+            amps = spec.band.sample_by_halves(rng, k)
             owners = np.repeat(np.arange(n), counts)
             totals += np.bincount(owners, weights=amps, minlength=n)
-        totals -= spec.mid_compensator * dt
     big_sums = np.zeros(n)
     if spec.big_rate > 0.0:
         counts = rng.poisson(spec.big_rate * dt, n)
@@ -315,13 +223,14 @@ def sample_triplet_increments(spec, dt, n, rng, truncation=None):
     return totals, big_sums
 
 
-def truncated_stable_triplet(spec, level, delta=0.05):
+def truncated_stable_triplet(spec, level):
     """Triplet representation of the stable driver with jumps > level removed.
 
-    Exact at the level of the Levy measure: the density K|y|^(-1-alpha)
-    is kept on |y| <= 1 (sub-``delta`` part Gaussian-matched), carried as
-    a finite measure on 1 < |y| <= level, and cut above ``level``.  For
-    alpha = 2 the driver has no jumps and is returned unchanged.
+    The density K|y|^(-1-alpha) is kept exactly on DELTA < |y| <= level,
+    as a band up to 1 and big jumps above; the jumps below DELTA become a
+    Gaussian of the same variance, 2K DELTA^(2-alpha)/(2-alpha)
+    (Asmussen & Rosinski 2001).  For alpha = 2 the driver has no jumps and
+    is returned unchanged.
     """
     if spec.alpha == 2.0:
         return spec
@@ -329,21 +238,9 @@ def truncated_stable_triplet(spec, level, delta=0.05):
         raise ValueError("truncation level must exceed 1 for this construction")
     alpha = spec.alpha
     levy_k = levy_constant_from_cf_constant(spec.scale, alpha)
-    beta1 = lambda y: levy_k * abs(y) ** (-1.0 - alpha) if y != 0.0 else math.inf
-
-    tail_rate_one_side = levy_k * (1.0 - level ** -alpha) / alpha
-
-    def tail_sampler(rng, size):
-        u = rng.uniform(0.0, 1.0, size)
-        mag = (1.0 - u * (1.0 - level ** -alpha)) ** (-1.0 / alpha)
-        sign = np.where(rng.uniform(0.0, 1.0, size) < 0.5, 1.0, -1.0)
-        return sign * mag
-
-    big = JumpDensity(lambda y: levy_k * abs(y) ** (-1.0 - alpha),
-                      y_max=level, sampler=tail_sampler,
-                      total_rate=2.0 * tail_rate_one_side)
-    return LevyTripletSpec(gaussian_a=0.0, drift_b=0.0, small_jump_density=beta1,
-                           big_jumps=big, delta=delta, small_jump_scheme="gaussian")
+    return LevyTripletSpec(gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
+                           band=_PowerJumps(levy_k, alpha, DELTA, 1.0),
+                           big_jumps=_PowerJumps(levy_k, alpha, 1.0, level))
 
 
 def sample_increment_array(driver, dt, n, rng, truncation=None):

@@ -156,6 +156,12 @@ class SimulationConfig:
         return self.dt_effective * np.arange(self.n_steps + 1)
 
 
+def _left_index(times, t):
+    """Index of the largest entry of ``times`` <= t, tolerating roundoff
+    in t; 0 when t precedes them all."""
+    return max(int(np.searchsorted(times, t + 1e-12, side="right")) - 1, 0)
+
+
 @dataclass
 class MarginalFlow:
     """Discretized marginal flow: one empirical measure per time point."""
@@ -175,8 +181,7 @@ class MarginalFlow:
 
     def marginal_at(self, t):
         """Marginal at the largest recorded time <= t (left limit)."""
-        idx = int(np.searchsorted(self.times, t + 1e-12, side="right")) - 1
-        return self.marginals[max(idx, 0)]
+        return self.marginals[_left_index(self.times, t)]
 
     def final(self):
         return self.marginals[-1]
@@ -329,10 +334,9 @@ def _simulate_coupled(cfg, ref_times, summaries):
     worst_excess = -math.inf
     for k in range(cfg.n_steps):
         t = k * cfg.dt_effective
-        idx = int(np.searchsorted(ref_times, t + 1e-12, side="right")) - 1
         dz = step_increments(cfg, k, n=x_sys.size)
         sig_sys = _sigma_on_own_measure(sigma, x_sys)
-        sig_cop = sigma.from_summary(x_cop, summaries[max(idx, 0)])
+        sig_cop = sigma.from_summary(x_cop, summaries[_left_index(ref_times, t)])
         x_sys = _advance(x_sys, sig_sys, dz)
         x_cop = _advance(x_cop, sig_cop, dz)
         t_next = (k + 1) * cfg.dt_effective

@@ -81,6 +81,39 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--out", str(tmp_path / "nan")]) != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_truncation_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**SIM_CFG, "truncation": "2.0"})
+        assert main(["simulate", cfg, "--out", str(tmp_path / "str")]) != 0
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_driver_key_not_read_by_its_kind_rejected(self, tmp_path, capsys):
+        triplet = {"kind": "triplet", "gaussian_a": 1.0, "delta": 0.1}
+        stable = {"kind": "stable", "alpha": 1.5, "scael": 2.0}
+        for driver, key in ((triplet, "delta"), (stable, "scael")):
+            cfg = write_config(tmp_path, {**SIM_CFG, "driver": driver})
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err, key
+
+    def test_triplet_driver(self, tmp_path, capsys):
+        # pure drift plus one atom above the level: the truncated driver is
+        # Gaussian with mean b T and variance a T
+        driver = {"kind": "triplet", "gaussian_a": 0.5, "drift_b": 0.4,
+                  "big_jump_atoms": [[3.0, 2.0]]}
+        cfg = write_config(tmp_path, {**SIM_CFG, "driver": driver,
+                                      "truncation": 2.0})
+        out = str(tmp_path / "triplet")
+        assert main(["simulate", cfg, "--out", out]) == 0
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        final = summary["moments"][-1]
+        n, t = SIM_CFG["n_particles"], SIM_CFG["horizon"]
+        sd = (0.5 * t) ** 0.5
+        assert abs(final["mean"] - 0.4 * t) < 4.0 * sd / n ** 0.5
+        var = final["second_moment"] - final["mean"] ** 2
+        assert abs(var - 0.5 * t) < 4.0 * 0.5 * t * (2.0 / n) ** 0.5
+        assert "cf_test" not in summary and summary["pass"] is True
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIM_CFG)
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

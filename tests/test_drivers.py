@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from levymv.drivers import (JumpAtoms, JumpDensity, LevyTripletSpec, StableDriverSpec,
+from levymv.drivers import (DELTA, JumpAtoms, LevyTripletSpec, StableDriverSpec,
                             cf_constant_from_levy_constant,
                             levy_constant_from_cf_constant, sample_increment_array,
                             sample_stable_increment, sample_triplet_increments,
@@ -142,14 +142,6 @@ class TestTripletSampler:
         target = lam * dt
         assert abs(counts.mean() - target) < 4.0 * math.sqrt(target / counts.size)
 
-    def test_compensated_mid_band_mean_zero(self):
-        # asymmetric band density: compensation must keep the mean at zero
-        beta1 = lambda y: 2.0 if 0 < y <= 1 else (0.5 if -1 <= y < 0 else 0.0)
-        spec = LevyTripletSpec(small_jump_density=beta1, delta=0.05,
-                               small_jump_scheme="gaussian")
-        tot, _ = sample_triplet_increments(spec, 1.0, 400_000, substream(15))
-        assert abs(tot.mean()) < 4.0 * tot.std() / math.sqrt(tot.size)
-
     def test_record_total_minus_jumps_is_retained(self):
         # with every jump above the level, totals - big_sums is the drift +
         # diffusion part, drawn first from the stream as without jumps
@@ -162,22 +154,13 @@ class TestTripletSampler:
         assert np.any(big != 0.0)
         assert np.allclose(tot - big, plain, rtol=0.0, atol=1e-12)
 
-    def test_nonintegrable_density_rejected(self):
-        beta1 = lambda y: abs(y) ** -3.5 if y != 0 else math.inf
-        with pytest.raises(ValueError):
-            LevyTripletSpec(small_jump_density=beta1, delta=0.1)
-
     def test_invalid_atoms_rejected(self):
         with pytest.raises(ValueError):
             JumpAtoms([(0.5, 1.0)])
         with pytest.raises(ValueError):
             JumpAtoms([(2.0, -1.0)])
         with pytest.raises(ValueError):
-            JumpDensity(lambda y: 1.0, y_max=0.5)
-        with pytest.raises(ValueError):
             LevyTripletSpec(gaussian_a=-1.0)
-        with pytest.raises(ValueError):
-            LevyTripletSpec(delta=0.0)
 
 
 ATOMS = LevyTripletSpec(drift_b=0.25, big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
@@ -220,7 +203,7 @@ class TestTruncation:
                                   increments(driver, None, n=200, key=key))
 
     def test_level_must_be_positive(self):
-        for level in (0.0, -1.0, math.nan):
+        for level in (0.0, -1.0, math.nan, "2.0"):
             with pytest.raises(ValueError):
                 sample_triplet_increments(ATOMS, 1.0, 10, substream(20),
                                           truncation=level)
@@ -235,7 +218,7 @@ class TestTruncatedStable:
         # CF exponent of the cut driver: 2K int_0^N (1 - cos(xi y)) y^(-1-a) dy
         alpha, level, dt = 1.5, 2.0, 0.5
         spec = StableDriverSpec(alpha, 1.0)
-        trip = truncated_stable_triplet(spec, level, delta=0.05)
+        trip = truncated_stable_triplet(spec, level)
         k_levy = levy_constant_from_cf_constant(1.0, alpha)
         tot, _ = sample_triplet_increments(trip, dt, 400_000, substream(19))
         for xi in (0.5, 1.0, 2.0):
@@ -268,21 +251,17 @@ class TestTruncatedStable:
             truncated_stable_triplet(StableDriverSpec(1.5, 1.0), 0.8)
 
     def test_tail_rate_is_analytic(self):
-        # rate of 1 < |y| <= N under K|y|^(-1-a): 2K(1 - N^-a)/a
+        # under K|y|^(-1-a): rate of 1 < |y| <= N is 2K(1 - N^-a)/a, rate of
+        # the band DELTA < |y| <= 1 is 2K(DELTA^-a - 1)/a, and the variance
+        # of |y| <= DELTA, carried by the Gaussian part, is 2K DELTA^(2-a)/(2-a)
         alpha, level, scale = 1.5, 2.0, 0.5
         trip = truncated_stable_triplet(StableDriverSpec(alpha, scale), level)
         k_levy = levy_constant_from_cf_constant(scale, alpha)
         expected = 2.0 * k_levy * (1.0 - level ** -alpha) / alpha
         assert trip.big_jumps.total_rate == pytest.approx(expected, rel=1e-14)
         assert trip.big_rate == trip.big_jumps.total_rate
-
-    def test_analytic_sampler_needs_finite_rate(self):
-        sampler = lambda rng, size: np.full(size, 1.5)
-        with pytest.raises(ValueError):
-            JumpDensity(lambda y: 1.0, y_max=2.0, sampler=sampler)
-        with pytest.raises(ValueError):
-            JumpDensity(lambda y: 1.0, y_max=2.0, sampler=sampler,
-                        total_rate=math.inf)
-        dens = JumpDensity(lambda y: 1.0, y_max=2.0, sampler=sampler, total_rate=0.25)
-        assert dens.total_rate == 0.25
-        assert np.all(dens.sample(substream(22), 3) == 1.5)
+        band = 2.0 * k_levy * (DELTA ** -alpha - 1.0) / alpha
+        assert trip.band_rate == pytest.approx(band, rel=1e-14)
+        small_var = 2.0 * k_levy * DELTA ** (2.0 - alpha) / (2.0 - alpha)
+        assert trip.gaussian_a == pytest.approx(small_var, rel=1e-14)
+        assert trip.drift_b == 0.0
