@@ -27,19 +27,39 @@ from .presets import PRESETS
 from .rng import substream
 
 
-_DRIVER_KEYS = {"stable": {"kind", "alpha", "scale"},
-                "triplet": {"kind", "gaussian_a", "drift_b", "big_jump_atoms"}}
+# the keys each kind of a config block reads, as (required, optional)
+_BLOCK_KEYS = {
+    "driver": {"stable": ({"alpha"}, {"scale"}),
+               "triplet": (set(), {"gaussian_a", "drift_b", "big_jump_atoms"})},
+    "sigma": {"constant": ({"value"}, set()),
+              "linear_sine": (set(), {"c0", "c1"}),
+              "linear_cauchy": (set(), {"c0", "c1"}),
+              "smoothed_power": ({"eps", "s"}, set())},
+    "initial law": {"point": (set(), {"x0"}),
+                    "gaussian": (set(), {"mean", "std"}),
+                    "uniform": (set(), {"lo", "hi"}),
+                    "file": ({"path"}, set())},
+    "pde initial law": {"point": (set(), {"warmup"}),
+                        "gaussian": (set(), {"mean", "std"})},
+}
+
+
+def _checked_kind(block, d):
+    """The kind of config block ``d``; a missing or unread key is an error."""
+    kind = d.get("kind")
+    if kind not in _BLOCK_KEYS[block]:
+        raise ValueError(f"unknown {block} kind {kind!r}")
+    required, optional = _BLOCK_KEYS[block][kind]
+    for problem, keys in (("needs", required - set(d)),
+                          ("does not read", set(d) - required - optional - {"kind"})):
+        if keys:
+            raise ValueError(f"{block} kind {kind!r} {problem} key(s) "
+                             + ", ".join(repr(k) for k in sorted(keys)))
+    return kind
 
 
 def _build_driver(d):
-    kind = d["kind"]
-    if kind not in _DRIVER_KEYS:
-        raise ValueError(f"unknown driver kind {kind!r}")
-    unread = sorted(set(d) - _DRIVER_KEYS[kind])
-    if unread:
-        raise ValueError(f"driver kind {kind!r} does not read key(s) "
-                         + ", ".join(repr(k) for k in unread))
-    if kind == "stable":
+    if _checked_kind("driver", d) == "stable":
         return StableDriverSpec(alpha=d["alpha"], scale=d.get("scale", 1.0))
     big = None
     if d.get("big_jump_atoms"):
@@ -50,31 +70,27 @@ def _build_driver(d):
 
 
 def _build_sigma(d):
-    kind = d["kind"]
+    kind = _checked_kind("sigma", d)
     if kind == "constant":
-        return coefficients.Constant(d["value"], check_nonzero=d.get("value") != 0.0)
+        return coefficients.Constant(d["value"], check_nonzero=d["value"] != 0.0)
     if kind == "linear_sine":
         return coefficients.LinearInteraction(
             coefficients.SineKernel(d.get("c0", 1.0), d.get("c1", 0.5)))
     if kind == "linear_cauchy":
         return coefficients.LinearInteraction(
             coefficients.CauchyKernel(d.get("c0", 1.0), d.get("c1", 0.5)))
-    if kind == "smoothed_power":
-        return coefficients.SmoothedDensityPower(eps=d["eps"], s=d["s"])
-    raise ValueError(f"unknown sigma kind {kind!r}")
+    return coefficients.SmoothedDensityPower(eps=d["eps"], s=d["s"])
 
 
 def _build_initial(d):
-    kind = d["kind"]
+    kind = _checked_kind("initial law", d)
     if kind == "point":
         return PointMass(d.get("x0", 0.0))
     if kind == "gaussian":
         return GaussianLaw(d.get("mean", 0.0), d.get("std", 1.0))
     if kind == "uniform":
         return UniformLaw(d.get("lo", -1.0), d.get("hi", 1.0))
-    if kind == "file":
-        return FileLaw(d["path"])
-    raise ValueError(f"unknown initial law kind {kind!r}")
+    return FileLaw(d["path"])
 
 
 def _build_sim_config(cfg, n, threads):
@@ -94,15 +110,13 @@ def _build_sim_config(cfg, n, threads):
 def _grid_from_config(cfg):
     g = cfg["grid"]
     init = cfg.get("initial", {"kind": "gaussian"})
-    if init["kind"] == "gaussian":
+    if _checked_kind("pde initial law", init) == "gaussian":
         return fp.gaussian_grid(g["half_width"], g["points"],
                                 mean=init.get("mean", 0.0), std=init.get("std", 1.0))
-    if init["kind"] == "point":
-        return fp.stable_heat_kernel_grid(
-            g["half_width"], g["points"], t=init.get("warmup", 1e-3),
-            params=fp.FractionalParams(alpha=cfg["alpha"],
-                                       diffusivity=cfg.get("diffusivity", 1.0)))
-    raise ValueError(f"pde initial law {init['kind']!r} not supported")
+    return fp.stable_heat_kernel_grid(
+        g["half_width"], g["points"], t=init.get("warmup", 1e-3),
+        params=fp.FractionalParams(alpha=cfg["alpha"],
+                                   diffusivity=cfg.get("diffusivity", 1.0)))
 
 
 def _write_json(path, payload):
@@ -134,7 +148,8 @@ def cmd_simulate(cfg, outdir, threads):
     kde_grid = np.linspace(-cfg.get("kde_half_width", 10.0),
                            cfg.get("kde_half_width", 10.0),
                            cfg.get("kde_points", 401))
-    kde = measures.smoothed_density(flow.final(), cfg.get("kde_eps", 0.05), kde_grid)
+    kde = measures.read_table(
+        measures.smoothing_table(flow.final(), cfg.get("kde_eps", 0.05)), kde_grid)
     exports.curve_to_csv(kde_grid, kde, os.path.join(outdir, "final_kde.csv"),
                          names=("x", "density"))
     summary = {"config": cfg, "moments": moments}
@@ -273,18 +288,19 @@ def cmd_chaos_rate(cfg, outdir, threads):
 
 
 def cmd_compare(cfg, outdir, threads):
-    alpha = cfg["driver"]["alpha"]
-    scale = cfg["driver"].get("scale", 1.0)
-    pde_cfg = cfg["pde"]
-    if cfg["initial"]["kind"] != "gaussian":
+    driver = _build_driver(cfg["driver"])
+    if not isinstance(driver, StableDriverSpec):
+        raise ValueError("compare requires a stable driver")
+    initial = _build_initial(cfg["initial"])
+    if not isinstance(initial, GaussianLaw):
         raise ValueError("compare requires a gaussian initial law so both "
                          "descriptions start from the same density")
+    pde_cfg = cfg["pde"]
     grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
-                            mean=cfg["initial"].get("mean", 0.0),
-                            std=cfg["initial"].get("std", 1.0))
+                            mean=initial.mean, std=initial.std)
     # the multiplier constant is calibrated to the driver's CF constant:
     # with a constant coefficient both descriptions then share one law
-    params = fp.FractionalParams(alpha=alpha, diffusivity=scale)
+    params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
     sigma = _build_sigma(cfg["sigma"])
     n_snapshots = cfg.get("snapshots", 5)
     pde_steps = max(1, int(round(cfg["horizon"] / pde_cfg["dt"])))
@@ -296,13 +312,12 @@ def cmd_compare(cfg, outdir, threads):
     for n in cfg["particles"]["n_list"]:
         sim = SimulationConfig(
             n_particles=n, dt=cfg["particles"]["dt"], horizon_T=cfg["horizon"],
-            seed=cfg["seed"], driver=_build_driver(cfg["driver"]),
-            sigma=_build_sigma(cfg["sigma"]),
-            initial_law=_build_initial(cfg["initial"]), threads=threads)
+            seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial,
+            threads=threads)
         flow = simulate(sim, record_every=max(1, sim.n_steps // n_snapshots))
         for t, p_t in zip(res.times[1:], res.grids[1:]):
             marg = flow.marginal_at(t + 0.5 * sim.dt_effective)
-            kde = measures.smoothed_density(marg, kde_eps, p_t.nodes)
+            kde = measures.read_table(measures.smoothing_table(marg, kde_eps), p_t.nodes)
             l1 = float(np.sum(np.abs(kde - p_t.values)) * p_t.dx)
             rows.append({"n": n, "time": float(t), "l1_distance": l1})
     with open(os.path.join(outdir, "l1_by_n.csv"), "w") as fh:

@@ -23,6 +23,7 @@ permutations act on trajectories exactly as they act on the streams.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -136,6 +137,13 @@ class SimulationConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if isinstance(self.n_particles, bool) or not isinstance(self.n_particles,
+                                                                numbers.Integral):
+            raise ValueError(f"n_particles must be an integer, got {self.n_particles!r}")
+        for name in ("dt", "horizon_T"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
         if not (self.dt > 0.0 and self.horizon_T > 0.0):
@@ -201,7 +209,8 @@ def _sigma_on_own_measure(sigma, x):
     Summarized in canonical (sorted) order: the measure is order-free, and a
     fixed reduction order keeps interacting and frozen-flow stepping
     bit-identical.  A non-finite sample gives non-finite sigma, which the
-    finiteness check on the advanced positions reports.
+    finiteness check on the advanced positions reports (the smoothed-density
+    table rejects it with ``ValueError`` instead).
     """
     return sigma.from_summary(x, sigma.summarize(np.sort(x)))
 

@@ -96,6 +96,34 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err, key
 
+    def test_block_key_not_read_by_its_kind_rejected(self, tmp_path, capsys):
+        sigma = {"kind": "linear_sine", "c0": 1.0, "c_1": 0.5}
+        initial = {"kind": "gaussian", "mean": 0.0, "sd": 2.0}
+        for block, key in (({"sigma": sigma}, "c_1"), ({"initial": initial}, "sd")):
+            cfg = write_config(tmp_path, {**SIM_CFG, **block})
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, key
+
+    def test_missing_required_key_rejected(self, tmp_path, capsys):
+        cases = (("driver", {"kind": "stable", "scale": 1.0}, "alpha"),
+                 ("sigma", {"kind": "smoothed_power", "eps": 0.5}, "s"),
+                 ("sigma", {"kind": "constant"}, "value"),
+                 ("initial", {"kind": "file"}, "path"))
+        for block, value, key in cases:
+            cfg = write_config(tmp_path, {**SIM_CFG, block: value})
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, key
+
+    def test_non_numeric_sizes_rejected(self, tmp_path, capsys):
+        for key, value in (("n_particles", "100"), ("n_particles", 100.0),
+                           ("n_particles", True), ("dt", "0.1"), ("horizon", None)):
+            cfg = write_config(tmp_path, {**SIM_CFG, key: value})
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err, (key, value)
+
     def test_triplet_driver(self, tmp_path, capsys):
         # pure drift plus one atom above the level: the truncated driver is
         # Gaussian with mean b T and variance a T
@@ -216,6 +244,26 @@ class TestChaosCommand:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["chaos-rate", cfg, "--out", str(tmp_path / "chaosf")]) == 1
+
+
+    def test_smoothed_power_thread_count_determinism(self, tmp_path, capsys):
+        payload = {
+            "command": "chaos-rate", "seed": 4,
+            "driver": {"kind": "stable", "alpha": 1.5, "scale": 0.5},
+            "truncation": 2.0,
+            "sigma": {"kind": "smoothed_power", "eps": 0.5, "s": 0.5},
+            "initial": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+            "dt": 0.1, "horizon": 0.3,
+            "n_list": [10, 20, 40, 80], "reps": 3, "n_ref": 800,
+        }
+        cfg = write_config(tmp_path, payload)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["chaos-rate", cfg, "--out", str(out), "--threads", threads]) == 0
+            outs.append(out)
+        for name in ("table.csv", "slope.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestCompareCommand:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from levymv.coefficients import (BINNING_POINTS, BINNING_THRESHOLD, CauchyKernel,
-                                 Constant, LinearInteraction, SineKernel,
+from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
                                  SmoothedDensityPower, evaluate_on_density,
                                  lipschitz_probe)
+from levymv.drivers import StableDriverSpec, sample_stable_increment
 from levymv.fokker_planck import DensityGrid, gaussian_grid
 from levymv.measures import EmpiricalMeasure
 from levymv.rng import substream
@@ -111,23 +111,49 @@ class TestSmoothedDensityPower:
         mc = sig.evaluate(grid.nodes, mu)
         assert np.max(np.abs(on_grid - mc)) < 0.01
 
+    @staticmethod
+    def _max_rel_gap_to_exact(sig, s):
+        """Binned against exact sigma on [-4, 4] and at (about 500 of) the samples."""
+        x = np.concatenate([np.linspace(-4.0, 4.0, 81), s[::max(1, s.size // 500)], s[-1:]])
+        binned = sig.from_summary(x, sig.summarize(s))
+        return float(np.max(np.abs(binned / sig.evaluate(x, s) - 1.0)))
+
     def test_binned_summary_agrees_with_exact_sum(self):
         sig = SmoothedDensityPower(0.5, 0.5)
-        x = np.linspace(-4.0, 4.0, 81)
-        for n in (3001, 8000, 100_000):
+        for n in (50, 800, 3001, 8000, 100_000):
             s = np.sort(substream(210, n).normal(0.0, 1.5, n))
-            exact = sig.evaluate(x, s)
-            binned = sig.from_summary(x, sig.summarize(s))
-            assert np.max(np.abs(binned / exact - 1.0)) < 1e-4, n
+            assert self._max_rel_gap_to_exact(sig, s) < 1e-4, n
+        # the compare regime: N(0, 1) pushed by a stable increment, wide tails
+        n = 100_000
+        jump = sample_stable_increment(StableDriverSpec(1.5, 1.0), 0.5,
+                                       substream(214, 1), size=n)
+        s = np.sort(substream(214, 0).standard_normal(n) + jump)
+        assert self._max_rel_gap_to_exact(sig, s) < 1e-4
 
-    def test_summary_bins_only_above_the_threshold(self):
-        assert BINNING_THRESHOLD == 3000
+    def test_heavy_tails_lay_out_only_the_occupied_lattice(self):
+        sig = SmoothedDensityPower(0.5, 0.5)
+        n = 100_000
+        s = np.sort(sample_stable_increment(StableDriverSpec(0.8, 1.0), 1.0,
+                                            substream(215), size=n))
+        h = math.sqrt(0.5) / 64.0
+        assert (s[-1] - s[0]) / h > 1e8
+        nodes, values = sig.summarize(s)
+        assert nodes.size == values.size < 1e6
+        assert np.all(np.diff(nodes) > 0.0)
+        assert self._max_rel_gap_to_exact(sig, s) < 1e-4
+
+    def test_summary_is_a_table_at_every_size(self):
         sig = SmoothedDensityPower(0.5, 0.5)
         s = np.sort(substream(211).normal(0.0, 1.5, 3001))
-        small = s[:3000]
-        assert sig.summarize(small) is small
-        grid, dens = sig.summarize(s)
-        assert grid.size == dens.size == BINNING_POINTS
+        for n in (1, 2, 50, 3000, 3001):
+            nodes, values = sig.summarize(s[:n])
+            assert nodes.size == values.size
+            assert np.all(np.diff(nodes) > 0.0)
+            assert np.all(values >= 0.0)
+            assert sig.from_summary(nodes[0] - 1.0, (nodes, values)) == 0.0
+            at_samples = sig.from_summary(s[:n], (nodes, values))
+            np.testing.assert_allclose(at_samples, sig.evaluate(s[:n], s[:n]),
+                                       rtol=1e-4, atol=0.0)
 
     def test_grid_too_coarse_rejected(self):
         grid = gaussian_grid(16.0, 16)  # dx = 2 -> needs eps >= 16
@@ -148,7 +174,12 @@ class TestSummaryProtocol:
     def test_from_summary_of_summary_equals_evaluate(self, sig):
         s = np.sort(substream(212).normal(0.0, 1.0, 200))
         x = np.linspace(-3.0, 3.0, 13)
-        assert np.array_equal(sig.from_summary(x, sig.summarize(s)), sig.evaluate(x, s))
+        got = sig.from_summary(x, sig.summarize(s))
+        if isinstance(sig, SmoothedDensityPower):
+            # the summary is a binned table: close to the exact oracle, not equal
+            np.testing.assert_allclose(got, sig.evaluate(x, s), rtol=1e-4, atol=0.0)
+        else:
+            assert np.array_equal(got, sig.evaluate(x, s))
 
     def test_what_each_family_keeps(self):
         s = np.sort(substream(213).normal(0.0, 1.0, 50))

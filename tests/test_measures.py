@@ -9,8 +9,8 @@ from scipy.stats import norm
 
 from levymv.measures import (EmpiricalMeasure, _w2sq_sorted_unequal,
                              check_empirical_distance_bound,
-                             empirical_gap_experiment, metric_report,
-                             second_moment, smoothed_density,
+                             empirical_gap_experiment, metric_report, read_table,
+                             second_moment, smoothed_density, smoothing_table,
                              truncated_wasserstein2_upper, wasserstein2)
 from levymv.rng import substream
 
@@ -156,6 +156,27 @@ class TestSmoothedDensity:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             smoothed_density(EmpiricalMeasure([0.0]), 0.0, 0.0)
+
+
+class TestSmoothingTable:
+    def test_table_mass_is_one_and_far_runs_stay_apart(self):
+        # two clusters far beyond the kernel cut: two runs, each carrying
+        # its own share of the mass
+        s = np.concatenate([substream(109).normal(0, 1, 300), [1e4, 1e4 + 0.5]])
+        nodes, values = smoothing_table(s, 0.2)
+        gap = np.flatnonzero(np.diff(nodes) > 1.0)
+        assert gap.size == 1
+        left, right = gap[0] + 1, nodes.size
+        assert np.trapezoid(values[:left], nodes[:left]) == pytest.approx(300 / 302, rel=1e-9)
+        assert np.trapezoid(values[left:right], nodes[left:right]) == pytest.approx(
+            2 / 302, rel=1e-9)
+        assert read_table((nodes, values), 5e3) == 0.0
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            smoothing_table(np.array([0.0, np.inf]), 0.5)
+        with pytest.raises(ValueError):
+            smoothing_table(np.array([0.0]), 0.0)
 
 
 class TestSecondMoment:

@@ -80,19 +80,24 @@ class TestStepping:
             assert np.all(res.sup_abs_gaps == 0.0), (sigma, n)
 
     def test_one_particle_frozen_step_hand_check(self):
-        cfg = make_cfg(n_particles=1, sigma=SmoothedDensityPower(0.5, 0.5), seed=9,
-                       horizon_T=0.05)
+        sig = SmoothedDensityPower(0.5, 0.5)
+        cfg = make_cfg(n_particles=1, sigma=sig, seed=9, horizon_T=0.05)
         x0 = initial_positions(cfg)[0]
         ext = EmpiricalMeasure([0.0, 1.0])
         res = simulate_coupled(cfg, MarginalFlow(times=[0.0], marginals=[ext]))
-        base = 0.5 * (math.exp(-x0 ** 2) + math.exp(-(x0 - 1.0) ** 2)) \
-            / math.sqrt(2 * math.pi * 0.5)
-        sig_cop = base ** 0.5
+        # the engine reads sigma from the binned summaries; the step
+        # arithmetic is checked exactly against them
+        sig_cop = sig.from_summary(x0, sig.summarize(ext.samples))
         # the lone particle sees a point mass at itself
-        sig_sys = (2 * math.pi * 0.5) ** -0.25
+        sig_sys = sig.from_summary(x0, sig.summarize(np.array([x0])))
         dz = step_increments(cfg, 0)[0]
         assert res.sup_abs_gaps[0] == pytest.approx(abs(sig_sys - sig_cop) * abs(dz),
                                                     rel=1e-12)
+        # and the summaries against the hand-computed closed forms
+        base = 0.5 * (math.exp(-x0 ** 2) + math.exp(-(x0 - 1.0) ** 2)) \
+            / math.sqrt(2 * math.pi * 0.5)
+        assert sig_cop == pytest.approx(base ** 0.5, rel=1e-4)
+        assert sig_sys == pytest.approx((2 * math.pi * 0.5) ** -0.25, rel=1e-4)
 
     def test_nonfinite_positions_abort(self):
         driver = LevyTripletSpec(gaussian_a=0.0, drift_b=1e308)
@@ -237,9 +242,12 @@ class TestCoupling:
         worst = 0.0
         for k in range(cfg.n_steps):
             dz = float(step_increments(cfg, k, n=1)[0])
-            s_sys = float(sig.evaluate(x_sys, EmpiricalMeasure([x_sys])))
+            s_sys = float(sig.from_summary(x_sys, sig.summarize(np.array([x_sys]))))
             marg = ref.marginal_at(k * cfg.dt_effective)
-            s_cop = float(sig.evaluate(x_cop, marg))
+            s_cop = float(sig.from_summary(x_cop, sig.summarize(marg.samples)))
+            # the summaries the engine reads stand in for the exact sums
+            assert s_sys == pytest.approx(float(sig.evaluate(x_sys, [x_sys])), rel=1e-4)
+            assert s_cop == pytest.approx(float(sig.evaluate(x_cop, marg)), rel=1e-4)
             x_sys += s_sys * dz
             x_cop += s_cop * dz
             worst = max(worst, abs(x_sys - x_cop))
