@@ -13,6 +13,7 @@ timestamps, so reruns of the same resolved config are byte-identical.
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -56,6 +57,23 @@ def _checked_kind(block, d):
             raise ValueError(f"{block} kind {kind!r} {problem} key(s) "
                              + ", ".join(repr(k) for k in sorted(keys)))
     return kind
+
+
+def _check_numbers(d, counts, reals, where="", nullable=()):
+    """Keys of ``d`` read as a count must hold a positive integer, those read
+    as a real a number; absent keys are skipped, and so are ``nullable``
+    keys set to null (the default)."""
+    for key in sorted(counts | reals):
+        value = d.get(key)
+        if key not in d or (value is None and key in nullable):
+            continue
+        if key in counts:
+            ok = isinstance(value, numbers.Integral) and value >= 1
+        else:
+            ok = isinstance(value, numbers.Real)
+        if isinstance(value, bool) or not ok:
+            kind = "a positive integer" if key in counts else "a number"
+            raise ValueError(f"{where}key {key!r} must be {kind}, got {value!r}")
 
 
 def _build_driver(d):
@@ -109,6 +127,7 @@ def _build_sim_config(cfg, n, threads):
 
 def _grid_from_config(cfg):
     g = cfg["grid"]
+    _check_numbers(g, {"points"}, {"half_width"}, where="grid ")
     init = cfg.get("initial", {"kind": "gaussian"})
     if _checked_kind("pde initial law", init) == "gaussian":
         return fp.gaussian_grid(g["half_width"], g["points"],
@@ -134,6 +153,8 @@ def _finish(outdir, cfg, summary, failed):
 
 
 def cmd_simulate(cfg, outdir, threads):
+    _check_numbers(cfg, {"n_particles", "record_every", "kde_points"},
+                   {"dt", "horizon", "kde_half_width", "kde_eps", "cf_tolerance"})
     sim = _build_sim_config(cfg, cfg["n_particles"], threads)
     flow = simulate(sim, record_every=cfg.get("record_every", 1))
     fmt = cfg.get("flow_format", "csv")
@@ -175,6 +196,8 @@ def cmd_simulate(cfg, outdir, threads):
 
 
 def cmd_pde(cfg, outdir, threads):
+    _check_numbers(cfg, {"snapshots"}, {"alpha", "diffusivity", "dt", "horizon",
+                                        "boundary_density_tol", "mass_tolerance"})
     summary = {"config": cfg}
     failed = False
     sigma = _build_sigma(cfg["sigma"])
@@ -261,6 +284,8 @@ def cmd_pde(cfg, outdir, threads):
 
 
 def cmd_chaos_rate(cfg, outdir, threads):
+    _check_numbers(cfg, {"reps", "n_ref"}, {"dt", "horizon", "slope_max"},
+                   nullable={"n_ref", "slope_max"})
     base = _build_sim_config(cfg, max(cfg["n_list"]), threads)
     table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"],
                                   n_ref=cfg.get("n_ref"))
@@ -492,8 +517,9 @@ def main(argv=None):
     cfg["command"] = declared
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if "seed" not in cfg:
-        print("error: config must carry a seed", file=sys.stderr)
+    seed = cfg.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        print(f"error: config key 'seed' must be an integer, got {seed!r}", file=sys.stderr)
         return 2
     cfg["threads"] = args.threads
     outdir = args.out or os.path.join("runs", f"{args.command}-{label}")

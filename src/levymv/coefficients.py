@@ -16,20 +16,23 @@ Every family has the same methods, so a new family is one class.
 samples (the oracle of the tests and of :func:`lipschitz_probe`).
 ``summarize(samples)`` reduces a sorted sample array once and
 ``from_summary(x, summary)`` evaluates many points from that reduction;
-the particle engine calls only these two.  ``_on_grid`` evaluates against
-periodic grid densities (duck-typed: any object with .values, .nodes,
-.dx, .half_width, .m).  Gaussian smoothing is one routine,
-:func:`levymv.measures.periodic_gaussian_convolution`: it serves the grid
-densities directly and the samples through
-:func:`levymv.measures.smoothing_table`.
+the particle engine calls only these two.  ``on_grid(grid)`` returns a
+function from the values of a periodic grid density to sigma on the grid's
+nodes (duck-typed grid: any object with .nodes, .dx, .half_width, .m); what
+depends only on the grid (the constant array, the nodes' cos/sin, a kernel
+matrix, the Gaussian kernel's transform) is built once, so the spectral
+solver builds it once per solve.  Gaussian smoothing is one convolution,
+:func:`levymv.measures.periodic_convolution`: it serves the grid densities
+directly and the samples through :func:`levymv.measures.smoothing_table`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (EmpiricalMeasure, periodic_gaussian_convolution, read_table,
-                       smoothed_density, smoothing_table, wasserstein2)
+from .measures import (EmpiricalMeasure, periodic_convolution,
+                       periodic_gaussian_transform, read_table, smoothed_density,
+                       smoothing_table, wasserstein2)
 
 __all__ = [
     "Constant",
@@ -67,8 +70,10 @@ class Constant:
     def from_summary(self, x, summary):
         return np.full(np.shape(x), self.value)
 
-    def _on_grid(self, values, nodes, dx, half_width):
-        return np.full(values.size, self.value)
+    def on_grid(self, grid):
+        out = np.full(grid.m, self.value)
+        out.flags.writeable = False  # handed out on every call
+        return lambda values: out
 
 
 class SineKernel:
@@ -159,15 +164,21 @@ class LinearInteraction:
             return float(out[0])
         return out
 
-    def _on_grid(self, values, nodes, dx, half_width):
+    def on_grid(self, grid):
+        nodes, dx = grid.nodes, grid.dx
         if isinstance(self.kernel, SineKernel):
             # separable path: one weighted reduction instead of an m x m matrix
-            w = values * dx
-            mc = float(np.sum(w * np.cos(nodes)))
-            ms = float(np.sum(w * np.sin(nodes)))
-            return self.kernel.c0 + self.kernel.c1 * (np.sin(nodes) * mc - np.cos(nodes) * ms)
+            cos, sin = np.cos(nodes), np.sin(nodes)
+            c0, c1 = self.kernel.c0, self.kernel.c1
+
+            def sigma(values):
+                w = values * dx
+                mc = float(np.sum(w * cos))
+                ms = float(np.sum(w * sin))
+                return c0 + c1 * (sin * mc - cos * ms)
+            return sigma
         mat = self.kernel(nodes[:, None], nodes[None, :])
-        return mat @ (values * dx)
+        return lambda values: mat @ (values * dx)
 
 
 class SmoothedDensityPower:
@@ -198,14 +209,17 @@ class SmoothedDensityPower:
     def from_summary(self, x, summary):
         return read_table(summary, x) ** self.s
 
-    def _on_grid(self, values, nodes, dx, half_width):
+    def on_grid(self, grid):
+        dx = grid.dx
         if self.eps < 4.0 * dx ** 2:
             raise ValueError(f"grid too coarse for eps={self.eps}: "
                              f"need eps >= 4 dx^2 = {4.0 * dx ** 2:.3g}")
-        conv = periodic_gaussian_convolution(values, dx, 2.0 * half_width, self.eps)
+        kernel_hat = periodic_gaussian_transform(grid.m, dx, 2.0 * grid.half_width,
+                                                 self.eps)
         # integrator stage vectors may dip slightly negative; never feed a
         # negative base to a fractional power
-        return np.maximum(conv, 0.0) ** self.s
+        return lambda values: np.maximum(
+            periodic_convolution(values, kernel_hat, dx), 0.0) ** self.s
 
 
 def evaluate_on_density(spec, grid):
@@ -215,14 +229,13 @@ def evaluate_on_density(spec, grid):
         raise ValueError("grid density must be nonnegative")
     if abs(float(np.sum(p)) * grid.dx - 1.0) > 1e-6:
         raise ValueError("grid density must carry unit mass")
-    return spec._on_grid(p, grid.nodes, grid.dx, grid.half_width)
+    return spec.on_grid(grid)(p)
 
 
 def sigma_on_grid_values(spec, values, grid):
     """Like :func:`evaluate_on_density` but without the probability-density
-    prechecks, for integrator stages that pass raw vectors."""
-    return spec._on_grid(np.asarray(values, dtype=float), grid.nodes,
-                         grid.dx, grid.half_width)
+    prechecks, for raw vectors such as integrator stages."""
+    return spec.on_grid(grid)(np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ is negative on peaks; the equivalent singular-integral constant is
 The zero mode is multiplied by exactly zero, so total mass is invariant
 under every scheme here; any observed drift signals a bug and aborts.
 Positivity is monitored, never enforced by clipping.
+
+:func:`solve_fp` builds what a solve holds fixed once: the multiplier and
+sigma's grid evaluator ``sigma.on_grid(grid)`` (nodes, and a kernel
+transform, matrix or cos/sin table).  RK4's first stage reuses the
+stability check's sigma.
 """
 
 import math
@@ -138,21 +143,22 @@ class FractionalParams:
         return self.diffusivity / cf_constant_from_levy_constant(1.0, self.alpha)
 
 
-def _xi(grid):
-    return math.pi * np.arange(grid.m // 2 + 1) / grid.half_width
+def _multiplier(grid, params):
+    """-diffusivity |xi_k|^alpha on the grid's rfft modes; exactly 0 at k = 0."""
+    xi = math.pi * np.arange(grid.m // 2 + 1) / grid.half_width
+    return -params.diffusivity * xi ** params.alpha
 
 
 def fractional_laplacian(values, grid, params):
     """Apply the multiplier -diffusivity |xi_k|^alpha; zero mode -> 0."""
-    mult = -params.diffusivity * _xi(grid) ** params.alpha
-    return np.fft.irfft(np.fft.rfft(values) * mult, n=grid.m)
+    return np.fft.irfft(np.fft.rfft(values) * _multiplier(grid, params), n=grid.m)
 
 
 def solve_linear_exact(p0, t, params):
     """Exact solution of d/dt p = Dalpha p for the discretized operator."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    decay = np.exp(-params.diffusivity * _xi(p0) ** params.alpha * t)
+    decay = np.exp(_multiplier(p0, params) * t)
     vals = np.fft.irfft(np.fft.rfft(p0.values) * decay, n=p0.m)
     return p0.with_values(vals)
 
@@ -179,9 +185,20 @@ def stable_step_limit(grid, sigma_max, params, safety=0.5):
     return safety * RK4_REAL_AXIS / lam
 
 
-def _flux(values, grid, sigma, params):
-    s = coefficients.sigma_on_grid_values(sigma, values, grid)
-    return fractional_laplacian(np.abs(s) ** params.alpha * values, grid, params)
+class _Operator:
+    """The right-hand side v -> Dalpha(|sigma(., v)|^alpha v) on one grid,
+    with the multiplier and sigma's grid evaluator built once."""
+
+    def __init__(self, grid, sigma, params):
+        self.params = params
+        self.multiplier = _multiplier(grid, params)
+        self.sigma = sigma.on_grid(grid)
+
+    def flux(self, values, abs_sigma=None):
+        if abs_sigma is None:
+            abs_sigma = np.abs(self.sigma(values))
+        w = abs_sigma ** self.params.alpha * values
+        return np.fft.irfft(np.fft.rfft(w) * self.multiplier, n=values.size)
 
 
 def step_fp(p, dt, sigma, params, safety=0.5, check=True):
@@ -192,17 +209,23 @@ def step_fp(p, dt, sigma, params, safety=0.5, check=True):
     monitor, or when mass drifts (the zero mode is invariant, so any
     drift is a bug, not a modeling error).
     """
+    return _step_rk4(p, dt, _Operator(p, sigma, params), safety, check)
+
+
+def _step_rk4(p, dt, op, safety, check=True):
+    """:func:`step_fp` with the solve's operator."""
     v = p.values
+    s0 = None
     if check:
-        s0 = np.abs(coefficients.sigma_on_grid_values(sigma, v, p))
-        limit = stable_step_limit(p, float(s0.max()), params, safety)
+        s0 = np.abs(op.sigma(v))
+        limit = stable_step_limit(p, float(s0.max()), op.params, safety)
         if dt > limit * (1.0 + 1e-12):
             raise StabilityError(f"dt={dt:.3g} exceeds stability bound {limit:.3g} "
-                                 f"(alpha={params.alpha}, dx={p.dx:.3g})")
-    k1 = _flux(v, p, sigma, params)
-    k2 = _flux(v + 0.5 * dt * k1, p, sigma, params)
-    k3 = _flux(v + 0.5 * dt * k2, p, sigma, params)
-    k4 = _flux(v + dt * k3, p, sigma, params)
+                                 f"(alpha={op.params.alpha}, dx={p.dx:.3g})")
+    k1 = op.flux(v, s0)
+    k2 = op.flux(v + 0.5 * dt * k1)
+    k3 = op.flux(v + 0.5 * dt * k2)
+    k4 = op.flux(v + dt * k3)
     new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if check:
         drift = abs(float(new.sum()) - float(v.sum())) * p.dx
@@ -219,22 +242,20 @@ def step_fp(p, dt, sigma, params, safety=0.5, check=True):
     return out
 
 
-def _step_lawson(p, dt, sigma, params, c_bar):
+def _step_lawson(p, dt, op, c_bar):
     """Integrating-factor RK4 on the linearization with frozen |sigma|^alpha.
 
     Exact for measure-independent coefficients; removes the stiff step
     limit when alpha is close to 2.
     """
-    lam = -params.diffusivity * _xi(p) ** params.alpha * c_bar
+    lam = op.multiplier * c_bar
     e_half = np.exp(0.5 * dt * lam)
     e_full = e_half * e_half
 
     def n_hat(v_hat):
         vals = np.fft.irfft(v_hat, n=p.m)
-        s = coefficients.sigma_on_grid_values(sigma, vals, p)
-        w_hat = np.fft.rfft(np.abs(s) ** params.alpha * vals)
-        mult = -params.diffusivity * _xi(p) ** params.alpha
-        return mult * w_hat - lam * v_hat
+        w_hat = np.fft.rfft(np.abs(op.sigma(vals)) ** op.params.alpha * vals)
+        return op.multiplier * w_hat - lam * v_hat
 
     v = np.fft.rfft(p.values)
     k1 = n_hat(v)
@@ -282,12 +303,12 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshot_every=None, scheme="rk4",
     grids = [p0]
     mass, mins, bdry = [p0.mass()], [float(p0.values.min())], [p0.boundary_density()]
     p = p0
+    op = _Operator(p0, sigma, params)
     for k in range(n_steps):
         if scheme == "rk4":
-            p = step_fp(p, dt, sigma, params, safety=safety)
+            p = _step_rk4(p, dt, op, safety)
         else:
-            s = np.abs(coefficients.sigma_on_grid_values(sigma, p.values, p))
-            p = _step_lawson(p, dt, sigma, params, float(s.max()))
+            p = _step_lawson(p, dt, op, float(np.abs(op.sigma(p.values)).max()))
         t = (k + 1) * dt
         mass.append(p.mass())
         mins.append(float(p.values.min()))

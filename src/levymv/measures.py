@@ -9,7 +9,8 @@ compare it against a brute-force assignment for small n.
 
 Gaussian smoothing is exact in :func:`smoothed_density` (the oracle) and
 binned in :func:`smoothing_table` (every hot path), which shares
-:func:`periodic_gaussian_convolution` with the PDE grid.
+:func:`periodic_convolution` with the PDE grid; the kernel's transform,
+:func:`periodic_gaussian_transform`, is built once per grid.
 """
 
 import math
@@ -27,7 +28,8 @@ __all__ = [
     "smoothed_density",
     "smoothing_table",
     "read_table",
-    "periodic_gaussian_convolution",
+    "periodic_gaussian_transform",
+    "periodic_convolution",
     "second_moment",
     "empirical_gap_experiment",
     "GapEstimate",
@@ -186,7 +188,8 @@ def smoothing_table(mu, eps):
     m = 1 << (size - 1).bit_length()                 # a fast FFT length
     weights = (np.bincount(at, 1.0 - frac, minlength=m)
                + np.bincount(at + 1, frac, minlength=m)) / (s.size * h)
-    values = np.maximum(periodic_gaussian_convolution(weights, h, m * h, eps)[:size], 0.0)
+    kernel_hat = periodic_gaussian_transform(m, h, m * h, eps)
+    values = np.maximum(periodic_convolution(weights, kernel_hat, h)[:size], 0.0)
     # a run's first and last nodes lie a full cut from its samples: the
     # table reads 0 there and in the gaps between runs
     values[np.r_[ends - lengths, ends - 1]] = 0.0
@@ -200,13 +203,18 @@ def read_table(table, x):
     return np.interp(x, nodes, values, left=0.0, right=0.0)
 
 
-def periodic_gaussian_convolution(values, dx, period, eps):
-    """g_eps * p for p sampled with spacing dx on a periodic grid, by FFT."""
-    m = values.size
+def periodic_gaussian_transform(m, dx, period, eps):
+    """The rfft of g_eps on m periodic nodes of spacing dx, for
+    :func:`periodic_convolution`; build it once per grid."""
     offsets = np.arange(m) * dx
     dist = np.minimum(offsets, period - offsets)
-    return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(gaussian_kernel(dist, eps)),
-                        n=m) * dx
+    return np.fft.rfft(gaussian_kernel(dist, eps))
+
+
+def periodic_convolution(values, kernel_hat, dx):
+    """g * p for p sampled with spacing dx on a periodic grid, by FFT, with
+    ``kernel_hat`` from :func:`periodic_gaussian_transform`."""
+    return np.fft.irfft(np.fft.rfft(values) * kernel_hat, n=values.size) * dx
 
 
 def second_moment(mu):

@@ -118,11 +118,14 @@ class TestSimulateCommand:
 
     def test_non_numeric_sizes_rejected(self, tmp_path, capsys):
         for key, value in (("n_particles", "100"), ("n_particles", 100.0),
-                           ("n_particles", True), ("dt", "0.1"), ("horizon", None)):
+                           ("n_particles", True), ("dt", "0.1"), ("horizon", None),
+                           ("kde_points", "401"), ("record_every", 0),
+                           ("kde_eps", "0.05"), ("seed", "5"), ("seed", 5.0)):
             cfg = write_config(tmp_path, {**SIM_CFG, key: value})
             assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
             err = capsys.readouterr().err
-            assert "error:" in err and "Traceback" not in err, (key, value)
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, \
+                (key, value)
 
     def test_triplet_driver(self, tmp_path, capsys):
         # pure drift plus one atom above the level: the truncated driver is
@@ -198,6 +201,27 @@ class TestPdeCommand:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["max_error_vs_exact"] < 1e-6
 
+    def test_non_numeric_keys_rejected(self, tmp_path, capsys):
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "initial": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+            "alpha": 1.5, "diffusivity": 1.0,
+            "sigma": {"kind": "constant", "value": 1.0},
+            "dt": 0.01, "horizon": 0.1, "snapshots": 2,
+        }
+        cases = (("snapshots", "5"), ("snapshots", 0), ("dt", "0.002"),
+                 ("alpha", "1.5"), ("boundary_density_tol", "1e-3"),
+                 ("points", {"half_width": 8.0, "points": "128"}),
+                 ("half_width", {"half_width": None, "points": 128}))
+        for key, value in cases:
+            block = "grid" if key in ("points", "half_width") else key
+            cfg = write_config(tmp_path, {**payload, block: value})
+            assert main(["pde", cfg, "--out", str(tmp_path / key)]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, \
+                (key, value)
+
     def test_stability_failure_exits_nonzero(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,
@@ -245,6 +269,22 @@ class TestChaosCommand:
         cfg = write_config(tmp_path, payload)
         assert main(["chaos-rate", cfg, "--out", str(tmp_path / "chaosf")]) == 1
 
+
+    def test_non_numeric_keys_rejected(self, tmp_path, capsys):
+        payload = {
+            "command": "chaos-rate", "seed": 2,
+            "driver": {"kind": "stable", "alpha": 1.5, "scale": 0.5},
+            "sigma": {"kind": "constant", "value": 1.0},
+            "dt": 0.1, "horizon": 0.3,
+            "n_list": [10, 20, 40, 80], "reps": 3, "n_ref": 800,
+        }
+        for key, value in (("reps", "3"), ("reps", 2.5), ("n_ref", "800"),
+                           ("slope_max", "-0.8"), ("horizon", "0.3")):
+            cfg = write_config(tmp_path, {**payload, key: value})
+            assert main(["chaos-rate", cfg, "--out", str(tmp_path / key)]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, \
+                (key, value)
 
     def test_smoothed_power_thread_count_determinism(self, tmp_path, capsys):
         payload = {

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from levymv.coefficients import Constant, SmoothedDensityPower
+from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
+                                 SmoothedDensityPower, sigma_on_grid_values)
 from levymv.fokker_planck import (DensityGrid, FractionalParams, StabilityError,
                                   adjoint_identity_check, bump,
                                   fractional_laplacian, gaussian_grid, solve_fp,
@@ -162,6 +163,58 @@ class TestSolveFp:
         with pytest.raises(ValueError):
             solve_fp(grid, 0.1, 0.01, Constant(1.0), FractionalParams(1.5),
                      scheme="euler")
+
+
+def _hand_rk4(p0, dt, n_steps, sigma, params):
+    """RK4 on the public pieces alone: the reference the solver must equal."""
+    def flux(v):
+        s = sigma_on_grid_values(sigma, v, p0)
+        return fractional_laplacian(np.abs(s) ** params.alpha * v, p0, params)
+
+    v = p0.values
+    for _ in range(n_steps):
+        k1 = flux(v)
+        k2 = flux(v + 0.5 * dt * k1)
+        k3 = flux(v + 0.5 * dt * k2)
+        k4 = flux(v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+SIGMAS = {
+    "constant": Constant(1.3),
+    "sine": LinearInteraction(SineKernel(1.0, 0.5)),
+    "cauchy": LinearInteraction(CauchyKernel(1.0, 0.5)),
+    "smoothed": SmoothedDensityPower(0.5, 0.5),
+}
+
+
+class TestSolverEqualsHandSteps:
+    """The solver builds its operator once; it must not change a bit."""
+
+    # a power of two, so solve_fp's dt = horizon / n_steps is dt exactly
+    dt = 2.0 ** -8
+
+    @pytest.mark.parametrize("name", sorted(SIGMAS))
+    def test_solve_fp_rk4_equals_hand_steps(self, name):
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        params = FractionalParams(1.5, 1.0)
+        res = solve_fp(grid, 20 * self.dt, self.dt, SIGMAS[name], params,
+                       scheme="rk4", boundary_density_tol=1e-2)
+        assert len(res.mass_trace) == 21
+        hand = _hand_rk4(grid, self.dt, 20, SIGMAS[name], params)
+        assert np.array_equal(res.final().values, hand)
+
+    @pytest.mark.parametrize("name", sorted(SIGMAS))
+    def test_step_fp_equals_one_solver_step(self, name):
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        params = FractionalParams(1.5, 1.0)
+        one = step_fp(grid, self.dt, SIGMAS[name], params)
+        res = solve_fp(grid, self.dt, self.dt, SIGMAS[name], params,
+                       boundary_density_tol=1e-2)
+        assert np.array_equal(one.values, res.final().values)
+        unchecked = step_fp(grid, self.dt, SIGMAS[name], params, check=False)
+        assert np.array_equal(one.values, unchecked.values)
 
 
 class TestAdjointIdentity:
