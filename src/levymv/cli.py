@@ -1,19 +1,20 @@
 """Batch experiment front end.
 
 Subcommands: simulate | pde | chaos-rate | compare | validate-sampler |
-check-h1.  Each takes a single JSON config file or a shipped ``--preset``
-name, writes every artifact into ``--out`` (tables as CSV, summaries as
-JSON, two-column plot-data files for curves), embeds the fully resolved
-config including the seed in ``config.resolved.json``, and exits nonzero
-if any internal check fails.  ``--threads`` may parallelize independent
-repetitions; it never changes results, and outputs contain no
-timestamps, so reruns of the same resolved config are byte-identical.
+check-h1.  Each reads one JSON config file or a shipped ``--preset`` and
+writes its artifacts into ``--out``.  ``SCHEMAS`` holds one table per
+command with every key's type and default; ``main`` resolves the config
+against it before the command runs.  Commands read only the resolved config,
+which holds every default and is what ``config.resolved.json`` records.  An
+unknown, missing or ill-typed key prints ``error: ...`` naming the key and
+exits 2; a failed check or a failed run exits 1.  ``--threads`` is not part
+of the config and never changes results, and outputs hold no timestamps, so
+the whole output directory is byte-identical across reruns and thread counts.
 """
 
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 
@@ -28,114 +29,218 @@ from .presets import PRESETS
 from .rng import substream
 
 
-# the keys each kind of a config block reads, as (required, optional)
-_BLOCK_KEYS = {
-    "driver": {"stable": ({"alpha"}, {"scale"}),
-               "triplet": (set(), {"gaussian_a", "drift_b", "big_jump_atoms"})},
-    "sigma": {"constant": ({"value"}, set()),
-              "linear_sine": (set(), {"c0", "c1"}),
-              "linear_cauchy": (set(), {"c0", "c1"}),
-              "smoothed_power": ({"eps", "s"}, set())},
-    "initial law": {"point": (set(), {"x0"}),
-                    "gaussian": (set(), {"mean", "std"}),
-                    "uniform": (set(), {"lo", "hi"}),
-                    "file": ({"path"}, set())},
-    "pde initial law": {"point": (set(), {"warmup"}),
-                        "gaussian": (set(), {"mean", "std"})},
+class ConfigError(Exception):
+    """A config key is unknown, missing or of the wrong type."""
+
+
+_REQUIRED = object()
+
+
+def _name(path):
+    """How an error message names the key at ``path`` (keys and list indices)."""
+    if isinstance(path[-1], int):
+        return f"item {path[-1]} of {_name(path[:-1])}"
+    where = ".".join(map(str, path[:-1]))
+    return f"key {path[-1]!r}" + (f" in {where}" if where else "")
+
+
+def _scalar(what, ok):
+    def check(value, path):
+        if not ok(value):
+            raise ConfigError(f"{_name(path)} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+# JSON numbers load as int or float; true and false load as bool, which is not int
+NUMBER = _scalar("a number", lambda v: type(v) in (int, float))
+INTEGER = _scalar("an integer", lambda v: type(v) is int)
+COUNT = _scalar("a positive integer", lambda v: type(v) is int and v >= 1)
+STRING = _scalar("a string", lambda v: isinstance(v, str))
+FLAG = _scalar("true or false", lambda v: isinstance(v, bool))
+
+
+def _one_of(*allowed):
+    return _scalar("one of " + ", ".join(map(repr, allowed)), lambda v: v in allowed)
+
+
+def _list_of(item, least=1, most=math.inf):
+    """A list of ``least`` to ``most`` entries, each checked by ``item``."""
+    def check(value, path):
+        if not (isinstance(value, list) and least <= len(value) <= most):
+            size = least if least == most else f"at least {least}"
+            raise ConfigError(f"{_name(path)} must be a list of {size} item(s), got {value!r}")
+        return [item(v, path + (i,)) for i, v in enumerate(value)]
+    return check
+
+
+def _block(schema):
+    """A JSON object; each ``schema`` entry is a bare type (a required key) or
+    a (type, default) pair, where a null default lets the key be null."""
+    def check(value, path=()):
+        if not isinstance(value, dict):
+            where = _name(path) if path else "the config"
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        resolved = {}
+        for key, spec in schema.items():
+            key_type, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+            given = value.get(key, default)
+            if given is _REQUIRED:
+                raise ConfigError(f"{_name(path + (key,))} is required")
+            nullable = given is None and default is None
+            resolved[key] = given if nullable else key_type(given, path + (key,))
+        for key in value:
+            if key not in schema:
+                raise ConfigError(f"{_name(path + (key,))} is unknown")
+        return resolved
+    return check
+
+
+def _kinds(schemas):
+    """A block whose ``kind`` key picks the schema of its other keys."""
+    def check(value, path):
+        picked = value.get("kind") if isinstance(value, dict) else None
+        keys = schemas.get(picked, {}) if isinstance(picked, str) else {}
+        return _block({"kind": _one_of(*schemas), **keys})(value, path)
+    return check
+
+
+def _needed(cfg, key, use):
+    """``cfg[key]`` for a key the schema lets be null but ``use`` needs."""
+    if cfg[key] is None:
+        raise ConfigError(f"key {key!r} is required {use}")
+    return cfg[key]
+
+
+_SCALE, _SNAPSHOTS, _STANDARD_NORMAL = (NUMBER, 1.0), (COUNT, 5), {"kind": "gaussian"}
+_GAUSSIAN = {"mean": (NUMBER, 0.0), "std": (NUMBER, 1.0)}
+_STABLE = {"alpha": NUMBER, "scale": _SCALE}
+_LINEAR = {"c0": (NUMBER, 1.0), "c1": (NUMBER, 0.5)}
+_SIGMA = _kinds({"constant": {"value": NUMBER}, "linear_sine": _LINEAR,
+                 "linear_cauchy": _LINEAR, "smoothed_power": {"eps": NUMBER, "s": NUMBER}})
+_GRID = _block({"half_width": NUMBER, "points": COUNT})
+_BUMP = _block({"center": NUMBER, "width": NUMBER})
+_PAIR, _NUMBERS, _COUNTS = _list_of(NUMBER, 2, 2), _list_of(NUMBER), _list_of(COUNT)
+
+# the keys of one particle run, shared by simulate and chaos-rate
+_PARTICLE_RUN = {
+    "dt": NUMBER, "horizon": NUMBER, "sigma": _SIGMA, "truncation": (NUMBER, None),
+    "driver": _kinds({"stable": _STABLE,
+                      "triplet": {"gaussian_a": (NUMBER, 0.0), "drift_b": (NUMBER, 0.0),
+                                  "big_jump_atoms": (_list_of(_PAIR), None)}}),
+    "initial": (_kinds({"point": {"x0": (NUMBER, 0.0)}, "gaussian": _GAUSSIAN,
+                        "uniform": {"lo": (NUMBER, -1.0), "hi": (NUMBER, 1.0)},
+                        "file": {"path": STRING}}), _STANDARD_NORMAL),
 }
 
+# validate-sampler runs each battery listed in "batteries" on the block of its name
+_BATTERIES = {
+    "cf": {"alphas": _NUMBERS, "scale": _SCALE, "n_samples": COUNT, "xi_grid": _NUMBERS,
+           "tolerance": NUMBER},
+    "self_similarity": {"alphas": _NUMBERS, "n_samples": COUNT, "dt": (NUMBER, 0.25),
+                        "level": (NUMBER, 0.01)},
+    "gaussian_moments": {"scale": _SCALE, "n_samples": COUNT},
+    "lemma4": {"n_values": _COUNTS, "reps": COUNT, "n_ref": (COUNT, 10 ** 6),
+               "bound": (NUMBER, 4.0)},
+    "distance_bound": {"trials": COUNT, "n_min": (COUNT, 2), "n_max": (COUNT, 64),
+                       "tolerance": (NUMBER, 1e-12)},
+}
 
-def _checked_kind(block, d):
-    """The kind of config block ``d``; a missing or unread key is an error."""
-    kind = d.get("kind")
-    if kind not in _BLOCK_KEYS[block]:
-        raise ValueError(f"unknown {block} kind {kind!r}")
-    required, optional = _BLOCK_KEYS[block][kind]
-    for problem, keys in (("needs", required - set(d)),
-                          ("does not read", set(d) - required - optional - {"kind"})):
-        if keys:
-            raise ValueError(f"{block} kind {kind!r} {problem} key(s) "
-                             + ", ".join(repr(k) for k in sorted(keys)))
-    return kind
+_COMMAND_KEYS = {
+    "simulate": {
+        **_PARTICLE_RUN, "n_particles": COUNT, "record_every": (COUNT, 1),
+        "flow_format": (_one_of("csv", "binary"), "csv"),
+        "kde_half_width": (NUMBER, 10.0), "kde_points": (COUNT, 401),
+        "kde_eps": (NUMBER, 0.05),
+        "cf_xi_grid": (_NUMBERS, [0.25, 0.5, 1.0, 2.0]),
+        "cf_tolerance": (NUMBER, None),     # null: 4 / sqrt(n_particles) + 1e-3
+    },
+    "chaos-rate": {
+        **_PARTICLE_RUN, "n_list": _COUNTS, "reps": COUNT, "n_ref": (COUNT, None),
+        "slope_max": (NUMBER, None), "require_monotone": (FLAG, False),
+    },
+    "pde": {
+        "grid": _GRID, "sigma": _SIGMA,
+        "initial": (_kinds({"point": {"warmup": (NUMBER, 1e-3)}, "gaussian": _GAUSSIAN}),
+                    _STANDARD_NORMAL),
+        # a solve needs alpha, dt and horizon; the linear oracle needs horizon
+        "alpha": (NUMBER, None), "dt": (NUMBER, None), "horizon": (NUMBER, None),
+        "diffusivity": (NUMBER, 1.0), "snapshots": _SNAPSHOTS,
+        "scheme": (_one_of("rk4", "if-rk4"), "rk4"),
+        "boundary_density_tol": (NUMBER, 1e-4), "mass_tolerance": (NUMBER, 1e-9),
+        "adjoint_checks": (_block({
+            "tolerance": (NUMBER, 1e-4),
+            "cases": _list_of(_block({"sigma": _SIGMA, "phi": _BUMP, "psi": _BUMP}))}), None),
+        "linear_oracle": (_block({
+            "cases": _list_of(_block({"alpha": NUMBER, "dt": NUMBER})),
+            "sup_tolerance": (NUMBER, 1e-6), "order_ratio_range": (_PAIR, [12.0, 20.0])}),
+            None),
+    },
+    "compare": {
+        # both descriptions must start from one density and share one law
+        "driver": _kinds({"stable": _STABLE}), "initial": _kinds({"gaussian": _GAUSSIAN}),
+        "sigma": _SIGMA, "horizon": NUMBER,
+        "particles": _block({"n_list": _COUNTS, "dt": NUMBER}),
+        "pde": _block({"grid": _GRID, "dt": NUMBER, "boundary_density_tol": (NUMBER, 1e-3)}),
+        "snapshots": _SNAPSHOTS, "kde_eps": (NUMBER, 0.01),
+        "l1_max_at_largest": (NUMBER, None),
+    },
+    "validate-sampler": {
+        "batteries": (_list_of(_one_of(*_BATTERIES), least=0), []),
+        **{name: (_block(keys), None) for name, keys in _BATTERIES.items()},
+    },
+    "check-h1": {
+        "alpha": NUMBER, "gamma": NUMBER, "eps": NUMBER,
+        "k1_bound": (NUMBER, 1.0), "levy_k": (NUMBER, 1.0),
+        "resolutions": (_COUNTS, [256, 512, 1024, 2048]),
+    },
+}
 
-
-def _check_numbers(d, counts, reals, where="", nullable=()):
-    """Keys of ``d`` read as a count must hold a positive integer, those read
-    as a real a number; absent keys are skipped, and so are ``nullable``
-    keys set to null (the default)."""
-    for key in sorted(counts | reals):
-        value = d.get(key)
-        if key not in d or (value is None and key in nullable):
-            continue
-        if key in counts:
-            ok = isinstance(value, numbers.Integral) and value >= 1
-        else:
-            ok = isinstance(value, numbers.Real)
-        if isinstance(value, bool) or not ok:
-            kind = "a positive integer" if key in counts else "a number"
-            raise ValueError(f"{where}key {key!r} must be {kind}, got {value!r}")
+# one schema per command: every key it reads, with its type and default
+SCHEMAS = {command: _block({"command": (_one_of(command), command), "seed": INTEGER, **keys})
+           for command, keys in _COMMAND_KEYS.items()}
 
 
 def _build_driver(d):
-    if _checked_kind("driver", d) == "stable":
-        return StableDriverSpec(alpha=d["alpha"], scale=d.get("scale", 1.0))
-    big = None
-    if d.get("big_jump_atoms"):
-        big = JumpAtoms(d["big_jump_atoms"])
-    return LevyTripletSpec(gaussian_a=d.get("gaussian_a", 0.0),
-                           drift_b=d.get("drift_b", 0.0),
-                           big_jumps=big)
+    if d["kind"] == "stable":
+        return StableDriverSpec(alpha=d["alpha"], scale=d["scale"])
+    big = None if d["big_jump_atoms"] is None else JumpAtoms(d["big_jump_atoms"])
+    return LevyTripletSpec(gaussian_a=d["gaussian_a"], drift_b=d["drift_b"], big_jumps=big)
 
 
 def _build_sigma(d):
-    kind = _checked_kind("sigma", d)
+    kind = d["kind"]
     if kind == "constant":
         return coefficients.Constant(d["value"], check_nonzero=d["value"] != 0.0)
-    if kind == "linear_sine":
-        return coefficients.LinearInteraction(
-            coefficients.SineKernel(d.get("c0", 1.0), d.get("c1", 0.5)))
-    if kind == "linear_cauchy":
-        return coefficients.LinearInteraction(
-            coefficients.CauchyKernel(d.get("c0", 1.0), d.get("c1", 0.5)))
-    return coefficients.SmoothedDensityPower(eps=d["eps"], s=d["s"])
+    if kind == "smoothed_power":
+        return coefficients.SmoothedDensityPower(eps=d["eps"], s=d["s"])
+    kernel = coefficients.SineKernel if kind == "linear_sine" else coefficients.CauchyKernel
+    return coefficients.LinearInteraction(kernel(d["c0"], d["c1"]))
 
 
 def _build_initial(d):
-    kind = _checked_kind("initial law", d)
-    if kind == "point":
-        return PointMass(d.get("x0", 0.0))
-    if kind == "gaussian":
-        return GaussianLaw(d.get("mean", 0.0), d.get("std", 1.0))
-    if kind == "uniform":
-        return UniformLaw(d.get("lo", -1.0), d.get("hi", 1.0))
-    return FileLaw(d["path"])
+    # each kind's schema keys are the fields of its law
+    law = {"point": PointMass, "gaussian": GaussianLaw, "uniform": UniformLaw,
+           "file": FileLaw}[d["kind"]]
+    return law(**{key: value for key, value in d.items() if key != "kind"})
 
 
 def _build_sim_config(cfg, n, threads):
     return SimulationConfig(
-        n_particles=n,
-        dt=cfg["dt"],
-        horizon_T=cfg["horizon"],
-        seed=cfg["seed"],
-        driver=_build_driver(cfg["driver"]),
-        sigma=_build_sigma(cfg["sigma"]),
-        initial_law=_build_initial(cfg.get("initial", {"kind": "gaussian"})),
-        truncation_N=cfg.get("truncation"),
-        threads=threads,
-    )
+        n_particles=n, dt=cfg["dt"], horizon_T=cfg["horizon"], seed=cfg["seed"],
+        driver=_build_driver(cfg["driver"]), sigma=_build_sigma(cfg["sigma"]),
+        initial_law=_build_initial(cfg["initial"]), truncation_N=cfg["truncation"],
+        threads=threads)
 
 
-def _grid_from_config(cfg):
-    g = cfg["grid"]
-    _check_numbers(g, {"points"}, {"half_width"}, where="grid ")
-    init = cfg.get("initial", {"kind": "gaussian"})
-    if _checked_kind("pde initial law", init) == "gaussian":
+def _grid_from_config(cfg, params):
+    """The initial density on the grid; a point mass is warmed up under ``params``."""
+    g, init = cfg["grid"], cfg["initial"]
+    if init["kind"] == "gaussian":
         return fp.gaussian_grid(g["half_width"], g["points"],
-                                mean=init.get("mean", 0.0), std=init.get("std", 1.0))
-    return fp.stable_heat_kernel_grid(
-        g["half_width"], g["points"], t=init.get("warmup", 1e-3),
-        params=fp.FractionalParams(alpha=cfg["alpha"],
-                                   diffusivity=cfg.get("diffusivity", 1.0)))
+                                mean=init["mean"], std=init["std"])
+    return fp.stable_heat_kernel_grid(g["half_width"], g["points"], t=init["warmup"],
+                                      params=params)
 
 
 def _write_json(path, payload):
@@ -153,12 +258,9 @@ def _finish(outdir, cfg, summary, failed):
 
 
 def cmd_simulate(cfg, outdir, threads):
-    _check_numbers(cfg, {"n_particles", "record_every", "kde_points"},
-                   {"dt", "horizon", "kde_half_width", "kde_eps", "cf_tolerance"})
     sim = _build_sim_config(cfg, cfg["n_particles"], threads)
-    flow = simulate(sim, record_every=cfg.get("record_every", 1))
-    fmt = cfg.get("flow_format", "csv")
-    if fmt == "csv":
+    flow = simulate(sim, record_every=cfg["record_every"])
+    if cfg["flow_format"] == "csv":
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
     else:
         exports.flow_to_binary(flow, os.path.join(outdir, "flow.bin"))
@@ -166,29 +268,28 @@ def cmd_simulate(cfg, outdir, threads):
                 "mean": float(np.mean(m.samples)),
                 "second_moment": measures.second_moment(m)}
                for t, m in zip(flow.times, flow.marginals)]
-    kde_grid = np.linspace(-cfg.get("kde_half_width", 10.0),
-                           cfg.get("kde_half_width", 10.0),
-                           cfg.get("kde_points", 401))
+    kde_grid = np.linspace(-cfg["kde_half_width"], cfg["kde_half_width"], cfg["kde_points"])
     kde = measures.read_table(
-        measures.smoothing_table(flow.final(), cfg.get("kde_eps", 0.05)), kde_grid)
+        measures.smoothing_table(flow.final(), cfg["kde_eps"]), kde_grid)
     exports.curve_to_csv(kde_grid, kde, os.path.join(outdir, "final_kde.csv"),
                          names=("x", "density"))
     summary = {"config": cfg, "moments": moments}
     failed = False
     # for a constant coefficient over a stable driver, the terminal law is
     # exactly stable: check its empirical CF
-    sigma_cfg = cfg["sigma"]
-    if sigma_cfg["kind"] == "constant" and cfg["driver"]["kind"] == "stable":
-        alpha = cfg["driver"]["alpha"]
-        c_tot = (cfg["driver"].get("scale", 1.0) * cfg["horizon"]
-                 * abs(sigma_cfg["value"]) ** alpha)
-        xi = np.array(cfg.get("cf_xi_grid", [0.25, 0.5, 1.0, 2.0]))
+    sigma_cfg, driver_cfg = cfg["sigma"], cfg["driver"]
+    if sigma_cfg["kind"] == "constant" and driver_cfg["kind"] == "stable":
+        alpha = driver_cfg["alpha"]
+        c_tot = driver_cfg["scale"] * cfg["horizon"] * abs(sigma_cfg["value"]) ** alpha
+        xi = np.array(cfg["cf_xi_grid"])
         emp = np.exp(1j * xi[:, None] * flow.final().samples[None, :]).mean(axis=1)
         base = sim.initial_law.cf(xi)
         if base is not None:
             expected = base * np.exp(-c_tot * np.abs(xi) ** alpha)
             gap = float(np.max(np.abs(emp - expected)))
-            tol = cfg.get("cf_tolerance", 4.0 / math.sqrt(sim.n_particles) + 1e-3)
+            tol = cfg["cf_tolerance"]
+            if tol is None:
+                tol = 4.0 / math.sqrt(sim.n_particles) + 1e-3
             summary["cf_test"] = {"max_abs_gap": gap, "tolerance": tol,
                                   "pass": gap <= tol}
             failed = failed or gap > tol
@@ -196,65 +297,61 @@ def cmd_simulate(cfg, outdir, threads):
 
 
 def cmd_pde(cfg, outdir, threads):
-    _check_numbers(cfg, {"snapshots"}, {"alpha", "diffusivity", "dt", "horizon",
-                                        "boundary_density_tol", "mass_tolerance"})
     summary = {"config": cfg}
     failed = False
     sigma = _build_sigma(cfg["sigma"])
-    mass_tol = cfg.get("mass_tolerance", 1e-9)
 
-    if "adjoint_checks" in cfg:
-        grid = _grid_from_config(cfg)
-        params = fp.FractionalParams(alpha=cfg["alpha"],
-                                     diffusivity=cfg.get("diffusivity", 1.0))
-        tol = cfg["adjoint_checks"].get("tolerance", 1e-4)
+    def params(alpha):
+        return fp.FractionalParams(alpha=alpha, diffusivity=cfg["diffusivity"])
+
+    if cfg["adjoint_checks"] is not None:
+        checks = cfg["adjoint_checks"]
+        p = params(_needed(cfg, "alpha", "by adjoint_checks"))
+        grid = _grid_from_config(cfg, p)
+        tol = checks["tolerance"]
         rows = []
-        for case in cfg["adjoint_checks"]["cases"]:
+        for case in checks["cases"]:
             rep = fp.adjoint_identity_check(
-                _build_sigma(case["sigma"]), grid,
-                fp.bump(case["phi"]["center"], case["phi"]["width"]),
-                fp.bump(case["psi"]["center"], case["psi"]["width"]), params)
+                _build_sigma(case["sigma"]), grid, fp.bump(**case["phi"]),
+                fp.bump(**case["psi"]), p)
             rows.append({"sigma": case["sigma"], "lhs": rep.lhs, "rhs": rep.rhs,
                          "rel_error": rep.rel_error, "pass": rep.rel_error <= tol})
             failed = failed or rep.rel_error > tol
         summary["adjoint_checks"] = {"tolerance": tol, "cases": rows}
 
-    if "linear_oracle" in cfg:
+    if cfg["linear_oracle"] is not None:
         oracle = cfg["linear_oracle"]
-        lo_ratio, hi_ratio = oracle.get("order_ratio_range", [12.0, 20.0])
+        horizon = _needed(cfg, "horizon", "by linear_oracle")
+        lo_ratio, hi_ratio = oracle["order_ratio_range"]
         rows = []
         for case in oracle["cases"]:
-            params = fp.FractionalParams(alpha=case["alpha"],
-                                         diffusivity=cfg.get("diffusivity", 1.0))
-            grid = _grid_from_config({**cfg, "alpha": case["alpha"]})
-            exact = fp.solve_linear_exact(grid, cfg["horizon"], params)
+            p = params(case["alpha"])
+            grid = _grid_from_config(cfg, p)
+            exact = fp.solve_linear_exact(grid, horizon, p)
             errs = []
             for dt in (case["dt"], case["dt"] / 2.0):
-                res = fp.solve_fp(grid, cfg["horizon"], dt, sigma, params,
-                                  scheme=cfg.get("scheme", "rk4"),
-                                  boundary_density_tol=cfg.get(
-                                      "boundary_density_tol", 1e-4))
+                res = fp.solve_fp(grid, horizon, dt, sigma, p, scheme=cfg["scheme"],
+                                  boundary_density_tol=cfg["boundary_density_tol"])
                 errs.append(float(np.max(np.abs(res.final().values - exact.values))))
                 drift = float(np.max(np.abs(res.mass_trace - 1.0)))
-                failed = failed or drift > mass_tol
+                failed = failed or drift > cfg["mass_tolerance"]
             ratio = errs[0] / max(errs[1], 1e-300)
-            ok = (errs[0] <= oracle.get("sup_tolerance", 1e-6)
-                  and lo_ratio <= ratio <= hi_ratio)
+            ok = errs[0] <= oracle["sup_tolerance"] and lo_ratio <= ratio <= hi_ratio
             rows.append({"alpha": case["alpha"], "dt": case["dt"],
                          "sup_error": errs[0], "sup_error_half_dt": errs[1],
                          "order_ratio": ratio, "pass": ok})
             failed = failed or not ok
         summary["linear_oracle"] = rows
 
-    if "horizon" in cfg and "linear_oracle" not in cfg:
-        grid = _grid_from_config(cfg)
-        params = fp.FractionalParams(alpha=cfg["alpha"],
-                                     diffusivity=cfg.get("diffusivity", 1.0))
-        n_steps = max(1, int(round(cfg["horizon"] / cfg["dt"])))
-        every = max(1, n_steps // cfg.get("snapshots", 5))
-        res = fp.solve_fp(grid, cfg["horizon"], cfg["dt"], sigma, params,
-                          snapshot_every=every, scheme=cfg.get("scheme", "rk4"),
-                          boundary_density_tol=cfg.get("boundary_density_tol", 1e-4))
+    elif cfg["horizon"] is not None:
+        horizon, dt = cfg["horizon"], _needed(cfg, "dt", "to solve")
+        p = params(_needed(cfg, "alpha", "to solve"))
+        grid = _grid_from_config(cfg, p)
+        n_steps = max(1, int(round(horizon / dt)))
+        every = max(1, n_steps // cfg["snapshots"])
+        res = fp.solve_fp(grid, horizon, dt, sigma, p, snapshot_every=every,
+                          scheme=cfg["scheme"],
+                          boundary_density_tol=cfg["boundary_density_tol"])
         exports.density_stack_to_binary(res.times, res.grids,
                                         os.path.join(outdir, "snapshots.bin"))
         res.final().to_csv(os.path.join(outdir, "final_density.csv"))
@@ -269,14 +366,11 @@ def cmd_pde(cfg, outdir, threads):
         summary["mass_max_drift"] = drift
         summary["boundary_density_max"] = float(res.boundary_trace.max())
         summary["snapshot_times"] = [float(t) for t in res.times]
-        failed = failed or drift > mass_tol
+        failed = failed or drift > cfg["mass_tolerance"]
         sigma_cfg = cfg["sigma"]
         if sigma_cfg["kind"] == "constant" and sigma_cfg["value"] != 0.0:
-            exact = fp.solve_linear_exact(
-                grid, cfg["horizon"],
-                fp.FractionalParams(alpha=cfg["alpha"],
-                                    diffusivity=cfg.get("diffusivity", 1.0)
-                                    * abs(sigma_cfg["value"]) ** cfg["alpha"]))
+            exact = fp.solve_linear_exact(grid, horizon, fp.FractionalParams(
+                alpha=p.alpha, diffusivity=p.diffusivity * abs(sigma_cfg["value"]) ** p.alpha))
             sup = float(np.max(np.abs(res.final().values - exact.values)))
             summary["max_error_vs_exact"] = sup
 
@@ -284,24 +378,21 @@ def cmd_pde(cfg, outdir, threads):
 
 
 def cmd_chaos_rate(cfg, outdir, threads):
-    _check_numbers(cfg, {"reps", "n_ref"}, {"dt", "horizon", "slope_max"},
-                   nullable={"n_ref", "slope_max"})
     base = _build_sim_config(cfg, max(cfg["n_list"]), threads)
-    table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"],
-                                  n_ref=cfg.get("n_ref"))
+    table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"])
     exports.chaos_table_to_csv(table, os.path.join(outdir, "table.csv"))
     payload = table.to_json_dict()
     failed = False
     if table.status.startswith("degenerate"):
         payload["criterion"] = "degenerate measure-independent coefficient"
     else:
-        slope_max = cfg.get("slope_max")
+        slope_max = cfg["slope_max"]
         if slope_max is not None:
             ok = table.fitted_slope <= slope_max
             payload["criterion"] = {"slope_max": slope_max,
                                     "fitted": table.fitted_slope, "pass": ok}
             failed = failed or not ok
-        if cfg.get("require_monotone"):
+        if cfg["require_monotone"]:
             rows = table.rows
             mono = all(rows[i + 1].mean_sq_gap <= rows[i].mean_sq_gap
                        + 2.0 * math.hypot(rows[i].stderr, rows[i + 1].stderr)
@@ -314,12 +405,7 @@ def cmd_chaos_rate(cfg, outdir, threads):
 
 def cmd_compare(cfg, outdir, threads):
     driver = _build_driver(cfg["driver"])
-    if not isinstance(driver, StableDriverSpec):
-        raise ValueError("compare requires a stable driver")
     initial = _build_initial(cfg["initial"])
-    if not isinstance(initial, GaussianLaw):
-        raise ValueError("compare requires a gaussian initial law so both "
-                         "descriptions start from the same density")
     pde_cfg = cfg["pde"]
     grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
                             mean=initial.mean, std=initial.std)
@@ -327,22 +413,21 @@ def cmd_compare(cfg, outdir, threads):
     # with a constant coefficient both descriptions then share one law
     params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
     sigma = _build_sigma(cfg["sigma"])
-    n_snapshots = cfg.get("snapshots", 5)
     pde_steps = max(1, int(round(cfg["horizon"] / pde_cfg["dt"])))
     res = fp.solve_fp(grid, cfg["horizon"], pde_cfg["dt"], sigma, params,
-                      snapshot_every=max(1, pde_steps // n_snapshots),
-                      boundary_density_tol=pde_cfg.get("boundary_density_tol", 1e-3))
-    kde_eps = cfg.get("kde_eps", 0.01)
+                      snapshot_every=max(1, pde_steps // cfg["snapshots"]),
+                      boundary_density_tol=pde_cfg["boundary_density_tol"])
     rows = []
     for n in cfg["particles"]["n_list"]:
         sim = SimulationConfig(
             n_particles=n, dt=cfg["particles"]["dt"], horizon_T=cfg["horizon"],
             seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial,
             threads=threads)
-        flow = simulate(sim, record_every=max(1, sim.n_steps // n_snapshots))
+        flow = simulate(sim, record_every=max(1, sim.n_steps // cfg["snapshots"]))
         for t, p_t in zip(res.times[1:], res.grids[1:]):
             marg = flow.marginal_at(t + 0.5 * sim.dt_effective)
-            kde = measures.read_table(measures.smoothing_table(marg, kde_eps), p_t.nodes)
+            kde = measures.read_table(measures.smoothing_table(marg, cfg["kde_eps"]),
+                                      p_t.nodes)
             l1 = float(np.sum(np.abs(kde - p_t.values)) * p_t.dx)
             rows.append({"n": n, "time": float(t), "l1_distance": l1})
     with open(os.path.join(outdir, "l1_by_n.csv"), "w") as fh:
@@ -354,7 +439,7 @@ def cmd_compare(cfg, outdir, threads):
     l1s = [r["l1_distance"] for r in rows if r["time"] == t_final]
     decreasing = all(b < a for a, b in zip(l1s, l1s[1:]))
     failed = failed or not decreasing
-    limit = cfg.get("l1_max_at_largest")
+    limit = cfg["l1_max_at_largest"]
     if limit is not None:
         failed = failed or l1s[-1] > limit
     summary = {"config": cfg, "rows": rows, "decreasing_in_n_at_horizon": decreasing,
@@ -367,61 +452,60 @@ def cmd_validate_sampler(cfg, outdir, threads):
     report = {"config": cfg}
     failed = False
     seed = cfg["seed"]
+    batteries = {name: _needed(cfg, name, "by batteries") for name in cfg["batteries"]}
 
-    if "cf" in cfg.get("batteries", []):
-        c = cfg["cf"]
+    if "cf" in batteries:
+        c = batteries["cf"]
         rows = []
         for i, alpha in enumerate(c["alphas"]):
-            spec = StableDriverSpec(alpha=alpha, scale=c.get("scale", 1.0))
+            spec = StableDriverSpec(alpha=alpha, scale=c["scale"])
             z = sample_stable_increment(spec, 1.0, substream(seed, 10, i),
                                         size=c["n_samples"])
             xi = np.asarray(c["xi_grid"])
             emp = np.exp(1j * xi[:, None] * z[None, :]).mean(axis=1)
-            exact = np.exp(-c.get("scale", 1.0) * np.abs(xi) ** alpha)
+            exact = np.exp(-c["scale"] * np.abs(xi) ** alpha)
             gap = float(np.max(np.abs(emp - exact)))
             ok = gap <= c["tolerance"]
             rows.append({"alpha": alpha, "max_abs_cf_gap": gap, "pass": ok})
             failed = failed or not ok
         report["cf"] = {"tolerance": c["tolerance"], "rows": rows}
 
-    if "self_similarity" in cfg.get("batteries", []):
+    if "self_similarity" in batteries:
         from scipy.stats import ks_2samp
-        c = cfg["self_similarity"]
+        c = batteries["self_similarity"]
         rows = []
         for i, alpha in enumerate(c["alphas"]):
             spec = StableDriverSpec(alpha=alpha, scale=1.0)
-            dt = c.get("dt", 0.25)
-            a = sample_stable_increment(spec, dt, substream(seed, 20, i),
-                                        size=c["n_samples"]) / dt ** (1.0 / alpha)
+            a = sample_stable_increment(spec, c["dt"], substream(seed, 20, i),
+                                        size=c["n_samples"]) / c["dt"] ** (1.0 / alpha)
             b = sample_stable_increment(spec, 1.0, substream(seed, 21, i),
                                         size=c["n_samples"])
             p = float(ks_2samp(a, b).pvalue)
-            ok = p > c.get("level", 0.01)
+            ok = p > c["level"]
             rows.append({"alpha": alpha, "ks_pvalue": p, "pass": ok})
             failed = failed or not ok
         report["self_similarity"] = rows
 
-    if "gaussian_moments" in cfg.get("batteries", []):
-        c = cfg["gaussian_moments"]
-        spec = StableDriverSpec(alpha=2.0, scale=c.get("scale", 1.0))
+    if "gaussian_moments" in batteries:
+        c = batteries["gaussian_moments"]
+        spec = StableDriverSpec(alpha=2.0, scale=c["scale"])
         z = sample_stable_increment(spec, 1.0, substream(seed, 30), size=c["n_samples"])
         var = float(np.var(z))
         kurt = float(np.mean(z ** 4) / var ** 2)
-        ok = (abs(var - 2.0 * c.get("scale", 1.0)) < 0.02
-              and abs(kurt - 3.0) < 0.05)
-        report["gaussian_moments"] = {"variance": var, "expected": 2.0 * c.get("scale", 1.0),
+        ok = abs(var - 2.0 * c["scale"]) < 0.02 and abs(kurt - 3.0) < 0.05
+        report["gaussian_moments"] = {"variance": var, "expected": 2.0 * c["scale"],
                                       "kurtosis": kurt, "pass": ok}
         failed = failed or not ok
 
-    if "lemma4" in cfg.get("batteries", []):
-        c = cfg["lemma4"]
+    if "lemma4" in batteries:
+        c = batteries["lemma4"]
         rows = []
         prev = None
         for i, n in enumerate(c["n_values"]):
             est = measures.empirical_gap_experiment(
                 lambda r, size: r.standard_normal(size), n, c["reps"],
-                substream(seed, 40, i), n_ref=c.get("n_ref", 10 ** 6))
-            ok = est.mean_sq_distance <= c.get("bound", 4.0)
+                substream(seed, 40, i), n_ref=c["n_ref"])
+            ok = est.mean_sq_distance <= c["bound"]
             if prev is not None:
                 ok = ok and (est.mean_sq_distance
                              < prev.mean_sq_distance
@@ -430,18 +514,17 @@ def cmd_validate_sampler(cfg, outdir, threads):
                          "stderr": est.stderr, "pass": ok})
             failed = failed or not ok
             prev = est
-        report["lemma4"] = {"bound": c.get("bound", 4.0), "rows": rows}
+        report["lemma4"] = {"bound": c["bound"], "rows": rows}
 
-    if "distance_bound" in cfg.get("batteries", []):
-        c = cfg["distance_bound"]
+    if "distance_bound" in batteries:
+        c = batteries["distance_bound"]
         rng = substream(seed, 50)
         violations = 0
         for _ in range(c["trials"]):
-            n = int(rng.integers(c.get("n_min", 2), c.get("n_max", 64) + 1))
+            n = int(rng.integers(c["n_min"], c["n_max"] + 1))
             xs = rng.normal(0.0, 1.0 + rng.random() * 3.0, n)
             ys = xs + rng.normal(0.0, rng.random() * 2.0, n)
-            if not measures.check_empirical_distance_bound(
-                    xs, ys, tol=c.get("tolerance", 1e-12)):
+            if not measures.check_empirical_distance_bound(xs, ys, tol=c["tolerance"]):
                 violations += 1
         report["distance_bound"] = {"trials": c["trials"], "violations": violations,
                                     "pass": violations == 0}
@@ -451,26 +534,18 @@ def cmd_validate_sampler(cfg, outdir, threads):
 
 
 def cmd_check_h1(cfg, outdir, threads):
-    params = PerturbationParams(gamma=cfg["gamma"], eps=cfg["eps"],
-                                alpha=cfg["alpha"],
-                                k1_bound=cfg.get("k1_bound", 1.0),
-                                levy_k=cfg.get("levy_k", 1.0))
-    report = verify_h1(params, resolutions=tuple(cfg.get("resolutions",
-                                                         (256, 512, 1024, 2048))))
+    params = PerturbationParams(gamma=cfg["gamma"], eps=cfg["eps"], alpha=cfg["alpha"],
+                                k1_bound=cfg["k1_bound"], levy_k=cfg["levy_k"])
+    report = verify_h1(params, resolutions=tuple(cfg["resolutions"]))
     payload = report.to_json_dict()
     _write_json(os.path.join(outdir, "report.json"), payload)
     return _finish(outdir, cfg, {"config": cfg, "report": payload},
                    not report.all_passed)
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "pde": cmd_pde,
-    "chaos-rate": cmd_chaos_rate,
-    "compare": cmd_compare,
-    "validate-sampler": cmd_validate_sampler,
-    "check-h1": cmd_check_h1,
-}
+_COMMANDS = {"simulate": cmd_simulate, "pde": cmd_pde, "chaos-rate": cmd_chaos_rate,
+             "compare": cmd_compare, "validate-sampler": cmd_validate_sampler,
+             "check-h1": cmd_check_h1}
 
 
 def main(argv=None):
@@ -500,7 +575,7 @@ def main(argv=None):
             print(f"error: unknown preset {args.preset!r}; "
                   f"available: {', '.join(sorted(PRESETS))}", file=sys.stderr)
             return 2
-        cfg = json.loads(json.dumps(PRESETS[args.preset]))
+        cfg = PRESETS[args.preset]
         label = args.preset
     elif args.config:
         with open(args.config) as fh:
@@ -509,26 +584,16 @@ def main(argv=None):
     else:
         print("error: a config file or --preset is required", file=sys.stderr)
         return 2
-    declared = cfg.get("command", args.command)
-    if declared != args.command:
-        print(f"error: config declares command {declared!r}, "
-              f"invoked as {args.command!r}", file=sys.stderr)
-        return 2
-    cfg["command"] = declared
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    seed = cfg.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        print(f"error: config key 'seed' must be an integer, got {seed!r}", file=sys.stderr)
-        return 2
-    cfg["threads"] = args.threads
+    if args.seed is not None and isinstance(cfg, dict):
+        cfg = {**cfg, "seed": args.seed}
     outdir = args.out or os.path.join("runs", f"{args.command}-{label}")
-    os.makedirs(outdir, exist_ok=True)
     try:
+        cfg = SCHEMAS[args.command](cfg)
+        os.makedirs(outdir, exist_ok=True)
         return _COMMANDS[args.command](cfg, outdir, args.threads)
-    except (ValueError, fp.StabilityError, particles.SimulationError) as exc:
+    except (ConfigError, ValueError, fp.StabilityError, particles.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

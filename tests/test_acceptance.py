@@ -200,9 +200,9 @@ def test_ac11_thread_count_determinism(ac4_run, tmp_path):
     out8 = tmp_path / "threads8"
     assert cli_main(["chaos-rate", "--preset", "AC4", "--threads", "8",
                      "--out", str(out8)]) == 0
-    a = (out1 / "table.csv").read_bytes()
-    b = (out8 / "table.csv").read_bytes()
-    assert a == b
-    assert (out1 / "slope.json").read_bytes() == (out8 / "slope.json").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out8.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out8 / name).read_bytes(), name
     report("AC11 determinism across worker counts",
-           "--threads 1 and --threads 8 produce byte-identical CSV outputs")
+           f"--threads 1 and --threads 8 write byte-identical files ({', '.join(names)})")

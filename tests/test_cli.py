@@ -5,7 +5,8 @@ import os
 
 import numpy as np
 
-from levymv.cli import main
+from levymv.cli import SCHEMAS, main
+from levymv.presets import PRESETS
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -83,7 +84,7 @@ class TestSimulateCommand:
 
     def test_non_numeric_truncation_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**SIM_CFG, "truncation": "2.0"})
-        assert main(["simulate", cfg, "--out", str(tmp_path / "str")]) != 0
+        assert main(["simulate", cfg, "--out", str(tmp_path / "str")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
@@ -92,7 +93,7 @@ class TestSimulateCommand:
         stable = {"kind": "stable", "alpha": 1.5, "scael": 2.0}
         for driver, key in ((triplet, "delta"), (stable, "scael")):
             cfg = write_config(tmp_path, {**SIM_CFG, "driver": driver})
-            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err, key
 
@@ -101,7 +102,7 @@ class TestSimulateCommand:
         initial = {"kind": "gaussian", "mean": 0.0, "sd": 2.0}
         for block, key in (({"sigma": sigma}, "c_1"), ({"initial": initial}, "sd")):
             cfg = write_config(tmp_path, {**SIM_CFG, **block})
-            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, key
 
@@ -110,9 +111,11 @@ class TestSimulateCommand:
                  ("sigma", {"kind": "smoothed_power", "eps": 0.5}, "s"),
                  ("sigma", {"kind": "constant"}, "value"),
                  ("initial", {"kind": "file"}, "path"))
-        for block, value, key in cases:
-            cfg = write_config(tmp_path, {**SIM_CFG, block: value})
-            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+        no_horizon = {k: v for k, v in SIM_CFG.items() if k != "horizon"}
+        configs = [({**SIM_CFG, block: value}, key) for block, value, key in cases]
+        for payload, key in configs + [(no_horizon, "horizon")]:
+            cfg = write_config(tmp_path, payload)
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, key
 
@@ -120,9 +123,10 @@ class TestSimulateCommand:
         for key, value in (("n_particles", "100"), ("n_particles", 100.0),
                            ("n_particles", True), ("dt", "0.1"), ("horizon", None),
                            ("kde_points", "401"), ("record_every", 0),
-                           ("kde_eps", "0.05"), ("seed", "5"), ("seed", 5.0)):
+                           ("kde_eps", "0.05"), ("seed", "5"), ("seed", 5.0),
+                           ("record_evry", 1), ("flow_format", "cvs")):
             cfg = write_config(tmp_path, {**SIM_CFG, key: value})
-            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) != 0
+            assert main(["simulate", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, \
                 (key, value)
@@ -217,7 +221,7 @@ class TestPdeCommand:
         for key, value in cases:
             block = "grid" if key in ("points", "half_width") else key
             cfg = write_config(tmp_path, {**payload, block: value})
-            assert main(["pde", cfg, "--out", str(tmp_path / key)]) == 1
+            assert main(["pde", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, \
                 (key, value)
@@ -279,9 +283,10 @@ class TestChaosCommand:
             "n_list": [10, 20, 40, 80], "reps": 3, "n_ref": 800,
         }
         for key, value in (("reps", "3"), ("reps", 2.5), ("n_ref", "800"),
-                           ("slope_max", "-0.8"), ("horizon", "0.3")):
+                           ("slope_max", "-0.8"), ("horizon", "0.3"),
+                           ("n_list", [10, "20", 40, 80])):
             cfg = write_config(tmp_path, {**payload, key: value})
-            assert main(["chaos-rate", cfg, "--out", str(tmp_path / key)]) == 1
+            assert main(["chaos-rate", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, \
                 (key, value)
@@ -302,7 +307,9 @@ class TestChaosCommand:
             out = tmp_path / f"threads{threads}"
             assert main(["chaos-rate", cfg, "--out", str(out), "--threads", threads]) == 0
             outs.append(out)
-        for name in ("table.csv", "slope.json"):
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
@@ -339,8 +346,16 @@ class TestCompareCommand:
             "particles": {"n_list": [100, 200], "dt": 0.01},
             "pde": {"grid": {"half_width": 20.0, "points": 512}, "dt": 0.005},
         }
-        cfg = write_config(tmp_path, payload)
-        assert main(["compare", cfg, "--out", str(tmp_path / "cmpbad")]) == 1
+        # the other cases start from a gaussian law, so only their own key is bad
+        gaussian = {"initial": {"kind": "gaussian"}}
+        pde = {**payload["pde"], "dt": "0.004"}
+        triplet = {"kind": "triplet", "gaussian_a": 1.0}
+        for key, block in (("kind", {}), ("dt", {**gaussian, "pde": pde}),
+                           ("kind", {**gaussian, "driver": triplet})):
+            cfg = write_config(tmp_path, {**payload, **block})
+            assert main(["compare", cfg, "--out", str(tmp_path / "cmpbad")]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, block
 
 
 class TestValidateAndH1Commands:
@@ -362,6 +377,16 @@ class TestValidateAndH1Commands:
         assert summary["gaussian_moments"]["pass"] is True
         assert summary["distance_bound"]["violations"] == 0
 
+    def test_sampler_battery_config_rejected(self, tmp_path, capsys):
+        # a battery name that is not one, and a listed battery without its block
+        base = {"command": "validate-sampler", "seed": 4,
+                "gaussian_moments": {"n_samples": 1000}}
+        for key, batteries in (("batteries", ["lemma 4"]), ("lemma4", ["lemma4"])):
+            cfg = write_config(tmp_path, {**base, "batteries": batteries})
+            assert main(["validate-sampler", cfg, "--out", str(tmp_path / key)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and repr(key) in err and "Traceback" not in err, key
+
     def test_check_h1_pass_and_fail_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, {
             "command": "check-h1", "seed": 1, "alpha": 1.5, "gamma": 1.0,
@@ -374,3 +399,30 @@ class TestValidateAndH1Commands:
         report = json.load(open(os.path.join(str(tmp_path / "h1bad"),
                                              "report.json")))
         assert report["all_passed"] is False
+
+
+class TestResolvedConfig:
+    def test_resolved_config_holds_every_default(self, tmp_path, capsys):
+        minimal = {"command": "simulate", "seed": 5, "n_particles": 2000, "dt": 0.1,
+                   "horizon": 0.5, "driver": {"kind": "stable", "alpha": 1.5},
+                   "sigma": {"kind": "constant", "value": 1.0}}
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["simulate", write_config(tmp_path, minimal), "--out", str(out1)]) == 0
+        resolved = json.loads((out1 / "config.resolved.json").read_text())
+        assert resolved["record_every"] == 1 and resolved["kde_points"] == 401
+        assert resolved["flow_format"] == "csv" and resolved["truncation"] is None
+        assert resolved["initial"] == {"kind": "gaussian", "mean": 0.0, "std": 1.0}
+        assert resolved["driver"] == {"kind": "stable", "alpha": 1.5, "scale": 1.0}
+        # rerunning from the resolved config reproduces the whole output directory
+        assert main(["simulate", str(out1 / "config.resolved.json"),
+                     "--out", str(out2)]) == 0
+        names = sorted(os.listdir(out1))
+        assert names == sorted(os.listdir(out2))
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_every_preset_resolves(self):
+        for name, preset in PRESETS.items():
+            resolved = SCHEMAS[preset["command"]](preset)
+            assert {key: resolved[key] for key in preset} == preset, name
+            assert SCHEMAS[preset["command"]](resolved) == resolved, name
