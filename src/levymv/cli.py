@@ -7,9 +7,11 @@ command with every key's type and default; ``main`` resolves the config
 against it before the command runs.  Commands read only the resolved config,
 which holds every default and is what ``config.resolved.json`` records.  An
 unknown, missing or ill-typed key prints ``error: ...`` naming the key and
-exits 2; a failed check or a failed run exits 1.  ``--threads`` is not part
-of the config and never changes results, and outputs hold no timestamps, so
-the whole output directory is byte-identical across reruns and thread counts.
+exits 2, as do a config file that cannot be read or parsed and a config that
+would run nothing; a failed check or a failed run exits 1.  ``--threads`` is
+not part of the config and never changes results, and outputs hold no
+timestamps, so the whole output directory is byte-identical across reruns
+and thread counts.
 """
 
 import argparse
@@ -186,7 +188,7 @@ _COMMAND_KEYS = {
         "l1_max_at_largest": (NUMBER, None),
     },
     "validate-sampler": {
-        "batteries": (_list_of(_one_of(*_BATTERIES), least=0), []),
+        "batteries": _list_of(_one_of(*_BATTERIES)),
         **{name: (_block(keys), None) for name, keys in _BATTERIES.items()},
     },
     "check-h1": {
@@ -297,6 +299,10 @@ def cmd_simulate(cfg, outdir, threads):
 
 
 def cmd_pde(cfg, outdir, threads):
+    if cfg["horizon"] is None and cfg["adjoint_checks"] is None \
+            and cfg["linear_oracle"] is None:
+        raise ConfigError("a pde config needs 'horizon', 'adjoint_checks' or "
+                          "'linear_oracle'; without any it runs nothing")
     summary = {"config": cfg}
     failed = False
     sigma = _build_sigma(cfg["sigma"])
@@ -578,8 +584,12 @@ def main(argv=None):
         cfg = PRESETS[args.preset]
         label = args.preset
     elif args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read config file {args.config!r}: {exc}", file=sys.stderr)
+            return 2
         label = os.path.splitext(os.path.basename(args.config))[0]
     else:
         print("error: a config file or --preset is required", file=sys.stderr)

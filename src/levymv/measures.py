@@ -163,28 +163,35 @@ def smoothing_table(mu, eps):
     far-apart heavy-tailed samples cost nodes by their number, not by
     their span.  ``nodes`` increase; read the table with :func:`read_table`,
     which gives 0 beyond the cut.
+
+    The samples are expected sorted, as every caller has them (an
+    :class:`EmpiricalMeasure`, the particle engine's sorted positions):
+    the lattice layout is then read off neighbouring samples.  Any other
+    array is sorted first, so the table depends only on the measure.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
     s = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("samples must be finite")
+    if not (s.size and np.all(np.isfinite(s))):
+        raise ValueError("samples must be finite and nonempty")
+    if np.any(s[1:] < s[:-1]):
+        s = np.sort(s)
     h = _NODE_SPACING * math.sqrt(eps)
     pad = int(_KERNEL_CUT / _NODE_SPACING)
-    lo = float(s.min())
+    lo = float(s[0])
     pos = (s - lo) / h
     left = pos.astype(np.int64)
     frac = pos - left
-    # a sample loads lattice nodes left and left + 1; a gap of more than two
-    # cuts between loaded nodes starts a new run
-    loaded = np.unique(left)
-    split = np.flatnonzero(np.diff(loaded) > 2 * pad + 1) + 1
-    starts = loaded[np.r_[0, split]] - pad
-    lengths = loaded[np.r_[split - 1, -1]] + pad + 2 - starts
+    # a sample loads lattice nodes left and left + 1, and left never decreases
+    # along the samples: a step of more than two cuts between neighbours
+    # starts a new run
+    first = np.r_[0, np.flatnonzero(np.diff(left) > 2 * pad + 1) + 1]
+    starts = left[first] - pad
+    lengths = left[np.r_[first[1:] - 1, -1]] + pad + 2 - starts
     ends = np.cumsum(lengths)
     shift = ends - lengths - starts                  # lattice -> axis, per run
     size = int(lengths.sum())
-    at = left + shift[np.searchsorted(starts, left, side="right") - 1]
+    at = left + np.repeat(shift, np.diff(np.r_[first, s.size]))
     m = 1 << (size - 1).bit_length()                 # a fast FFT length
     weights = (np.bincount(at, 1.0 - frac, minlength=m)
                + np.bincount(at + 1, frac, minlength=m)) / (s.size * h)

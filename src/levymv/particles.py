@@ -8,7 +8,8 @@ sigma through the coefficient's ``summarize``/``from_summary`` pair
 (see :mod:`levymv.coefficients`), in three modes:
 
 * interacting (:func:`simulate`) -- sigma sees the system's own
-  empirical measure, summarized afresh at every step,
+  empirical measure, summarized afresh at every step and evaluated in
+  sorted particle order (one argsort per step, values scattered back),
 * frozen flow (:func:`picard_flow`) -- sigma sees an externally supplied
   marginal flow, summarized once per marginal, which turns the system
   into n independent copies of a linear equation,
@@ -206,13 +207,20 @@ def _check_finite(positions, step_index, time):
 def _sigma_on_own_measure(sigma, x):
     """sigma(x_i, mu^n) for every particle, mu^n the system's empirical measure.
 
-    Summarized in canonical (sorted) order: the measure is order-free, and a
-    fixed reduction order keeps interacting and frozen-flow stepping
-    bit-identical.  A non-finite sample gives non-finite sigma, which the
-    finiteness check on the advanced positions reports (the smoothed-density
-    table rejects it with ``ValueError`` instead).
+    Evaluated in sorted particle order and scattered back: the sorted
+    positions are summarized (the measure is order-free, and a fixed
+    reduction order keeps interacting and frozen-flow stepping
+    bit-identical) and queried in that order, so a table read-back walks
+    its nodes forward; each particle gets the same number as in place.  A
+    non-finite sample gives non-finite sigma, which the finiteness check on
+    the advanced positions reports (the smoothed-density table rejects it
+    with ``ValueError`` instead).
     """
-    return sigma.from_summary(x, sigma.summarize(np.sort(x)))
+    order = np.argsort(x)
+    xs = x[order]
+    out = np.empty(x.shape)
+    out[order] = sigma.from_summary(xs, sigma.summarize(xs))
+    return out
 
 
 def _advance(positions, sigma_values, increments):

@@ -46,6 +46,19 @@ class TestArgumentHandling:
         cfg = write_config(tmp_path, SIM_CFG)
         assert main(["pde", cfg]) == 2
 
+    def test_truncated_config_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "truncated.json"
+        cfg.write_text(json.dumps(SIM_CFG)[:40])
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(cfg) in err and "Traceback" not in err
+
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        cfg = str(tmp_path / "missing.json")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and cfg in err and "Traceback" not in err
+
     def test_seed_required(self, tmp_path, capsys):
         payload = dict(SIM_CFG)
         del payload["seed"]
@@ -226,6 +239,20 @@ class TestPdeCommand:
             assert "error:" in err and repr(key) in err and "Traceback" not in err, \
                 (key, value)
 
+    def test_config_that_runs_nothing_rejected(self, tmp_path, capsys):
+        # no horizon to solve to, no adjoint checks and no linear oracle
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "alpha": 1.5, "dt": 0.01,
+            "sigma": {"kind": "constant", "value": 1.0},
+        }
+        out = tmp_path / "idle"
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'horizon'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     def test_stability_failure_exits_nonzero(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,
@@ -378,10 +405,12 @@ class TestValidateAndH1Commands:
         assert summary["distance_bound"]["violations"] == 0
 
     def test_sampler_battery_config_rejected(self, tmp_path, capsys):
-        # a battery name that is not one, and a listed battery without its block
+        # a battery name that is not one, a listed battery without its block,
+        # and no battery at all, which would run nothing
         base = {"command": "validate-sampler", "seed": 4,
                 "gaussian_moments": {"n_samples": 1000}}
-        for key, batteries in (("batteries", ["lemma 4"]), ("lemma4", ["lemma4"])):
+        for key, batteries in (("batteries", ["lemma 4"]), ("lemma4", ["lemma4"]),
+                               ("batteries", [])):
             cfg = write_config(tmp_path, {**base, "batteries": batteries})
             assert main(["validate-sampler", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err

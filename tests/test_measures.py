@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from levymv.measures import (EmpiricalMeasure, _w2sq_sorted_unequal,
+from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure,
+                             _w2sq_sorted_unequal,
                              check_empirical_distance_bound,
                              empirical_gap_experiment, metric_report, read_table,
                              second_moment, smoothed_density, smoothing_table,
@@ -172,9 +173,36 @@ class TestSmoothingTable:
             2 / 302, rel=1e-9)
         assert read_table((nodes, values), 5e3) == 0.0
 
+    def test_shuffled_samples_give_the_sorted_table(self):
+        s = np.sort(substream(111).standard_cauchy(3000))
+        shuffled = substream(112).permutation(s)
+        for got, want in zip(smoothing_table(shuffled, 0.05), smoothing_table(s, 0.05)):
+            assert np.array_equal(got, want)
+
+    def test_lattice_layout_under_ties(self):
+        # repeated samples, many samples in one lattice cell and samples
+        # exactly on a node (h = 2^-7 here), with loaded nodes two cuts plus
+        # one node apart (one run) and plus two (two runs): the table lays
+        # out the runs around the loaded nodes that np.unique finds
+        eps = 0.25
+        h = _NODE_SPACING * math.sqrt(eps)
+        pad = int(_KERNEL_CUT / _NODE_SPACING)
+        far = 50.0 + np.array([0.0, 0.0, 2 * pad + 1, 4 * pad + 3]) * h
+        s = np.sort(np.r_[np.zeros(40), np.full(25, 3 * h),
+                          0.5 * h + np.linspace(0.0, 0.4 * h, 30), [2.0, 2.0], far])
+        nodes, values = smoothing_table(s, eps)
+        loaded = np.unique(((s - s[0]) / h).astype(np.int64))
+        runs = np.split(loaded, np.flatnonzero(np.diff(loaded) > 2 * pad + 1) + 1)
+        assert len(runs) == 3
+        lattice = np.concatenate([np.arange(r[0] - pad, r[-1] + pad + 2) for r in runs])
+        assert np.array_equal(nodes, s[0] + h * lattice)
+        assert np.trapezoid(values, nodes) == pytest.approx(1.0, rel=1e-9)
+
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
             smoothing_table(np.array([0.0, np.inf]), 0.5)
+        with pytest.raises(ValueError):
+            smoothing_table(np.array([]), 0.5)
         with pytest.raises(ValueError):
             smoothing_table(np.array([0.0]), 0.0)
 

@@ -106,6 +106,18 @@ class TestStepping:
         with pytest.raises(SimulationError):
             simulate(cfg)
 
+    @pytest.mark.parametrize("sigma", [
+        Constant(1.5), LinearInteraction(SineKernel(1.0, 0.5)),
+        LinearInteraction(CauchyKernel(1.0, 0.5)), SmoothedDensityPower(0.05, 0.5)])
+    def test_sorted_read_back_equals_read_back_in_particle_order(self, sigma):
+        # the engine queries sigma at the sorted positions and scatters the
+        # values back: bit for bit what querying the particles in place gives,
+        # on heavy tails with ties
+        x = substream(113).standard_cauchy(1500)
+        x = substream(114).permutation(np.r_[x, x[:300], np.zeros(20)])
+        expected = sigma.from_summary(x, sigma.summarize(np.sort(x)))
+        assert np.array_equal(particles._sigma_on_own_measure(sigma, x), expected)
+
 
 class TestSimulate:
     def test_constant_sigma_terminal_law_is_stable(self):
