@@ -2,17 +2,16 @@
 driven by alpha-stable Levy noise."""
 
 from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
-                           SmoothedDensityPower, evaluate_on_density, lipschitz_probe)
+                           SmoothedDensityPower, lipschitz_probe)
 from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec,
                       cf_constant_from_levy_constant, levy_constant_from_cf_constant,
                       sample_stable_increment, truncated_stable_triplet)
 from .fokker_planck import (AdjointReport, DensityGrid, FractionalParams, FpResult,
                             StabilityError, adjoint_identity_check, bump,
                             fractional_laplacian, gaussian_grid, solve_fp,
-                            solve_linear_exact, stable_heat_kernel_grid, step_fp)
-from .measures import (EmpiricalMeasure, GapEstimate, MetricReport,
-                       check_empirical_distance_bound, empirical_gap_experiment,
-                       metric_report, second_moment, smoothed_density,
+                            solve_linear_exact, stable_heat_kernel_grid)
+from .measures import (EmpiricalMeasure, GapEstimate, check_empirical_distance_bound,
+                       empirical_gap_experiment, second_moment, smoothed_density,
                        truncated_wasserstein2_upper, wasserstein2)
 from .particles import (ChaosRateTable, CouplingResult, FileLaw, GaussianLaw,
                         MarginalFlow, PicardResult, PointMass, SimulationConfig,

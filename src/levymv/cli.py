@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import coefficients, exports, fokker_planck as fp, measures, particles
-from .drivers import JumpAtoms, LevyTripletSpec, StableDriverSpec, sample_stable_increment
+from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec, _step_count,
+                      sample_stable_increment)
 from .particles import (FileLaw, GaussianLaw, PointMass, SimulationConfig,
                         UniformLaw, chaos_rate_experiment, simulate)
 from .perturbation import PerturbationParams, verify_h1
@@ -224,7 +225,11 @@ def _build_initial(d):
     # each kind's schema keys are the fields of its law
     law = {"point": PointMass, "gaussian": GaussianLaw, "uniform": UniformLaw,
            "file": FileLaw}[d["kind"]]
-    return law(**{key: value for key, value in d.items() if key != "kind"})
+    try:
+        return law(**{key: value for key, value in d.items() if key != "kind"})
+    except (OSError, ValueError) as exc:  # only a file law reads anything
+        raise ConfigError(f"{_name(('initial', 'path'))}: cannot load "
+                          f"{d['path']!r}: {exc}") from exc
 
 
 def _build_sim_config(cfg, n, threads):
@@ -353,8 +358,7 @@ def cmd_pde(cfg, outdir, threads):
         horizon, dt = cfg["horizon"], _needed(cfg, "dt", "to solve")
         p = params(_needed(cfg, "alpha", "to solve"))
         grid = _grid_from_config(cfg, p)
-        n_steps = max(1, int(round(horizon / dt)))
-        every = max(1, n_steps // cfg["snapshots"])
+        every = max(1, _step_count(horizon, dt) // cfg["snapshots"])
         res = fp.solve_fp(grid, horizon, dt, sigma, p, snapshot_every=every,
                           scheme=cfg["scheme"],
                           boundary_density_tol=cfg["boundary_density_tol"])
@@ -410,28 +414,39 @@ def cmd_chaos_rate(cfg, outdir, threads):
 
 
 def cmd_compare(cfg, outdir, threads):
+    pde_cfg, particle_dt = cfg["pde"], cfg["particles"]["dt"]
+    # the PDE snapshots at steps j * pde_every of pde_steps pair, by index, with
+    # the particle marginals at steps j * particle_every of particle_steps (and
+    # the horizon with the horizon); checked in integers before anything runs
+    pde_steps = _step_count(cfg["horizon"], pde_cfg["dt"])
+    particle_steps = _step_count(cfg["horizon"], particle_dt)
+    pde_every = max(1, pde_steps // cfg["snapshots"])
+    if pde_every * particle_steps % pde_steps:
+        raise ConfigError(
+            f"{_name(('pde', 'dt'))} = {pde_cfg['dt']!r} and {_name(('particles', 'dt'))} "
+            f"= {particle_dt!r} do not line up: PDE snapshots every {pde_every} of "
+            f"{pde_steps} steps fall between the {particle_steps} particle steps")
+    particle_every = pde_every * particle_steps // pde_steps
     driver = _build_driver(cfg["driver"])
     initial = _build_initial(cfg["initial"])
-    pde_cfg = cfg["pde"]
     grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
                             mean=initial.mean, std=initial.std)
     # the multiplier constant is calibrated to the driver's CF constant:
     # with a constant coefficient both descriptions then share one law
     params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
     sigma = _build_sigma(cfg["sigma"])
-    pde_steps = max(1, int(round(cfg["horizon"] / pde_cfg["dt"])))
     res = fp.solve_fp(grid, cfg["horizon"], pde_cfg["dt"], sigma, params,
-                      snapshot_every=max(1, pde_steps // cfg["snapshots"]),
+                      snapshot_every=pde_every,
                       boundary_density_tol=pde_cfg["boundary_density_tol"])
     rows = []
     for n in cfg["particles"]["n_list"]:
         sim = SimulationConfig(
-            n_particles=n, dt=cfg["particles"]["dt"], horizon_T=cfg["horizon"],
+            n_particles=n, dt=particle_dt, horizon_T=cfg["horizon"],
             seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial,
             threads=threads)
-        flow = simulate(sim, record_every=max(1, sim.n_steps // cfg["snapshots"]))
-        for t, p_t in zip(res.times[1:], res.grids[1:]):
-            marg = flow.marginal_at(t + 0.5 * sim.dt_effective)
+        flow = simulate(sim, record_every=particle_every)
+        for t, p_t, marg in zip(res.times[1:], res.grids[1:], flow.marginals[1:],
+                                strict=True):
             kde = measures.read_table(measures.smoothing_table(marg, cfg["kde_eps"]),
                                       p_t.nodes)
             l1 = float(np.sum(np.abs(kde - p_t.values)) * p_t.dx)

@@ -40,10 +40,8 @@ __all__ = [
     "SmoothedDensityPower",
     "SineKernel",
     "CauchyKernel",
-    "evaluate_on_density",
     "lipschitz_probe",
     "LipschitzEstimate",
-    "sigma_on_grid_values",
 ]
 
 
@@ -220,22 +218,6 @@ class SmoothedDensityPower:
         # negative base to a fractional power
         return lambda values: np.maximum(
             periodic_convolution(values, kernel_hat, dx), 0.0) ** self.s
-
-
-def evaluate_on_density(spec, grid):
-    """sigma(x_j, p dx) on every grid node, density treated as the measure."""
-    p = grid.values
-    if np.any(p < -1e-8 * max(p.max(), 1e-300)):
-        raise ValueError("grid density must be nonnegative")
-    if abs(float(np.sum(p)) * grid.dx - 1.0) > 1e-6:
-        raise ValueError("grid density must carry unit mass")
-    return spec.on_grid(grid)(p)
-
-
-def sigma_on_grid_values(spec, values, grid):
-    """Like :func:`evaluate_on_density` but without the probability-density
-    prechecks, for raw vectors such as integrator stages."""
-    return spec.on_grid(grid)(np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)

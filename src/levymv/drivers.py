@@ -260,3 +260,13 @@ def sample_increment_array(driver, dt, n, rng, truncation=None):
     if truncation is not None and np.isfinite(truncation):
         return totals - big_sums
     return totals
+
+
+def _step_count(horizon, dt):
+    """Whole steps of about ``dt`` covering ``horizon``, at least one.
+
+    The one rule by which the particle engine and the spectral solver snap
+    a horizon to their time grid; the step actually taken is
+    ``horizon / _step_count(horizon, dt)``.
+    """
+    return max(1, int(round(horizon / dt)))

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from . import coefficients
-from .drivers import cf_constant_from_levy_constant
+from .drivers import _step_count, cf_constant_from_levy_constant
 
 __all__ = [
     "DensityGrid",
@@ -33,7 +32,6 @@ __all__ = [
     "StabilityError",
     "fractional_laplacian",
     "solve_linear_exact",
-    "step_fp",
     "solve_fp",
     "stable_step_limit",
     "adjoint_identity_check",
@@ -201,41 +199,34 @@ class _Operator:
         return np.fft.irfft(np.fft.rfft(w) * self.multiplier, n=values.size)
 
 
-def step_fp(p, dt, sigma, params, safety=0.5, check=True):
-    """One explicit RK4 step of the method-of-lines system.
+def _step_rk4(p, dt, op, safety):
+    """One explicit RK4 step of the method-of-lines system with the solve's
+    operator.
 
     Raises :class:`StabilityError` when dt exceeds the spectral-radius
     bound, when the step creates negative values beyond the positivity
     monitor, or when mass drifts (the zero mode is invariant, so any
     drift is a bug, not a modeling error).
     """
-    return _step_rk4(p, dt, _Operator(p, sigma, params), safety, check)
-
-
-def _step_rk4(p, dt, op, safety, check=True):
-    """:func:`step_fp` with the solve's operator."""
     v = p.values
-    s0 = None
-    if check:
-        s0 = np.abs(op.sigma(v))
-        limit = stable_step_limit(p, float(s0.max()), op.params, safety)
-        if dt > limit * (1.0 + 1e-12):
-            raise StabilityError(f"dt={dt:.3g} exceeds stability bound {limit:.3g} "
-                                 f"(alpha={op.params.alpha}, dx={p.dx:.3g})")
+    s0 = np.abs(op.sigma(v))
+    limit = stable_step_limit(p, float(s0.max()), op.params, safety)
+    if dt > limit * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:.3g} exceeds stability bound {limit:.3g} "
+                             f"(alpha={op.params.alpha}, dx={p.dx:.3g})")
     k1 = op.flux(v, s0)
     k2 = op.flux(v + 0.5 * dt * k1)
     k3 = op.flux(v + 0.5 * dt * k2)
     k4 = op.flux(v + dt * k3)
     new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if check:
-        drift = abs(float(new.sum()) - float(v.sum())) * p.dx
-        if drift > 1e-9:
-            raise StabilityError(f"mass drifted by {drift:.3g} in one step; "
-                                 "zero-mode invariance is broken")
-        floor = -1e-8 * max(float(new.max()), 1e-300)
-        if float(new.min()) < floor:
-            raise StabilityError(f"positivity monitor tripped: min {new.min():.3g} "
-                                 f"< {floor:.3g}; reduce dt or refine the grid")
+    drift = abs(float(new.sum()) - float(v.sum())) * p.dx
+    if drift > 1e-9:
+        raise StabilityError(f"mass drifted by {drift:.3g} in one step; "
+                             "zero-mode invariance is broken")
+    floor = -1e-8 * max(float(new.max()), 1e-300)
+    if float(new.min()) < floor:
+        raise StabilityError(f"positivity monitor tripped: min {new.min():.3g} "
+                             f"< {floor:.3g}; reduce dt or refine the grid")
     out = DensityGrid.__new__(DensityGrid)
     out.half_width, out.m, out.dx = p.half_width, p.m, p.dx
     out.values = new
@@ -295,7 +286,7 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshot_every=None, scheme="rk4",
     """
     if scheme not in ("rk4", "if-rk4"):
         raise ValueError("scheme must be 'rk4' or 'if-rk4'")
-    n_steps = max(1, int(round(horizon / dt)))
+    n_steps = _step_count(horizon, dt)
     dt = horizon / n_steps
     if snapshot_every is None:
         snapshot_every = n_steps
@@ -320,9 +311,8 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshot_every=None, scheme="rk4",
                 f"boundary density {bdry[-1]:.3g} exceeds {boundary_density_tol:.3g} "
                 f"at t={t:.4g}; enlarge the domain for this horizon")
         if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
-            if times[-1] != t:
-                times.append(t)
-                grids.append(p)
+            times.append(t)
+            grids.append(p)
     return FpResult(times=times, grids=grids, mass_trace=np.asarray(mass),
                     min_trace=np.asarray(mins), boundary_trace=np.asarray(bdry),
                     dt=dt, scheme=scheme)
@@ -373,19 +363,23 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     function, with the periodic tail summed exactly through the Hurwitz
     zeta), integrated against ``psi``.  Right side: the same pairing with
     the multiplier form moved onto ``|sigma|^alpha psi`` spectrally.
-    Both test functions must be compactly supported away from the seam.
+    Both test functions must be compactly supported away from the seam, and
+    ``nu_grid`` must be a probability density: sigma reads it as the measure.
     """
-    m, L, dx = nu_grid.m, nu_grid.half_width, nu_grid.dx
-    x = nu_grid.nodes
+    L, dx = nu_grid.half_width, nu_grid.dx
+    x, nu = nu_grid.nodes, nu_grid.values
     for name, fn in (("phi", phi), ("psi", psi)):
         edge = np.max(np.abs(fn(np.concatenate(
             [np.linspace(-L, -support_fraction * L, 64),
              np.linspace(support_fraction * L, L, 64)]))))
         if edge > 1e-12:
             raise ValueError(f"{name} must vanish outside |x| <= {support_fraction} L")
+    if np.any(nu < -1e-8 * max(nu.max(), 1e-300)):
+        raise ValueError("grid density must be nonnegative")
+    if abs(nu_grid.mass() - 1.0) > 1e-6:
+        raise ValueError("grid density must carry unit mass")
 
-    s = np.abs(np.asarray(coefficients.evaluate_on_density(sigma, nu_grid), dtype=float))
-    s = np.broadcast_to(s, (m,)).astype(float)
+    s = np.abs(sigma.on_grid(nu_grid)(nu))
     if float(s.min()) <= 0.0:
         raise ValueError("coefficient must be nonvanishing for the duality check")
     alpha = params.alpha

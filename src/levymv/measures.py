@@ -20,10 +20,8 @@ import numpy as np
 
 __all__ = [
     "EmpiricalMeasure",
-    "MetricReport",
     "wasserstein2",
     "truncated_wasserstein2_upper",
-    "metric_report",
     "check_empirical_distance_bound",
     "smoothed_density",
     "smoothing_table",
@@ -87,21 +85,6 @@ def truncated_wasserstein2_upper(mu, nu):
         raise ValueError(f"sample counts differ: {len(mu)} vs {len(nu)}")
     d = mu.samples - nu.samples
     return math.sqrt(float(np.mean(np.minimum(d * d, 1.0))))
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Both transport quantities for one pair of measures."""
-
-    d2: float
-    d1_upper: float
-
-
-def metric_report(mu, nu):
-    rep = MetricReport(d2=wasserstein2(mu, nu),
-                       d1_upper=truncated_wasserstein2_upper(mu, nu))
-    assert rep.d1_upper <= min(rep.d2, 1.0) + 1e-12
-    return rep
 
 
 def check_empirical_distance_bound(xs, ys, tol=1e-12):

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drivers import (StableDriverSpec, _check_truncation, sample_increment_array,
-                      truncated_stable_triplet)
+from .drivers import (StableDriverSpec, _check_truncation, _step_count,
+                      sample_increment_array, truncated_stable_triplet)
 from .measures import EmpiricalMeasure, wasserstein2
 from .rng import derive_key, substream
 
@@ -99,13 +99,17 @@ class UniformLaw:
 
 @dataclass(frozen=True)
 class FileLaw:
-    """Empirical law loaded from a single-column CSV; draws resample it."""
+    """Empirical law of a single-column CSV, loaded once at construction;
+    draws resample it."""
 
     path: str
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", EmpiricalMeasure.from_csv(self.path).samples)
 
     def sample(self, n, rng):
-        samples = EmpiricalMeasure.from_csv(self.path).samples
-        return samples[rng.integers(0, samples.size, n)]
+        return self.samples[rng.integers(0, self.samples.size, n)]
 
     def cf(self, xi):
         """None: a resampled file has no closed-form characteristic function."""
@@ -149,7 +153,7 @@ class SimulationConfig:
             raise ValueError("need at least one particle")
         if not (self.dt > 0.0 and self.horizon_T > 0.0):
             raise ValueError("dt and horizon must be positive")
-        self.n_steps = max(1, int(round(self.horizon_T / self.dt)))
+        self.n_steps = _step_count(self.horizon_T, self.dt)
         self.dt_effective = self.horizon_T / self.n_steps
         trunc = self.truncation_N
         _check_truncation(trunc)
@@ -163,12 +167,6 @@ class SimulationConfig:
 
     def times(self):
         return self.dt_effective * np.arange(self.n_steps + 1)
-
-
-def _left_index(times, t):
-    """Index of the largest entry of ``times`` <= t, tolerating roundoff
-    in t; 0 when t precedes them all."""
-    return max(int(np.searchsorted(times, t + 1e-12, side="right")) - 1, 0)
 
 
 @dataclass
@@ -187,10 +185,6 @@ class MarginalFlow:
         sizes = {len(m) for m in self.marginals}
         if len(sizes) != 1:
             raise ValueError("all marginals must hold the same sample count")
-
-    def marginal_at(self, t):
-        """Marginal at the largest recorded time <= t (left limit)."""
-        return self.marginals[_left_index(self.times, t)]
 
     def final(self):
         return self.marginals[-1]
@@ -229,38 +223,37 @@ def _advance(positions, sigma_values, increments):
         return positions + sigma_values * increments
 
 
-def step_increments(cfg, step_index, n=None):
+def step_increments(cfg, step_index):
     """The increment vector consumed by step ``step_index`` of a run.
 
     Exposed so couplings and hand-rolled oracles can replay exactly what
     the engine drew; pure function of (seed, step) and the particle count.
     """
     rng = substream(cfg.seed, _ROLE_STEP, step_index)
-    n = cfg.n_particles if n is None else n
-    return sample_increment_array(cfg.effective_driver, cfg.dt_effective, n, rng,
+    return sample_increment_array(cfg.effective_driver, cfg.dt_effective,
+                                  cfg.n_particles, rng,
                                   truncation=cfg.effective_truncation)
 
 
-def initial_positions(cfg, n=None):
-    rng = substream(cfg.seed, _ROLE_INIT)
-    return cfg.initial_law.sample(cfg.n_particles if n is None else n, rng)
+def initial_positions(cfg):
+    return cfg.initial_law.sample(cfg.n_particles, substream(cfg.seed, _ROLE_INIT))
 
 
 def simulate(cfg, record_every=1):
-    """Run the interacting system, recording the marginal at every step."""
+    """Run the interacting system, recording the marginal at step 0, every
+    ``record_every`` steps and at the horizon."""
     x = initial_positions(cfg)
     times = [0.0]
     marginals = [EmpiricalMeasure(x)]
     for k in range(cfg.n_steps):
-        dz = step_increments(cfg, k, n=x.size)
+        dz = step_increments(cfg, k)
         sig = _sigma_on_own_measure(cfg.sigma, x)
         x = _advance(x, sig, dz)
         t = (k + 1) * cfg.dt_effective
         _check_finite(x, k + 1, t)
         if (k + 1) % record_every == 0 or k == cfg.n_steps - 1:
-            if times[-1] != t:
-                times.append(t)
-                marginals.append(EmpiricalMeasure(x))
+            times.append(t)
+            marginals.append(EmpiricalMeasure(x))
     return MarginalFlow(times=np.asarray(times), marginals=marginals)
 
 
@@ -332,17 +325,27 @@ def simulate_coupled(cfg, reference_flow):
     distance between the two empirical measures is checked against the
     paired-configuration bound |xi - zeta| / sqrt(n); the worst excess is
     reported (it must be nonpositive up to roundoff).
+
+    At step k the copies read the reference marginal of step k, so the
+    reference flow must be recorded at every time of ``cfg.times()``
+    (``simulate`` with ``record_every=1`` on the same dt and horizon);
+    any other flow raises ``ValueError``.
     """
+    if not np.array_equal(reference_flow.times, cfg.times()):
+        raise ValueError(
+            f"reference flow must be recorded at the run's {cfg.n_steps + 1} step times "
+            f"up to {cfg.horizon_T:.6g}; it has {reference_flow.times.size} up to "
+            f"{reference_flow.times[-1]:.6g}")
     summaries = [cfg.sigma.summarize(m.samples) for m in reference_flow.marginals]
-    return _simulate_coupled(cfg, reference_flow.times, summaries)
+    return _simulate_coupled(cfg, summaries)
 
 
-def _simulate_coupled(cfg, ref_times, summaries):
+def _simulate_coupled(cfg, summaries):
     """The stepping loop of :func:`simulate_coupled`.
 
-    ``summaries[j]`` is ``cfg.sigma.summarize`` of the reference marginal
-    recorded at ``ref_times[j]``; it is only read here, so one list can
-    serve many runs, concurrent ones included.
+    ``summaries[k]`` is ``cfg.sigma.summarize`` of the reference marginal
+    at step k; it is only read here, so one list can serve many runs,
+    concurrent ones included.
     """
     sigma = cfg.sigma
     x_sys = initial_positions(cfg)
@@ -350,10 +353,9 @@ def _simulate_coupled(cfg, ref_times, summaries):
     sup_gap = np.zeros(x_sys.size)
     worst_excess = -math.inf
     for k in range(cfg.n_steps):
-        t = k * cfg.dt_effective
-        dz = step_increments(cfg, k, n=x_sys.size)
+        dz = step_increments(cfg, k)
         sig_sys = _sigma_on_own_measure(sigma, x_sys)
-        sig_cop = sigma.from_summary(x_cop, summaries[_left_index(ref_times, t)])
+        sig_cop = sigma.from_summary(x_cop, summaries[k])
         x_sys = _advance(x_sys, sig_sys, dz)
         x_cop = _advance(x_cop, sig_cop, dz)
         t_next = (k + 1) * cfg.dt_effective
@@ -445,7 +447,7 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
         i, n, r = task
         run_cfg = replace(base, n_particles=n,
                           seed=derive_key(cfg_base.seed, i + 1, r))
-        return _simulate_coupled(run_cfg, reference_flow.times, summaries).mean_sq()
+        return _simulate_coupled(run_cfg, summaries).mean_sq()
 
     tasks = [(i, n, r) for i, n in enumerate(n_list) for r in range(reps)]
     if threads > 1:

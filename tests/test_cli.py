@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from levymv import cli
 from levymv.cli import SCHEMAS, main
 from levymv.presets import PRESETS
 
@@ -131,6 +132,15 @@ class TestSimulateCommand:
             assert main(["simulate", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, key
+
+    def test_unloadable_initial_file_rejected(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("x\n1.0\n")
+        for name in ("missing.csv", "bad.csv"):
+            initial = {"kind": "file", "path": str(tmp_path / name)}
+            cfg = write_config(tmp_path, {**SIM_CFG, "initial": initial})
+            assert main(["simulate", cfg, "--out", str(tmp_path / "file")]) == 2, name
+            err = capsys.readouterr().err
+            assert "error:" in err and "'path'" in err and "Traceback" not in err, name
 
     def test_non_numeric_sizes_rejected(self, tmp_path, capsys):
         for key, value in (("n_particles", "100"), ("n_particles", 100.0),
@@ -362,6 +372,30 @@ class TestCompareCommand:
         assert len(lines) == 1 + 2 * 2  # two sizes x two snapshot times
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["decreasing_in_n_at_horizon"] is True
+
+    def test_snapshots_off_the_particle_steps_rejected_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        # 11 particle steps of 0.045 and PDE snapshots every 10 of 50 steps of
+        # 0.01: no snapshot after t = 0 falls on a particle step
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli.fp, "solve_fp", no_run)
+        monkeypatch.setattr(cli, "simulate", no_run)
+        payload = {
+            "command": "compare", "seed": 9,
+            "driver": {"kind": "stable", "alpha": 1.5},
+            "sigma": {"kind": "constant", "value": 1.0},
+            "initial": {"kind": "gaussian"},
+            "horizon": 0.5,
+            "particles": {"n_list": [100, 1000], "dt": 0.045},
+            "pde": {"grid": {"half_width": 30.0, "points": 256}, "dt": 0.01},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["compare", cfg, "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "0.045" in err and "0.01" in err
+        assert "Traceback" not in err
 
     def test_non_gaussian_initial_rejected(self, tmp_path, capsys):
         payload = {

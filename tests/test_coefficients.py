@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
-                                 SmoothedDensityPower, evaluate_on_density,
-                                 lipschitz_probe)
+                                 SmoothedDensityPower, lipschitz_probe)
 from levymv.drivers import StableDriverSpec, sample_stable_increment
-from levymv.fokker_planck import DensityGrid, gaussian_grid
+from levymv.fokker_planck import (DensityGrid, FractionalParams, adjoint_identity_check,
+                                  bump, gaussian_grid)
 from levymv.measures import EmpiricalMeasure
 from levymv.rng import substream
 
@@ -28,7 +28,7 @@ class TestConstant:
 
     def test_grid_evaluation(self):
         grid = gaussian_grid(8.0, 64)
-        assert np.all(evaluate_on_density(Constant(2.0), grid) == 2.0)
+        assert np.all(Constant(2.0).on_grid(grid)(grid.values) == 2.0)
 
 
 class TestLinearInteraction:
@@ -80,7 +80,7 @@ class TestLinearInteraction:
     def test_odd_output_for_sine_kernel_on_even_density(self):
         grid = gaussian_grid(8.0, 256, mean=0.0, std=1.0)
         sig = LinearInteraction(SineKernel(c0=0.0, c1=1.0))
-        out = evaluate_on_density(sig, grid)
+        out = sig.on_grid(grid)(grid.values)
         # nodes are -L + j dx: node 0 has no mirror, the rest pair up
         flipped = -out[1:][::-1]
         assert np.max(np.abs(out[1:] - flipped)) < 1e-12
@@ -106,7 +106,7 @@ class TestSmoothedDensityPower:
         rng = substream(205)
         grid = gaussian_grid(10.0, 512, std=1.0)
         sig = SmoothedDensityPower(0.5, 1.0)
-        on_grid = evaluate_on_density(sig, grid)
+        on_grid = sig.on_grid(grid)(grid.values)
         mu = EmpiricalMeasure(rng.standard_normal(1_000_000))
         mc = sig.evaluate(grid.nodes, mu)
         assert np.max(np.abs(on_grid - mc)) < 0.01
@@ -158,7 +158,7 @@ class TestSmoothedDensityPower:
     def test_grid_too_coarse_rejected(self):
         grid = gaussian_grid(16.0, 16)  # dx = 2 -> needs eps >= 16
         with pytest.raises(ValueError):
-            evaluate_on_density(SmoothedDensityPower(1.0, 1.0), grid)
+            SmoothedDensityPower(1.0, 1.0).on_grid(grid)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -190,6 +190,14 @@ class TestSummaryProtocol:
 
 
 class TestEvaluateOnDensityGuards:
+    """The duality check reads its grid density as sigma's measure; it
+    rejects one that is not a probability density."""
+
+    @staticmethod
+    def _check(grid):
+        phi = bump(0.0, 2.5)
+        adjoint_identity_check(Constant(1.0), grid, phi, phi, FractionalParams(1.5))
+
     def test_negative_density_rejected(self):
         grid = gaussian_grid(8.0, 64)
         bad = grid.values.copy()
@@ -197,16 +205,16 @@ class TestEvaluateOnDensityGuards:
         grid2 = DensityGrid.__new__(DensityGrid)
         grid2.half_width, grid2.m, grid2.dx = grid.half_width, grid.m, grid.dx
         grid2.values = bad
-        with pytest.raises(ValueError):
-            evaluate_on_density(Constant(1.0), grid2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            self._check(grid2)
 
     def test_wrong_mass_rejected(self):
         grid = gaussian_grid(8.0, 64)
         grid2 = DensityGrid.__new__(DensityGrid)
         grid2.half_width, grid2.m, grid2.dx = grid.half_width, grid.m, grid.dx
         grid2.values = grid.values * 2.0
-        with pytest.raises(ValueError):
-            evaluate_on_density(Constant(1.0), grid2)
+        with pytest.raises(ValueError, match="unit mass"):
+            self._check(grid2)
 
 
 class TestLipschitzProbe:

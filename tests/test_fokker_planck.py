@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
-                                 SmoothedDensityPower, sigma_on_grid_values)
+                                 SmoothedDensityPower)
 from levymv.fokker_planck import (DensityGrid, FractionalParams, StabilityError,
                                   adjoint_identity_check, bump,
                                   fractional_laplacian, gaussian_grid, solve_fp,
                                   solve_linear_exact, stable_heat_kernel_grid,
-                                  stable_step_limit, step_fp)
+                                  stable_step_limit)
 
 
 class TestFractionalLaplacian:
@@ -62,20 +62,21 @@ class TestLinearExact:
 
 
 class TestStepFp:
+    """The explicit RK4 step, taken through solve_fp."""
+
     def test_zero_coefficient_freezes_density(self):
         grid = gaussian_grid(8.0, 128)
-        out = step_fp(grid, 1e-3, Constant(0.0, check_nonzero=False),
-                      FractionalParams(1.5))
-        assert np.array_equal(out.values, grid.values)
+        res = solve_fp(grid, 1e-3, 1e-3, Constant(0.0, check_nonzero=False),
+                       FractionalParams(1.5))
+        assert np.array_equal(res.final().values, grid.values)
 
     def test_constant_sigma_matches_exact_solver(self):
         grid = gaussian_grid(8.0, 128, std=0.5)
         params = FractionalParams(1.5, 1.0)
-        p, dt = grid, 0.01
-        for _ in range(50):
-            p = step_fp(p, dt, Constant(1.0), params)
+        res = solve_fp(grid, 0.5, 0.01, Constant(1.0), params,
+                       boundary_density_tol=1e-2)
         exact = solve_linear_exact(grid, 0.5, params)
-        assert np.max(np.abs(p.values - exact.values)) < 1e-8
+        assert np.max(np.abs(res.final().values - exact.values)) < 1e-8
 
     def test_rk4_order_confirmed_by_halving(self):
         grid = gaussian_grid(8.0, 128, std=0.5)
@@ -90,28 +91,26 @@ class TestStepFp:
 
     def test_evenness_preserved(self):
         grid = gaussian_grid(8.0, 128, mean=0.0, std=0.7)
-        p = grid
-        for _ in range(20):
-            p = step_fp(p, 0.005, SmoothedDensityPower(0.5, 0.5),
-                        FractionalParams(1.5))
-        v = p.values
+        res = solve_fp(grid, 0.1, 0.005, SmoothedDensityPower(0.5, 0.5),
+                       FractionalParams(1.5), boundary_density_tol=1e-2)
+        assert len(res.mass_trace) == 21
+        v = res.final().values
         mirrored = np.concatenate([[v[0]], v[1:][::-1]])
         assert np.max(np.abs(v - mirrored)) < 1e-12
 
     def test_mass_conserved_each_step(self):
         grid = gaussian_grid(10.0, 256, std=1.0)
-        p = grid
-        for _ in range(25):
-            p = step_fp(p, 0.002, SmoothedDensityPower(0.5, 0.7),
-                        FractionalParams(1.7))
-            assert abs(p.mass() - 1.0) < 1e-12
+        res = solve_fp(grid, 0.05, 0.002, SmoothedDensityPower(0.5, 0.7),
+                       FractionalParams(1.7), boundary_density_tol=1e-2)
+        assert len(res.mass_trace) == 26
+        assert np.max(np.abs(res.mass_trace - 1.0)) < 1e-12
 
     def test_oversized_step_rejected(self):
         grid = gaussian_grid(8.0, 256, std=0.5)
         params = FractionalParams(1.8, 1.0)
         limit = stable_step_limit(grid, 1.0, params)
         with pytest.raises(StabilityError):
-            step_fp(grid, 3.0 * limit, Constant(1.0), params)
+            solve_fp(grid, 3.0 * limit, 3.0 * limit, Constant(1.0), params)
 
 
 class TestSolveFp:
@@ -167,8 +166,10 @@ class TestSolveFp:
 
 def _hand_rk4(p0, dt, n_steps, sigma, params):
     """RK4 on the public pieces alone: the reference the solver must equal."""
+    sigma_on_grid = sigma.on_grid(p0)
+
     def flux(v):
-        s = sigma_on_grid_values(sigma, v, p0)
+        s = sigma_on_grid(v)
         return fractional_laplacian(np.abs(s) ** params.alpha * v, p0, params)
 
     v = p0.values
@@ -199,22 +200,12 @@ class TestSolverEqualsHandSteps:
     def test_solve_fp_rk4_equals_hand_steps(self, name):
         grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
         params = FractionalParams(1.5, 1.0)
-        res = solve_fp(grid, 20 * self.dt, self.dt, SIGMAS[name], params,
-                       scheme="rk4", boundary_density_tol=1e-2)
-        assert len(res.mass_trace) == 21
-        hand = _hand_rk4(grid, self.dt, 20, SIGMAS[name], params)
-        assert np.array_equal(res.final().values, hand)
-
-    @pytest.mark.parametrize("name", sorted(SIGMAS))
-    def test_step_fp_equals_one_solver_step(self, name):
-        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
-        params = FractionalParams(1.5, 1.0)
-        one = step_fp(grid, self.dt, SIGMAS[name], params)
-        res = solve_fp(grid, self.dt, self.dt, SIGMAS[name], params,
-                       boundary_density_tol=1e-2)
-        assert np.array_equal(one.values, res.final().values)
-        unchecked = step_fp(grid, self.dt, SIGMAS[name], params, check=False)
-        assert np.array_equal(one.values, unchecked.values)
+        for n_steps in (1, 20):
+            res = solve_fp(grid, n_steps * self.dt, self.dt, SIGMAS[name], params,
+                           scheme="rk4", boundary_density_tol=1e-2)
+            assert len(res.mass_trace) == n_steps + 1
+            hand = _hand_rk4(grid, self.dt, n_steps, SIGMAS[name], params)
+            assert np.array_equal(res.final().values, hand), n_steps
 
 
 class TestAdjointIdentity:

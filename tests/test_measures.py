@@ -10,7 +10,7 @@ from scipy.stats import norm
 from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure,
                              _w2sq_sorted_unequal,
                              check_empirical_distance_bound,
-                             empirical_gap_experiment, metric_report, read_table,
+                             empirical_gap_experiment, read_table,
                              second_moment, smoothed_density, smoothing_table,
                              truncated_wasserstein2_upper, wasserstein2)
 from levymv.rng import substream
@@ -89,9 +89,10 @@ class TestTruncatedUpperBound:
         rng = substream(104)
         for _ in range(300):
             n = int(rng.integers(2, 16))
-            rep = metric_report(EmpiricalMeasure(rng.normal(0, 2, n)),
-                                EmpiricalMeasure(rng.normal(0.5, 1, n)))
-            assert rep.d1_upper <= min(rep.d2, 1.0) + 1e-12
+            mu = EmpiricalMeasure(rng.normal(0, 2, n))
+            nu = EmpiricalMeasure(rng.normal(0.5, 1, n))
+            assert truncated_wasserstein2_upper(mu, nu) <= min(wasserstein2(mu, nu),
+                                                               1.0) + 1e-12
 
 
 class TestDistanceBound:

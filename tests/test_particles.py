@@ -50,7 +50,7 @@ class TestStepping:
     def test_two_particle_hand_rolled_update(self):
         cfg = make_cfg(n_particles=2, seed=7)
         x0 = initial_positions(cfg)
-        dz = step_increments(cfg, 0, n=2)
+        dz = step_increments(cfg, 0)
         # sigma(x_i, mu) = 1 + 0.5 * mean_j sin(x_i - x_j)
         sig = np.array([1.0 + 0.5 * np.mean(np.sin(xi - x0)) for xi in x0])
         expected = x0 + sig * dz
@@ -63,7 +63,8 @@ class TestStepping:
         # coefficient ignores it, so they move exactly like the system
         cfg = make_cfg(sigma=Constant(1.3))
         ext = EmpiricalMeasure(substream(3).normal(5.0, 2.0, 64))
-        res = simulate_coupled(cfg, MarginalFlow(times=[0.0], marginals=[ext]))
+        res = simulate_coupled(cfg, MarginalFlow(times=cfg.times(),
+                                                 marginals=[ext] * (cfg.n_steps + 1)))
         assert np.all(res.sup_abs_gaps == 0.0)
 
     def test_frozen_flow_self_consistency(self):
@@ -84,7 +85,8 @@ class TestStepping:
         cfg = make_cfg(n_particles=1, sigma=sig, seed=9, horizon_T=0.05)
         x0 = initial_positions(cfg)[0]
         ext = EmpiricalMeasure([0.0, 1.0])
-        res = simulate_coupled(cfg, MarginalFlow(times=[0.0], marginals=[ext]))
+        res = simulate_coupled(cfg, MarginalFlow(times=cfg.times(),
+                                                 marginals=[ext] * (cfg.n_steps + 1)))
         # the engine reads sigma from the binned summaries; the step
         # arithmetic is checked exactly against them
         sig_cop = sig.from_summary(x0, sig.summarize(ext.samples))
@@ -253,9 +255,9 @@ class TestCoupling:
         sig = SmoothedDensityPower(0.5, 0.5)
         worst = 0.0
         for k in range(cfg.n_steps):
-            dz = float(step_increments(cfg, k, n=1)[0])
+            dz = float(step_increments(cfg, k)[0])
             s_sys = float(sig.from_summary(x_sys, sig.summarize(np.array([x_sys]))))
-            marg = ref.marginal_at(k * cfg.dt_effective)
+            marg = ref.marginals[k]
             s_cop = float(sig.from_summary(x_cop, sig.summarize(marg.samples)))
             # the summaries the engine reads stand in for the exact sums
             assert s_sys == pytest.approx(float(sig.evaluate(x_sys, [x_sys])), rel=1e-4)
@@ -264,6 +266,15 @@ class TestCoupling:
             x_cop += s_cop * dz
             worst = max(worst, abs(x_sys - x_cop))
         assert res.sup_abs_gaps[0] == pytest.approx(worst, rel=1e-10)
+
+    def test_reference_flow_on_another_grid_rejected(self):
+        # the copies read the reference marginal by step index, so a flow
+        # recorded on other times is refused instead of paired by time
+        cfg = make_cfg(n_particles=50, seed=46)
+        for other in (simulate(cfg, record_every=2),
+                      simulate(make_cfg(n_particles=50, seed=46, dt=0.045))):
+            with pytest.raises(ValueError, match="reference flow"):
+                simulate_coupled(cfg, other)
 
     def test_distance_bound_holds_along_interacting_runs(self):
         cfg = make_cfg(n_particles=300, seed=44)
@@ -370,6 +381,22 @@ class TestInitialLaws:
         assert set(np.unique(draws)) <= {1.0, 2.0, 3.0}
         assert FileLaw(str(path)).cf(np.array([1.0])) is None
 
+    def test_file_law_loads_its_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "init.csv"
+        EmpiricalMeasure(substream(66).standard_normal(500)).to_csv(path)
+        loads = []
+        from_csv = EmpiricalMeasure.from_csv
+
+        def counting_from_csv(csv_path):
+            loads.append(csv_path)
+            return from_csv(csv_path)
+
+        monkeypatch.setattr(EmpiricalMeasure, "from_csv", counting_from_csv)
+        cfg = make_cfg(n_particles=40, dt=0.1, horizon_T=0.3, seed=56,
+                       initial_law=FileLaw(str(path)))
+        chaos_rate_experiment(cfg, [5, 10, 20, 40], reps=3, n_ref=400)
+        assert loads == [str(path)]  # at construction; the 13 runs only resample
+
 
 class TestExports:
     def test_flow_binary_roundtrip(self, tmp_path):
@@ -399,15 +426,6 @@ class TestExports:
 
 
 class TestMarginalFlowContainer:
-    def test_left_limit_lookup(self):
-        times = np.array([0.0, 0.5, 1.0])
-        marg = [EmpiricalMeasure([float(i)]) for i in range(3)]
-        flow = MarginalFlow(times=times, marginals=marg)
-        assert flow.marginal_at(0.0).samples[0] == 0.0
-        assert flow.marginal_at(0.49).samples[0] == 0.0
-        assert flow.marginal_at(0.5).samples[0] == 1.0
-        assert flow.marginal_at(2.0).samples[0] == 2.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MarginalFlow(times=np.array([0.0, 0.0]),
