@@ -8,7 +8,7 @@ import pytest
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
                                  SmoothedDensityPower)
 from levymv.fokker_planck import (DensityGrid, FractionalParams, StabilityError,
-                                  adjoint_identity_check, bump,
+                                  _Operator, _step_rk4, adjoint_identity_check, bump,
                                   fractional_laplacian, gaussian_grid, solve_fp,
                                   solve_linear_exact, stable_heat_kernel_grid,
                                   stable_step_limit)
@@ -200,12 +200,25 @@ class TestSolverEqualsHandSteps:
     def test_solve_fp_rk4_equals_hand_steps(self, name):
         grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
         params = FractionalParams(1.5, 1.0)
-        for n_steps in (1, 20):
-            res = solve_fp(grid, n_steps * self.dt, self.dt, SIGMAS[name], params,
-                           scheme="rk4", boundary_density_tol=1e-2)
-            assert len(res.mass_trace) == n_steps + 1
-            hand = _hand_rk4(grid, self.dt, n_steps, SIGMAS[name], params)
-            assert np.array_equal(res.final().values, hand), n_steps
+        res = solve_fp(grid, 20 * self.dt, self.dt, SIGMAS[name], params,
+                       scheme="rk4", boundary_density_tol=1e-2)
+        assert len(res.mass_trace) == 21
+        hand = _hand_rk4(grid, self.dt, 20, SIGMAS[name], params)
+        assert np.array_equal(res.final().values, hand)
+
+    @pytest.mark.parametrize("name", sorted(SIGMAS))
+    def test_step_fp_equals_one_solver_step(self, name):
+        """The single RK4 step on a fresh operator equals one solver step
+        and one hand-built RK4 step."""
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        params = FractionalParams(1.5, 1.0)
+        one = _step_rk4(grid, self.dt, _Operator(grid, SIGMAS[name], params), 0.5)
+        res = solve_fp(grid, self.dt, self.dt, SIGMAS[name], params,
+                       boundary_density_tol=1e-2)
+        assert len(res.mass_trace) == 2
+        assert np.array_equal(one.values, res.final().values)
+        hand = _hand_rk4(grid, self.dt, 1, SIGMAS[name], params)
+        assert np.array_equal(one.values, hand)
 
 
 class TestAdjointIdentity:
