@@ -42,7 +42,7 @@ print(f"  kernel at t={t1} vs rescaled kernel at t={t0}: "
 print("\nnonlinear flow with the smoothed power coefficient:")
 grid = gaussian_grid(20.0, 512, std=1.0)
 res = solve_fp(grid, 0.25, 0.004, SmoothedDensityPower(0.5, 0.5), params,
-               snapshot_every=15, boundary_density_tol=1e-3)
+               snapshots=5, boundary_density_tol=1e-3)
 for t, g in zip(res.times, res.grids):
     peak = float(g.values.max())
     print(f"  t={t:5.3f}: peak density {peak:.4f}, mass {g.mass():.12f}")

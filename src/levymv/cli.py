@@ -358,8 +358,12 @@ def cmd_pde(cfg, outdir, threads):
         horizon, dt = cfg["horizon"], _needed(cfg, "dt", "to solve")
         p = params(_needed(cfg, "alpha", "to solve"))
         grid = _grid_from_config(cfg, p)
-        every = max(1, _step_count(horizon, dt) // cfg["snapshots"])
-        res = fp.solve_fp(grid, horizon, dt, sigma, p, snapshot_every=every,
+        steps = _step_count(horizon, dt)
+        if cfg["snapshots"] > steps:
+            raise ConfigError(f"{_name(('snapshots',))} = {cfg['snapshots']} exceeds the "
+                              f"{steps} steps of {_name(('dt',))} = {dt!r} to "
+                              f"{_name(('horizon',))} = {horizon!r}")
+        res = fp.solve_fp(grid, horizon, dt, sigma, p, snapshots=cfg["snapshots"],
                           scheme=cfg["scheme"],
                           boundary_density_tol=cfg["boundary_density_tol"])
         exports.density_stack_to_binary(res.times, res.grids,
@@ -416,11 +420,16 @@ def cmd_chaos_rate(cfg, outdir, threads):
 def cmd_compare(cfg, outdir, threads):
     pde_cfg, particle_dt = cfg["pde"], cfg["particles"]["dt"]
     # the PDE snapshots at steps j * pde_every of pde_steps pair, by index, with
-    # the particle marginals at steps j * particle_every of particle_steps (and
-    # the horizon with the horizon); checked in integers before anything runs
+    # the particle marginals at steps j * particle_every of particle_steps;
+    # checked in integers before anything runs
     pde_steps = _step_count(cfg["horizon"], pde_cfg["dt"])
     particle_steps = _step_count(cfg["horizon"], particle_dt)
-    pde_every = max(1, pde_steps // cfg["snapshots"])
+    if pde_steps % cfg["snapshots"]:
+        raise ConfigError(
+            f"{_name(('snapshots',))} = {cfg['snapshots']} does not divide the "
+            f"{pde_steps} PDE steps of {_name(('pde', 'dt'))} = {pde_cfg['dt']!r}, so "
+            f"the snapshots would fall between PDE steps")
+    pde_every = pde_steps // cfg["snapshots"]
     if pde_every * particle_steps % pde_steps:
         raise ConfigError(
             f"{_name(('pde', 'dt'))} = {pde_cfg['dt']!r} and {_name(('particles', 'dt'))} "
@@ -436,7 +445,7 @@ def cmd_compare(cfg, outdir, threads):
     params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
     sigma = _build_sigma(cfg["sigma"])
     res = fp.solve_fp(grid, cfg["horizon"], pde_cfg["dt"], sigma, params,
-                      snapshot_every=pde_every,
+                      snapshots=cfg["snapshots"],
                       boundary_density_tol=pde_cfg["boundary_density_tol"])
     rows = []
     for n in cfg["particles"]["n_list"]:

@@ -276,10 +276,13 @@ class FpResult:
         return self.grids[-1]
 
 
-def solve_fp(p0, horizon, dt, sigma, params, snapshot_every=None, scheme="rk4",
+def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
              safety=0.5, boundary_density_tol=1e-4):
     """March the density to ``horizon`` recording snapshots and health logs.
 
+    Besides the initial density, ``snapshots`` densities are recorded, at
+    steps j * N // snapshots for j = 1..snapshots of the N steps, so the
+    last is the horizon; more snapshots than steps raise ``ValueError``.
     Heavy-tailed dynamics push mass toward the periodic seam; the run
     aborts once the boundary density exceeds ``boundary_density_tol``
     rather than silently wrapping significant mass.
@@ -288,8 +291,10 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshot_every=None, scheme="rk4",
         raise ValueError("scheme must be 'rk4' or 'if-rk4'")
     n_steps = _step_count(horizon, dt)
     dt = horizon / n_steps
-    if snapshot_every is None:
-        snapshot_every = n_steps
+    if not 1 <= snapshots <= n_steps:
+        raise ValueError(f"snapshots must lie in 1..{n_steps}, the step count, "
+                         f"got {snapshots}")
+    record = {j * n_steps // snapshots for j in range(1, snapshots + 1)}
     times = [0.0]
     grids = [p0]
     mass, mins, bdry = [p0.mass()], [float(p0.values.min())], [p0.boundary_density()]
@@ -310,7 +315,7 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshot_every=None, scheme="rk4",
             raise StabilityError(
                 f"boundary density {bdry[-1]:.3g} exceeds {boundary_density_tol:.3g} "
                 f"at t={t:.4g}; enlarge the domain for this horizon")
-        if (k + 1) % snapshot_every == 0 or k == n_steps - 1:
+        if k + 1 in record:
             times.append(t)
             grids.append(p)
     return FpResult(times=times, grids=grids, mass_trace=np.asarray(mass),

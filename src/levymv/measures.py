@@ -168,13 +168,15 @@ def smoothing_table(mu, eps):
     # a sample loads lattice nodes left and left + 1, and left never decreases
     # along the samples: a step of more than two cuts between neighbours
     # starts a new run
-    first = np.r_[0, np.flatnonzero(np.diff(left) > 2 * pad + 1) + 1]
+    breaks = np.flatnonzero(np.diff(left) > 2 * pad + 1) + 1
+    first = np.concatenate(([0], breaks))            # each run's first sample
+    last = np.concatenate((breaks, [s.size])) - 1    # and its last
     starts = left[first] - pad
-    lengths = left[np.r_[first[1:] - 1, -1]] + pad + 2 - starts
+    lengths = left[last] + pad + 2 - starts
     ends = np.cumsum(lengths)
     shift = ends - lengths - starts                  # lattice -> axis, per run
     size = int(lengths.sum())
-    at = left + np.repeat(shift, np.diff(np.r_[first, s.size]))
+    at = left + np.repeat(shift, last + 1 - first)
     m = 1 << (size - 1).bit_length()                 # a fast FFT length
     weights = (np.bincount(at, 1.0 - frac, minlength=m)
                + np.bincount(at + 1, frac, minlength=m)) / (s.size * h)
@@ -182,7 +184,8 @@ def smoothing_table(mu, eps):
     values = np.maximum(periodic_convolution(weights, kernel_hat, h)[:size], 0.0)
     # a run's first and last nodes lie a full cut from its samples: the
     # table reads 0 there and in the gaps between runs
-    values[np.r_[ends - lengths, ends - 1]] = 0.0
+    values[ends - lengths] = 0.0
+    values[ends - 1] = 0.0
     nodes = lo + h * (np.arange(size) - np.repeat(shift, lengths))
     return nodes, values
 

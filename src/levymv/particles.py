@@ -15,12 +15,17 @@ sigma through the coefficient's ``summarize``/``from_summary`` pair
   into n independent copies of a linear equation,
 * coupled (:func:`simulate_coupled`, :func:`chaos_rate_experiment`) --
   both at once with shared increments per particle index, which is the
-  construction behind the pathwise convergence-rate experiments.
+  construction behind the pathwise convergence-rate experiments.  Runs of
+  one system size are stepped in lockstep, one run per row of
+  ``(runs, n)`` arrays; each row keeps its own substreams and its own
+  system sigma, so a run's result does not depend on which runs share its
+  array, and a single run is the one-row case.
 
 Randomness comes from counter-based substreams keyed by
 (seed, role, step), drawn in particle-major order, so runs are
-reproducible bit-for-bit regardless of worker count and particle
-permutations act on trajectories exactly as they act on the streams.
+reproducible bit-for-bit regardless of worker count or of how
+repetitions are chunked among workers, and particle permutations act on
+trajectories exactly as they act on the streams.
 """
 
 import math
@@ -201,19 +206,22 @@ def _check_finite(positions, step_index, time):
 def _sigma_on_own_measure(sigma, x):
     """sigma(x_i, mu^n) for every particle, mu^n the system's empirical measure.
 
-    Evaluated in sorted particle order and scattered back: the sorted
-    positions are summarized (the measure is order-free, and a fixed
-    reduction order keeps interacting and frozen-flow stepping
-    bit-identical) and queried in that order, so a table read-back walks
-    its nodes forward; each particle gets the same number as in place.  A
-    non-finite sample gives non-finite sigma, which the finiteness check on
-    the advanced positions reports (the smoothed-density table rejects it
-    with ``ValueError`` instead).
+    ``x`` holds one system, or one system per row.  Each row is evaluated in
+    sorted particle order and scattered back: the sorted positions are
+    summarized (the measure is order-free, and a fixed reduction order keeps
+    interacting and frozen-flow stepping bit-identical) and queried in that
+    order, so a table read-back walks its nodes forward; each particle gets
+    the same number as in place.  A non-finite sample gives non-finite
+    sigma, which the finiteness check on the advanced positions reports (the
+    smoothed-density table rejects it with ``ValueError`` instead).
     """
-    order = np.argsort(x)
-    xs = x[order]
+    order = np.argsort(x, axis=-1)
+    xs = np.take_along_axis(x, order, axis=-1)
+    vals = np.empty(x.shape)
+    for row, xs_row in zip(np.atleast_2d(vals), np.atleast_2d(xs)):
+        row[:] = sigma.from_summary(xs_row, sigma.summarize(xs_row))
     out = np.empty(x.shape)
-    out[order] = sigma.from_summary(xs, sigma.summarize(xs))
+    np.put_along_axis(out, order, vals, axis=-1)
     return out
 
 
@@ -329,7 +337,9 @@ def simulate_coupled(cfg, reference_flow):
     At step k the copies read the reference marginal of step k, so the
     reference flow must be recorded at every time of ``cfg.times()``
     (``simulate`` with ``record_every=1`` on the same dt and horizon);
-    any other flow raises ``ValueError``.
+    any other flow raises ``ValueError``.  The run is the one-row case of
+    the lockstep loop :func:`chaos_rate_experiment` steps its repetitions
+    with, so it gives what that experiment gives for the same config.
     """
     if not np.array_equal(reference_flow.times, cfg.times()):
         raise ValueError(
@@ -337,35 +347,47 @@ def simulate_coupled(cfg, reference_flow):
             f"up to {cfg.horizon_T:.6g}; it has {reference_flow.times.size} up to "
             f"{reference_flow.times[-1]:.6g}")
     summaries = [cfg.sigma.summarize(m.samples) for m in reference_flow.marginals]
-    return _simulate_coupled(cfg, summaries)
+    return _simulate_coupled([cfg], summaries)[0]
 
 
-def _simulate_coupled(cfg, summaries):
-    """The stepping loop of :func:`simulate_coupled`.
+def _simulate_coupled(cfgs, summaries):
+    """Step coupled runs of one system size in lockstep; one result per run.
 
-    ``summaries[k]`` is ``cfg.sigma.summarize`` of the reference marginal
-    at step k; it is only read here, so one list can serve many runs,
-    concurrent ones included.
+    ``cfgs`` share the particle count, the time grid and sigma and differ
+    in their seeds.  Run r is row r of ``(len(cfgs), n)`` position arrays
+    for the system and for the copies; it draws its increments and initial
+    sample from its own substreams and its system sigma from its own row,
+    while the update, the checks and the distances act on all rows at once.
+    No row reads another, so a run's result does not depend on which runs
+    share its batch.  ``summaries[k]`` is ``sigma.summarize`` of the
+    reference marginal at step k; it is only read here, so one list can
+    serve many batches, concurrent ones included.
     """
+    cfg = cfgs[0]
     sigma = cfg.sigma
-    x_sys = initial_positions(cfg)
+    x_sys = np.stack([initial_positions(c) for c in cfgs])
     x_cop = x_sys.copy()
-    sup_gap = np.zeros(x_sys.size)
-    worst_excess = -math.inf
+    sup_gap = np.zeros(x_sys.shape)
+    worst_excess = np.full(len(cfgs), -math.inf)
+    sqrt_n = math.sqrt(cfg.n_particles)
     for k in range(cfg.n_steps):
-        dz = step_increments(cfg, k)
+        dz = np.stack([step_increments(c, k) for c in cfgs])
         sig_sys = _sigma_on_own_measure(sigma, x_sys)
-        sig_cop = sigma.from_summary(x_cop, summaries[k])
+        sig_cop = np.stack([sigma.from_summary(row, summaries[k]) for row in x_cop])
         x_sys = _advance(x_sys, sig_sys, dz)
         x_cop = _advance(x_cop, sig_cop, dz)
         t_next = (k + 1) * cfg.dt_effective
         _check_finite(x_sys, k + 1, t_next)
         _check_finite(x_cop, k + 1, t_next)
-        sup_gap = np.maximum(sup_gap, np.abs(x_sys - x_cop))
-        d = wasserstein2(EmpiricalMeasure(x_sys), EmpiricalMeasure(x_cop))
-        bound = float(np.linalg.norm(x_sys - x_cop)) / math.sqrt(x_sys.size)
-        worst_excess = max(worst_excess, d - bound)
-    return CouplingResult(sup_abs_gaps=sup_gap, distance_bound_excess=worst_excess)
+        gap = x_sys - x_cop
+        sup_gap = np.maximum(sup_gap, np.abs(gap))
+        # per row: W2 by the sorted pairing against the identity pairing's cost
+        d = np.sort(x_sys, axis=1) - np.sort(x_cop, axis=1)
+        w2 = np.sqrt(np.mean(d * d, axis=1))
+        bound = np.linalg.norm(gap, axis=1) / sqrt_n
+        worst_excess = np.maximum(worst_excess, w2 - bound)
+    return [CouplingResult(sup_abs_gaps=g, distance_bound_excess=float(e))
+            for g, e in zip(sup_gap, worst_excess)]
 
 
 @dataclass(frozen=True)
@@ -422,12 +444,17 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
     sample.  The reference error adds a size-independent floor, so keep
     the largest requested size well below ``n_ref``.
 
-    What is fixed per experiment is resolved once and shared read-only
-    by every run, across threads too: the driver (``cfg_base``'s
-    ``effective_driver``, so a truncated stable driver is not rebuilt
-    for the reference or any run) and the sigma summaries of the
-    reference marginals.  Each run's result equals that of
-    ``simulate_coupled`` on the same config, bit for bit.
+    The repetitions of one size are stepped in lockstep as the rows of one
+    ``(reps, n)`` array; with ``threads`` > 1 each size's repetitions are
+    cut into up to ``threads`` chunks of consecutive rows, one batch each.
+    A row's seed derives from its (size, repetition) pair alone and no row
+    reads another, so neither the chunking nor the scheduling can change a
+    result: each run's result equals that of ``simulate_coupled`` on the
+    same config, bit for bit.  What is fixed per experiment is resolved
+    once and shared read-only by every batch, across threads too: the
+    driver (``cfg_base``'s ``effective_driver``, so a truncated stable
+    driver is not rebuilt for the reference or any run) and the sigma
+    summaries of the reference marginals.
     """
     n_list = list(n_list)
     if sorted(n_list) != n_list or len(n_list) < 4:
@@ -443,21 +470,23 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
     reference_flow = simulate(ref_cfg)
     summaries = [base.sigma.summarize(m.samples) for m in reference_flow.marginals]
 
-    def one_run(task):
-        i, n, r = task
-        run_cfg = replace(base, n_particles=n,
-                          seed=derive_key(cfg_base.seed, i + 1, r))
-        return _simulate_coupled(run_cfg, summaries).mean_sq()
+    def one_batch(task):
+        i, n, batch_reps = task
+        cfgs = [replace(base, n_particles=n, seed=derive_key(cfg_base.seed, i + 1, r))
+                for r in batch_reps]
+        return [res.mean_sq() for res in _simulate_coupled(cfgs, summaries)]
 
-    tasks = [(i, n, r) for i, n in enumerate(n_list) for r in range(reps)]
+    chunk = -(-reps // threads)
+    tasks = [(i, n, range(lo, min(lo + chunk, reps)))
+             for i, n in enumerate(n_list) for lo in range(0, reps, chunk)]
     if threads > 1:
-        # seeds derive from (i, r) alone, so scheduling cannot change results;
         # partials land in task order regardless of completion order
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(one_run, tasks))
+            batches = list(pool.map(one_batch, tasks))
     else:
-        flat = [one_run(t) for t in tasks]
+        batches = [one_batch(t) for t in tasks]
+    flat = [v for batch in batches for v in batch]
     rows = []
     for i, n in enumerate(n_list):
         per_rep = np.asarray(flat[i * reps:(i + 1) * reps])

@@ -115,7 +115,7 @@ def test_ac5_generic_coefficient_chaos_rate(tmp_path):
 def test_ac6_mass_conservation_every_step():
     grid = lm.gaussian_grid(20.0, 512, std=1.0)
     res = lm.solve_fp(grid, 0.25, 0.004, lm.SmoothedDensityPower(0.5, 0.5),
-                      lm.FractionalParams(1.5, 1.0), snapshot_every=10,
+                      lm.FractionalParams(1.5, 1.0), snapshots=5,
                       boundary_density_tol=1e-3)
     drift = float(np.max(np.abs(res.mass_trace - 1.0)))
     assert drift <= 1e-9

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from levymv import cli
 from levymv.cli import SCHEMAS, main
@@ -228,6 +229,25 @@ class TestPdeCommand:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["max_error_vs_exact"] < 1e-6
 
+    def test_snapshots_counts_the_snapshots_after_t0(self, tmp_path, capsys):
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "alpha": 1.5, "sigma": {"kind": "constant", "value": 1.0},
+            "dt": 0.01, "horizon": 0.11, "snapshots": 5, "boundary_density_tol": 1e-2,
+        }
+        out = tmp_path / "five"
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        times = json.loads((out / "summary.json").read_text())["snapshot_times"]
+        assert len(times) == 6 and times[-1] == pytest.approx(0.11)
+        # more snapshots than the 11 steps
+        out = tmp_path / "twelve"
+        payload["snapshots"] = 12
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'snapshots'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     def test_non_numeric_keys_rejected(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,
@@ -396,6 +416,29 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "0.045" in err and "0.01" in err
         assert "Traceback" not in err
+
+    def test_pde_steps_not_divided_by_snapshots_rejected_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        # 11 PDE steps of 0.01 cannot be cut into 5 whole snapshot intervals
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli.fp, "solve_fp", no_run)
+        monkeypatch.setattr(cli, "simulate", no_run)
+        payload = {
+            "command": "compare", "seed": 9,
+            "driver": {"kind": "stable", "alpha": 1.5},
+            "sigma": {"kind": "constant", "value": 1.0},
+            "initial": {"kind": "gaussian"},
+            "horizon": 0.11,
+            "particles": {"n_list": [100, 1000], "dt": 0.01},
+            "pde": {"grid": {"half_width": 30.0, "points": 256}, "dt": 0.01},
+            "snapshots": 5,
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["compare", cfg, "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'snapshots'" in err and "Traceback" not in err
 
     def test_non_gaussian_initial_rejected(self, tmp_path, capsys):
         payload = {

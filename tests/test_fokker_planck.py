@@ -117,10 +117,20 @@ class TestSolveFp:
     def test_snapshots_and_health_logs(self):
         grid = gaussian_grid(10.0, 256, std=1.0)
         res = solve_fp(grid, 0.1, 0.002, SmoothedDensityPower(0.5, 0.5),
-                       FractionalParams(1.5), snapshot_every=10)
+                       FractionalParams(1.5), snapshots=5)
         assert len(res.times) == len(res.grids) == 6
         assert np.max(np.abs(res.mass_trace - 1.0)) < 1e-9
         assert res.boundary_trace.max() < 1e-4
+
+    def test_snapshot_count_splits_the_steps(self):
+        # 11 steps, 5 snapshots: steps j * 11 // 5, the horizon last
+        grid = gaussian_grid(8.0, 128, std=1.0)
+        res = solve_fp(grid, 0.11, 0.01, Constant(1.0), FractionalParams(1.5), snapshots=5,
+                       boundary_density_tol=1e-2)
+        assert res.times == [0.0] + [k * res.dt for k in (2, 4, 6, 8, 11)]
+        assert len(res.grids) == 6
+        with pytest.raises(ValueError, match="snapshots"):
+            solve_fp(grid, 0.11, 0.01, Constant(1.0), FractionalParams(1.5), snapshots=12)
 
     def test_self_similar_spreading_of_heat_kernel(self):
         # the kernel at t0 evolved by dt matches the t0+dt kernel, which is

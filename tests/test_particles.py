@@ -14,7 +14,7 @@ from levymv.drivers import LevyTripletSpec, StableDriverSpec
 from levymv.exports import (chaos_table_to_csv, flow_from_binary, flow_to_binary,
                             flow_to_csv)
 from levymv.measures import EmpiricalMeasure, second_moment, wasserstein2
-from levymv.particles import (ChaosRateTable, CouplingResult, FileLaw, GaussianLaw,
+from levymv.particles import (ChaosRateTable, FileLaw, GaussianLaw,
                               MarginalFlow, PointMass, SimulationConfig,
                               SimulationError, UniformLaw, chaos_rate_experiment,
                               initial_positions, picard_flow, simulate,
@@ -276,6 +276,40 @@ class TestCoupling:
             with pytest.raises(ValueError, match="reference flow"):
                 simulate_coupled(cfg, other)
 
+    @pytest.mark.parametrize("sigma", [
+        Constant(1.3), LinearInteraction(SineKernel(1.0, 0.5)),
+        LinearInteraction(CauchyKernel(1.0, 0.5)), SmoothedDensityPower(0.5, 0.5)])
+    def test_lockstep_rows_equal_one_row_runs(self, sigma):
+        # runs stepped together as the rows of one array give what each gives
+        # alone, and the first run what a per-run loop over 1-d arrays gives
+        ref = simulate(make_cfg(n_particles=600, seed=47, sigma=sigma))
+        summaries = [sigma.summarize(m.samples) for m in ref.marginals]
+        cfgs = [make_cfg(n_particles=60, seed=derive_key(48, r), sigma=sigma)
+                for r in range(4)]
+        rows = particles._simulate_coupled(cfgs, summaries)
+        assert len(rows) == len(cfgs)
+        for cfg, row in zip(cfgs, rows):
+            alone = simulate_coupled(cfg, ref)
+            assert np.array_equal(row.sup_abs_gaps, alone.sup_abs_gaps)
+            assert row.distance_bound_excess == alone.distance_bound_excess
+            assert row.distance_bound_excess <= 1e-12
+        cfg = cfgs[0]
+        x_sys = initial_positions(cfg)
+        x_cop = x_sys.copy()
+        sup_gap = np.zeros(x_sys.size)
+        worst = -math.inf
+        for k in range(cfg.n_steps):
+            dz = step_increments(cfg, k)
+            xs = np.sort(x_sys)
+            sig_sys = sigma.from_summary(xs, sigma.summarize(xs))[np.searchsorted(xs, x_sys)]
+            x_sys = x_sys + sig_sys * dz
+            x_cop = x_cop + sigma.from_summary(x_cop, summaries[k]) * dz
+            sup_gap = np.maximum(sup_gap, np.abs(x_sys - x_cop))
+            d = wasserstein2(EmpiricalMeasure(x_sys), EmpiricalMeasure(x_cop))
+            worst = max(worst, d - float(np.linalg.norm(x_sys - x_cop)) / math.sqrt(x_sys.size))
+        assert np.array_equal(rows[0].sup_abs_gaps, sup_gap)
+        assert rows[0].distance_bound_excess == pytest.approx(worst, abs=1e-12)
+
     def test_distance_bound_holds_along_interacting_runs(self):
         cfg = make_cfg(n_particles=300, seed=44)
         ref = simulate(make_cfg(n_particles=3000, seed=45))
@@ -301,36 +335,40 @@ class TestChaosExperiment:
             assert b.mean_sq_gap <= a.mean_sq_gap + 2.0 * math.hypot(a.stderr, b.stderr)
 
     def test_threading_does_not_change_results(self):
-        cfg1 = make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=53, threads=1)
-        cfg4 = make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=53, threads=4)
-        t1 = chaos_rate_experiment(cfg1, [10, 20, 40, 80], reps=4, n_ref=800)
-        t4 = chaos_rate_experiment(cfg4, [10, 20, 40, 80], reps=4, n_ref=800)
-        assert [r.mean_sq_gap for r in t1.rows] == [r.mean_sq_gap for r in t4.rows]
+        # reps 5: no thread count here divides it, so the chunks of rows differ
+        tables = [chaos_rate_experiment(
+                      make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=53, threads=t),
+                      [10, 20, 40, 80], reps=5, n_ref=800).to_json_dict()
+                  for t in (1, 2, 3)]
+        assert tables[0] == tables[1] == tables[2]
 
     @pytest.mark.parametrize("sigma, n_ref", [
         (LinearInteraction(SineKernel(1.0, 0.5)), 800),
-        # above the 3000-sample grid threshold: "table" summaries
         (SmoothedDensityPower(0.5, 0.5), 3200),
     ])
     def test_runs_equal_public_simulate_coupled(self, monkeypatch, sigma, n_ref):
-        # every run's mean_sq(), in task order (one thread)
-        recorded = []
-        mean_sq = CouplingResult.mean_sq
+        # every run's mean_sq(), in batch order (one thread: one batch per size)
+        recorded, batch_sizes = [], []
+        lockstep = particles._simulate_coupled
 
-        def recording_mean_sq(res):
-            recorded.append(mean_sq(res))
-            return recorded[-1]
+        def recording_lockstep(cfgs, summaries):
+            results = lockstep(cfgs, summaries)
+            batch_sizes.append(len(cfgs))
+            recorded.extend(res.mean_sq() for res in results)
+            return results
 
-        monkeypatch.setattr(CouplingResult, "mean_sq", recording_mean_sq)
+        monkeypatch.setattr(particles, "_simulate_coupled", recording_lockstep)
         cfg = make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=54, sigma=sigma)
         n_list, reps = [10, 20, 40, 80], 2
         chaos_rate_experiment(cfg, n_list, reps, n_ref=n_ref)
+        monkeypatch.undo()
         ref = simulate(replace(cfg, n_particles=n_ref,
                                seed=derive_key(cfg.seed, 0xFEED)))
-        expected = [mean_sq(simulate_coupled(
+        expected = [simulate_coupled(
                         replace(cfg, n_particles=n, seed=derive_key(cfg.seed, i + 1, r)),
-                        ref))
+                        ref).mean_sq()
                     for i, n in enumerate(n_list) for r in range(reps)]
+        assert batch_sizes == [reps] * len(n_list)
         assert recorded == expected
 
     def test_truncated_driver_built_once_per_experiment(self, monkeypatch):
