@@ -16,12 +16,18 @@ Every family has the same methods, so a new family is one class.
 samples (the oracle of the tests and of :func:`lipschitz_probe`).
 ``summarize(samples)`` reduces a sorted sample array once and
 ``from_summary(x, summary)`` evaluates many points from that reduction;
-the particle engine calls only these two.  ``on_grid(grid)`` returns a
-function from the values of a periodic grid density to sigma on the grid's
-nodes (duck-typed grid: any object with .nodes, .dx, .half_width, .m); what
-depends only on the grid (the constant array, the nodes' cos/sin, a kernel
-matrix, the Gaussian kernel's transform) is built once, so the spectral
-solver builds it once per solve.  Gaussian smoothing is one convolution,
+the particle engine calls only these two.  They work on rows: a 2-D
+sample array, one measure per row sorted along the last axis, gives one
+summary per row, and ``from_summary`` evaluates each row of a 2-D ``x``
+against its own row's summary, or every point of ``x`` against a
+one-measure summary.  Either way each point gets the value a one-row
+call would give it, so lockstep runs evaluate sigma in one call.
+``on_grid(grid)`` returns a function from the values of a periodic grid
+density to sigma on the grid's nodes (duck-typed grid: any object with
+.nodes, .dx, .half_width, .m); what depends only on the grid (the
+constant array, the nodes' cos/sin, a kernel matrix, the Gaussian
+kernel's transform) is built once, so the spectral solver builds it once
+per solve.  Gaussian smoothing is one convolution,
 :func:`levymv.measures.periodic_convolution`: it serves the grid densities
 directly and the samples through :func:`levymv.measures.smoothing_table`.
 """
@@ -85,9 +91,13 @@ class SineKernel:
         return self.c0 + self.c1 * np.sin(x - y)
 
     def summary_stats(self, samples):
-        """Per-measure reduction reused across many query points."""
+        """Per-measure reduction reused across many query points; the
+        means of a 2-D array's rows come as columns, to broadcast against
+        the rows of the query points."""
         # sin(x - y) = sin x cos y - cos x sin y: one pass over samples
-        return (float(np.mean(np.cos(samples))), float(np.mean(np.sin(samples))))
+        rows = np.ndim(samples) > 1
+        return (np.mean(np.cos(samples), axis=-1, keepdims=rows),
+                np.mean(np.sin(samples), axis=-1, keepdims=rows))
 
     def mean_from_stats(self, x, stats):
         mc, ms = stats
@@ -151,16 +161,24 @@ class LinearInteraction:
     def from_summary(self, x, summary):
         if hasattr(self.kernel, "mean_from_stats"):
             return self.kernel.mean_from_stats(x, summary)
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(xq.shape)
-        step = max(1, (1 << 22) // max(1, xq.size))
-        for lo in range(0, summary.size, step):
-            chunk = summary[lo:lo + step]
-            out += self.kernel(xq[:, None], chunk[None, :]).sum(axis=1)
-        out /= summary.size
-        if np.ndim(x) == 0:
+        if np.ndim(summary) > 1:
+            return np.stack([self._pair_mean(xr, sr) for xr, sr in zip(x, summary)])
+        return self._pair_mean(x, summary)
+
+    def _pair_mean(self, x, samples):
+        # blocked over the query points: each point's sum spans every sample
+        # in one reduction, so it does not depend on the other points
+        xq = np.asarray(x, dtype=float)
+        flat = xq.ravel()
+        out = np.empty(flat.size)
+        step = max(1, (1 << 22) // max(1, samples.size))
+        for lo in range(0, flat.size, step):
+            block = flat[lo:lo + step, None]
+            out[lo:lo + step] = self.kernel(block, samples[None, :]).sum(axis=1)
+        out /= samples.size
+        if xq.ndim == 0:
             return float(out[0])
-        return out
+        return out.reshape(xq.shape)
 
     def on_grid(self, grid):
         nodes, dx = grid.nodes, grid.dx
@@ -205,6 +223,8 @@ class SmoothedDensityPower:
         return smoothing_table(samples, self.eps)
 
     def from_summary(self, x, summary):
+        if isinstance(summary, list):
+            return np.stack([read_table(t, xr) for xr, t in zip(x, summary)]) ** self.s
         return read_table(summary, x) ** self.s
 
     def on_grid(self, grid):

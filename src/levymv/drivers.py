@@ -12,6 +12,16 @@ Three layers:
   driver the cut triplet is built in closed form, with the jumps below
   ``DELTA`` replaced by a variance-matched Gaussian.
 
+Sampling works on rows: :func:`sample_increment_array` takes one
+generator, or one generator per row of lockstep runs.  Each row draws its
+variates from its own generator, in the order it would draw them alone
+(stable: the uniforms, then the exponentials; triplet: the normals, the
+band's jump counts and draws, then the big jumps' counts and draws); the
+transforms to increments and the per-particle jump sums then run once on
+all rows.  So a row's increments do not depend on the other rows, and
+:func:`sample_stable_increment` and :func:`sample_triplet_increments`
+are the one-row calls.
+
 Scale convention for the stable family: ``scale`` is the characteristic
 function constant, one increment over ``dt`` has CF
 ``exp(-scale * dt * |xi|**alpha)``.  The equivalent jump-density constant
@@ -86,26 +96,37 @@ def _standard_symmetric_stable(alpha, u, w):
     return t * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
 
 
+def _stable_rows(spec, dt, n, rngs):
+    # each row: n uniforms, then n exponentials, from its own generator
+    u = np.empty((len(rngs), n))
+    w = np.empty((len(rngs), n))
+    for row, rng in enumerate(rngs):
+        u[row] = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+        w[row] = rng.standard_exponential(n)
+    return (spec.scale * dt) ** (1.0 / spec.alpha) * _standard_symmetric_stable(spec.alpha, u, w)
+
+
 def sample_stable_increment(spec, dt, rng, size=None):
     """Draw increment(s) of the stable driver over a step of length dt.
 
     Exact in law: one uniform and one exponential variate per draw are
     pushed through the polar transform, then scaled by (scale*dt)^(1/alpha).
     Returns a scalar when ``size`` is None, else an array of that shape.
+    The one-row case of :func:`sample_increment_array`.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    n = 1 if size is None else size
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.standard_exponential(n)
-    z = (spec.scale * dt) ** (1.0 / spec.alpha) * _standard_symmetric_stable(spec.alpha, u, w)
-    if size is None:
-        return float(z[0])
-    return z
+    shape = () if size is None else size
+    z = _sample_rows(spec, dt, int(np.prod(shape)), [rng])[0][0].reshape(shape)
+    return float(z) if size is None else z
 
 
 class JumpAtoms:
-    """Finite jump measure made of atoms [(position, rate), ...], |position| > 1."""
+    """Finite jump measure made of atoms [(position, rate), ...], |position| > 1.
+
+    Like every jump measure of a :class:`LevyTripletSpec`, it samples in
+    two parts: ``draw(rng, size)`` takes the variates of ``size`` jumps,
+    along the last axis, and ``amplitudes`` maps draws, of one generator or
+    of several joined along that axis, to jump amplitudes elementwise.
+    """
 
     def __init__(self, atoms):
         atoms = tuple((float(y), float(r)) for y, r in atoms)
@@ -116,14 +137,16 @@ class JumpAtoms:
                 raise ValueError("atom rates must be positive")
         self.atoms = atoms
         self.total_rate = sum(r for _, r in atoms)
+        self._positions = np.array([y for y, _ in atoms])
+        rates = np.array([r for _, r in atoms])
+        self._weights = rates / rates.sum()
 
-    def sample(self, rng, size):
-        if not self.atoms:
-            return np.empty(0)
-        positions = np.array([y for y, _ in self.atoms])
-        rates = np.array([r for _, r in self.atoms])
-        idx = rng.choice(len(positions), size=size, p=rates / rates.sum())
-        return positions[idx]
+    def draw(self, rng, size):
+        """Atom indices."""
+        return rng.choice(len(self.atoms), size=size, p=self._weights)
+
+    def amplitudes(self, draws):
+        return self._positions[draws]
 
 
 class _PowerJumps:
@@ -131,31 +154,37 @@ class _PowerJumps:
 
     Its total rate and inverse CDF are closed forms: a fraction v of the
     one-sided mass lies below |y| = (lo^-a - v (lo^-a - hi^-a))^(-1/a).
+    A jump is drawn as one uniform for the magnitude and a second for the
+    sign, or, ``by_halves``, as one uniform on [0, total_rate) whose lower
+    half gives the positive jumps and upper half the negative ones.
     """
 
-    def __init__(self, levy_k, alpha, lo, hi):
+    def __init__(self, levy_k, alpha, lo, hi, by_halves=False):
         self.alpha = alpha
         self.lo = lo
         self.hi = hi
+        self.by_halves = by_halves
         self.total_rate = 2.0 * levy_k * (lo ** -alpha - hi ** -alpha) / alpha
 
     def _magnitude(self, v):
         a = self.alpha
         return (self.lo ** -a - v * (self.lo ** -a - self.hi ** -a)) ** (-1.0 / a)
 
-    def sample(self, rng, size):
-        """Magnitude from one uniform, sign from a second."""
-        mag = self._magnitude(rng.uniform(0.0, 1.0, size))
-        return np.where(rng.uniform(0.0, 1.0, size) < 0.5, 1.0, -1.0) * mag
+    def draw(self, rng, size):
+        """The uniforms: ``size`` of them by halves, else the ``size``
+        magnitude uniforms stacked over the ``size`` sign uniforms."""
+        if self.by_halves:
+            return rng.uniform(0.0, self.total_rate, size)
+        mag = rng.uniform(0.0, 1.0, size)
+        return np.stack((mag, rng.uniform(0.0, 1.0, size)))
 
-    def sample_by_halves(self, rng, size):
-        """One uniform on [0, total_rate) each: the lower half gives the
-        positive jumps, the upper half the negative ones."""
-        u = rng.uniform(0.0, self.total_rate, size)
-        half = 0.5 * self.total_rate
-        on_pos = u < half
-        mag = self._magnitude(np.where(on_pos, u, u - half) / half)
-        return np.where(on_pos, mag, -mag)
+    def amplitudes(self, draws):
+        if self.by_halves:
+            half = 0.5 * self.total_rate
+            on_pos = draws < half
+            mag = self._magnitude(np.where(on_pos, draws, draws - half) / half)
+            return np.where(on_pos, mag, -mag)
+        return np.where(draws[1] < 0.5, 1.0, -1.0) * self._magnitude(draws[0])
 
 
 class LevyTripletSpec:
@@ -163,7 +192,9 @@ class LevyTripletSpec:
 
     The jump measure is an optional symmetric ``band`` on |y| <= 1, which
     needs no compensator (the one :func:`truncated_stable_triplet` builds),
-    plus finite ``big_jumps`` on |y| > 1 (e.g. :class:`JumpAtoms`).
+    plus finite ``big_jumps`` on |y| > 1 (e.g. :class:`JumpAtoms`).  Each
+    has a ``total_rate`` and samples by ``draw`` and ``amplitudes`` (see
+    :class:`JumpAtoms`).
     """
 
     def __init__(self, gaussian_a=0.0, drift_b=0.0, band=None, big_jumps=None):
@@ -186,41 +217,70 @@ def _check_truncation(level):
         raise ValueError(f"truncation level must be positive or inf, got {level}")
 
 
+def _triplet_rows(spec, dt, n, rngs, truncation):
+    rows = len(rngs)
+    sd = math.sqrt(spec.gaussian_a * dt)
+    normal = np.empty((rows, n))
+    # (measure, rate, counts, draws) of the band, then of the big jumps
+    parts = [(measure, rate, np.zeros((rows, n), dtype=np.int64), [])
+             for measure, rate in ((spec.band, spec.band_rate),
+                                   (spec.big_jumps, spec.big_rate))]
+    for row, rng in enumerate(rngs):
+        if sd > 0.0:
+            normal[row] = rng.standard_normal(n)
+        for measure, rate, counts, draws in parts:
+            if rate > 0.0:
+                counts[row] = rng.poisson(rate * dt, n)
+                k = int(counts[row].sum())
+                if k:
+                    draws.append(measure.draw(rng, k))
+    totals = np.full((rows, n), spec.drift_b * dt)
+    if sd > 0.0:
+        totals += sd * normal
+    big_sums = np.zeros((rows, n))
+    for measure, _, counts, draws in parts:
+        if not draws:
+            continue
+        # particle i of row r owns bin r * n + i; its jumps arrive in the
+        # order the row drew them, so each bin sums as in a one-row call
+        owners = np.repeat(np.arange(rows * n), counts.ravel())
+        amps = measure.amplitudes(np.concatenate(draws, axis=-1))
+        totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
+        if (measure is spec.big_jumps and truncation is not None
+                and np.isfinite(truncation)):
+            over = np.abs(amps) > truncation
+            big_sums = np.bincount(owners[over], weights=amps[over],
+                                   minlength=rows * n).reshape(rows, n)
+    return totals, big_sums
+
+
+def _sample_rows(driver, dt, n, rngs, truncation=None):
+    """(totals, big_jump_sums) of ``len(rngs)`` rows of n increments each.
+
+    Row r draws from ``rngs[r]`` alone, exactly the variates in exactly the
+    order it would draw as the only row; the transforms from variates to
+    increments then act on all rows at once.  ``big_jump_sums`` is None for
+    a stable driver.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    _check_truncation(truncation)
+    if isinstance(driver, StableDriverSpec):
+        return _stable_rows(driver, dt, n, rngs), None
+    return _triplet_rows(driver, dt, n, rngs, truncation)
+
+
 def sample_triplet_increments(spec, dt, n, rng, truncation=None):
     """Vectorized triplet increments for n particles over one step.
 
     Returns (totals, big_jump_sums) where big_jump_sums[i] collects this
     particle's jumps with |amplitude| > truncation (0 when truncation is
     None or inf); totals always include every jump, so
-    ``totals - big_jump_sums`` is the truncated-driver increment.
+    ``totals - big_jump_sums`` is the truncated-driver increment.  The
+    one-row case of :func:`sample_increment_array`.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    _check_truncation(truncation)
-    totals = np.full(n, spec.drift_b * dt)
-    small_var = spec.gaussian_a * dt
-    if small_var > 0.0:
-        totals += math.sqrt(small_var) * rng.standard_normal(n)
-    if spec.band_rate > 0.0:
-        counts = rng.poisson(spec.band_rate * dt, n)
-        k = int(counts.sum())
-        if k:
-            amps = spec.band.sample_by_halves(rng, k)
-            owners = np.repeat(np.arange(n), counts)
-            totals += np.bincount(owners, weights=amps, minlength=n)
-    big_sums = np.zeros(n)
-    if spec.big_rate > 0.0:
-        counts = rng.poisson(spec.big_rate * dt, n)
-        k = int(counts.sum())
-        if k:
-            amps = spec.big_jumps.sample(rng, k)
-            owners = np.repeat(np.arange(n), counts)
-            totals += np.bincount(owners, weights=amps, minlength=n)
-            if truncation is not None and np.isfinite(truncation):
-                over = np.abs(amps) > truncation
-                if over.any():
-                    big_sums += np.bincount(owners[over], weights=amps[over], minlength=n)
-    return totals, big_sums
+    totals, big_sums = _sample_rows(spec, dt, n, [rng], truncation)
+    return totals[0], big_sums[0]
 
 
 def truncated_stable_triplet(spec, level):
@@ -239,27 +299,31 @@ def truncated_stable_triplet(spec, level):
     alpha = spec.alpha
     levy_k = levy_constant_from_cf_constant(spec.scale, alpha)
     return LevyTripletSpec(gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
-                           band=_PowerJumps(levy_k, alpha, DELTA, 1.0),
+                           band=_PowerJumps(levy_k, alpha, DELTA, 1.0, by_halves=True),
                            big_jumps=_PowerJumps(levy_k, alpha, 1.0, level))
 
 
 def sample_increment_array(driver, dt, n, rng, truncation=None):
     """Per-particle increments for one engine step, truncation applied.
 
-    Stable drivers are drawn exactly; a finite truncation on a stable
-    driver must be materialized first with :func:`truncated_stable_triplet`
-    (the engine does this once at configuration time).
+    ``rng`` is one generator, for an array of n increments, or a sequence
+    of generators, one per row of a ``(len(rng), n)`` array; row r is bit
+    for bit what ``rng[r]`` alone gives, so the rows of lockstep runs are
+    sampled in one call.  Stable drivers are drawn exactly; a finite
+    truncation on a stable driver must be materialized first with
+    :func:`truncated_stable_triplet` (the engine does this once at
+    configuration time).
     """
-    if isinstance(driver, StableDriverSpec):
-        _check_truncation(truncation)
-        if truncation is not None and np.isfinite(truncation) and driver.alpha < 2.0:
-            raise ValueError("truncated stable sampling requires the triplet form; "
-                             "build it once with truncated_stable_triplet()")
-        return sample_stable_increment(driver, dt, rng, size=n)
-    totals, big_sums = sample_triplet_increments(driver, dt, n, rng, truncation=truncation)
-    if truncation is not None and np.isfinite(truncation):
-        return totals - big_sums
-    return totals
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    _check_truncation(truncation)
+    finite = truncation is not None and np.isfinite(truncation)
+    if isinstance(driver, StableDriverSpec) and finite and driver.alpha < 2.0:
+        raise ValueError("truncated stable sampling requires the triplet form; "
+                         "build it once with truncated_stable_triplet()")
+    totals, big_sums = _sample_rows(driver, dt, n, rngs, truncation)
+    if finite and big_sums is not None:
+        totals = totals - big_sums
+    return totals[0] if rngs is not rng else totals
 
 
 def _step_count(horizon, dt):

@@ -151,10 +151,22 @@ def smoothing_table(mu, eps):
     :class:`EmpiricalMeasure`, the particle engine's sorted positions):
     the lattice layout is then read off neighbouring samples.  Any other
     array is sorted first, so the table depends only on the measure.
+
+    A 2-D array gives a list of tables, one per row, each equal to the
+    row's own table; the kernel's transform is built once per FFT length
+    among them.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
     s = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
+    transforms = {}
+    if s.ndim > 1:
+        return [_smoothing_table(row, eps, transforms) for row in s]
+    return _smoothing_table(s, eps, transforms)
+
+
+def _smoothing_table(s, eps, transforms):
+    # transforms: FFT length -> the kernel's transform at this eps
     if not (s.size and np.all(np.isfinite(s))):
         raise ValueError("samples must be finite and nonempty")
     if np.any(s[1:] < s[:-1]):
@@ -180,7 +192,9 @@ def smoothing_table(mu, eps):
     m = 1 << (size - 1).bit_length()                 # a fast FFT length
     weights = (np.bincount(at, 1.0 - frac, minlength=m)
                + np.bincount(at + 1, frac, minlength=m)) / (s.size * h)
-    kernel_hat = periodic_gaussian_transform(m, h, m * h, eps)
+    if m not in transforms:
+        transforms[m] = periodic_gaussian_transform(m, h, m * h, eps)
+    kernel_hat = transforms[m]
     values = np.maximum(periodic_convolution(weights, kernel_hat, h)[:size], 0.0)
     # a run's first and last nodes lie a full cut from its samples: the
     # table reads 0 there and in the gaps between runs

@@ -206,20 +206,19 @@ def _check_finite(positions, step_index, time):
 def _sigma_on_own_measure(sigma, x):
     """sigma(x_i, mu^n) for every particle, mu^n the system's empirical measure.
 
-    ``x`` holds one system, or one system per row.  Each row is evaluated in
-    sorted particle order and scattered back: the sorted positions are
-    summarized (the measure is order-free, and a fixed reduction order keeps
-    interacting and frozen-flow stepping bit-identical) and queried in that
-    order, so a table read-back walks its nodes forward; each particle gets
-    the same number as in place.  A non-finite sample gives non-finite
-    sigma, which the finiteness check on the advanced positions reports (the
-    smoothed-density table rejects it with ``ValueError`` instead).
+    ``x`` holds one system, or one system per row.  The rows are evaluated
+    in sorted particle order and scattered back: the sorted positions are
+    summarized, one summary per row (the measure is order-free, and a fixed
+    reduction order keeps interacting and frozen-flow stepping
+    bit-identical), and queried in that order, so a table read-back walks
+    its nodes forward; each particle gets the same number as in place.  A
+    non-finite sample gives non-finite sigma, which the finiteness check on
+    the advanced positions reports (the smoothed-density table rejects it
+    with ``ValueError`` instead).
     """
     order = np.argsort(x, axis=-1)
     xs = np.take_along_axis(x, order, axis=-1)
-    vals = np.empty(x.shape)
-    for row, xs_row in zip(np.atleast_2d(vals), np.atleast_2d(xs)):
-        row[:] = sigma.from_summary(xs_row, sigma.summarize(xs_row))
+    vals = sigma.from_summary(xs, sigma.summarize(xs))
     out = np.empty(x.shape)
     np.put_along_axis(out, order, vals, axis=-1)
     return out
@@ -354,10 +353,13 @@ def _simulate_coupled(cfgs, summaries):
     """Step coupled runs of one system size in lockstep; one result per run.
 
     ``cfgs`` share the particle count, the time grid and sigma and differ
-    in their seeds.  Run r is row r of ``(len(cfgs), n)`` position arrays
-    for the system and for the copies; it draws its increments and initial
-    sample from its own substreams and its system sigma from its own row,
-    while the update, the checks and the distances act on all rows at once.
+    in their seeds (the driver too, so their effective drivers agree).  Run
+    r is row r of ``(len(cfgs), n)`` position arrays for the system and for
+    the copies; it draws its increments and initial sample from its own
+    substreams and its system sigma from its own row.  Each step makes one
+    increment call with a generator per row, one system sigma call on the
+    sorted rows and one copies' sigma call against the reference summary;
+    the update, the checks and the distances act on all rows at once.
     No row reads another, so a run's result does not depend on which runs
     share its batch.  ``summaries[k]`` is ``sigma.summarize`` of the
     reference marginal at step k; it is only read here, so one list can
@@ -371,9 +373,12 @@ def _simulate_coupled(cfgs, summaries):
     worst_excess = np.full(len(cfgs), -math.inf)
     sqrt_n = math.sqrt(cfg.n_particles)
     for k in range(cfg.n_steps):
-        dz = np.stack([step_increments(c, k) for c in cfgs])
+        dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
+                                    cfg.n_particles,
+                                    [substream(c.seed, _ROLE_STEP, k) for c in cfgs],
+                                    truncation=cfg.effective_truncation)
         sig_sys = _sigma_on_own_measure(sigma, x_sys)
-        sig_cop = np.stack([sigma.from_summary(row, summaries[k]) for row in x_cop])
+        sig_cop = sigma.from_summary(x_cop, summaries[k])
         x_sys = _advance(x_sys, sig_sys, dz)
         x_cop = _advance(x_cop, sig_cop, dz)
         t_next = (k + 1) * cfg.dt_effective

@@ -55,6 +55,16 @@ class TestLinearInteraction:
         naive = np.mean(0.5 + 1.0 / (1.0 + (x - mu.samples) ** 2))
         assert sig.evaluate(x, mu) == pytest.approx(float(naive))
 
+    def test_pairwise_value_does_not_depend_on_the_other_points(self):
+        # 1000 points against 8000 samples span several blocks of points;
+        # each point's sum still covers every sample in one reduction
+        sig = LinearInteraction(CauchyKernel(0.5, 1.0))
+        rng = substream(204)
+        samples = rng.normal(0.0, 1.0, 8000)
+        x = rng.normal(0.0, 2.0, 1000)
+        together = sig.from_summary(x, samples)
+        assert np.array_equal(together, [sig.from_summary(xq, samples) for xq in x])
+
     def test_duplicating_samples_leaves_value_unchanged(self):
         # uniform weights: repeating the sample list is the same measure
         sig = LinearInteraction(CauchyKernel(0.5, 1.0))
@@ -180,6 +190,26 @@ class TestSummaryProtocol:
             np.testing.assert_allclose(got, sig.evaluate(x, s), rtol=1e-4, atol=0.0)
         else:
             assert np.array_equal(got, sig.evaluate(x, s))
+
+    @pytest.mark.parametrize("sig", [Constant(1.3), LinearInteraction(SineKernel(1.0, 0.5)),
+                                     LinearInteraction(CauchyKernel(0.5, 1.0)),
+                                     SmoothedDensityPower(0.05, 0.5)],
+                             ids=["constant", "sine", "cauchy", "smoothed"])
+    def test_rows_equal_per_row_calls(self, sig):
+        # a 2-D sample array is summarized row by row, and each row of x is
+        # evaluated against its own row's summary or against one measure's
+        rng = substream(214)
+        s = np.sort(rng.normal(0.0, 1.0, (5, 40)), axis=1)
+        s[3] = np.sort(100.0 * rng.standard_cauchy(40))
+        x = rng.normal(0.0, 2.0, (5, 13))
+        got = sig.from_summary(x, sig.summarize(s))
+        want = np.stack([sig.from_summary(xr, sig.summarize(sr)) for xr, sr in zip(x, s)])
+        assert got.shape == x.shape
+        assert np.array_equal(got, want)
+        one = sig.summarize(s[0])
+        got = sig.from_summary(x, one)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.stack([sig.from_summary(xr, one) for xr in x]))
 
     def test_what_each_family_keeps(self):
         s = np.sort(substream(213).normal(0.0, 1.0, 50))

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+from levymv import drivers
 from levymv.drivers import (DELTA, JumpAtoms, LevyTripletSpec, StableDriverSpec,
                             cf_constant_from_levy_constant,
                             levy_constant_from_cf_constant, sample_increment_array,
@@ -265,3 +266,43 @@ class TestTruncatedStable:
         small_var = 2.0 * k_levy * DELTA ** (2.0 - alpha) / (2.0 - alpha)
         assert trip.gaussian_a == pytest.approx(small_var, rel=1e-14)
         assert trip.drift_b == 0.0
+
+
+class TestRowSampler:
+    """One call on a generator per row gives each generator's own call."""
+
+    @pytest.mark.parametrize("driver,truncation", [
+        (StableDriverSpec(1.5, 0.7), None),
+        (StableDriverSpec(2.0, 1.3), None),
+        # built at level 4 and cut at 2: some big jumps lie over the level
+        (truncated_stable_triplet(StableDriverSpec(1.5, 20.0), 4.0), 2.0),
+        (truncated_stable_triplet(StableDriverSpec(1.2, 1.0), 3.0), None),
+        (LevyTripletSpec(gaussian_a=0.3, drift_b=0.25,
+                         big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)])), 2.0),
+    ], ids=["stable-1.5", "stable-2.0", "triplet-cut", "triplet-uncut", "atoms"])
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_rows_equal_one_row_calls(self, driver, truncation, n):
+        # dt = 0.05 leaves some rows without jumps and gives others several
+        keys = [(70, n, r) for r in range(6)]
+        rows = sample_increment_array(driver, 0.05, n, [substream(*k) for k in keys],
+                                      truncation=truncation)
+        assert rows.shape == (len(keys), n)
+        for row, key in zip(rows, keys):
+            alone = sample_increment_array(driver, 0.05, n, substream(*key),
+                                           truncation=truncation)
+            assert alone.shape == (n,)
+            assert np.array_equal(row, alone)
+        if isinstance(driver, LevyTripletSpec):
+            totals, big = drivers._sample_rows(driver, 0.05, n,
+                                               [substream(*k) for k in keys], truncation)
+            for t, b, key in zip(totals, big, keys):
+                want_t, want_b = sample_triplet_increments(driver, 0.05, n, substream(*key),
+                                                           truncation=truncation)
+                assert np.array_equal(t, want_t) and np.array_equal(b, want_b)
+            assert np.array_equal(rows, totals - big)
+            if truncation is not None and n > 1:
+                assert np.any(big != 0.0)
+        else:
+            for row, key in zip(rows, keys):
+                assert np.array_equal(
+                    row, sample_stable_increment(driver, 0.05, substream(*key), size=n))

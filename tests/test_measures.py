@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from levymv import measures
 from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure,
                              _w2sq_sorted_unequal,
                              check_empirical_distance_bound,
@@ -198,6 +199,24 @@ class TestSmoothingTable:
         lattice = np.concatenate([np.arange(r[0] - pad, r[-1] + pad + 2) for r in runs])
         assert np.array_equal(nodes, s[0] + h * lattice)
         assert np.trapezoid(values, nodes) == pytest.approx(1.0, rel=1e-9)
+
+    def test_rows_give_each_rows_table_with_one_transform_per_length(self, monkeypatch):
+        rng = substream(113)
+        s = np.sort(rng.normal(0.0, 1.0, (5, 60)), axis=1)
+        s[2] = np.sort(100.0 * rng.standard_cauchy(60))
+        own = [smoothing_table(row, 0.05) for row in s]
+        lengths = {1 << (nodes.size - 1).bit_length() for nodes, _ in own}
+        assert len(lengths) == 2
+        built = []
+        transform = measures.periodic_gaussian_transform
+        monkeypatch.setattr(measures, "periodic_gaussian_transform",
+                            lambda m, *args: built.append(m) or transform(m, *args))
+        tables = smoothing_table(s, 0.05)
+        assert len(tables) == len(own)
+        for (nodes, values), (want_nodes, want_values) in zip(tables, own):
+            assert np.array_equal(nodes, want_nodes)
+            assert np.array_equal(values, want_values)
+        assert sorted(built) == sorted(lengths)
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
