@@ -171,12 +171,11 @@ class _PowerJumps:
         return (self.lo ** -a - v * (self.lo ** -a - self.hi ** -a)) ** (-1.0 / a)
 
     def draw(self, rng, size):
-        """The uniforms: ``size`` of them by halves, else the ``size``
-        magnitude uniforms stacked over the ``size`` sign uniforms."""
+        """The uniforms: ``size`` of them by halves, else a ``(2, size)``
+        array, the magnitude uniforms drawn first, then the sign uniforms."""
         if self.by_halves:
             return rng.uniform(0.0, self.total_rate, size)
-        mag = rng.uniform(0.0, 1.0, size)
-        return np.stack((mag, rng.uniform(0.0, 1.0, size)))
+        return rng.random((2, size))
 
     def amplitudes(self, draws):
         if self.by_halves:
@@ -227,7 +226,7 @@ def _triplet_rows(spec, dt, n, rngs, truncation):
                                    (spec.big_jumps, spec.big_rate))]
     for row, rng in enumerate(rngs):
         if sd > 0.0:
-            normal[row] = rng.standard_normal(n)
+            rng.standard_normal(out=normal[row])
         for measure, rate, counts, draws in parts:
             if rate > 0.0:
                 counts[row] = rng.poisson(rate * dt, n)

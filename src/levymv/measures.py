@@ -104,8 +104,13 @@ def check_empirical_distance_bound(xs, ys, tol=1e-12):
 
 
 def gaussian_kernel(u, eps):
-    """exp(-u^2 / 2 eps) / sqrt(2 pi eps)."""
-    return np.exp(-u * u / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
+    """exp(-u^2 / 2 eps) / sqrt(2 pi eps) of an array u, in one new array."""
+    g = np.negative(u)
+    g *= u
+    g /= 2.0 * eps
+    np.exp(g, out=g)
+    g /= math.sqrt(2.0 * math.pi * eps)
+    return g
 
 
 def smoothed_density(mu, eps, x, block=1 << 22):
@@ -152,56 +157,94 @@ def smoothing_table(mu, eps):
     the lattice layout is then read off neighbouring samples.  Any other
     array is sorted first, so the table depends only on the measure.
 
-    A 2-D array gives a list of tables, one per row, each equal to the
-    row's own table; the kernel's transform is built once per FFT length
-    among them.
+    A 2-D array gives a list of tables, one per row, each bit for bit the
+    row's own table; a 1-D array is the one-row case.  A call builds all
+    its rows in one pass: the runs are laid out on the rows end to end,
+    the rows of each FFT length are binned into one block, and each block
+    is convolved with one FFT along its rows, the kernel's transform built
+    once per length.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
     s = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
-    transforms = {}
-    if s.ndim > 1:
-        return [_smoothing_table(row, eps, transforms) for row in s]
-    return _smoothing_table(s, eps, transforms)
-
-
-def _smoothing_table(s, eps, transforms):
-    # transforms: FFT length -> the kernel's transform at this eps
-    if not (s.size and np.all(np.isfinite(s))):
+    if s.ndim not in (1, 2):
+        raise ValueError("samples must be one row or a 2-D array of rows")
+    rows = s[None, :] if s.ndim == 1 else s
+    if not (rows.size and np.isfinite(rows).all()):
         raise ValueError("samples must be finite and nonempty")
-    if np.any(s[1:] < s[:-1]):
-        s = np.sort(s)
+    descents = rows[:, 1:] < rows[:, :-1]
+    if descents.any():
+        unsorted = descents.any(axis=1)
+        rows = rows.copy()
+        rows[unsorted] = np.sort(rows[unsorted], axis=1)
+    r, n = rows.shape
     h = _NODE_SPACING * math.sqrt(eps)
     pad = int(_KERNEL_CUT / _NODE_SPACING)
-    lo = float(s[0])
-    pos = (s - lo) / h
-    left = pos.astype(np.int64)
-    frac = pos - left
+    lo = rows[:, :1]
+    frac = rows - lo
+    frac /= h                                        # lattice positions
+    left = frac.astype(np.int64)
+    frac -= left                                     # and their fractional parts
     # a sample loads lattice nodes left and left + 1, and left never decreases
-    # along the samples: a step of more than two cuts between neighbours
-    # starts a new run
-    breaks = np.flatnonzero(np.diff(left) > 2 * pad + 1) + 1
-    first = np.concatenate(([0], breaks))            # each run's first sample
-    last = np.concatenate((breaks, [s.size])) - 1    # and its last
+    # along a row: a row's first sample opens a run, and so does a step of
+    # more than two cuts between neighbours
+    opens = np.empty((r, n), dtype=bool)
+    opens[:, 0] = True
+    np.greater(left[:, 1:] - left[:, :-1], 2 * pad + 1, out=opens[:, 1:])
+    first = np.flatnonzero(opens)                    # each run's first sample
+    left = left.ravel()
+    last = np.concatenate((first[1:], [left.size])) - 1   # and its last
     starts = left[first] - pad
     lengths = left[last] + pad + 2 - starts
+    # the runs of all rows end to end on one axis, a row's table the stretch
+    # from its first run to its last
     ends = np.cumsum(lengths)
-    shift = ends - lengths - starts                  # lattice -> axis, per run
-    size = int(lengths.sum())
-    at = left + np.repeat(shift, last + 1 - first)
-    m = 1 << (size - 1).bit_length()                 # a fast FFT length
-    weights = (np.bincount(at, 1.0 - frac, minlength=m)
-               + np.bincount(at + 1, frac, minlength=m)) / (s.size * h)
-    if m not in transforms:
-        transforms[m] = periodic_gaussian_transform(m, h, m * h, eps)
-    kernel_hat = transforms[m]
-    values = np.maximum(periodic_convolution(weights, kernel_hat, h)[:size], 0.0)
+    axis_starts = ends - lengths
+    shift = axis_starts - starts                     # lattice -> axis, per run
+    row_runs = np.searchsorted(first, np.arange(0, left.size, n))  # each row's first run
+    offsets = axis_starts[row_runs].tolist()
+    sizes = np.add.reduceat(lengths, row_runs).tolist()
+    # the rows of one FFT length m are binned as one (rows, m) block; a
+    # row's bins start past the block's earlier rows
+    groups = {}
+    block_shift = []
+    for row, (a, z) in enumerate(zip(offsets, sizes)):
+        m = 1 << (z - 1).bit_length()                # a fast FFT length
+        group = groups.setdefault(m, [])
+        block_shift.append([len(group) * m - a])
+        group.append(row)
+    at = (left + np.repeat(shift, last + 1 - first)).reshape(r, n)
+    at += block_shift
+    smoothed = [None] * r
+    for m, group in groups.items():
+        g = len(group)
+        at_g, frac_g = (at, frac) if g == r else (at[group], frac[group])
+        weights = np.bincount(at_g.ravel(), (1.0 - frac_g).ravel(), minlength=g * m)
+        weights += np.bincount(at_g.ravel() + 1, frac_g.ravel(), minlength=g * m)
+        weights /= n * h
+        kernel_hat = periodic_gaussian_transform(m, h, m * h, eps)
+        # a lone row goes through the 1-D transforms, which numpy runs faster
+        block = periodic_convolution(weights.reshape(g, m) if g > 1 else weights,
+                                     kernel_hat, h)
+        for row, conv in zip(group, block.reshape(g, m)):
+            smoothed[row] = conv
+    values = np.empty(int(ends[-1]))
+    for conv, a, z in zip(smoothed, offsets, sizes):
+        np.maximum(conv[:z], 0.0, out=values[a:a + z])
+    del smoothed, conv                               # the blocks, before the nodes
+    lattice = np.arange(values.size)
+    lattice -= np.repeat(shift, lengths)
+    nodes = h * lattice
+    tables = []
+    for row, (a, z) in enumerate(zip(offsets, sizes)):
+        row_nodes = nodes[a:a + z]
+        row_nodes += lo[row, 0]
+        tables.append((row_nodes, values[a:a + z]))
     # a run's first and last nodes lie a full cut from its samples: the
     # table reads 0 there and in the gaps between runs
-    values[ends - lengths] = 0.0
+    values[axis_starts] = 0.0
     values[ends - 1] = 0.0
-    nodes = lo + h * (np.arange(size) - np.repeat(shift, lengths))
-    return nodes, values
+    return tables if s.ndim == 2 else tables[0]
 
 
 def read_table(table, x):
@@ -214,14 +257,21 @@ def periodic_gaussian_transform(m, dx, period, eps):
     """The rfft of g_eps on m periodic nodes of spacing dx, for
     :func:`periodic_convolution`; build it once per grid."""
     offsets = np.arange(m) * dx
-    dist = np.minimum(offsets, period - offsets)
+    dist = period - offsets
+    np.minimum(offsets, dist, out=dist)
     return np.fft.rfft(gaussian_kernel(dist, eps))
 
 
 def periodic_convolution(values, kernel_hat, dx):
     """g * p for p sampled with spacing dx on a periodic grid, by FFT, with
-    ``kernel_hat`` from :func:`periodic_gaussian_transform`."""
-    return np.fft.irfft(np.fft.rfft(values) * kernel_hat, n=values.size) * dx
+    ``kernel_hat`` from :func:`periodic_gaussian_transform`.  A 2-D
+    ``values`` holds one grid per row; each row gets the bits a 1-D call
+    would give it."""
+    spectrum = np.fft.rfft(values)
+    spectrum *= kernel_hat
+    out = np.fft.irfft(spectrum, n=values.shape[-1])
+    out *= dx
+    return out
 
 
 def second_moment(mu):

@@ -37,7 +37,7 @@ import numpy as np
 from .drivers import (StableDriverSpec, _check_truncation, _step_count,
                       sample_increment_array, truncated_stable_triplet)
 from .measures import EmpiricalMeasure, wasserstein2
-from .rng import derive_key, substream
+from .rng import SubstreamRows, derive_key, substream
 
 __all__ = [
     "PointMass",
@@ -357,9 +357,11 @@ def _simulate_coupled(cfgs, summaries):
     r is row r of ``(len(cfgs), n)`` position arrays for the system and for
     the copies; it draws its increments and initial sample from its own
     substreams and its system sigma from its own row.  Each step makes one
-    increment call with a generator per row, one system sigma call on the
-    sorted rows and one copies' sigma call against the reference summary;
-    the update, the checks and the distances act on all rows at once.
+    increment call with a generator per row (the batch's own
+    :class:`~levymv.rng.SubstreamRows`, re-keyed to the rows' step-k
+    substreams), one system sigma call on the sorted rows and one copies'
+    sigma call against the reference summary; the update, the checks and
+    the distances act on all rows at once.
     No row reads another, so a run's result does not depend on which runs
     share its batch.  ``summaries[k]`` is ``sigma.summarize`` of the
     reference marginal at step k; it is only read here, so one list can
@@ -372,10 +374,10 @@ def _simulate_coupled(cfgs, summaries):
     sup_gap = np.zeros(x_sys.shape)
     worst_excess = np.full(len(cfgs), -math.inf)
     sqrt_n = math.sqrt(cfg.n_particles)
+    streams = SubstreamRows([c.seed for c in cfgs], _ROLE_STEP)
     for k in range(cfg.n_steps):
         dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                    cfg.n_particles,
-                                    [substream(c.seed, _ROLE_STEP, k) for c in cfgs],
+                                    cfg.n_particles, streams.at(k),
                                     truncation=cfg.effective_truncation)
         sig_sys = _sigma_on_own_measure(sigma, x_sys)
         sig_cop = sigma.from_summary(x_cop, summaries[k])

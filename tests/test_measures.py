@@ -218,6 +218,48 @@ class TestSmoothingTable:
             assert np.array_equal(values, want_values)
         assert sorted(built) == sorted(lengths)
 
+    @staticmethod
+    def _assert_rows_are_own_tables(s, eps):
+        tables = smoothing_table(s, eps)
+        assert len(tables) == len(s)
+        for row, (nodes, values) in zip(s, tables):
+            want_nodes, want_values = smoothing_table(row, eps)
+            assert np.array_equal(nodes, want_nodes)
+            assert np.array_equal(values, want_values)
+
+    def test_rows_of_mixed_shapes_give_each_rows_table(self):
+        # rows of four FFT lengths, a row ending in a far cluster right before
+        # the next row's first sample in the flattened layout, a row of one
+        # repeated value (its lattice nodes all 0, as the next row's first)
+        # and an unsorted row: each row keeps its own runs
+        eps = 0.05
+        h = _NODE_SPACING * math.sqrt(eps)
+        rng = substream(114)
+        s = np.sort(rng.normal(0.0, 1.0, (6, 40)), axis=1)
+        s[1] = np.sort(300.0 * rng.standard_cauchy(40))
+        s[2, -3:] = 1e4 + np.array([0.0, h, 2 * h])
+        s[3] = 7.25
+        s[4] = np.sort(rng.normal(0.0, 20.0, 40))
+        s[5] = rng.permutation(s[0] + 0.3)
+        lengths = {1 << (smoothing_table(row, eps)[0].size - 1).bit_length()
+                   for row in s}
+        assert len(lengths) == 4
+        self._assert_rows_are_own_tables(s, eps)
+
+    def test_rows_of_one_sample(self):
+        s = substream(115).normal(0.0, 3.0, (4, 1))
+        self._assert_rows_are_own_tables(s, 0.2)
+        nodes, values = smoothing_table(s[2], 0.2)
+        assert np.trapezoid(values, nodes) == pytest.approx(1.0, rel=1e-9)
+
+    def test_a_non_finite_entry_in_any_row_is_rejected(self):
+        s = substream(116).normal(0.0, 1.0, (3, 10))
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = s.copy()
+            rows[2, 4] = bad
+            with pytest.raises(ValueError):
+                smoothing_table(rows, 0.5)
+
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
             smoothing_table(np.array([0.0, np.inf]), 0.5)
