@@ -15,14 +15,14 @@ from levymv.particles import SimulationConfig, chaos_rate_experiment
 
 common = dict(dt=0.02, horizon_T=1.0, seed=515,
               driver=StableDriverSpec(alpha=1.5, scale=0.5),
-              initial_law=GaussianLaw(0.0, 1.0), truncation_N=2.0, threads=2)
+              initial_law=GaussianLaw(0.0, 1.0), truncation_N=2.0)
 ladder = [25, 50, 100, 200, 400]
 
 for label, sigma in (
         ("linear sine interaction", LinearInteraction(SineKernel(1.0, 0.5))),
         ("smoothed density power", SmoothedDensityPower(0.5, 0.5))):
     cfg = SimulationConfig(n_particles=ladder[-1], sigma=sigma, **common)
-    table = chaos_rate_experiment(cfg, ladder, reps=10, n_ref=4000)
+    table = chaos_rate_experiment(cfg, ladder, reps=10, n_ref=4000, threads=2)
     print(f"{label}:")
     for row in table.rows:
         print(f"  n={row.n:4d}: mean sq sup-gap = {row.mean_sq_gap:.3e}"

@@ -7,11 +7,11 @@ command with every key's type and default; ``main`` resolves the config
 against it before the command runs.  Commands read only the resolved config,
 which holds every default and is what ``config.resolved.json`` records.  An
 unknown, missing or ill-typed key prints ``error: ...`` naming the key and
-exits 2, as do a config file that cannot be read or parsed and a config that
-would run nothing; a failed check or a failed run exits 1.  ``--threads`` is
-not part of the config and never changes results, and outputs hold no
-timestamps, so the whole output directory is byte-identical across reruns
-and thread counts.
+exits 2, as do a config file that cannot be read or parsed, a config that
+would run nothing and a ``--threads`` below 1; a failed check or a failed run
+exits 1.  ``--threads`` is not part of the config and never changes results,
+and outputs hold no timestamps, so the whole output directory is
+byte-identical across reruns and thread counts.
 """
 
 import argparse
@@ -232,12 +232,11 @@ def _build_initial(d):
                           f"{d['path']!r}: {exc}") from exc
 
 
-def _build_sim_config(cfg, n, threads):
+def _build_sim_config(cfg, n):
     return SimulationConfig(
         n_particles=n, dt=cfg["dt"], horizon_T=cfg["horizon"], seed=cfg["seed"],
         driver=_build_driver(cfg["driver"]), sigma=_build_sigma(cfg["sigma"]),
-        initial_law=_build_initial(cfg["initial"]), truncation_N=cfg["truncation"],
-        threads=threads)
+        initial_law=_build_initial(cfg["initial"]), truncation_N=cfg["truncation"])
 
 
 def _grid_from_config(cfg, params):
@@ -265,7 +264,7 @@ def _finish(outdir, cfg, summary, failed):
 
 
 def cmd_simulate(cfg, outdir, threads):
-    sim = _build_sim_config(cfg, cfg["n_particles"], threads)
+    sim = _build_sim_config(cfg, cfg["n_particles"])
     flow = simulate(sim, record_every=cfg["record_every"])
     if cfg["flow_format"] == "csv":
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
@@ -392,8 +391,9 @@ def cmd_pde(cfg, outdir, threads):
 
 
 def cmd_chaos_rate(cfg, outdir, threads):
-    base = _build_sim_config(cfg, max(cfg["n_list"]), threads)
-    table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"])
+    base = _build_sim_config(cfg, max(cfg["n_list"]))
+    table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
+                                  threads=threads)
     exports.chaos_table_to_csv(table, os.path.join(outdir, "table.csv"))
     payload = table.to_json_dict()
     failed = False
@@ -451,8 +451,7 @@ def cmd_compare(cfg, outdir, threads):
     for n in cfg["particles"]["n_list"]:
         sim = SimulationConfig(
             n_particles=n, dt=particle_dt, horizon_T=cfg["horizon"],
-            seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial,
-            threads=threads)
+            seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial)
         flow = simulate(sim, record_every=particle_every)
         for t, p_t, marg in zip(res.times[1:], res.grids[1:], flow.marginals[1:],
                                 strict=True):
@@ -596,6 +595,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_usage(sys.stderr)
+        return 2
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
         return 2
     if args.config and args.preset:
         print("error: give either a config file or --preset, not both", file=sys.stderr)

@@ -81,12 +81,6 @@ class StableDriverSpec:
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def second_moment_rate(self):
-        """Var(Z_t)/t, finite only for the Gaussian endpoint alpha = 2."""
-        if self.alpha == 2.0:
-            return 2.0 * self.scale
-        return math.inf
-
 
 def _standard_symmetric_stable(alpha, u, w):
     # u uniform on (-pi/2, pi/2), w unit exponential; CF exp(-|xi|^alpha).

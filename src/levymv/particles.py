@@ -3,23 +3,27 @@
 Fixed-step Euler scheme for
     X^i_{t+dt} = X^i_t + sigma(X^i_t, mu_t) * dZ^i
 with the coefficient frozen at the step start (left-limit convention)
-and driver increments drawn exactly per step.  Every step evaluates
-sigma through the coefficient's ``summarize``/``from_summary`` pair
-(see :mod:`levymv.coefficients`), in three modes:
+and driver increments drawn exactly per step.  Every run is stepped by
+one loop over ``(runs, n)`` arrays, one run per row: each step draws the
+rows' increments in one call and advances up to two parts with them,
+evaluating sigma through the coefficient's ``summarize``/``from_summary``
+pair (see :mod:`levymv.coefficients`):
 
-* interacting (:func:`simulate`) -- sigma sees the system's own
-  empirical measure, summarized afresh at every step and evaluated in
-  sorted particle order (one argsort per step, values scattered back),
-* frozen flow (:func:`picard_flow`) -- sigma sees an externally supplied
-  marginal flow, summarized once per marginal, which turns the system
-  into n independent copies of a linear equation,
-* coupled (:func:`simulate_coupled`, :func:`chaos_rate_experiment`) --
-  both at once with shared increments per particle index, which is the
-  construction behind the pathwise convergence-rate experiments.  Runs of
-  one system size are stepped in lockstep, one run per row of
-  ``(runs, n)`` arrays; each row keeps its own substreams and its own
-  system sigma, so a run's result does not depend on which runs share its
-  array, and a single run is the one-row case.
+* the interacting part -- sigma sees the system's own empirical measure,
+  row by row, summarized afresh at every step and evaluated in sorted
+  particle order (one argsort per step, values scattered back),
+* the frozen-flow part -- sigma sees an externally supplied marginal
+  flow, summarized once per marginal, which turns the system into n
+  independent copies of a linear equation.
+
+:func:`simulate` is the interacting part on one row, a
+:func:`picard_flow` iterate the frozen-flow part on one row against the
+previous iterate's flow, and a coupled run (:func:`simulate_coupled`,
+:func:`chaos_rate_experiment`) both parts at once with shared increments
+per particle index, which is the construction behind the pathwise
+convergence-rate experiments.  The repetitions of one system size are
+stepped together; each row keeps its own substreams and its own system
+sigma, so a run's result does not depend on which runs share its array.
 
 Randomness comes from counter-based substreams keyed by
 (seed, role, step), drawn in particle-major order, so runs are
@@ -64,6 +68,11 @@ _ROLE_STEP = 1
 
 class SimulationError(RuntimeError):
     pass
+
+
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,18 +153,13 @@ class SimulationConfig:
     sigma: object
     initial_law: object = field(default_factory=GaussianLaw)
     truncation_N: float = None
-    threads: int = 1
 
     def __post_init__(self):
-        if isinstance(self.n_particles, bool) or not isinstance(self.n_particles,
-                                                                numbers.Integral):
-            raise ValueError(f"n_particles must be an integer, got {self.n_particles!r}")
+        _check_count("n_particles", self.n_particles)
         for name in ("dt", "horizon_T"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.n_particles < 1:
-            raise ValueError("need at least one particle")
         if not (self.dt > 0.0 and self.horizon_T > 0.0):
             raise ValueError("dt and horizon must be positive")
         self.n_steps = _step_count(self.horizon_T, self.dt)
@@ -246,21 +250,44 @@ def initial_positions(cfg):
     return cfg.initial_law.sample(cfg.n_particles, substream(cfg.seed, _ROLE_INIT))
 
 
+def _steps(cfg, streams, xs, parts):
+    """Step lockstep runs through ``cfg``'s time grid; yield each step's number.
+
+    ``xs`` holds one ``(rows, n)`` position array per part, one run per
+    row, and is updated in place: after step k it holds the positions at
+    time (k + 1) dt and ``k + 1`` is yielded, so a caller that reads
+    ``xs`` keeps no past step alive.  Parts may start from one shared
+    array, as no step writes into one.  ``parts[i]`` is None for the
+    interacting part, sigma on each row's own empirical measure, or the
+    frozen-flow part's list of summaries, ``parts[i][k]`` being read at
+    step k.  Step k draws every row's increments in one call, from
+    ``streams.at(k)``, and all parts consume them; each advanced part is
+    checked for finiteness before the next is advanced.
+    """
+    sigma = cfg.sigma
+    for k in range(cfg.n_steps):
+        dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
+                                    cfg.n_particles, streams.at(k),
+                                    truncation=cfg.effective_truncation)
+        for i, summaries in enumerate(parts):
+            sig = (_sigma_on_own_measure(sigma, xs[i]) if summaries is None
+                   else sigma.from_summary(xs[i], summaries[k]))
+            xs[i] = _advance(xs[i], sig, dz)
+            _check_finite(xs[i], k + 1, (k + 1) * cfg.dt_effective)
+        yield k + 1
+
+
 def simulate(cfg, record_every=1):
     """Run the interacting system, recording the marginal at step 0, every
     ``record_every`` steps and at the horizon."""
-    x = initial_positions(cfg)
+    _check_count("record_every", record_every)
+    xs = [initial_positions(cfg)[None]]
     times = [0.0]
-    marginals = [EmpiricalMeasure(x)]
-    for k in range(cfg.n_steps):
-        dz = step_increments(cfg, k)
-        sig = _sigma_on_own_measure(cfg.sigma, x)
-        x = _advance(x, sig, dz)
-        t = (k + 1) * cfg.dt_effective
-        _check_finite(x, k + 1, t)
-        if (k + 1) % record_every == 0 or k == cfg.n_steps - 1:
-            times.append(t)
-            marginals.append(EmpiricalMeasure(x))
+    marginals = [EmpiricalMeasure(xs[0])]
+    for step in _steps(cfg, SubstreamRows([cfg.seed], _ROLE_STEP), xs, [None]):
+        if step % record_every == 0 or step == cfg.n_steps:
+            times.append(step * cfg.dt_effective)
+            marginals.append(EmpiricalMeasure(xs[0]))
     return MarginalFlow(times=np.asarray(times), marginals=marginals)
 
 
@@ -277,7 +304,8 @@ def picard_flow(cfg, iterations, common_increments=True):
     from the constant-in-time initial law), sharing one initial sample
     across iterations.  With ``common_increments`` every iterate reuses
     the same increment streams, so successive-flow distances measure the
-    contraction of the flow map rather than Monte-Carlo noise.
+    contraction of the flow map rather than Monte-Carlo noise; otherwise
+    iterate j draws from its own, keyed by (seed, step role, j, step).
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -291,20 +319,11 @@ def picard_flow(cfg, iterations, common_increments=True):
     for j in range(1, iterations + 1):
         prev = flows[-1]
         summaries = [sigma.summarize(m.samples) for m in prev.marginals]
-        x = x0.copy()
-        marginals = [EmpiricalMeasure(x)]
-        for k in range(cfg.n_steps):
-            if common_increments:
-                rng = substream(cfg.seed, _ROLE_STEP, k)
-            else:
-                rng = substream(cfg.seed, _ROLE_STEP, j, k)
-            dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                        x.size, rng,
-                                        truncation=cfg.effective_truncation)
-            sig = sigma.from_summary(x, summaries[k])
-            x = _advance(x, sig, dz)
-            _check_finite(x, k + 1, (k + 1) * cfg.dt_effective)
-            marginals.append(EmpiricalMeasure(x))
+        prefix = (_ROLE_STEP,) if common_increments else (_ROLE_STEP, j)
+        xs = [x0[None]]
+        marginals = [EmpiricalMeasure(x0)]
+        for _ in _steps(cfg, SubstreamRows([cfg.seed], *prefix), xs, [summaries]):
+            marginals.append(EmpiricalMeasure(xs[0]))
         flow = MarginalFlow(times=times, marginals=marginals)
         gaps.append(max(wasserstein2(a, b)
                         for a, b in zip(flow.marginals, prev.marginals)))
@@ -354,42 +373,27 @@ def _simulate_coupled(cfgs, summaries):
 
     ``cfgs`` share the particle count, the time grid and sigma and differ
     in their seeds (the driver too, so their effective drivers agree).  Run
-    r is row r of ``(len(cfgs), n)`` position arrays for the system and for
-    the copies; it draws its increments and initial sample from its own
-    substreams and its system sigma from its own row.  Each step makes one
-    increment call with a generator per row (the batch's own
-    :class:`~levymv.rng.SubstreamRows`, re-keyed to the rows' step-k
-    substreams), one system sigma call on the sorted rows and one copies'
-    sigma call against the reference summary; the update, the checks and
-    the distances act on all rows at once.
+    r is row r of the ``(len(cfgs), n)`` position arrays of both parts of
+    :func:`_steps`, the system and the copies, which start from one array;
+    it draws its increments and initial sample from its own substreams
+    (the batch's own :class:`~levymv.rng.SubstreamRows`) and its system
+    sigma from its own row.  The distances act on all rows at once.
     No row reads another, so a run's result does not depend on which runs
     share its batch.  ``summaries[k]`` is ``sigma.summarize`` of the
     reference marginal at step k; it is only read here, so one list can
     serve many batches, concurrent ones included.
     """
     cfg = cfgs[0]
-    sigma = cfg.sigma
-    x_sys = np.stack([initial_positions(c) for c in cfgs])
-    x_cop = x_sys.copy()
-    sup_gap = np.zeros(x_sys.shape)
+    xs = [np.stack([initial_positions(c) for c in cfgs])] * 2  # system, copies
+    sup_gap = np.zeros(xs[0].shape)
     worst_excess = np.full(len(cfgs), -math.inf)
     sqrt_n = math.sqrt(cfg.n_particles)
     streams = SubstreamRows([c.seed for c in cfgs], _ROLE_STEP)
-    for k in range(cfg.n_steps):
-        dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                    cfg.n_particles, streams.at(k),
-                                    truncation=cfg.effective_truncation)
-        sig_sys = _sigma_on_own_measure(sigma, x_sys)
-        sig_cop = sigma.from_summary(x_cop, summaries[k])
-        x_sys = _advance(x_sys, sig_sys, dz)
-        x_cop = _advance(x_cop, sig_cop, dz)
-        t_next = (k + 1) * cfg.dt_effective
-        _check_finite(x_sys, k + 1, t_next)
-        _check_finite(x_cop, k + 1, t_next)
-        gap = x_sys - x_cop
+    for _ in _steps(cfg, streams, xs, [None, summaries]):
+        gap = xs[0] - xs[1]
         sup_gap = np.maximum(sup_gap, np.abs(gap))
         # per row: W2 by the sorted pairing against the identity pairing's cost
-        d = np.sort(x_sys, axis=1) - np.sort(x_cop, axis=1)
+        d = np.sort(xs[0], axis=1) - np.sort(xs[1], axis=1)
         w2 = np.sqrt(np.mean(d * d, axis=1))
         bound = np.linalg.norm(gap, axis=1) / sqrt_n
         worst_excess = np.maximum(worst_excess, w2 - bound)
@@ -442,7 +446,7 @@ def _loglog_slope(ns, vals):
     return float(coef[0]), math.sqrt(s2 / sxx) if sxx > 0 else math.inf
 
 
-def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
+def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     """Mean-square pathwise gaps for a ladder of system sizes.
 
     One reference flow is built at ``n_ref`` (>= 10x the largest system)
@@ -452,8 +456,9 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
     the largest requested size well below ``n_ref``.
 
     The repetitions of one size are stepped in lockstep as the rows of one
-    ``(reps, n)`` array; with ``threads`` > 1 each size's repetitions are
-    cut into up to ``threads`` chunks of consecutive rows, one batch each.
+    ``(reps, n)`` array.  ``threads`` (at least 1) worker threads share the
+    batches: each size's repetitions are cut into up to ``threads`` chunks
+    of consecutive rows, one batch each.
     A row's seed derives from its (size, repetition) pair alone and no row
     reads another, so neither the chunking nor the scheduling can change a
     result: each run's result equals that of ``simulate_coupled`` on the
@@ -470,7 +475,7 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None):
         n_ref = 10 * max(n_list)
     if n_ref < 10 * max(n_list):
         raise ValueError("reference size must be at least 10x the largest system")
-    threads = max(1, getattr(cfg_base, "threads", 1))
+    _check_count("threads", threads)
     base = replace(cfg_base, driver=cfg_base.effective_driver)
     ref_cfg = replace(base, n_particles=n_ref,
                       seed=derive_key(cfg_base.seed, 0xFEED))

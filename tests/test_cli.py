@@ -48,6 +48,15 @@ class TestArgumentHandling:
         cfg = write_config(tmp_path, SIM_CFG)
         assert main(["pde", cfg]) == 2
 
+    def test_thread_count_below_one_rejected(self, tmp_path, capsys):
+        for threads in ("0", "-2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["chaos-rate", "--preset", "AC4", "--threads", threads,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "--threads" in err and "Traceback" not in err
+            assert not out.exists()
+
     def test_truncated_config_file_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "truncated.json"
         cfg.write_text(json.dumps(SIM_CFG)[:40])

@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp
 from levymv import particles
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction,
                                  SineKernel, SmoothedDensityPower)
-from levymv.drivers import LevyTripletSpec, StableDriverSpec
+from levymv.drivers import LevyTripletSpec, StableDriverSpec, sample_increment_array
 from levymv.exports import (chaos_table_to_csv, flow_from_binary, flow_to_binary,
                             flow_to_csv)
 from levymv.measures import EmpiricalMeasure, second_moment, wasserstein2
@@ -192,6 +192,12 @@ class TestSimulate:
         assert cfg.n_steps == 3
         assert cfg.dt_effective == pytest.approx(1.0 / 3.0)
 
+    def test_record_every_must_be_a_positive_integer(self):
+        cfg = make_cfg(n_particles=10, horizon_T=0.2)
+        for every in (0, -2, 2.5, True):
+            with pytest.raises(ValueError, match="record_every"):
+                simulate(cfg, record_every=every)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             make_cfg(n_particles=0)
@@ -234,6 +240,35 @@ class TestPicard:
         common = picard_flow(cfg, 2, common_increments=True)
         indep = picard_flow(cfg, 2, common_increments=False)
         assert common.successive_gaps[1] < indep.successive_gaps[1]
+
+
+    @pytest.mark.parametrize("common", [True, False])
+    @pytest.mark.parametrize("sigma", [
+        LinearInteraction(SineKernel(1.0, 0.5)), LinearInteraction(CauchyKernel(1.0, 0.5)),
+        SmoothedDensityPower(0.5, 0.5)])
+    def test_iterates_equal_a_hand_rolled_frozen_flow_loop(self, sigma, common):
+        # each iterate is, bit for bit, a per-step loop over 1-d arrays against
+        # the previous flow, step k drawing from substream(seed, 1, k), or from
+        # substream(seed, 1, j, k) in iterate j when increments are independent
+        cfg = make_cfg(n_particles=80, horizon_T=0.3, seed=35, sigma=sigma)
+        res = picard_flow(cfg, 3, common_increments=common)
+        x0 = initial_positions(cfg)
+        prev = [EmpiricalMeasure(x0)] * (cfg.n_steps + 1)
+        for j, (flow, gap) in enumerate(zip(res.flows, res.successive_gaps), start=1):
+            summaries = [sigma.summarize(m.samples) for m in prev]
+            x = x0
+            marginals = [EmpiricalMeasure(x)]
+            for k in range(cfg.n_steps):
+                rng = substream(cfg.seed, 1, k) if common else substream(cfg.seed, 1, j, k)
+                dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective, x.size,
+                                            rng, truncation=cfg.effective_truncation)
+                x = x + sigma.from_summary(x, summaries[k]) * dz
+                marginals.append(EmpiricalMeasure(x))
+            assert np.array_equal(flow.times, cfg.times())
+            for got, want in zip(flow.marginals, marginals, strict=True):
+                assert np.array_equal(got.samples, want.samples)
+            assert gap == max(wasserstein2(a, b) for a, b in zip(marginals, prev))
+            prev = marginals
 
 
 class TestCoupling:
@@ -337,8 +372,8 @@ class TestChaosExperiment:
     def test_threading_does_not_change_results(self):
         # reps 5: no thread count here divides it, so the chunks of rows differ
         tables = [chaos_rate_experiment(
-                      make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=53, threads=t),
-                      [10, 20, 40, 80], reps=5, n_ref=800).to_json_dict()
+                      make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=53),
+                      [10, 20, 40, 80], reps=5, n_ref=800, threads=t).to_json_dict()
                   for t in (1, 2, 3)]
         assert tables[0] == tables[1] == tables[2]
 
@@ -392,6 +427,12 @@ class TestChaosExperiment:
             chaos_rate_experiment(cfg, [50, 100], reps=2)
         with pytest.raises(ValueError):
             chaos_rate_experiment(cfg, [50, 100, 200, 400], reps=2, n_ref=1000)
+
+    def test_thread_count_below_one_rejected(self):
+        cfg = make_cfg()
+        for threads in (0, -1, True, 1.5):
+            with pytest.raises(ValueError, match="threads"):
+                chaos_rate_experiment(cfg, [50, 100, 200, 400], reps=2, threads=threads)
 
 
 class TestInitialLaws:
