@@ -2,7 +2,7 @@
 driven by alpha-stable Levy noise."""
 
 from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
-                           SmoothedDensityPower, lipschitz_probe)
+                           SmoothedDensityPower)
 from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec,
                       cf_constant_from_levy_constant, levy_constant_from_cf_constant,
                       sample_stable_increment, truncated_stable_triplet)

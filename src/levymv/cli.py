@@ -263,6 +263,12 @@ def _finish(outdir, cfg, summary, failed):
     return 1 if failed else 0
 
 
+def _cf_gap(samples, xi, expected):
+    """max over xi of |empirical CF of the samples - expected CF|."""
+    emp = np.exp(1j * xi[:, None] * samples[None, :]).mean(axis=1)
+    return float(np.max(np.abs(emp - expected)))
+
+
 def cmd_simulate(cfg, outdir, threads):
     sim = _build_sim_config(cfg, cfg["n_particles"])
     flow = simulate(sim, record_every=cfg["record_every"])
@@ -288,11 +294,10 @@ def cmd_simulate(cfg, outdir, threads):
         alpha = driver_cfg["alpha"]
         c_tot = driver_cfg["scale"] * cfg["horizon"] * abs(sigma_cfg["value"]) ** alpha
         xi = np.array(cfg["cf_xi_grid"])
-        emp = np.exp(1j * xi[:, None] * flow.final().samples[None, :]).mean(axis=1)
         base = sim.initial_law.cf(xi)
         if base is not None:
             expected = base * np.exp(-c_tot * np.abs(xi) ** alpha)
-            gap = float(np.max(np.abs(emp - expected)))
+            gap = _cf_gap(flow.final().samples, xi, expected)
             tol = cfg["cf_tolerance"]
             if tol is None:
                 tol = 4.0 / math.sqrt(sim.n_particles) + 1e-3
@@ -491,9 +496,7 @@ def cmd_validate_sampler(cfg, outdir, threads):
             z = sample_stable_increment(spec, 1.0, substream(seed, 10, i),
                                         size=c["n_samples"])
             xi = np.asarray(c["xi_grid"])
-            emp = np.exp(1j * xi[:, None] * z[None, :]).mean(axis=1)
-            exact = np.exp(-c["scale"] * np.abs(xi) ** alpha)
-            gap = float(np.max(np.abs(emp - exact)))
+            gap = _cf_gap(z, xi, np.exp(-c["scale"] * np.abs(xi) ** alpha))
             ok = gap <= c["tolerance"]
             rows.append({"alpha": alpha, "max_abs_cf_gap": gap, "pass": ok})
             failed = failed or not ok

@@ -13,7 +13,7 @@ Three families:
 
 Every family has the same methods, so a new family is one class.
 ``evaluate(x, mu)`` is the exact sigma against an empirical measure or its
-samples (the oracle of the tests and of :func:`lipschitz_probe`).
+samples (the oracle of the tests).
 ``summarize(samples)`` reduces a sorted sample array once and
 ``from_summary(x, summary)`` evaluates many points from that reduction;
 the particle engine calls only these two.  They work on rows: a 2-D
@@ -30,15 +30,15 @@ kernel's transform) is built once, so the spectral solver builds it once
 per solve.  Gaussian smoothing is one convolution,
 :func:`levymv.measures.periodic_convolution`: it serves the grid densities
 directly and the samples through :func:`levymv.measures.smoothing_table`.
+Exact pairwise sums over samples, a pair kernel's and the Gaussian
+smoothing's, are the one blocked kernel mean of :mod:`levymv.measures`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (EmpiricalMeasure, periodic_convolution,
+from .measures import (EmpiricalMeasure, _pair_mean, periodic_convolution,
                        periodic_gaussian_transform, read_table, smoothed_density,
-                       smoothing_table, wasserstein2)
+                       smoothing_table)
 
 __all__ = [
     "Constant",
@@ -46,8 +46,6 @@ __all__ = [
     "SmoothedDensityPower",
     "SineKernel",
     "CauchyKernel",
-    "lipschitz_probe",
-    "LipschitzEstimate",
 ]
 
 
@@ -124,7 +122,8 @@ class LinearInteraction:
     differences on an expanding grid and rejects kernels whose probes
     keep growing with the window.  A kernel with ``summary_stats`` and
     ``mean_from_stats`` (``SineKernel``) is summarized by those; any other
-    kernel by the samples, against which it is summed pairwise.
+    kernel by the samples, against which it is summed pairwise, each point
+    in one reduction over every sample.
     """
 
     def __init__(self, kernel, probe_halfwidths=(10.0, 30.0), probe_points=201):
@@ -162,23 +161,8 @@ class LinearInteraction:
         if hasattr(self.kernel, "mean_from_stats"):
             return self.kernel.mean_from_stats(x, summary)
         if np.ndim(summary) > 1:
-            return np.stack([self._pair_mean(xr, sr) for xr, sr in zip(x, summary)])
-        return self._pair_mean(x, summary)
-
-    def _pair_mean(self, x, samples):
-        # blocked over the query points: each point's sum spans every sample
-        # in one reduction, so it does not depend on the other points
-        xq = np.asarray(x, dtype=float)
-        flat = xq.ravel()
-        out = np.empty(flat.size)
-        step = max(1, (1 << 22) // max(1, samples.size))
-        for lo in range(0, flat.size, step):
-            block = flat[lo:lo + step, None]
-            out[lo:lo + step] = self.kernel(block, samples[None, :]).sum(axis=1)
-        out /= samples.size
-        if xq.ndim == 0:
-            return float(out[0])
-        return out.reshape(xq.shape)
+            return np.stack([_pair_mean(self.kernel, xr, sr) for xr, sr in zip(x, summary)])
+        return _pair_mean(self.kernel, x, summary)
 
     def on_grid(self, grid):
         nodes, dx = grid.nodes, grid.dx
@@ -238,36 +222,3 @@ class SmoothedDensityPower:
         # negative base to a fractional power
         return lambda values: np.maximum(
             periodic_convolution(values, kernel_hat, dx), 0.0) ** self.s
-
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Max observed difference ratios; lower bounds on the true constants."""
-
-    in_state: float
-    in_measure: float
-
-
-def lipschitz_probe(spec, trials, rng, measure_size=64):
-    """Ratio-maximization estimate of the Lipschitz constants of sigma.
-
-    Random point pairs probe the x-direction; random Gaussian sample
-    clouds (equal size, so the transport distance is exact) probe the
-    measure direction.  Both are sup-estimates from below.
-    """
-    best_x = 0.0
-    best_m = 0.0
-    for _ in range(trials):
-        mu = EmpiricalMeasure(rng.normal(rng.normal(0, 1), 0.5 + rng.random(),
-                                         measure_size))
-        nu = EmpiricalMeasure(rng.normal(rng.normal(0, 1), 0.5 + rng.random(),
-                                         measure_size))
-        x0, x1 = rng.normal(0.0, 2.0, 2)
-        if x0 != x1:
-            num = abs(spec.evaluate(x1, mu) - spec.evaluate(x0, mu))
-            best_x = max(best_x, num / abs(x1 - x0))
-        d = wasserstein2(mu, nu)
-        if d > 1e-12:
-            num = abs(spec.evaluate(x0, mu) - spec.evaluate(x0, nu))
-            best_m = max(best_m, num / d)
-    return LipschitzEstimate(in_state=best_x, in_measure=best_m)

@@ -95,6 +95,14 @@ class DensityGrid:
     def with_values(self, values, renormalize=False):
         return DensityGrid(self.half_width, values, renormalize=renormalize)
 
+    def _unchecked(self, values):
+        """This grid's nodes holding ``values`` as they are: not validated,
+        copied or renormalized (the solver's steps check what they hand back)."""
+        out = DensityGrid.__new__(DensityGrid)
+        out.half_width, out.m, out.dx = self.half_width, self.m, self.dx
+        out.values = values
+        return out
+
     def to_csv(self, path):
         np.savetxt(path, np.column_stack([self.nodes, self.values]),
                    fmt="%.17g", delimiter=",", header="x,p", comments="")
@@ -227,10 +235,7 @@ def _step_rk4(p, dt, op, safety):
     if float(new.min()) < floor:
         raise StabilityError(f"positivity monitor tripped: min {new.min():.3g} "
                              f"< {floor:.3g}; reduce dt or refine the grid")
-    out = DensityGrid.__new__(DensityGrid)
-    out.half_width, out.m, out.dx = p.half_width, p.m, p.dx
-    out.values = new
-    return out
+    return p._unchecked(new)
 
 
 def _step_lawson(p, dt, op, c_bar):
@@ -254,10 +259,7 @@ def _step_lawson(p, dt, op, c_bar):
     k3 = n_hat(e_half * v + 0.5 * dt * k2)
     k4 = n_hat(e_full * v + dt * e_half * k3)
     v_new = e_full * v + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    out = DensityGrid.__new__(DensityGrid)
-    out.half_width, out.m, out.dx = p.half_width, p.m, p.dx
-    out.values = np.fft.irfft(v_new, n=p.m)
-    return out
+    return p._unchecked(np.fft.irfft(v_new, n=p.m))
 
 
 @dataclass

@@ -7,6 +7,14 @@ Wasserstein-2 distance is exact and cheap.  For the bounded cost
 is not convex), so that quantity is shipped as an upper bound; tests
 compare it against a brute-force assignment for small n.
 
+Each sample statistic is computed in one place: the sorted pairing's
+squared W2 and its excess over the paired-configuration bound, row by
+row, serve :func:`wasserstein2`, :func:`check_empirical_distance_bound`,
+the gap experiment and the particle engine's coupled runs; the blocked
+pairwise kernel mean serves :func:`smoothed_density` and the pair-kernel
+coefficient; the Monte-Carlo mean with its standard error serves the gap
+and chaos-rate experiments.
+
 Gaussian smoothing is exact in :func:`smoothed_density` (the oracle) and
 binned in :func:`smoothing_table` (every hot path), which shares
 :func:`periodic_convolution` with the PDE grid; the kernel's transform,
@@ -71,8 +79,7 @@ def wasserstein2(mu, nu):
     """
     if len(mu) != len(nu):
         raise ValueError(f"sample counts differ: {len(mu)} vs {len(nu)}")
-    d = mu.samples - nu.samples
-    return math.sqrt(float(np.mean(d * d)))
+    return math.sqrt(float(_sorted_pairing(mu.samples, nu.samples)[0]))
 
 
 def truncated_wasserstein2_upper(mu, nu):
@@ -97,10 +104,28 @@ def check_empirical_distance_bound(xs, ys, tol=1e-12):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError("configurations must have equal length")
-    n = xs.size
-    lhs = wasserstein2(EmpiricalMeasure(xs), EmpiricalMeasure(ys))
-    rhs = float(np.linalg.norm(xs - ys)) / math.sqrt(n)
-    return lhs <= rhs + tol
+    _, excess = _sorted_pairing(EmpiricalMeasure(xs).samples, EmpiricalMeasure(ys).samples,
+                                (xs - ys).ravel())
+    return bool(excess <= tol)
+
+
+def _sorted_pairing(xs, ys, gap=None):
+    """Row-wise along the last axis, for rows of n sorted samples each:
+    (W2^2 between the rows' empirical measures, the excess of W2 over the
+    identity pairing's cost |gap| / sqrt(n)).
+
+    W2^2 is the mean squared difference of the sorted rows, the monotone
+    pairing being optimal for quadratic cost in one dimension.  ``gap`` is
+    the difference of the paired configurations that ``xs`` and ``ys``
+    sort; without it the excess is None.  Each row gets the bits a one-row
+    call would give it.
+    """
+    d = xs - ys
+    w2sq = np.mean(d * d, axis=-1)
+    if gap is None:
+        return w2sq, None
+    bound = np.sqrt(np.sum(gap * gap, axis=-1)) / math.sqrt(xs.shape[-1])
+    return w2sq, np.sqrt(w2sq) - bound
 
 
 def gaussian_kernel(u, eps):
@@ -113,26 +138,36 @@ def gaussian_kernel(u, eps):
     return g
 
 
-def smoothed_density(mu, eps, x, block=1 << 22):
+def smoothed_density(mu, eps, x):
     """Gaussian smoothing of the measure: (1/n) sum_i g_eps(x - x_i).
 
     Strictly positive and smooth in x.  ``mu`` is an EmpiricalMeasure or
     its array of samples; scalar or array x; the pairwise sum is blocked
-    to bound memory and runs in sample order.
+    over the points x, each point's value one reduction over every sample.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
-    xq = np.atleast_1d(np.asarray(x, dtype=float))
     s = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
-    out = np.zeros(xq.shape)
-    step = max(1, block // max(1, xq.size))
-    for lo in range(0, s.size, step):
-        chunk = s[lo:lo + step]
-        out += gaussian_kernel(xq[:, None] - chunk[None, :], eps).sum(axis=1)
-    out /= s.size
-    if np.isscalar(x) or np.ndim(x) == 0:
+    return _pair_mean(lambda xq, y: gaussian_kernel(xq - y, eps), x, s)
+
+
+def _pair_mean(kernel, x, samples):
+    """(1/n) sum_i kernel(x, samples_i) at each point of scalar or array x.
+
+    Blocked over the points, about 2^22 point-sample pairs at a time, to
+    bound memory: each point's sum spans every sample in one reduction, so
+    it does not depend on the points queried with it.
+    """
+    xq = np.asarray(x, dtype=float)
+    flat = xq.ravel()
+    out = np.empty(flat.size)
+    step = max(1, (1 << 22) // max(1, samples.size))
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = kernel(flat[lo:lo + step, None], samples[None, :]).sum(axis=1)
+    out /= samples.size
+    if xq.ndim == 0:
         return float(out[0])
-    return out
+    return out.reshape(xq.shape)
 
 
 # smoothing_table's lattice spacing h and kernel cut, in units of sqrt(eps):
@@ -288,8 +323,7 @@ def _w2sq_sorted_unequal(x, y):
     """
     n, m = x.size, y.size
     if n == m:
-        d = x - y
-        return float(np.mean(d * d))
+        return float(_sorted_pairing(x, y)[0])
     if m % n == 0:
         d = y.reshape(n, m // n) - x[:, None]
         return float(np.mean(d * d))
@@ -327,6 +361,14 @@ def empirical_gap_experiment(law_sampler, n, reps, rng, n_ref=10 ** 6):
     for r in range(reps):
         xs = np.sort(law_sampler(rng, n))
         vals[r] = _w2sq_sorted_unequal(xs, ref)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
+    mean, stderr = _mean_stderr(vals)
     return GapEstimate(n=n, reps=reps, mean_sq_distance=mean, stderr=stderr)
+
+
+def _mean_stderr(values):
+    """(mean, standard error) of Monte-Carlo repetitions; the error is inf
+    for one repetition."""
+    reps = values.size
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
+    return mean, stderr

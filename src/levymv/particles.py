@@ -40,7 +40,7 @@ import numpy as np
 
 from .drivers import (StableDriverSpec, _check_truncation, _step_count,
                       sample_increment_array, truncated_stable_triplet)
-from .measures import EmpiricalMeasure, wasserstein2
+from .measures import EmpiricalMeasure, _mean_stderr, _sorted_pairing, wasserstein2
 from .rng import SubstreamRows, derive_key, substream
 
 __all__ = [
@@ -169,10 +169,8 @@ class SimulationConfig:
         if (isinstance(self.driver, StableDriverSpec) and trunc is not None
                 and math.isfinite(trunc) and self.driver.alpha < 2.0):
             self.effective_driver = truncated_stable_triplet(self.driver, trunc)
-            self.effective_truncation = trunc
         else:
             self.effective_driver = self.driver
-            self.effective_truncation = trunc
 
     def times(self):
         return self.dt_effective * np.arange(self.n_steps + 1)
@@ -242,8 +240,7 @@ def step_increments(cfg, step_index):
     """
     rng = substream(cfg.seed, _ROLE_STEP, step_index)
     return sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                  cfg.n_particles, rng,
-                                  truncation=cfg.effective_truncation)
+                                  cfg.n_particles, rng, truncation=cfg.truncation_N)
 
 
 def initial_positions(cfg):
@@ -268,7 +265,7 @@ def _steps(cfg, streams, xs, parts):
     for k in range(cfg.n_steps):
         dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
                                     cfg.n_particles, streams.at(k),
-                                    truncation=cfg.effective_truncation)
+                                    truncation=cfg.truncation_N)
         for i, summaries in enumerate(parts):
             sig = (_sigma_on_own_measure(sigma, xs[i]) if summaries is None
                    else sigma.from_summary(xs[i], summaries[k]))
@@ -307,8 +304,7 @@ def picard_flow(cfg, iterations, common_increments=True):
     contraction of the flow map rather than Monte-Carlo noise; otherwise
     iterate j draws from its own, keyed by (seed, step role, j, step).
     """
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
+    _check_count("iterations", iterations)
     x0 = initial_positions(cfg)
     times = cfg.times()
     flat = MarginalFlow(times=times,
@@ -387,16 +383,13 @@ def _simulate_coupled(cfgs, summaries):
     xs = [np.stack([initial_positions(c) for c in cfgs])] * 2  # system, copies
     sup_gap = np.zeros(xs[0].shape)
     worst_excess = np.full(len(cfgs), -math.inf)
-    sqrt_n = math.sqrt(cfg.n_particles)
     streams = SubstreamRows([c.seed for c in cfgs], _ROLE_STEP)
     for _ in _steps(cfg, streams, xs, [None, summaries]):
         gap = xs[0] - xs[1]
         sup_gap = np.maximum(sup_gap, np.abs(gap))
         # per row: W2 by the sorted pairing against the identity pairing's cost
-        d = np.sort(xs[0], axis=1) - np.sort(xs[1], axis=1)
-        w2 = np.sqrt(np.mean(d * d, axis=1))
-        bound = np.linalg.norm(gap, axis=1) / sqrt_n
-        worst_excess = np.maximum(worst_excess, w2 - bound)
+        _, excess = _sorted_pairing(np.sort(xs[0], axis=1), np.sort(xs[1], axis=1), gap)
+        worst_excess = np.maximum(worst_excess, excess)
     return [CouplingResult(sup_abs_gaps=g, distance_bound_excess=float(e))
             for g, e in zip(sup_gap, worst_excess)]
 
@@ -501,9 +494,7 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     flat = [v for batch in batches for v in batch]
     rows = []
     for i, n in enumerate(n_list):
-        per_rep = np.asarray(flat[i * reps:(i + 1) * reps])
-        mean = float(per_rep.mean())
-        se = float(per_rep.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
+        mean, se = _mean_stderr(np.asarray(flat[i * reps:(i + 1) * reps]))
         rows.append(ChaosRow(n=n, mean_sq_gap=mean, stderr=se))
     if all(r.mean_sq_gap == 0.0 for r in rows):
         return ChaosRateTable(rows=rows, fitted_slope=None, slope_stderr=None,

@@ -1,16 +1,17 @@
 """Coefficient families: closed forms, parity, measure-Lipschitz probes."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
-                                 SmoothedDensityPower, lipschitz_probe)
+                                 SmoothedDensityPower)
 from levymv.drivers import StableDriverSpec, sample_stable_increment
-from levymv.fokker_planck import (DensityGrid, FractionalParams, adjoint_identity_check,
-                                  bump, gaussian_grid)
-from levymv.measures import EmpiricalMeasure
+from levymv.fokker_planck import (FractionalParams, adjoint_identity_check, bump,
+                                  gaussian_grid)
+from levymv.measures import EmpiricalMeasure, wasserstein2
 from levymv.rng import substream
 
 
@@ -232,19 +233,48 @@ class TestEvaluateOnDensityGuards:
         grid = gaussian_grid(8.0, 64)
         bad = grid.values.copy()
         bad[3] = -0.5
-        grid2 = DensityGrid.__new__(DensityGrid)
-        grid2.half_width, grid2.m, grid2.dx = grid.half_width, grid.m, grid.dx
-        grid2.values = bad
+        grid2 = grid._unchecked(bad)
         with pytest.raises(ValueError, match="nonnegative"):
             self._check(grid2)
 
     def test_wrong_mass_rejected(self):
         grid = gaussian_grid(8.0, 64)
-        grid2 = DensityGrid.__new__(DensityGrid)
-        grid2.half_width, grid2.m, grid2.dx = grid.half_width, grid.m, grid.dx
-        grid2.values = grid.values * 2.0
+        grid2 = grid._unchecked(grid.values * 2.0)
         with pytest.raises(ValueError, match="unit mass"):
             self._check(grid2)
+
+
+@dataclass(frozen=True)
+class LipschitzEstimate:
+    """Max observed difference ratios; lower bounds on the true constants."""
+
+    in_state: float
+    in_measure: float
+
+
+def lipschitz_probe(spec, trials, rng, measure_size=64):
+    """Ratio-maximization estimate of the Lipschitz constants of sigma.
+
+    Random point pairs probe the x-direction; random Gaussian sample
+    clouds (equal size, so the transport distance is exact) probe the
+    measure direction.  Both are sup-estimates from below.
+    """
+    best_x = 0.0
+    best_m = 0.0
+    for _ in range(trials):
+        mu = EmpiricalMeasure(rng.normal(rng.normal(0, 1), 0.5 + rng.random(),
+                                         measure_size))
+        nu = EmpiricalMeasure(rng.normal(rng.normal(0, 1), 0.5 + rng.random(),
+                                         measure_size))
+        x0, x1 = rng.normal(0.0, 2.0, 2)
+        if x0 != x1:
+            num = abs(spec.evaluate(x1, mu) - spec.evaluate(x0, mu))
+            best_x = max(best_x, num / abs(x1 - x0))
+        d = wasserstein2(mu, nu)
+        if d > 1e-12:
+            num = abs(spec.evaluate(x0, mu) - spec.evaluate(x0, nu))
+            best_m = max(best_m, num / d)
+    return LipschitzEstimate(in_state=best_x, in_measure=best_m)
 
 
 class TestLipschitzProbe:

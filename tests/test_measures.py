@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from levymv import measures
 from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure,
-                             _w2sq_sorted_unequal,
+                             _sorted_pairing, _w2sq_sorted_unequal, gaussian_kernel,
                              check_empirical_distance_bound,
                              empirical_gap_experiment, read_table,
                              second_moment, smoothed_density, smoothing_table,
@@ -57,6 +57,40 @@ class TestWasserstein2:
             c = EmpiricalMeasure(rng.normal(-1, 0.5, 8))
             assert wasserstein2(a, b) == wasserstein2(b, a)
             assert wasserstein2(a, c) <= wasserstein2(a, b) + wasserstein2(b, c) + 1e-10
+
+
+class TestSortedPairing:
+    def test_rows_equal_one_row_calls(self):
+        # the coupled runs take W2 and the bound excess of all rows at once
+        rng = substream(116)
+        xs = rng.normal(0, 1, (7, 33))
+        ys = xs + rng.standard_cauchy((7, 33))
+        gap = xs - ys
+        w2sq, excess = _sorted_pairing(np.sort(xs, axis=1), np.sort(ys, axis=1), gap)
+        for r in range(7):
+            one_sq, one_excess = _sorted_pairing(np.sort(xs[r]), np.sort(ys[r]), gap[r])
+            assert w2sq[r] == one_sq and excess[r] == one_excess
+        assert np.all(excess <= 1e-12)
+
+    def test_excess_is_w2_less_the_paired_cost(self):
+        rng = substream(117)
+        xs, ys = rng.normal(0, 1, 20), rng.normal(0.4, 2, 20)
+        mu, nu = EmpiricalMeasure(xs), EmpiricalMeasure(ys)
+        w2sq, excess = _sorted_pairing(mu.samples, nu.samples, xs - ys)
+        assert _sorted_pairing(mu.samples, nu.samples)[1] is None
+        assert math.sqrt(w2sq) == wasserstein2(mu, nu)
+        assert excess == pytest.approx(
+            wasserstein2(mu, nu) - float(np.linalg.norm(xs - ys)) / math.sqrt(20),
+            abs=1e-15)
+
+    def test_wasserstein2_squared_is_the_equal_size_gap(self):
+        rng = substream(118)
+        for n in (1, 5, 64):
+            mu = EmpiricalMeasure(rng.normal(0, 1, n))
+            nu = EmpiricalMeasure(rng.normal(1, 3, n))
+            w2sq = _w2sq_sorted_unequal(mu.samples, nu.samples)
+            assert wasserstein2(mu, nu) == math.sqrt(w2sq)
+            assert wasserstein2(mu, nu) ** 2 == pytest.approx(w2sq, rel=1e-15)
 
 
 class TestTruncatedUpperBound:
@@ -159,6 +193,29 @@ class TestSmoothedDensity:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             smoothed_density(EmpiricalMeasure([0.0]), 0.0, 0.0)
+
+    @staticmethod
+    def _sample_blocked(samples, eps, x, block=1 << 22):
+        # the sum blocked over the samples instead, block by block
+        out = np.zeros(x.shape)
+        step = max(1, block // x.size)
+        for lo in range(0, samples.size, step):
+            out += gaussian_kernel(x[:, None] - samples[None, lo:lo + step], eps).sum(axis=1)
+        return out / samples.size
+
+    def test_equals_a_sample_blocked_sum(self):
+        # one block below 2^22 point-sample pairs: the same bits; above, each
+        # point's sum is one reduction, a roundoff away from the block sums
+        rng = substream(119)
+        small = rng.normal(0, 1, 500)
+        x = np.linspace(-5, 5, 801)
+        assert np.array_equal(smoothed_density(small, 0.2, x),
+                              self._sample_blocked(small, 0.2, x))
+        large = rng.normal(0, 1, 3000)
+        x = np.linspace(-5, 5, 2000)
+        assert x.size * large.size > 1 << 22
+        np.testing.assert_allclose(smoothed_density(large, 0.2, x),
+                                   self._sample_blocked(large, 0.2, x), rtol=1e-14, atol=0)
 
 
 class TestSmoothingTable:

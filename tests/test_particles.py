@@ -207,10 +207,18 @@ class TestSimulate:
             make_cfg(truncation_N=-2.0)
         with pytest.raises(ValueError):
             make_cfg(truncation_N=math.nan)
-        assert make_cfg(truncation_N=math.inf).effective_truncation == math.inf
+        inf_cut = make_cfg(truncation_N=math.inf)
+        assert inf_cut.truncation_N == math.inf
+        assert inf_cut.effective_driver is inf_cut.driver
 
 
 class TestPicard:
+    def test_iterations_must_be_a_positive_integer(self):
+        cfg = make_cfg(n_particles=10, horizon_T=0.2)
+        for iterations in (0, 2.5, True):
+            with pytest.raises(ValueError, match="iterations"):
+                picard_flow(cfg, iterations)
+
     def test_measure_independent_sigma_fixed_after_one_iteration(self):
         cfg = make_cfg(sigma=Constant(1.0), n_particles=500, seed=31)
         res = picard_flow(cfg, 3, common_increments=True)
@@ -261,7 +269,7 @@ class TestPicard:
             for k in range(cfg.n_steps):
                 rng = substream(cfg.seed, 1, k) if common else substream(cfg.seed, 1, j, k)
                 dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective, x.size,
-                                            rng, truncation=cfg.effective_truncation)
+                                            rng, truncation=cfg.truncation_N)
                 x = x + sigma.from_summary(x, summaries[k]) * dz
                 marginals.append(EmpiricalMeasure(x))
             assert np.array_equal(flow.times, cfg.times())
