@@ -312,6 +312,13 @@ def cmd_pde(cfg, outdir, threads):
             and cfg["linear_oracle"] is None:
         raise ConfigError("a pde config needs 'horizon', 'adjoint_checks' or "
                           "'linear_oracle'; without any it runs nothing")
+    if cfg["linear_oracle"] is not None:
+        # the oracle's cases give their own alpha and dt, and no solve runs
+        # beside it; alpha is still read by adjoint_checks
+        for key in ("dt",) if cfg["adjoint_checks"] is not None else ("dt", "alpha"):
+            if cfg[key] is not None:
+                raise ConfigError(f"{_name((key,))} is not read beside 'linear_oracle', "
+                                  "whose cases give their own alpha and dt")
     summary = {"config": cfg}
     failed = False
     sigma = _build_sigma(cfg["sigma"])
@@ -346,7 +353,8 @@ def cmd_pde(cfg, outdir, threads):
             errs = []
             for dt in (case["dt"], case["dt"] / 2.0):
                 res = fp.solve_fp(grid, horizon, dt, sigma, p, scheme=cfg["scheme"],
-                                  boundary_density_tol=cfg["boundary_density_tol"])
+                                  boundary_density_tol=cfg["boundary_density_tol"],
+                                  mass_tolerance=cfg["mass_tolerance"])
                 errs.append(float(np.max(np.abs(res.final().values - exact.values))))
                 drift = float(np.max(np.abs(res.mass_trace - 1.0)))
                 failed = failed or drift > cfg["mass_tolerance"]
@@ -369,7 +377,8 @@ def cmd_pde(cfg, outdir, threads):
                               f"{_name(('horizon',))} = {horizon!r}")
         res = fp.solve_fp(grid, horizon, dt, sigma, p, snapshots=cfg["snapshots"],
                           scheme=cfg["scheme"],
-                          boundary_density_tol=cfg["boundary_density_tol"])
+                          boundary_density_tol=cfg["boundary_density_tol"],
+                          mass_tolerance=cfg["mass_tolerance"])
         exports.density_stack_to_binary(res.times, res.grids,
                                         os.path.join(outdir, "snapshots.bin"))
         res.final().to_csv(os.path.join(outdir, "final_density.csv"))

@@ -22,23 +22,25 @@ summary per row, and ``from_summary`` evaluates each row of a 2-D ``x``
 against its own row's summary, or every point of ``x`` against a
 one-measure summary.  Either way each point gets the value a one-row
 call would give it, so lockstep runs evaluate sigma in one call.
-``on_grid(grid)`` returns a function from the values of a periodic grid
-density to sigma on the grid's nodes (duck-typed grid: any object with
-.nodes, .dx, .half_width, .m); what depends only on the grid (the
-constant array, the nodes' cos/sin, a kernel matrix, the Gaussian
-kernel's transform) is built once, so the spectral solver builds it once
-per solve.  Gaussian smoothing is one convolution,
-:func:`levymv.measures.periodic_convolution`: it serves the grid densities
-directly and the samples through :func:`levymv.measures.smoothing_table`.
+``on_grid(grid)`` returns the grid evaluator: a function from the rfft
+spectrum of a periodic grid density (the spectral solver's state) to the
+pair (the density's values on the grid's nodes, sigma on the nodes), with
+one inverse transform per call (duck-typed grid: any object with .nodes,
+.dx, .half_width, .m); what depends only on the grid (the constant array,
+the nodes' cos/sin, a kernel matrix, the Gaussian kernel's transform) is
+built once, so the spectral solver builds it once per solve.  Gaussian
+smoothing is one kernel transform,
+:func:`levymv.measures.periodic_gaussian_transform`: the grid evaluator
+multiplies the solver's spectrum by it, and the samples are binned and
+convolved with it through :func:`levymv.measures.smoothing_table`.
 Exact pairwise sums over samples, a pair kernel's and the Gaussian
 smoothing's, are the one blocked kernel mean of :mod:`levymv.measures`.
 """
 
 import numpy as np
 
-from .measures import (EmpiricalMeasure, _pair_mean, periodic_convolution,
-                       periodic_gaussian_transform, read_table, smoothed_density,
-                       smoothing_table)
+from .measures import (EmpiricalMeasure, _pair_mean, periodic_gaussian_transform,
+                       read_table, smoothed_density, smoothing_table)
 
 __all__ = [
     "Constant",
@@ -73,9 +75,10 @@ class Constant:
         return np.full(np.shape(x), self.value)
 
     def on_grid(self, grid):
-        out = np.full(grid.m, self.value)
+        m = grid.m
+        out = np.full(m, self.value)
         out.flags.writeable = False  # handed out on every call
-        return lambda values: out
+        return lambda spectrum: (np.fft.irfft(spectrum, n=m), out)
 
 
 class SineKernel:
@@ -165,20 +168,26 @@ class LinearInteraction:
         return _pair_mean(self.kernel, x, summary)
 
     def on_grid(self, grid):
-        nodes, dx = grid.nodes, grid.dx
+        nodes, dx, m = grid.nodes, grid.dx, grid.m
         if isinstance(self.kernel, SineKernel):
             # separable path: one weighted reduction instead of an m x m matrix
             cos, sin = np.cos(nodes), np.sin(nodes)
             c0, c1 = self.kernel.c0, self.kernel.c1
 
-            def sigma(values):
-                w = values * dx
+            def reduce(w):
                 mc = float(np.sum(w * cos))
                 ms = float(np.sum(w * sin))
                 return c0 + c1 * (sin * mc - cos * ms)
-            return sigma
-        mat = self.kernel(nodes[:, None], nodes[None, :])
-        return lambda values: mat @ (values * dx)
+        else:
+            mat = self.kernel(nodes[:, None], nodes[None, :])
+
+            def reduce(w):
+                return mat @ w
+
+        def sigma(spectrum):
+            values = np.fft.irfft(spectrum, n=m)
+            return values, reduce(values * dx)
+        return sigma
 
 
 class SmoothedDensityPower:
@@ -216,9 +225,19 @@ class SmoothedDensityPower:
         if self.eps < 4.0 * dx ** 2:
             raise ValueError(f"grid too coarse for eps={self.eps}: "
                              f"need eps >= 4 dx^2 = {4.0 * dx ** 2:.3g}")
-        kernel_hat = periodic_gaussian_transform(grid.m, dx, 2.0 * grid.half_width,
-                                                 self.eps)
-        # integrator stage vectors may dip slightly negative; never feed a
-        # negative base to a fractional power
-        return lambda values: np.maximum(
-            periodic_convolution(values, kernel_hat, dx), 0.0) ** self.s
+        m = grid.m
+        kernel_hat = periodic_gaussian_transform(m, dx, 2.0 * grid.half_width, self.eps)
+        block = np.empty((2, kernel_hat.size), dtype=complex)
+
+        def sigma(spectrum):
+            # the smoothed density and the density from one inverse transform
+            # of [spectrum * kernel_hat, spectrum]; each row has the bits of a
+            # 1-D call, as in periodic_convolution
+            np.multiply(spectrum, kernel_hat, out=block[0])
+            block[1] = spectrum
+            smoothed, values = np.fft.irfft(block, n=m)
+            smoothed *= dx
+            # integrator stages may dip slightly negative; never feed a
+            # negative base to a fractional power
+            return values, np.maximum(smoothed, 0.0) ** self.s
+        return sigma

@@ -8,13 +8,24 @@ is negative on peaks; the equivalent singular-integral constant is
 ``diffusivity / C(alpha)`` with C from drivers.cf_constant_from_levy_constant.
 
 The zero mode is multiplied by exactly zero, so total mass is invariant
-under every scheme here; any observed drift signals a bug and aborts.
-Positivity is monitored, never enforced by clipping.
+under every scheme here; drift beyond ``mass_tolerance`` (1e-9 by
+default) signals a bug and aborts.  Positivity is monitored, never
+enforced by clipping.
 
 :func:`solve_fp` builds what a solve holds fixed once: the multiplier and
 sigma's grid evaluator ``sigma.on_grid(grid)`` (nodes, and a kernel
-transform, matrix or cos/sin table).  RK4's first stage reuses the
-stability check's sigma.
+transform, matrix or cos/sin table).  The state it steps is the density's
+rfft spectrum, transformed forward once per solve.  A stage's input is a
+linear combination of spectra; the stage makes one inverse transform (the
+evaluator's, which gives the stage's nodal values and sigma on the nodes
+together) and one forward transform of |sigma|^alpha times the values.
+Explicit RK4 and the integrating-factor RK4 share that stage; the
+integrating factor freezes |sigma|^alpha at the first stage's sigma, and
+RK4's stability check reads the same sigma.  One inverse transform per
+step, of the spectrum's change, updates the nodal values that the mass,
+minimum and boundary traces and the snapshots read (so a step that
+changes nothing keeps the density's bits), and a step of either scheme
+makes 9 transform calls.
 """
 
 import math
@@ -192,74 +203,77 @@ def stable_step_limit(grid, sigma_max, params, safety=0.5):
 
 
 class _Operator:
-    """The right-hand side v -> Dalpha(|sigma(., v)|^alpha v) on one grid,
-    with the multiplier and sigma's grid evaluator built once."""
+    """The right-hand side of the spectral system, U -> multiplier *
+    rfft(|sigma(., u)|^alpha u) with u = irfft(U), on one grid, with the
+    multiplier and sigma's grid evaluator built once."""
 
     def __init__(self, grid, sigma, params):
         self.params = params
         self.multiplier = _multiplier(grid, params)
         self.sigma = sigma.on_grid(grid)
 
-    def flux(self, values, abs_sigma=None):
-        if abs_sigma is None:
-            abs_sigma = np.abs(self.sigma(values))
+    def stage(self, u_hat):
+        """|sigma| on the nodes and the right-hand side at the stage spectrum
+        ``u_hat``: one inverse and one forward transform."""
+        values, sigma = self.sigma(u_hat)
+        abs_sigma = np.abs(sigma)
         w = abs_sigma ** self.params.alpha * values
-        return np.fft.irfft(np.fft.rfft(w) * self.multiplier, n=values.size)
+        return abs_sigma, np.fft.rfft(w) * self.multiplier
 
 
-def _step_rk4(p, dt, op, safety):
-    """One explicit RK4 step of the method-of-lines system with the solve's
-    operator.
+def _step_rk4(p, v, dt, op, safety, mass_tolerance):
+    """One explicit RK4 step of the spectral system from the density ``p``
+    and its spectrum ``v``; returns the new density and its spectrum, the
+    density's values moved by the inverse transform of the spectrum's change.
 
     Raises :class:`StabilityError` when dt exceeds the spectral-radius
     bound, when the step creates negative values beyond the positivity
-    monitor, or when mass drifts (the zero mode is invariant, so any
-    drift is a bug, not a modeling error).
+    monitor, or when mass drifts by more than ``mass_tolerance`` (the
+    zero mode is invariant, so any drift is a bug, not a modeling error).
     """
-    v = p.values
-    s0 = np.abs(op.sigma(v))
-    limit = stable_step_limit(p, float(s0.max()), op.params, safety)
+    s1, k1 = op.stage(v)
+    limit = stable_step_limit(p, float(s1.max()), op.params, safety)
     if dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:.3g} exceeds stability bound {limit:.3g} "
                              f"(alpha={op.params.alpha}, dx={p.dx:.3g})")
-    k1 = op.flux(v, s0)
-    k2 = op.flux(v + 0.5 * dt * k1)
-    k3 = op.flux(v + 0.5 * dt * k2)
-    k4 = op.flux(v + dt * k3)
-    new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    drift = abs(float(new.sum()) - float(v.sum())) * p.dx
-    if drift > 1e-9:
+    k2 = op.stage(v + 0.5 * dt * k1)[1]
+    k3 = op.stage(v + 0.5 * dt * k2)[1]
+    k4 = op.stage(v + dt * k3)[1]
+    dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new = p.values + np.fft.irfft(dv, n=p.m)
+    drift = abs(float(new.sum()) - float(p.values.sum())) * p.dx
+    if drift > mass_tolerance:
         raise StabilityError(f"mass drifted by {drift:.3g} in one step; "
                              "zero-mode invariance is broken")
     floor = -1e-8 * max(float(new.max()), 1e-300)
     if float(new.min()) < floor:
         raise StabilityError(f"positivity monitor tripped: min {new.min():.3g} "
                              f"< {floor:.3g}; reduce dt or refine the grid")
-    return p._unchecked(new)
+    return p._unchecked(new), v + dv
 
 
-def _step_lawson(p, dt, op, c_bar):
-    """Integrating-factor RK4 on the linearization with frozen |sigma|^alpha.
+def _step_lawson(p, v, dt, op):
+    """Integrating-factor RK4 on the linearization with |sigma|^alpha frozen
+    at its maximum over the first stage; it takes and returns the density
+    and its spectrum as :func:`_step_rk4` does.
 
     Exact for measure-independent coefficients; removes the stiff step
     limit when alpha is close to 2.
     """
-    lam = op.multiplier * c_bar
+    s1, f1 = op.stage(v)
+    lam = op.multiplier * float(s1.max())
     e_half = np.exp(0.5 * dt * lam)
     e_full = e_half * e_half
 
-    def n_hat(v_hat):
-        vals = np.fft.irfft(v_hat, n=p.m)
-        w_hat = np.fft.rfft(np.abs(op.sigma(vals)) ** op.params.alpha * vals)
-        return op.multiplier * w_hat - lam * v_hat
+    def n_hat(u_hat):
+        return op.stage(u_hat)[1] - lam * u_hat
 
-    v = np.fft.rfft(p.values)
-    k1 = n_hat(v)
+    k1 = f1 - lam * v
     k2 = n_hat(e_half * (v + 0.5 * dt * k1))
     k3 = n_hat(e_half * v + 0.5 * dt * k2)
     k4 = n_hat(e_full * v + dt * e_half * k3)
     v_new = e_full * v + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return p._unchecked(np.fft.irfft(v_new, n=p.m))
+    return p._unchecked(p.values + np.fft.irfft(v_new - v, n=p.m)), v_new
 
 
 @dataclass
@@ -279,7 +293,7 @@ class FpResult:
 
 
 def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
-             safety=0.5, boundary_density_tol=1e-4):
+             safety=0.5, boundary_density_tol=1e-4, mass_tolerance=1e-9):
     """March the density to ``horizon`` recording snapshots and health logs.
 
     Besides the initial density, ``snapshots`` densities are recorded, at
@@ -287,7 +301,9 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
     last is the horizon; more snapshots than steps raise ``ValueError``.
     Heavy-tailed dynamics push mass toward the periodic seam; the run
     aborts once the boundary density exceeds ``boundary_density_tol``
-    rather than silently wrapping significant mass.
+    rather than silently wrapping significant mass.  It also aborts once
+    mass leaves one by more than ``mass_tolerance``, and, under RK4, once
+    one step moves it by more than that.
     """
     if scheme not in ("rk4", "if-rk4"):
         raise ValueError("scheme must be 'rk4' or 'if-rk4'")
@@ -300,18 +316,18 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
     times = [0.0]
     grids = [p0]
     mass, mins, bdry = [p0.mass()], [float(p0.values.min())], [p0.boundary_density()]
-    p = p0
+    p, v = p0, np.fft.rfft(p0.values)
     op = _Operator(p0, sigma, params)
     for k in range(n_steps):
         if scheme == "rk4":
-            p = _step_rk4(p, dt, op, safety)
+            p, v = _step_rk4(p, v, dt, op, safety, mass_tolerance)
         else:
-            p = _step_lawson(p, dt, op, float(np.abs(op.sigma(p.values)).max()))
+            p, v = _step_lawson(p, v, dt, op)
         t = (k + 1) * dt
         mass.append(p.mass())
         mins.append(float(p.values.min()))
         bdry.append(p.boundary_density())
-        if abs(mass[-1] - 1.0) > 1e-9:
+        if abs(mass[-1] - 1.0) > mass_tolerance:
             raise StabilityError(f"mass left unity at t={t:.4g}: {mass[-1]!r}")
         if bdry[-1] > boundary_density_tol:
             raise StabilityError(
@@ -386,7 +402,7 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     if abs(nu_grid.mass() - 1.0) > 1e-6:
         raise ValueError("grid density must carry unit mass")
 
-    s = np.abs(sigma.on_grid(nu_grid)(nu))
+    s = np.abs(sigma.on_grid(nu_grid)(np.fft.rfft(nu))[1])
     if float(s.min()) <= 0.0:
         raise ValueError("coefficient must be nonvanishing for the duality check")
     alpha = params.alpha
@@ -405,19 +421,27 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
             + s ** 4 * phi4 * head_cut ** (4.0 - alpha) / (12.0 * (4.0 - alpha)))
 
     # one full period [head_cut, head_cut + p(x)] with the Hurwitz-zeta
-    # weight folding in every later period exactly
-    period = 2.0 * L / s
+    # weight folding in every later period exactly; the quadrature depends
+    # on x only through |sigma(x)|, so it is built once per distinct value
+    # (row) and each node reads its value's row.  The integrand is blocked
+    # over the nodes, about 2^17 node-abscissa pairs at a time, to bound
+    # memory: each node's sum is one reduction over its own row.
+    s_distinct, row = np.unique(s, return_inverse=True)
+    period = 2.0 * L / s_distinct
     ratio = (head_cut + period) / head_cut
     tau_breaks = np.linspace(0.0, 1.0, log_panels + 1)
     tau, tau_w = _gauss_legendre_panels(tau_breaks, nodes_per_panel)
-    y = head_cut * np.power.outer(ratio, tau)            # (m, nq)
+    y = head_cut * np.power.outer(ratio, tau)            # (distinct, nq)
     dy = y * np.log(ratio)[:, None] * tau_w[None, :]
-    big_g = (phi_wrapped(x[:, None] + s[:, None] * y)
-             + phi_wrapped(x[:, None] - s[:, None] * y)
-             - 2.0 * phi(x)[:, None])
     weight = period[:, None] ** (-1.0 - alpha) * hurwitz_zeta(
         1.0 + alpha, y / period[:, None])
-    body = np.sum(big_g * weight * dy, axis=1)
+    body = np.empty(x.size)
+    step = max(1, (1 << 17) // tau.size)
+    for lo in range(0, x.size, step):
+        b = slice(lo, lo + step)
+        xb, sb, yb = x[b, None], s[b, None], y[row[b]]
+        big_g = phi_wrapped(xb + sb * yb) + phi_wrapped(xb - sb * yb) - 2.0 * phi(xb)
+        body[b] = np.sum(big_g * weight[row[b]] * dy[row[b]], axis=1)
 
     gen_phi = k_sing * (head + body)
     lhs = float(np.sum(gen_phi * psi(x)) * dx)

@@ -16,9 +16,10 @@ coefficient; the Monte-Carlo mean with its standard error serves the gap
 and chaos-rate experiments.
 
 Gaussian smoothing is exact in :func:`smoothed_density` (the oracle) and
-binned in :func:`smoothing_table` (every hot path), which shares
-:func:`periodic_convolution` with the PDE grid; the kernel's transform,
-:func:`periodic_gaussian_transform`, is built once per grid.
+binned in :func:`smoothing_table` (every hot path) and convolved by
+:func:`periodic_convolution`; the kernel's transform,
+:func:`periodic_gaussian_transform`, is built once per grid and is the one
+the PDE grid's sigma multiplies the solver's spectrum by.
 """
 
 import math

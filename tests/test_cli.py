@@ -292,6 +292,39 @@ class TestPdeCommand:
         assert "error:" in err and "'horizon'" in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key", ["dt", "alpha"])
+    def test_solve_keys_beside_the_linear_oracle_rejected(self, tmp_path, capsys, key):
+        # the oracle's cases give their own alpha and dt, so a given one would
+        # be ignored; it is rejected before anything runs
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "sigma": {"kind": "constant", "value": 1.0},
+            "horizon": 0.2, "snapshots": 4, key: {"dt": 0.01, "alpha": 1.5}[key],
+            "linear_oracle": {"cases": [{"alpha": 1.5, "dt": 0.02}]},
+        }
+        out = tmp_path / "oracle"
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"'{key}'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_alpha_beside_the_linear_oracle_read_by_adjoint_checks(self, tmp_path, capsys):
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "sigma": {"kind": "constant", "value": 1.0},
+            "horizon": 0.2, "alpha": 1.5, "boundary_density_tol": 1e-2,
+            "linear_oracle": {"cases": [{"alpha": 1.5, "dt": 0.004}]},
+            "adjoint_checks": {"cases": [{"sigma": {"kind": "constant", "value": 1.0},
+                                          "phi": {"center": 0.0, "width": 2.5},
+                                          "psi": {"center": 0.0, "width": 2.5}}]},
+        }
+        out = tmp_path / "both"
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) != 2
+        summary = json.load(open(out / "summary.json"))
+        assert "adjoint_checks" in summary and "linear_oracle" in summary
+
     def test_stability_failure_exits_nonzero(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,

@@ -11,7 +11,8 @@ from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, Sine
 from levymv.drivers import StableDriverSpec, sample_stable_increment
 from levymv.fokker_planck import (FractionalParams, adjoint_identity_check, bump,
                                   gaussian_grid)
-from levymv.measures import EmpiricalMeasure, wasserstein2
+from levymv.measures import (EmpiricalMeasure, periodic_convolution,
+                             periodic_gaussian_transform, wasserstein2)
 from levymv.rng import substream
 
 
@@ -29,7 +30,10 @@ class TestConstant:
 
     def test_grid_evaluation(self):
         grid = gaussian_grid(8.0, 64)
-        assert np.all(Constant(2.0).on_grid(grid)(grid.values) == 2.0)
+        spectrum = np.fft.rfft(grid.values)
+        values, sigma = Constant(2.0).on_grid(grid)(spectrum)
+        assert np.all(sigma == 2.0)
+        assert np.array_equal(values, np.fft.irfft(spectrum, n=grid.m))
 
 
 class TestLinearInteraction:
@@ -91,7 +95,7 @@ class TestLinearInteraction:
     def test_odd_output_for_sine_kernel_on_even_density(self):
         grid = gaussian_grid(8.0, 256, mean=0.0, std=1.0)
         sig = LinearInteraction(SineKernel(c0=0.0, c1=1.0))
-        out = sig.on_grid(grid)(grid.values)
+        out = sig.on_grid(grid)(np.fft.rfft(grid.values))[1]
         # nodes are -L + j dx: node 0 has no mirror, the rest pair up
         flipped = -out[1:][::-1]
         assert np.max(np.abs(out[1:] - flipped)) < 1e-12
@@ -117,7 +121,7 @@ class TestSmoothedDensityPower:
         rng = substream(205)
         grid = gaussian_grid(10.0, 512, std=1.0)
         sig = SmoothedDensityPower(0.5, 1.0)
-        on_grid = sig.on_grid(grid)(grid.values)
+        on_grid = sig.on_grid(grid)(np.fft.rfft(grid.values))[1]
         mu = EmpiricalMeasure(rng.standard_normal(1_000_000))
         mc = sig.evaluate(grid.nodes, mu)
         assert np.max(np.abs(on_grid - mc)) < 0.01
@@ -166,6 +170,16 @@ class TestSmoothedDensityPower:
             np.testing.assert_allclose(at_samples, sig.evaluate(s[:n], s[:n]),
                                        rtol=1e-4, atol=0.0)
 
+    def test_grid_sigma_is_the_periodic_convolution(self):
+        # the spectrum times the kernel transform is the convolution's own
+        # product, so sigma has the bits of the nodal convolution
+        grid = gaussian_grid(8.0, 256, std=1.0)
+        sig = SmoothedDensityPower(0.5, 0.5)
+        got = sig.on_grid(grid)(np.fft.rfft(grid.values))[1]
+        kernel_hat = periodic_gaussian_transform(grid.m, grid.dx, 2.0 * grid.half_width, 0.5)
+        want = np.maximum(periodic_convolution(grid.values, kernel_hat, grid.dx), 0.0) ** 0.5
+        assert np.array_equal(got, want)
+
     def test_grid_too_coarse_rejected(self):
         grid = gaussian_grid(16.0, 16)  # dx = 2 -> needs eps >= 16
         with pytest.raises(ValueError):
@@ -211,6 +225,20 @@ class TestSummaryProtocol:
         got = sig.from_summary(x, one)
         assert got.shape == x.shape
         assert np.array_equal(got, np.stack([sig.from_summary(xr, one) for xr in x]))
+
+    @pytest.mark.parametrize("sig", [Constant(1.3), LinearInteraction(SineKernel(1.0, 0.5)),
+                                     LinearInteraction(CauchyKernel(0.5, 1.0)),
+                                     SmoothedDensityPower(0.5, 0.5)],
+                             ids=["constant", "sine", "cauchy", "smoothed"])
+    def test_grid_evaluator_reads_a_spectrum(self, sig):
+        # the values come back as a 1-D inverse transform gives them, and
+        # sigma is the family's grid value against those values
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.7)
+        spectrum = np.fft.rfft(grid.values)
+        values, sigma = sig.on_grid(grid)(spectrum)
+        assert np.array_equal(values, np.fft.irfft(spectrum, n=grid.m))
+        mu = EmpiricalMeasure(substream(215).normal(0.3, 0.7, 200_000))
+        np.testing.assert_allclose(sigma, sig.evaluate(grid.nodes, mu), rtol=0.0, atol=0.02)
 
     def test_what_each_family_keeps(self):
         s = np.sort(substream(213).normal(0.0, 1.0, 50))

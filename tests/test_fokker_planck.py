@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta as hurwitz_zeta
 
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
                                  SmoothedDensityPower)
-from levymv.fokker_planck import (DensityGrid, FractionalParams, StabilityError,
-                                  _Operator, _step_rk4, adjoint_identity_check, bump,
+from levymv import fokker_planck
+from levymv.fokker_planck import (AdjointReport, DensityGrid, FractionalParams,
+                                  StabilityError, _fd_second, _gauss_legendre_panels,
+                                  _Operator, _step_lawson, _step_rk4,
+                                  adjoint_identity_check, bump,
                                   fractional_laplacian, gaussian_grid, solve_fp,
                                   solve_linear_exact, stable_heat_kernel_grid,
                                   stable_step_limit)
@@ -174,21 +178,88 @@ class TestSolveFp:
                      scheme="euler")
 
 
-def _hand_rk4(p0, dt, n_steps, sigma, params):
-    """RK4 on the public pieces alone: the reference the solver must equal."""
-    sigma_on_grid = sigma.on_grid(p0)
+def _spectral_multiplier(grid, params):
+    """-diffusivity |xi_k|^alpha on the rfft modes, as the solver builds it."""
+    xi = math.pi * np.arange(grid.m // 2 + 1) / grid.half_width
+    return -params.diffusivity * xi ** params.alpha
+
+
+def _hand_spectral(p0, dt, n_steps, sigma, params, scheme):
+    """RK4 or integrating-factor RK4 on the rfft spectrum, written out from
+    the public pieces: the reference the solver must equal bit for bit."""
+    evaluate = sigma.on_grid(p0)
+    mult = _spectral_multiplier(p0, params)
+
+    def stage(u_hat):
+        values, s = evaluate(u_hat)
+        s = np.abs(s)
+        return s, np.fft.rfft(s ** params.alpha * values) * mult
+
+    values, v = p0.values, np.fft.rfft(p0.values)
+    for _ in range(n_steps):
+        s1, f1 = stage(v)
+        if scheme == "rk4":
+            k2 = stage(v + 0.5 * dt * f1)[1]
+            k3 = stage(v + 0.5 * dt * k2)[1]
+            k4 = stage(v + dt * k3)[1]
+            dv = (dt / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
+            values = values + np.fft.irfft(dv, n=p0.m)
+            v = v + dv
+        else:
+            lam = mult * float(s1.max())
+            e_half = np.exp(0.5 * dt * lam)
+            e_full = e_half * e_half
+            k1 = f1 - lam * v
+            u = e_half * (v + 0.5 * dt * k1)
+            k2 = stage(u)[1] - lam * u
+            u = e_half * v + 0.5 * dt * k2
+            k3 = stage(u)[1] - lam * u
+            u = e_full * v + dt * e_half * k3
+            k4 = stage(u)[1] - lam * u
+            v_new = e_full * v + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+            values = values + np.fft.irfft(v_new - v, n=p0.m)
+            v = v_new
+    return values
+
+
+def _nodal_reference(p0, dt, n_steps, sigma, params, scheme):
+    """The former schemes, whose stages start from nodal values: RK4 on
+    the nodal values and integrating-factor RK4 from a fresh rfft of them
+    each step, |sigma|^alpha frozen at the nodal sigma's maximum."""
+    evaluate = sigma.on_grid(p0)
+
+    def sigma_at(values):
+        return np.abs(evaluate(np.fft.rfft(values))[1])
 
     def flux(v):
-        s = sigma_on_grid(v)
-        return fractional_laplacian(np.abs(s) ** params.alpha * v, p0, params)
+        return fractional_laplacian(sigma_at(v) ** params.alpha * v, p0, params)
 
+    mult = _spectral_multiplier(p0, params)
     v = p0.values
     for _ in range(n_steps):
-        k1 = flux(v)
-        k2 = flux(v + 0.5 * dt * k1)
-        k3 = flux(v + 0.5 * dt * k2)
-        k4 = flux(v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if scheme == "rk4":
+            k1 = flux(v)
+            k2 = flux(v + 0.5 * dt * k1)
+            k3 = flux(v + 0.5 * dt * k2)
+            k4 = flux(v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            continue
+        lam = mult * float(sigma_at(v).max())
+        e_half = np.exp(0.5 * dt * lam)
+        e_full = e_half * e_half
+
+        def n_hat(u_hat):
+            vals = np.fft.irfft(u_hat, n=p0.m)
+            w_hat = np.fft.rfft(sigma_at(vals) ** params.alpha * vals)
+            return mult * w_hat - lam * u_hat
+
+        u = np.fft.rfft(v)
+        k1 = n_hat(u)
+        k2 = n_hat(e_half * (u + 0.5 * dt * k1))
+        k3 = n_hat(e_half * u + 0.5 * dt * k2)
+        k4 = n_hat(e_full * u + dt * e_half * k3)
+        u = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+        v = np.fft.irfft(u, n=p0.m)
     return v
 
 
@@ -201,7 +272,8 @@ SIGMAS = {
 
 
 class TestSolverEqualsHandSteps:
-    """The solver builds its operator once; it must not change a bit."""
+    """The solver builds its operator once and steps the spectrum; it must
+    not change a bit against the same steps written out by hand."""
 
     # a power of two, so solve_fp's dt = horizon / n_steps is dt exactly
     dt = 2.0 ** -8
@@ -213,7 +285,16 @@ class TestSolverEqualsHandSteps:
         res = solve_fp(grid, 20 * self.dt, self.dt, SIGMAS[name], params,
                        scheme="rk4", boundary_density_tol=1e-2)
         assert len(res.mass_trace) == 21
-        hand = _hand_rk4(grid, self.dt, 20, SIGMAS[name], params)
+        hand = _hand_spectral(grid, self.dt, 20, SIGMAS[name], params, "rk4")
+        assert np.array_equal(res.final().values, hand)
+
+    @pytest.mark.parametrize("name", sorted(SIGMAS))
+    def test_solve_fp_if_rk4_equals_hand_steps(self, name):
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        params = FractionalParams(1.5, 1.0)
+        res = solve_fp(grid, 20 * self.dt, self.dt, SIGMAS[name], params,
+                       scheme="if-rk4", boundary_density_tol=1e-2)
+        hand = _hand_spectral(grid, self.dt, 20, SIGMAS[name], params, "if-rk4")
         assert np.array_equal(res.final().values, hand)
 
     @pytest.mark.parametrize("name", sorted(SIGMAS))
@@ -222,16 +303,141 @@ class TestSolverEqualsHandSteps:
         and one hand-built RK4 step."""
         grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
         params = FractionalParams(1.5, 1.0)
-        one = _step_rk4(grid, self.dt, _Operator(grid, SIGMAS[name], params), 0.5)
+        one, _ = _step_rk4(grid, np.fft.rfft(grid.values), self.dt,
+                           _Operator(grid, SIGMAS[name], params), 0.5, 1e-9)
         res = solve_fp(grid, self.dt, self.dt, SIGMAS[name], params,
                        boundary_density_tol=1e-2)
         assert len(res.mass_trace) == 2
         assert np.array_equal(one.values, res.final().values)
-        hand = _hand_rk4(grid, self.dt, 1, SIGMAS[name], params)
+        hand = _hand_spectral(grid, self.dt, 1, SIGMAS[name], params, "rk4")
         assert np.array_equal(one.values, hand)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "if-rk4"])
+    @pytest.mark.parametrize("name", sorted(SIGMAS))
+    def test_spectral_stages_stay_at_roundoff_from_nodal_stages(self, name, scheme):
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        params = FractionalParams(1.5, 1.0)
+        res = solve_fp(grid, 40 * self.dt, self.dt, SIGMAS[name], params,
+                       scheme=scheme, boundary_density_tol=1e-2)
+        ref = _nodal_reference(grid, self.dt, 40, SIGMAS[name], params, scheme)
+        assert np.max(np.abs(res.final().values - ref)) <= 1e-12 * np.max(ref)
+
+
+class TestTransformsPerStep:
+    """A step of either scheme makes 9 transforms: per stage one inverse
+    (the grid evaluator's) and one forward, and one inverse for the nodal
+    values."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            inner = getattr(np.fft, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(SIGMAS))
+    def test_at_most_ten_per_step(self, monkeypatch, name):
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        params = FractionalParams(1.5, 1.0)
+        op = _Operator(grid, SIGMAS[name], params)
+        v = np.fft.rfft(grid.values)
+        calls = self._count(monkeypatch)
+        _step_rk4(grid, v, 2.0 ** -8, op, 0.5, 1e-9)
+        assert len(calls) <= 10 and calls.count("irfft") == 5
+        del calls[:]
+        _step_lawson(grid, v, 2.0 ** -8, op)
+        assert len(calls) <= 10 and calls.count("irfft") == 5
+
+    @pytest.mark.parametrize("scheme", ["rk4", "if-rk4"])
+    def test_a_solve_adds_only_its_set_up(self, monkeypatch, scheme):
+        # the kernel transform and the initial spectrum, once per solve
+        grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
+        calls = self._count(monkeypatch)
+        solve_fp(grid, 20 * 2.0 ** -8, 2.0 ** -8, SmoothedDensityPower(0.5, 0.5),
+                 FractionalParams(1.5, 1.0), scheme=scheme, boundary_density_tol=1e-2)
+        assert len(calls) == 9 * 20 + 2
+
+
+class TestMassTolerance:
+    @pytest.mark.parametrize("scheme", ["rk4", "if-rk4"])
+    def test_tolerance_below_roundoff_drift_aborts(self, scheme):
+        grid = gaussian_grid(10.0, 256, std=1.0)
+        sig, params = SmoothedDensityPower(0.5, 0.5), FractionalParams(1.5)
+        res = solve_fp(grid, 0.02, 0.002, sig, params, scheme=scheme)
+        drift = float(np.max(np.abs(res.mass_trace[1:] - 1.0)))
+        assert 0.0 < drift <= 1e-12
+        with pytest.raises(StabilityError, match="mass"):
+            solve_fp(grid, 0.02, 0.002, sig, params, scheme=scheme,
+                     mass_tolerance=0.5 * drift)
+
+
+def _per_node_adjoint_check(sigma, nu_grid, phi, psi, params, head_cut=0.01,
+                            log_panels=20, nodes_per_panel=24):
+    """The duality check with its jump quadrature built node by node, as
+    it was before the quadrature was shared between nodes of one |sigma|."""
+    L, dx = nu_grid.half_width, nu_grid.dx
+    x, alpha = nu_grid.nodes, params.alpha
+    s = np.abs(sigma.on_grid(nu_grid)(np.fft.rfft(nu_grid.values))[1])
+
+    def phi_wrapped(u):
+        return phi((u + L) % (2.0 * L) - L)
+
+    h = 0.01
+    phi2 = _fd_second(phi, x, h)
+    phi4 = (_fd_second(phi, x + 5 * h, h) - 2.0 * phi2
+            + _fd_second(phi, x - 5 * h, h)) / (25.0 * h * h)
+    head = (s ** 2 * phi2 * head_cut ** (2.0 - alpha) / (2.0 - alpha)
+            + s ** 4 * phi4 * head_cut ** (4.0 - alpha) / (12.0 * (4.0 - alpha)))
+    period = 2.0 * L / s
+    ratio = (head_cut + period) / head_cut
+    tau, tau_w = _gauss_legendre_panels(np.linspace(0.0, 1.0, log_panels + 1),
+                                        nodes_per_panel)
+    y = head_cut * np.power.outer(ratio, tau)
+    dy = y * np.log(ratio)[:, None] * tau_w[None, :]
+    big_g = (phi_wrapped(x[:, None] + s[:, None] * y)
+             + phi_wrapped(x[:, None] - s[:, None] * y)
+             - 2.0 * phi(x)[:, None])
+    weight = period[:, None] ** (-1.0 - alpha) * hurwitz_zeta(1.0 + alpha,
+                                                             y / period[:, None])
+    body = np.sum(big_g * weight * dy, axis=1)
+    lhs = float(np.sum(params.singular_integral_constant() * (head + body) * psi(x)) * dx)
+    w = s ** alpha * psi(x)
+    rhs = float(np.sum(phi(x) * fractional_laplacian(w, nu_grid, params)) * dx)
+    return AdjointReport(lhs=lhs, rhs=rhs,
+                         rel_error=abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
 
 
 class TestAdjointIdentity:
+    # AC9's grid and cases
+    CASES = [(Constant(1.0), bump(0.0, 2.5), bump(0.0, 2.5)),
+             (Constant(1.7), bump(-1.0, 2.5), bump(1.2, 2.2)),
+             (SmoothedDensityPower(0.5, 0.5), bump(-1.0, 2.5), bump(1.2, 2.2))]
+
+    @pytest.mark.parametrize("case", range(3), ids=["constant", "constant_1.7", "smoothed"])
+    def test_equals_a_per_node_quadrature(self, case):
+        nu = gaussian_grid(8.0, 1024, std=1.0)
+        params = FractionalParams(1.5, 1.0)
+        sigma, phi, psi = self.CASES[case]
+        rep = adjoint_identity_check(sigma, nu, phi, psi, params)
+        assert rep == _per_node_adjoint_check(sigma, nu, phi, psi, params)
+
+    def test_constant_coefficient_evaluates_one_row_of_zeta(self, monkeypatch):
+        shapes = []
+
+        def zeta(a, q):
+            shapes.append(np.shape(q))
+            return hurwitz_zeta(a, q)
+        monkeypatch.setattr(fokker_planck, "hurwitz_zeta", zeta)
+        nu = gaussian_grid(8.0, 1024, std=1.0)
+        sigma, phi, psi = self.CASES[1]
+        adjoint_identity_check(sigma, nu, phi, psi, FractionalParams(1.5, 1.0))
+        assert shapes == [(1, 480)]
+
     def test_reduction_matches_spectral_quadrature(self):
         nu = gaussian_grid(8.0, 1024, std=1.0)
         params = FractionalParams(1.5, 1.0)
