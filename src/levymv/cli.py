@@ -8,8 +8,12 @@ against it before the command runs.  Commands read only the resolved config,
 which holds every default and is what ``config.resolved.json`` records.  An
 unknown, missing or ill-typed key prints ``error: ...`` naming the key and
 exits 2, as do a config file that cannot be read or parsed, a config that
-would run nothing and a ``--threads`` below 1; a failed check or a failed run
-exits 1.  ``--threads`` is not part of the config and never changes results,
+would run nothing, a given key that the run would not read and a
+``--threads`` below 1; a check that does not pass, or a run that aborts,
+exits 1.  Every gate
+is a ``CheckResult``: each command hands its list to ``_finish``, which
+writes it as the summary's ``checks`` and derives ``pass`` from it.
+``--threads`` is not part of the config and never changes results,
 and outputs hold no timestamps, so the whole output directory is
 byte-identical across reruns and thread counts.
 """
@@ -27,7 +31,7 @@ from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec, _step_count,
                       sample_stable_increment)
 from .particles import (FileLaw, GaussianLaw, PointMass, SimulationConfig,
                         UniformLaw, chaos_rate_experiment, simulate)
-from .perturbation import PerturbationParams, verify_h1
+from .perturbation import CheckResult, PerturbationParams, verify_h1
 from .presets import PRESETS
 from .rng import substream
 
@@ -170,7 +174,7 @@ _COMMAND_KEYS = {
         "alpha": (NUMBER, None), "dt": (NUMBER, None), "horizon": (NUMBER, None),
         "diffusivity": (NUMBER, 1.0), "snapshots": _SNAPSHOTS,
         "scheme": (_one_of("rk4", "if-rk4"), "rk4"),
-        "boundary_density_tol": (NUMBER, 1e-4), "mass_tolerance": (NUMBER, 1e-9),
+        "boundary_density_tol": (NUMBER, 1e-4), "mass_tolerance": (NUMBER, fp.MASS_TOLERANCE),
         "adjoint_checks": (_block({
             "tolerance": (NUMBER, 1e-4),
             "cases": _list_of(_block({"sigma": _SIGMA, "phi": _BUMP, "psi": _BUMP}))}), None),
@@ -255,12 +259,24 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _finish(outdir, cfg, summary, failed):
+def _finish(outdir, cfg, summary, checks):
+    """Write the resolved config and the summary, whose ``checks`` list holds
+    every gate the run decided and whose ``pass`` is the verdict of them all."""
     _write_json(os.path.join(outdir, "config.resolved.json"), cfg)
-    summary["pass"] = not failed
+    failing = [c.name for c in checks if not c.passed]
+    summary["checks"] = [c.to_json_dict() for c in checks]
+    summary["pass"] = not failing
     _write_json(os.path.join(outdir, "summary.json"), summary)
-    print(("FAIL " if failed else "OK   ") + outdir)
-    return 1 if failed else 0
+    print(f"FAIL {outdir}: {', '.join(failing)}" if failing else f"OK   {outdir}")
+    return 1 if failing else 0
+
+
+def _within_2se(name, means, stderrs, sense):
+    """One check per step along ``means``: the mean may rise over the one
+    before by at most (``<=``) or by less than (``<``) twice their combined
+    standard error."""
+    return [CheckResult(f"{name}_{i}", b, a + 2.0 * math.hypot(sa, sb), sense)
+            for i, (a, b, sa, sb) in enumerate(zip(means, means[1:], stderrs, stderrs[1:]), 1)]
 
 
 def _cf_gap(samples, xi, expected):
@@ -271,6 +287,15 @@ def _cf_gap(samples, xi, expected):
 
 def cmd_simulate(cfg, outdir, threads):
     sim = _build_sim_config(cfg, cfg["n_particles"])
+    # for a constant coefficient over a stable driver, the terminal law is
+    # exactly stable: its CF is known when the initial law's is
+    sigma_cfg, driver_cfg = cfg["sigma"], cfg["driver"]
+    xi = np.array(cfg["cf_xi_grid"])
+    base = sim.initial_law.cf(xi) \
+        if sigma_cfg["kind"] == "constant" and driver_cfg["kind"] == "stable" else None
+    if base is None and cfg["cf_tolerance"] is not None:
+        raise ConfigError(f"{_name(('cf_tolerance',))} is read only by the CF test: a constant "
+                          "sigma, a stable driver and an initial law with a closed-form CF")
     flow = simulate(sim, record_every=cfg["record_every"])
     if cfg["flow_format"] == "csv":
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
@@ -286,25 +311,17 @@ def cmd_simulate(cfg, outdir, threads):
     exports.curve_to_csv(kde_grid, kde, os.path.join(outdir, "final_kde.csv"),
                          names=("x", "density"))
     summary = {"config": cfg, "moments": moments}
-    failed = False
-    # for a constant coefficient over a stable driver, the terminal law is
-    # exactly stable: check its empirical CF
-    sigma_cfg, driver_cfg = cfg["sigma"], cfg["driver"]
-    if sigma_cfg["kind"] == "constant" and driver_cfg["kind"] == "stable":
+    checks = []
+    if base is not None:
         alpha = driver_cfg["alpha"]
         c_tot = driver_cfg["scale"] * cfg["horizon"] * abs(sigma_cfg["value"]) ** alpha
-        xi = np.array(cfg["cf_xi_grid"])
-        base = sim.initial_law.cf(xi)
-        if base is not None:
-            expected = base * np.exp(-c_tot * np.abs(xi) ** alpha)
-            gap = _cf_gap(flow.final().samples, xi, expected)
-            tol = cfg["cf_tolerance"]
-            if tol is None:
-                tol = 4.0 / math.sqrt(sim.n_particles) + 1e-3
-            summary["cf_test"] = {"max_abs_gap": gap, "tolerance": tol,
-                                  "pass": gap <= tol}
-            failed = failed or gap > tol
-    return _finish(outdir, cfg, summary, failed)
+        expected = base * np.exp(-c_tot * np.abs(xi) ** alpha)
+        gap = _cf_gap(flow.final().samples, xi, expected)
+        tol = cfg["cf_tolerance"] if cfg["cf_tolerance"] is not None \
+            else 4.0 / math.sqrt(sim.n_particles) + 1e-3
+        summary["cf_test"] = {"max_abs_gap": gap, "tolerance": tol}
+        checks.append(CheckResult("cf_gap", gap, tol))
+    return _finish(outdir, cfg, summary, checks)
 
 
 def cmd_pde(cfg, outdir, threads):
@@ -320,50 +337,50 @@ def cmd_pde(cfg, outdir, threads):
                 raise ConfigError(f"{_name((key,))} is not read beside 'linear_oracle', "
                                   "whose cases give their own alpha and dt")
     summary = {"config": cfg}
-    failed = False
+    checks = []
     sigma = _build_sigma(cfg["sigma"])
 
     def params(alpha):
         return fp.FractionalParams(alpha=alpha, diffusivity=cfg["diffusivity"])
 
     if cfg["adjoint_checks"] is not None:
-        checks = cfg["adjoint_checks"]
+        adjoint = cfg["adjoint_checks"]
         p = params(_needed(cfg, "alpha", "by adjoint_checks"))
         grid = _grid_from_config(cfg, p)
-        tol = checks["tolerance"]
         rows = []
-        for case in checks["cases"]:
+        for i, case in enumerate(adjoint["cases"]):
             rep = fp.adjoint_identity_check(
                 _build_sigma(case["sigma"]), grid, fp.bump(**case["phi"]),
                 fp.bump(**case["psi"]), p)
             rows.append({"sigma": case["sigma"], "lhs": rep.lhs, "rhs": rep.rhs,
-                         "rel_error": rep.rel_error, "pass": rep.rel_error <= tol})
-            failed = failed or rep.rel_error > tol
-        summary["adjoint_checks"] = {"tolerance": tol, "cases": rows}
+                         "rel_error": rep.rel_error})
+            checks.append(CheckResult(f"duality_rel_error_{i}", rep.rel_error,
+                                      adjoint["tolerance"]))
+        summary["adjoint_checks"] = {"tolerance": adjoint["tolerance"], "cases": rows}
 
     if cfg["linear_oracle"] is not None:
         oracle = cfg["linear_oracle"]
         horizon = _needed(cfg, "horizon", "by linear_oracle")
         lo_ratio, hi_ratio = oracle["order_ratio_range"]
         rows = []
-        for case in oracle["cases"]:
+        for i, case in enumerate(oracle["cases"]):
             p = params(case["alpha"])
             grid = _grid_from_config(cfg, p)
             exact = fp.solve_linear_exact(grid, horizon, p)
             errs = []
             for dt in (case["dt"], case["dt"] / 2.0):
+                # the solve aborts once its mass drifts beyond mass_tolerance
                 res = fp.solve_fp(grid, horizon, dt, sigma, p, scheme=cfg["scheme"],
                                   boundary_density_tol=cfg["boundary_density_tol"],
                                   mass_tolerance=cfg["mass_tolerance"])
                 errs.append(float(np.max(np.abs(res.final().values - exact.values))))
-                drift = float(np.max(np.abs(res.mass_trace - 1.0)))
-                failed = failed or drift > cfg["mass_tolerance"]
             ratio = errs[0] / max(errs[1], 1e-300)
-            ok = errs[0] <= oracle["sup_tolerance"] and lo_ratio <= ratio <= hi_ratio
             rows.append({"alpha": case["alpha"], "dt": case["dt"],
                          "sup_error": errs[0], "sup_error_half_dt": errs[1],
-                         "order_ratio": ratio, "pass": ok})
-            failed = failed or not ok
+                         "order_ratio": ratio})
+            checks += [CheckResult(f"sup_error_{i}", errs[0], oracle["sup_tolerance"]),
+                       CheckResult(f"order_ratio_lo_{i}", ratio, lo_ratio, ">="),
+                       CheckResult(f"order_ratio_hi_{i}", ratio, hi_ratio)]
         summary["linear_oracle"] = rows
 
     elif cfg["horizon"] is not None:
@@ -389,11 +406,12 @@ def cmd_pde(cfg, outdir, threads):
         exports.curve_to_csv(steps, res.boundary_trace,
                              os.path.join(outdir, "boundary_trace.csv"),
                              names=("step", "boundary_density"))
-        drift = float(np.max(np.abs(res.mass_trace - 1.0)))
-        summary["mass_max_drift"] = drift
+        summary["mass_max_drift"] = float(np.max(np.abs(res.mass_trace - 1.0)))
         summary["boundary_density_max"] = float(res.boundary_trace.max())
         summary["snapshot_times"] = [float(t) for t in res.times]
-        failed = failed or drift > cfg["mass_tolerance"]
+        checks += [CheckResult("mass_drift", summary["mass_max_drift"], cfg["mass_tolerance"]),
+                   CheckResult("boundary_density", summary["boundary_density_max"],
+                               cfg["boundary_density_tol"])]
         sigma_cfg = cfg["sigma"]
         if sigma_cfg["kind"] == "constant" and sigma_cfg["value"] != 0.0:
             exact = fp.solve_linear_exact(grid, horizon, fp.FractionalParams(
@@ -401,7 +419,7 @@ def cmd_pde(cfg, outdir, threads):
             sup = float(np.max(np.abs(res.final().values - exact.values)))
             summary["max_error_vs_exact"] = sup
 
-    return _finish(outdir, cfg, summary, failed)
+    return _finish(outdir, cfg, summary, checks)
 
 
 def cmd_chaos_rate(cfg, outdir, threads):
@@ -410,25 +428,22 @@ def cmd_chaos_rate(cfg, outdir, threads):
                                   threads=threads)
     exports.chaos_table_to_csv(table, os.path.join(outdir, "table.csv"))
     payload = table.to_json_dict()
-    failed = False
+    checks = []
     if table.status.startswith("degenerate"):
         payload["criterion"] = "degenerate measure-independent coefficient"
     else:
-        slope_max = cfg["slope_max"]
-        if slope_max is not None:
-            ok = table.fitted_slope <= slope_max
-            payload["criterion"] = {"slope_max": slope_max,
-                                    "fitted": table.fitted_slope, "pass": ok}
-            failed = failed or not ok
+        if cfg["slope_max"] is not None:
+            slope = CheckResult("slope", table.fitted_slope, cfg["slope_max"])
+            payload["criterion"] = {"slope_max": slope.limit, "fitted": slope.value,
+                                    "pass": slope.passed}
+            checks.append(slope)
         if cfg["require_monotone"]:
-            rows = table.rows
-            mono = all(rows[i + 1].mean_sq_gap <= rows[i].mean_sq_gap
-                       + 2.0 * math.hypot(rows[i].stderr, rows[i + 1].stderr)
-                       for i in range(len(rows) - 1))
-            payload["monotone_within_2se"] = mono
-            failed = failed or not mono
+            monotone = _within_2se("monotone", [r.mean_sq_gap for r in table.rows],
+                                   [r.stderr for r in table.rows], "<=")
+            payload["monotone_within_2se"] = all(c.passed for c in monotone)
+            checks += monotone
     _write_json(os.path.join(outdir, "slope.json"), payload)
-    return _finish(outdir, cfg, {"config": cfg, "result": payload}, failed)
+    return _finish(outdir, cfg, {"config": cfg, "result": payload}, checks)
 
 
 def cmd_compare(cfg, outdir, threads):
@@ -477,25 +492,30 @@ def cmd_compare(cfg, outdir, threads):
         fh.write("n,time,l1_distance\n")
         for r in rows:
             fh.write(f"{r['n']},{r['time']:.17g},{r['l1_distance']:.17g}\n")
-    failed = False
     t_final = res.times[-1]
     l1s = [r["l1_distance"] for r in rows if r["time"] == t_final]
-    decreasing = all(b < a for a, b in zip(l1s, l1s[1:]))
-    failed = failed or not decreasing
     limit = cfg["l1_max_at_largest"]
-    if limit is not None:
-        failed = failed or l1s[-1] > limit
-    summary = {"config": cfg, "rows": rows, "decreasing_in_n_at_horizon": decreasing,
+    summary = {"config": cfg, "rows": rows,
                "l1_at_largest": l1s[-1], "l1_max_at_largest": limit,
                "pde_mass_max_drift": float(np.max(np.abs(res.mass_trace - 1.0)))}
-    return _finish(outdir, cfg, summary, failed)
+    # at the horizon, L1 falls strictly with each step up in n
+    checks = [CheckResult(f"l1_decreasing_{i}", b, a, "<")
+              for i, (a, b) in enumerate(zip(l1s, l1s[1:]), 1)]
+    if limit is not None:
+        checks.append(CheckResult("l1_at_largest", l1s[-1], limit))
+    checks.append(CheckResult("pde_mass_drift", summary["pde_mass_max_drift"],
+                              fp.MASS_TOLERANCE))
+    return _finish(outdir, cfg, summary, checks)
 
 
 def cmd_validate_sampler(cfg, outdir, threads):
-    report = {"config": cfg}
-    failed = False
-    seed = cfg["seed"]
     batteries = {name: _needed(cfg, name, "by batteries") for name in cfg["batteries"]}
+    for name in _BATTERIES:
+        if cfg[name] is not None and name not in batteries:
+            raise ConfigError(f"{_name((name,))} is given, but 'batteries' does not list it")
+    report = {"config": cfg}
+    checks = []
+    seed = cfg["seed"]
 
     if "cf" in batteries:
         c = batteries["cf"]
@@ -506,9 +526,8 @@ def cmd_validate_sampler(cfg, outdir, threads):
                                         size=c["n_samples"])
             xi = np.asarray(c["xi_grid"])
             gap = _cf_gap(z, xi, np.exp(-c["scale"] * np.abs(xi) ** alpha))
-            ok = gap <= c["tolerance"]
-            rows.append({"alpha": alpha, "max_abs_cf_gap": gap, "pass": ok})
-            failed = failed or not ok
+            rows.append({"alpha": alpha, "max_abs_cf_gap": gap})
+            checks.append(CheckResult(f"cf_gap_{i}", gap, c["tolerance"]))
         report["cf"] = {"tolerance": c["tolerance"], "rows": rows}
 
     if "self_similarity" in batteries:
@@ -522,9 +541,8 @@ def cmd_validate_sampler(cfg, outdir, threads):
             b = sample_stable_increment(spec, 1.0, substream(seed, 21, i),
                                         size=c["n_samples"])
             p = float(ks_2samp(a, b).pvalue)
-            ok = p > c["level"]
-            rows.append({"alpha": alpha, "ks_pvalue": p, "pass": ok})
-            failed = failed or not ok
+            rows.append({"alpha": alpha, "ks_pvalue": p})
+            checks.append(CheckResult(f"ks_pvalue_{i}", p, c["level"], ">"))
         report["self_similarity"] = rows
 
     if "gaussian_moments" in batteries:
@@ -533,29 +551,23 @@ def cmd_validate_sampler(cfg, outdir, threads):
         z = sample_stable_increment(spec, 1.0, substream(seed, 30), size=c["n_samples"])
         var = float(np.var(z))
         kurt = float(np.mean(z ** 4) / var ** 2)
-        ok = abs(var - 2.0 * c["scale"]) < 0.02 and abs(kurt - 3.0) < 0.05
         report["gaussian_moments"] = {"variance": var, "expected": 2.0 * c["scale"],
-                                      "kurtosis": kurt, "pass": ok}
-        failed = failed or not ok
+                                      "kurtosis": kurt}
+        checks += [CheckResult("gaussian_variance", abs(var - 2.0 * c["scale"]), 0.02, "<"),
+                   CheckResult("gaussian_kurtosis", abs(kurt - 3.0), 0.05, "<")]
 
     if "lemma4" in batteries:
         c = batteries["lemma4"]
-        rows = []
-        prev = None
-        for i, n in enumerate(c["n_values"]):
-            est = measures.empirical_gap_experiment(
-                lambda r, size: r.standard_normal(size), n, c["reps"],
-                substream(seed, 40, i), n_ref=c["n_ref"])
-            ok = est.mean_sq_distance <= c["bound"]
-            if prev is not None:
-                ok = ok and (est.mean_sq_distance
-                             < prev.mean_sq_distance
-                             + 2.0 * math.hypot(prev.stderr, est.stderr))
-            rows.append({"n": n, "mean_sq_distance": est.mean_sq_distance,
-                         "stderr": est.stderr, "pass": ok})
-            failed = failed or not ok
-            prev = est
-        report["lemma4"] = {"bound": c["bound"], "rows": rows}
+        ests = [measures.empirical_gap_experiment(
+                    lambda r, size: r.standard_normal(size), n, c["reps"],
+                    substream(seed, 40, i), n_ref=c["n_ref"])
+                for i, n in enumerate(c["n_values"])]
+        means = [est.mean_sq_distance for est in ests]
+        checks += [CheckResult(f"lemma4_bound_{i}", m, c["bound"]) for i, m in enumerate(means)]
+        checks += _within_2se("lemma4_monotone", means, [est.stderr for est in ests], "<")
+        report["lemma4"] = {"bound": c["bound"], "rows": [
+            {"n": n, "mean_sq_distance": est.mean_sq_distance, "stderr": est.stderr}
+            for n, est in zip(c["n_values"], ests)]}
 
     if "distance_bound" in batteries:
         c = batteries["distance_bound"]
@@ -565,13 +577,11 @@ def cmd_validate_sampler(cfg, outdir, threads):
             n = int(rng.integers(c["n_min"], c["n_max"] + 1))
             xs = rng.normal(0.0, 1.0 + rng.random() * 3.0, n)
             ys = xs + rng.normal(0.0, rng.random() * 2.0, n)
-            if not measures.check_empirical_distance_bound(xs, ys, tol=c["tolerance"]):
-                violations += 1
-        report["distance_bound"] = {"trials": c["trials"], "violations": violations,
-                                    "pass": violations == 0}
-        failed = failed or violations > 0
+            violations += not measures.check_empirical_distance_bound(xs, ys, tol=c["tolerance"])
+        report["distance_bound"] = {"trials": c["trials"], "violations": violations}
+        checks.append(CheckResult("distance_bound_violations", violations, 0))
 
-    return _finish(outdir, cfg, report, failed)
+    return _finish(outdir, cfg, report, checks)
 
 
 def cmd_check_h1(cfg, outdir, threads):
@@ -580,8 +590,7 @@ def cmd_check_h1(cfg, outdir, threads):
     report = verify_h1(params, resolutions=tuple(cfg["resolutions"]))
     payload = report.to_json_dict()
     _write_json(os.path.join(outdir, "report.json"), payload)
-    return _finish(outdir, cfg, {"config": cfg, "report": payload},
-                   not report.all_passed)
+    return _finish(outdir, cfg, {"config": cfg, "report": payload}, report.checks)
 
 
 _COMMANDS = {"simulate": cmd_simulate, "pde": cmd_pde, "chaos-rate": cmd_chaos_rate,

@@ -8,9 +8,9 @@ is negative on peaks; the equivalent singular-integral constant is
 ``diffusivity / C(alpha)`` with C from drivers.cf_constant_from_levy_constant.
 
 The zero mode is multiplied by exactly zero, so total mass is invariant
-under every scheme here; drift beyond ``mass_tolerance`` (1e-9 by
-default) signals a bug and aborts.  Positivity is monitored, never
-enforced by clipping.
+under every scheme here; drift beyond ``mass_tolerance`` (by default
+``MASS_TOLERANCE``, 1e-9) signals a bug and aborts.  Positivity is
+monitored, never enforced by clipping.
 
 :func:`solve_fp` builds what a solve holds fixed once: the multiplier and
 sigma's grid evaluator ``sigma.on_grid(grid)`` (nodes, and a kernel
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 RK4_REAL_AXIS = 2.7853  # |R(z)| <= 1 on the negative real axis down to -2.7853
+MASS_TOLERANCE = 1e-9  # the default bound on |mass - 1|, for every solve and check
 
 
 class StabilityError(RuntimeError):
@@ -293,7 +294,7 @@ class FpResult:
 
 
 def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
-             safety=0.5, boundary_density_tol=1e-4, mass_tolerance=1e-9):
+             safety=0.5, boundary_density_tol=1e-4, mass_tolerance=MASS_TOLERANCE):
     """March the density to ``horizon`` recording snapshots and health logs.
 
     Besides the initial density, ``snapshots`` densities are recorded, at

@@ -18,8 +18,14 @@ construction needs:
 * the shifted-density ratio bound (<= 1/2 uniformly over displacement
   size and slope parameters), together with square-integrability spot
   checks of the logarithmic-derivative and second-derivative integrands.
+
+Each condition is a :class:`CheckResult`, a value against a limit, whose
+verdict and margin come from that one comparison; a composite condition
+is one check per comparison it makes.
 """
 
+import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,16 +125,40 @@ def perturbation_profile_deriv(y, params):
     return out
 
 
+_SENSES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """One gate: ``value sense limit``, with ``sense`` one of <=, <, >=, >.
+
+    ``passed`` and ``margin`` both come from that one comparison.  The
+    margin is limit - value for an upper limit and value - limit for a
+    lower one, so it is >= 0 exactly when a non-strict check passes (and
+    > 0 when a strict one does).  A NaN value fails every sense.
+    """
+
     name: str
-    passed: bool
-    margin: float
-    details: dict
+    value: float
+    limit: float
+    sense: str = "<="
+    details: dict | None = None
+
+    def __post_init__(self):
+        if self.sense not in _SENSES:
+            raise ValueError(f"sense must be one of {', '.join(_SENSES)}, got {self.sense!r}")
+
+    @property
+    def passed(self):
+        return bool(_SENSES[self.sense](self.value, self.limit))
+
+    @property
+    def margin(self):
+        return self.limit - self.value if self.sense[0] == "<" else self.value - self.limit
 
     def to_json_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "margin": self.margin, "details": self.details}
+        return {"name": self.name, "value": self.value, "limit": self.limit,
+                "sense": self.sense, "passed": self.passed, "margin": self.margin}
 
 
 @dataclass
@@ -141,10 +171,7 @@ class H1Report:
         return all(c.passed for c in self.checks)
 
     def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
     def to_json_dict(self):
         return {
@@ -152,7 +179,8 @@ class H1Report:
                        "alpha": self.params.alpha, "k1_bound": self.params.k1_bound,
                        "levy_k": self.params.levy_k, "c_coeff": self.params.c_coeff},
             "all_passed": self.all_passed,
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [{"name": c.name, "passed": c.passed, "margin": c.margin,
+                        "details": c.details} for c in self.checks],
         }
 
 
@@ -186,10 +214,15 @@ def _displacement_ratio(y, a, lam, params):
 
 def verify_h1(params, resolutions=(256, 512, 1024, 2048),
               ratio_grid_sizes=(400, 21, 25)):
-    """Run the full admissibility battery; every check reports a margin.
+    """Run the full admissibility battery, one :class:`CheckResult` per
+    comparison.
 
-    Margins are positive iff the check passed, measured in the natural
-    units of each inequality.
+    Each margin comes from the comparison that decides its check, in the
+    natural units of that inequality: limit - value for an upper limit,
+    value - limit for a lower one.  It is >= 0 exactly when a non-strict
+    check passed, and > 0 when a strict one did.  A convergence study
+    gives one check per comparison: each step down in its corrections,
+    the last relative correction, and the finiteness of the last value.
     """
     g, e, c = params.gamma, params.eps, params.c_coeff
     a, k1 = params.alpha, params.k1_bound
@@ -198,12 +231,11 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048),
     # exact zero at the band edge and knot values
     edge = perturbation_profile(1.0, params)
     checks.append(CheckResult(
-        "vanishes_at_band_edge", edge == 0.0, 0.0 if edge == 0.0 else -abs(edge),
-        {"value_at_1": edge, "value_at_minus_1": perturbation_profile(-1.0, params)}))
+        "vanishes_at_band_edge", abs(edge), 0.0,
+        details={"value_at_1": edge, "value_at_minus_1": perturbation_profile(-1.0, params)}))
     knot = perturbation_profile(e, params)
     checks.append(CheckResult(
-        "first_knot_value", abs(knot - e ** (1.0 + g)) < 1e-15 * max(knot, 1e-300),
-        1e-15 - abs(knot - e ** (1.0 + g)),
+        "first_knot_value", abs(knot - e ** (1.0 + g)), 1e-15 * max(knot, 1e-300), "<",
         {"value": knot, "expected": e ** (1.0 + g)}))
 
     # C^1 patching: one-sided difference quotients at both knots
@@ -217,64 +249,57 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048),
                 - perturbation_profile(knot_y - h, params)) / h
         worst = max(worst, abs(right - left))
         quot_details[name] = {"left": left, "right": right}
-    checks.append(CheckResult("c1_patching", worst <= 1e-6, 1e-6 - worst,
-                              quot_details))
+    checks.append(CheckResult("c1_patching", worst, 1e-6, details=quot_details))
 
-    # closed-form sup bounds on a fine grid
+    # closed-form sup bounds on a fine grid, each with a 1e-12 relative allowance
     ygrid = np.concatenate([np.geomspace(1e-12, e, 2000),
                             np.linspace(e, 2.0 * e, 2000)[1:],
                             np.linspace(2.0 * e, 1.0, 2000)[1:]])
     kv = perturbation_profile(ygrid, params)
     kd = perturbation_profile_deriv(ygrid, params)
+    sup_k, sup_kp = float(kv.max()), float(np.abs(kd).max())
+    sup_over_y = float((kv / ygrid).max())
     bound_k = (2.0 + g) * e ** (1.0 + g)
     bound_kp = (1.0 + g) * max(1.0, c) * e ** g
     bound_ratio = (1.0 + g) * e ** g
     checks.append(CheckResult(
-        "profile_nonnegative", float(kv.min()) >= 0.0, float(kv.min()),
-        {"min": float(kv.min())}))
+        "profile_nonnegative", float(kv.min()), 0.0, ">=", {"min": float(kv.min())}))
     checks.append(CheckResult(
-        "sup_profile_bound", float(kv.max()) <= bound_k * (1.0 + 1e-12),
-        bound_k - float(kv.max()),
-        {"sup": float(kv.max()), "bound": bound_k}))
+        "sup_profile_bound", sup_k, bound_k * (1.0 + 1e-12),
+        details={"sup": sup_k, "bound": bound_k}))
     # the derivative bound is attained exactly at the first knot
     checks.append(CheckResult(
-        "sup_deriv_bound", float(np.abs(kd).max()) <= bound_kp * (1.0 + 1e-12),
-        bound_kp - float(np.abs(kd).max()),
-        {"sup": float(np.abs(kd).max()), "bound": bound_kp}))
-    over_y = kv / ygrid
+        "sup_deriv_bound", sup_kp, bound_kp * (1.0 + 1e-12),
+        details={"sup": sup_kp, "bound": bound_kp}))
     checks.append(CheckResult(
-        "profile_over_y_bound", float(over_y.max()) <= bound_ratio * (1 + 1e-12),
-        bound_ratio - float(over_y.max()),
-        {"sup": float(over_y.max()), "bound": bound_ratio}))
+        "profile_over_y_bound", sup_over_y, bound_ratio * (1 + 1e-12),
+        details={"sup": sup_over_y, "bound": bound_ratio}))
 
     # absolute smallness thresholds
     thresh = 1.0 / (4.0 * (1.0 + k1))
     checks.append(CheckResult(
-        "profile_smallness", float(kv.max()) < thresh,
-        thresh - float(kv.max()), {"sup": float(kv.max()), "threshold": thresh}))
+        "profile_smallness", sup_k, thresh, "<", {"sup": sup_k, "threshold": thresh}))
     checks.append(CheckResult(
-        "deriv_smallness", float(np.abs(kd).max()) < thresh,
-        thresh - float(np.abs(kd).max()),
-        {"sup": float(np.abs(kd).max()), "threshold": thresh}))
+        "deriv_smallness", sup_kp, thresh, "<", {"sup": sup_kp, "threshold": thresh}))
 
     # eps below the closed-form sufficiency threshold (strict)
     eps_threshold = ((1.0 + k1) * (1.0 + g)) ** (-1.0 / g)
     checks.append(CheckResult(
-        "eps_below_profile_threshold", e < eps_threshold, eps_threshold - e,
+        "eps_below_profile_threshold", e, eps_threshold, "<",
         {"eps": e, "threshold": eps_threshold,
          "note": "equality is flagged: the sufficiency estimate is strict"}))
 
     # square integral of the profile against the band density converges
     vals = [_profile_sq_band_integral(params, r) for r in resolutions]
     corrections = [abs(b - a_) for a_, b in zip(vals, vals[1:])]
-    decreasing = all(b <= a_ * 0.9 + 1e-300 for a_, b in zip(corrections, corrections[1:]))
-    final_rel = corrections[-1] / max(abs(vals[-1]), 1e-300)
     checks.append(CheckResult(
-        "square_integral_converges",
-        decreasing and final_rel < 1e-3 and np.isfinite(vals[-1]),
-        1e-3 - final_rel,
-        {"values": vals, "corrections": corrections,
-         "head_exponent": 2.0 + 2.0 * g - a}))
+        "square_integral_converges", corrections[-1] / max(abs(vals[-1]), 1e-300), 1e-3,
+        "<", {"values": vals, "corrections": corrections,
+              "head_exponent": 2.0 + 2.0 * g - a}))
+    checks += [CheckResult(f"square_integral_decreasing_r{r}", b, a_ * 0.9 + 1e-300)
+               for r, a_, b in zip(resolutions[2:], corrections, corrections[1:])]
+    # |value| <= the largest float exactly when the value is finite
+    checks.append(CheckResult("square_integral_finite", abs(vals[-1]), sys.float_info.max))
 
     # shifted-density ratio bound, sampled over (y, a, lambda)
     ny, na, nl = ratio_grid_sizes
@@ -287,9 +312,9 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048),
                                 lvals[None, None, :], params)
     sup_ratio = float(np.nanmax(ratio))
     checks.append(CheckResult(
-        "displacement_ratio_bound", sup_ratio <= 0.5, 0.5 - sup_ratio,
-        {"sup": sup_ratio, "bound": 0.5,
-         "grid": {"y": ny, "a": na, "lambda": nl}}))
+        "displacement_ratio_bound", sup_ratio, 0.5,
+        details={"sup": sup_ratio, "bound": 0.5,
+                 "grid": {"y": ny, "a": na, "lambda": nl}}))
 
     # spot checks: the log-derivative and second-derivative integrands stay
     # square integrable against the band density (local exponent > -1)
@@ -300,17 +325,19 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048),
                       + k1 * k + (1.0 + k1 * y) * np.abs(kp))
         return worst_case ** 2 * params.band_density(y)
 
-    spot_vals = []
-    for r in resolutions:
-        grid = np.geomspace(1e-10, 1.0, r)
-        spot_vals.append(2.0 * float(np.trapezoid(_log_deriv_integrand(grid), grid)))
+    grids = [np.geomspace(1e-10, 1.0, r) for r in resolutions]
+    spot_vals = [2.0 * float(np.trapezoid(_log_deriv_integrand(grid), grid)) for grid in grids]
     spot_corr = [abs(b - a_) for a_, b in zip(spot_vals, spot_vals[1:])]
     exponent = 2.0 * g - a - 1.0  # local growth of the integrand at 0 is y^exponent
     checks.append(CheckResult(
-        "log_deriv_integrand_square_integrable",
-        np.isfinite(spot_vals[-1]) and exponent > -1.0
-        and spot_corr[-1] < 1e-2 * max(abs(spot_vals[-1]), 1e-300),
-        exponent + 1.0,
+        "log_deriv_integrand_square_integrable", exponent, -1.0, ">",
         {"values": spot_vals, "local_exponent": exponent}))
+    checks.append(CheckResult(
+        "log_deriv_integrand_converges", spot_corr[-1],
+        1e-2 * max(abs(spot_vals[-1]), 1e-300), "<"))
+    checks.append(CheckResult("log_deriv_integrand_finite", abs(spot_vals[-1]),
+                              sys.float_info.max))
 
     return H1Report(params=params, checks=checks)
+
+

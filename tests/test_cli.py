@@ -87,7 +87,7 @@ class TestSimulateCommand:
         resolved = json.load(open(os.path.join(out, "config.resolved.json")))
         assert resolved["seed"] == 5 and resolved["command"] == "simulate"
         summary = json.load(open(os.path.join(out, "summary.json")))
-        assert summary["cf_test"]["pass"] is True
+        assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("cf_gap", True)]
         assert summary["pass"] is True
 
     def test_cf_check_for_every_closed_form_initial_law(self, tmp_path, capsys):
@@ -97,7 +97,23 @@ class TestSimulateCommand:
             out = str(tmp_path / init["kind"])
             assert main(["simulate", cfg, "--out", out]) == 0
             summary = json.load(open(os.path.join(out, "summary.json")))
-            assert summary["cf_test"]["pass"] is True, init
+            assert [(c["name"], c["passed"]) for c in summary["checks"]] \
+                == [("cf_gap", True)], init
+
+    def test_cf_tolerance_without_a_cf_test_rejected(self, tmp_path, capsys):
+        # the CF test needs a constant sigma, a stable driver and an initial
+        # law with a closed-form CF; a tolerance given without one is not read
+        (tmp_path / "init.csv").write_text("0.0\n1.0\n")
+        cases = {"sigma": {"kind": "linear_sine"},
+                 "driver": {"kind": "triplet", "gaussian_a": 1.0},
+                 "initial": {"kind": "file", "path": str(tmp_path / "init.csv")}}
+        for key, block in cases.items():
+            cfg = write_config(tmp_path, {**SIM_CFG, key: block, "cf_tolerance": 1e-12})
+            out = tmp_path / key
+            assert main(["simulate", cfg, "--out", str(out)]) == 2, key
+            err = capsys.readouterr().err
+            assert "error:" in err and "'cf_tolerance'" in err and "Traceback" not in err
+            assert not (out / "summary.json").exists()
 
     def test_nan_truncation_rejected(self, tmp_path, capsys):
         # json reads NaN, so a config file can carry one
@@ -370,8 +386,11 @@ class TestChaosCommand:
             "slope_max": -5.0,
         }
         cfg = write_config(tmp_path, payload)
-        assert main(["chaos-rate", cfg, "--out", str(tmp_path / "chaosf")]) == 1
-
+        out = tmp_path / "chaosf"
+        assert main(["chaos-rate", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().out.strip() == f"FAIL {out}: slope"
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("slope", False)]
 
     def test_non_numeric_keys_rejected(self, tmp_path, capsys):
         payload = {
@@ -433,7 +452,9 @@ class TestCompareCommand:
         assert lines[0] == "n,time,l1_distance"
         assert len(lines) == 1 + 2 * 2  # two sizes x two snapshot times
         summary = json.load(open(os.path.join(out, "summary.json")))
-        assert summary["decreasing_in_n_at_horizon"] is True
+        checks = {c["name"]: c for c in summary["checks"]}
+        assert checks["l1_decreasing_1"]["passed"] is True
+        assert checks["pde_mass_drift"]["limit"] == 1e-9
 
     def test_snapshots_off_the_particle_steps_rejected_before_solving(
             self, tmp_path, capsys, monkeypatch):
@@ -519,8 +540,12 @@ class TestValidateAndH1Commands:
         out = str(tmp_path / "val")
         assert main(["validate-sampler", cfg, "--out", out]) == 0
         summary = json.load(open(os.path.join(out, "summary.json")))
-        assert summary["cf"]["rows"][0]["pass"] is True
-        assert summary["gaussian_moments"]["pass"] is True
+        checks = {c["name"]: c for c in summary["checks"]}
+        assert checks["cf_gap_0"]["passed"] is True
+        assert checks["gaussian_variance"]["passed"] is True
+        assert checks["gaussian_kurtosis"]["passed"] is True
+        assert (checks["gaussian_variance"]["limit"], checks["gaussian_kurtosis"]["limit"]) \
+            == (0.02, 0.05)
         assert summary["distance_bound"]["violations"] == 0
 
     def test_sampler_battery_config_rejected(self, tmp_path, capsys):
@@ -534,6 +559,19 @@ class TestValidateAndH1Commands:
             assert main(["validate-sampler", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, key
+
+    def test_battery_block_not_listed_rejected(self, tmp_path, capsys):
+        # a cf block beside batteries that do not list cf would not be run
+        payload = {"command": "validate-sampler", "seed": 4, "batteries": ["distance_bound"],
+                   "distance_bound": {"trials": 10},
+                   "cf": {"alphas": [1.5], "n_samples": 1000, "xi_grid": [1.0],
+                          "tolerance": 1e-9}}
+        out = tmp_path / "unlisted"
+        assert main(["validate-sampler", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'cf'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
 
     def test_check_h1_pass_and_fail_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, {
@@ -574,3 +612,78 @@ class TestResolvedConfig:
             resolved = SCHEMAS[preset["command"]](preset)
             assert {key: resolved[key] for key in preset} == preset, name
             assert SCHEMAS[preset["command"]](resolved) == resolved, name
+
+
+# small configs that reach every check of every command; chaos-rate's slope
+# limit is out of reach, so one of them fails
+SMALL_CONFIGS = {
+    "simulate": {**SIM_CFG, "n_particles": 500},
+    "pde-solve": {"command": "pde", "seed": 1, "grid": {"half_width": 8.0, "points": 128},
+                  "alpha": 1.5, "sigma": {"kind": "constant", "value": 1.0},
+                  "dt": 0.01, "horizon": 0.1, "snapshots": 2,
+                  "boundary_density_tol": 1e-2},
+    "pde-checks": {"command": "pde", "seed": 1, "grid": {"half_width": 8.0, "points": 128},
+            "initial": {"kind": "gaussian", "std": 0.5}, "alpha": 1.5,
+            "sigma": {"kind": "constant", "value": 1.0}, "horizon": 0.2,
+            "boundary_density_tol": 1e-2,
+            "linear_oracle": {"cases": [{"alpha": 1.2, "dt": 0.02},
+                                        {"alpha": 1.2, "dt": 0.01}]},
+            "adjoint_checks": {"cases": [{"sigma": {"kind": "constant", "value": 1.0},
+                                          "phi": {"center": 0.0, "width": 2.5},
+                                          "psi": {"center": 0.0, "width": 2.5}}]}},
+    "chaos-rate": {"command": "chaos-rate", "seed": 3,
+                   "driver": {"kind": "stable", "alpha": 1.5, "scale": 0.5},
+                   "truncation": 2.0, "sigma": {"kind": "linear_sine"},
+                   "dt": 0.1, "horizon": 0.3, "n_list": [10, 20, 40, 80], "reps": 3,
+                   "n_ref": 800, "slope_max": -5.0, "require_monotone": True},
+    "compare": {"command": "compare", "seed": 9, "driver": {"kind": "stable", "alpha": 1.5},
+                "sigma": {"kind": "smoothed_power", "eps": 0.5, "s": 0.5},
+                "initial": {"kind": "gaussian"}, "horizon": 0.1,
+                "particles": {"n_list": [200, 2000], "dt": 0.01},
+                "pde": {"grid": {"half_width": 20.0, "points": 256}, "dt": 0.01},
+                "snapshots": 2, "kde_eps": 0.02, "l1_max_at_largest": 0.5},
+    "validate-sampler": {
+        "command": "validate-sampler", "seed": 4,
+        "batteries": ["cf", "self_similarity", "gaussian_moments", "lemma4",
+                      "distance_bound"],
+        "cf": {"alphas": [1.5, 1.5], "n_samples": 20000, "xi_grid": [0.5, 1.0],
+               "tolerance": 0.05},
+        "self_similarity": {"alphas": [1.5], "n_samples": 2000},
+        "gaussian_moments": {"n_samples": 20000},
+        "lemma4": {"n_values": [10, 20], "reps": 5, "n_ref": 2000},
+        "distance_bound": {"trials": 20}},
+    "check-h1": {"command": "check-h1", "seed": 1, "alpha": 1.5, "gamma": 1.0,
+                 "eps": 0.01},
+}
+
+
+class TestChecks:
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_pass_is_the_verdict_of_every_check(self, tmp_path, capsys, name):
+        cfg = SMALL_CONFIGS[name]
+        out = tmp_path / "run"
+        code = main([cfg["command"], write_config(tmp_path, cfg), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        checks = summary["checks"]
+        names = [c["name"] for c in checks]
+        assert checks and len(set(names)) == len(names), names
+        assert summary["pass"] == all(c["passed"] for c in checks)
+        assert code == (0 if summary["pass"] else 1)
+        failing = [c["name"] for c in checks if not c["passed"]]
+        assert capsys.readouterr().out.strip() == (
+            f"FAIL {out}: {', '.join(failing)}" if failing else f"OK   {out}")
+        for c in checks:
+            assert set(c) == {"name", "value", "limit", "sense", "passed", "margin"}
+            upper = c["sense"] in ("<=", "<")
+            assert c["margin"] == (c["limit"] - c["value"] if upper
+                                   else c["value"] - c["limit"])
+
+    def test_every_mass_limit_is_one_constant(self):
+        import inspect
+        from levymv import fokker_planck as fp
+        default = inspect.signature(fp.solve_fp).parameters["mass_tolerance"].default
+        given = {key: value for key, value in PRESETS["AC6"].items()
+                 if key != "mass_tolerance"}
+        resolved = SCHEMAS["pde"](given)
+        assert default is fp.MASS_TOLERANCE == 1e-9
+        assert resolved["mass_tolerance"] is fp.MASS_TOLERANCE

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levymv.perturbation import (PerturbationParams, perturbation_profile,
+from levymv.perturbation import (CheckResult, PerturbationParams, perturbation_profile,
                                  perturbation_profile_deriv, verify_h1)
 from levymv.rng import substream
 
@@ -142,3 +142,53 @@ class TestVerifyH1:
         text = json.dumps(payload)
         assert "displacement_ratio_bound" in text
         assert payload["all_passed"] is True
+
+    def test_sup_deriv_bound_margin_agrees_with_its_verdict(self):
+        # the derivative's sup sits within roundoff of its bound here; the check
+        # passes on the bound's 1e-12 allowance, and its margin is measured
+        # against the same allowance
+        report = verify_h1(PerturbationParams(gamma=1.0, eps=0.45, alpha=0.5, k1_bound=0.0))
+        check = report["sup_deriv_bound"]
+        assert check.passed and check.margin >= 0.0
+
+    @pytest.mark.parametrize("p", [params(), params(eps=0.3), params(gamma=1.3, eps=0.02),
+                                   params(eps=0.25), params(k1=0.0, alpha=0.5, eps=0.45)])
+    def test_every_margin_agrees_with_its_verdict(self, p):
+        for check in verify_h1(p).checks:
+            strict = check.sense in ("<", ">")
+            assert check.passed == (check.margin > 0.0 if strict else check.margin >= 0.0), \
+                check.name
+
+    def test_composite_checks_are_one_check_per_comparison(self):
+        names = [c.name for c in verify_h1(params()).checks]
+        assert len(set(names)) == len(names)
+        for name in ("square_integral_decreasing_r1024", "square_integral_decreasing_r2048",
+                     "square_integral_finite", "log_deriv_integrand_converges",
+                     "log_deriv_integrand_finite"):
+            assert name in names, name
+
+
+class TestCheckResult:
+    @pytest.mark.parametrize("sense, verdicts", [
+        ("<=", (True, True, False)), ("<", (True, False, False)),
+        (">=", (False, True, True)), (">", (False, False, True))])
+    def test_each_sense_below_at_and_above_the_limit(self, sense, verdicts):
+        upper = sense[0] == "<"
+        for value, verdict in zip((0.5, 1.0, 1.5), verdicts):
+            check = CheckResult("c", value, 1.0, sense)
+            assert check.passed is verdict, (sense, value)
+            assert check.margin == (1.0 - value if upper else value - 1.0)
+
+    @pytest.mark.parametrize("sense", ["<=", "<", ">=", ">"])
+    def test_nan_fails(self, sense):
+        check = CheckResult("c", float("nan"), 1.0, sense)
+        assert check.passed is False and np.isnan(check.margin)
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError):
+            CheckResult("c", 0.0, 1.0, "==")
+
+    def test_record(self):
+        check = CheckResult("c", 0.25, 1.0, details={"note": "kept out of the record"})
+        assert check.to_json_dict() == {"name": "c", "value": 0.25, "limit": 1.0,
+                                        "sense": "<=", "passed": True, "margin": 0.75}
