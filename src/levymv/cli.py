@@ -5,10 +5,11 @@ check-h1.  Each reads one JSON config file or a shipped ``--preset`` and
 writes its artifacts into ``--out``.  ``SCHEMAS`` holds one table per
 command with every key's type and default; ``main`` resolves the config
 against it before the command runs.  Commands read only the resolved config,
-which holds every default and is what ``config.resolved.json`` records.  An
-unknown, missing or ill-typed key prints ``error: ...`` naming the key and
-exits 2, as do a config file that cannot be read or parsed, a config that
-would run nothing, a given key that the run would not read and a
+which holds every default and is what ``config.resolved.json`` records, and
+the set of top-level keys the config gave, which tells a given value from a
+default.  An unknown, missing or ill-typed key prints ``error: ...`` naming
+the key and exits 2, as do a config file that cannot be read or parsed, a
+config that would run nothing, a given key that the run would not read and a
 ``--threads`` below 1; a check that does not pass, or a run that aborts,
 exits 1.  Every gate
 is a ``CheckResult``: each command hands its list to ``_finish``, which
@@ -285,7 +286,7 @@ def _cf_gap(samples, xi, expected):
     return float(np.max(np.abs(emp - expected)))
 
 
-def cmd_simulate(cfg, outdir, threads):
+def cmd_simulate(cfg, outdir, threads, given):
     sim = _build_sim_config(cfg, cfg["n_particles"])
     # for a constant coefficient over a stable driver, the terminal law is
     # exactly stable: its CF is known when the initial law's is
@@ -293,9 +294,10 @@ def cmd_simulate(cfg, outdir, threads):
     xi = np.array(cfg["cf_xi_grid"])
     base = sim.initial_law.cf(xi) \
         if sigma_cfg["kind"] == "constant" and driver_cfg["kind"] == "stable" else None
-    if base is None and cfg["cf_tolerance"] is not None:
-        raise ConfigError(f"{_name(('cf_tolerance',))} is read only by the CF test: a constant "
-                          "sigma, a stable driver and an initial law with a closed-form CF")
+    for key in ("cf_tolerance", "cf_xi_grid"):
+        if base is None and key in given:
+            raise ConfigError(f"{_name((key,))} is read only by the CF test: a constant sigma, "
+                              "a stable driver and an initial law with a closed-form CF")
     flow = simulate(sim, record_every=cfg["record_every"])
     if cfg["flow_format"] == "csv":
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
@@ -324,7 +326,7 @@ def cmd_simulate(cfg, outdir, threads):
     return _finish(outdir, cfg, summary, checks)
 
 
-def cmd_pde(cfg, outdir, threads):
+def cmd_pde(cfg, outdir, threads, given):
     if cfg["horizon"] is None and cfg["adjoint_checks"] is None \
             and cfg["linear_oracle"] is None:
         raise ConfigError("a pde config needs 'horizon', 'adjoint_checks' or "
@@ -336,6 +338,9 @@ def cmd_pde(cfg, outdir, threads):
             if cfg[key] is not None:
                 raise ConfigError(f"{_name((key,))} is not read beside 'linear_oracle', "
                                   "whose cases give their own alpha and dt")
+    if "snapshots" in given and (cfg["linear_oracle"] is not None or cfg["horizon"] is None):
+        raise ConfigError(f"{_name(('snapshots',))} is read only by a solve, which runs given "
+                          "'horizon' and no 'linear_oracle'")
     summary = {"config": cfg}
     checks = []
     sigma = _build_sigma(cfg["sigma"])
@@ -422,7 +427,7 @@ def cmd_pde(cfg, outdir, threads):
     return _finish(outdir, cfg, summary, checks)
 
 
-def cmd_chaos_rate(cfg, outdir, threads):
+def cmd_chaos_rate(cfg, outdir, threads, given):
     base = _build_sim_config(cfg, max(cfg["n_list"]))
     table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
                                   threads=threads)
@@ -446,7 +451,7 @@ def cmd_chaos_rate(cfg, outdir, threads):
     return _finish(outdir, cfg, {"config": cfg, "result": payload}, checks)
 
 
-def cmd_compare(cfg, outdir, threads):
+def cmd_compare(cfg, outdir, threads, given):
     pde_cfg, particle_dt = cfg["pde"], cfg["particles"]["dt"]
     # the PDE snapshots at steps j * pde_every of pde_steps pair, by index, with
     # the particle marginals at steps j * particle_every of particle_steps;
@@ -465,6 +470,11 @@ def cmd_compare(cfg, outdir, threads):
             f"= {particle_dt!r} do not line up: PDE snapshots every {pde_every} of "
             f"{pde_steps} steps fall between the {particle_steps} particle steps")
     particle_every = pde_every * particle_steps // pde_steps
+    n_list = cfg["particles"]["n_list"]
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        # the l1_decreasing checks read the L1s in list order
+        raise ConfigError(f"{_name(('particles', 'n_list'))} must be strictly ascending, "
+                          f"got {n_list!r}")
     driver = _build_driver(cfg["driver"])
     initial = _build_initial(cfg["initial"])
     grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
@@ -477,7 +487,7 @@ def cmd_compare(cfg, outdir, threads):
                       snapshots=cfg["snapshots"],
                       boundary_density_tol=pde_cfg["boundary_density_tol"])
     rows = []
-    for n in cfg["particles"]["n_list"]:
+    for n in n_list:
         sim = SimulationConfig(
             n_particles=n, dt=particle_dt, horizon_T=cfg["horizon"],
             seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial)
@@ -508,7 +518,7 @@ def cmd_compare(cfg, outdir, threads):
     return _finish(outdir, cfg, summary, checks)
 
 
-def cmd_validate_sampler(cfg, outdir, threads):
+def cmd_validate_sampler(cfg, outdir, threads, given):
     batteries = {name: _needed(cfg, name, "by batteries") for name in cfg["batteries"]}
     for name in _BATTERIES:
         if cfg[name] is not None and name not in batteries:
@@ -584,7 +594,7 @@ def cmd_validate_sampler(cfg, outdir, threads):
     return _finish(outdir, cfg, report, checks)
 
 
-def cmd_check_h1(cfg, outdir, threads):
+def cmd_check_h1(cfg, outdir, threads, given):
     params = PerturbationParams(gamma=cfg["gamma"], eps=cfg["eps"], alpha=cfg["alpha"],
                                 k1_bound=cfg["k1_bound"], levy_k=cfg["levy_k"])
     report = verify_h1(params, resolutions=tuple(cfg["resolutions"]))
@@ -645,9 +655,9 @@ def main(argv=None):
         cfg = {**cfg, "seed": args.seed}
     outdir = args.out or os.path.join("runs", f"{args.command}-{label}")
     try:
-        cfg = SCHEMAS[args.command](cfg)
+        resolved = SCHEMAS[args.command](cfg)
         os.makedirs(outdir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir, args.threads)
+        return _COMMANDS[args.command](resolved, outdir, args.threads, set(cfg))
     except (ConfigError, ValueError, fp.StabilityError, particles.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1

@@ -82,12 +82,61 @@ class StableDriverSpec:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def _standard_symmetric_stable(alpha, u, w):
-    # u uniform on (-pi/2, pi/2), w unit exponential; CF exp(-|xi|^alpha).
+# pi/4 as the double math.pi/4 plus the rest, so pi/4 - |x|/2 keeps its
+# relative accuracy as |x| -> pi/2
+_QUARTER_PI_LO = 3.061616997868383e-17
+
+
+def _sin_of_double(h, scratch):
+    """sin 2h = 2t / (1 + t^2) with t = tan h, in place on h, for |h| < pi/2."""
+    np.tan(h, out=h)
+    np.multiply(h, h, out=scratch)
+    scratch += 1.0
+    h += h
+    h /= scratch
+    return h
+
+
+def _cos_of(k, u, out, scratch):
+    """cos(k u) = sin(pi/2 - k |u|) into ``out``, for 0 <= k |u| <= pi/2."""
+    np.abs(u, out=out)
+    out *= -0.5 * k
+    out += math.pi / 4.0
+    out += _QUARTER_PI_LO
+    return _sin_of_double(out, scratch)
+
+
+def _standard_symmetric_stable(alpha, u, w, c=1.0):
+    """c times the Chambers-Mallows-Stuck draws of CF exp(-|xi|^alpha), in u.
+
+    u uniform on (-pi/2, pi/2) and w unit exponential, both overwritten:
+    sin(alpha u) / cos(u)^(1/alpha) * (cos((1-alpha) u) / w)^((1-alpha)/alpha),
+    or 2 sin(u) sqrt(w) at alpha = 2.  Every sine comes from the tangent of
+    the half angle, and every cosine is the sine of its complement to pi/2,
+    so the transform's transcendental calls are three ``np.tan`` and two
+    ``np.power``.  Its speed rests on numpy's ``tan`` being SIMD-dispatched
+    (its float64 ``sin`` and ``cos`` may be scalar libm calls); the result
+    does not depend on that beyond roundoff.
+    """
+    scratch = np.empty_like(u)
     if alpha == 2.0:
-        return 2.0 * np.sin(u) * np.sqrt(w)
-    t = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    return t * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+        np.sqrt(w, out=w)
+        u *= 0.5
+        _sin_of_double(u, scratch)
+        u *= w
+        u *= 2.0 * c
+        return u
+    a = _cos_of(abs(1.0 - alpha), u, np.empty_like(u), scratch)
+    np.divide(a, w, out=w)
+    np.power(w, (1.0 - alpha) / alpha, out=w)
+    _cos_of(1.0, u, a, scratch)
+    np.power(a, 1.0 / alpha, out=a)
+    u *= 0.5 * alpha
+    _sin_of_double(u, scratch)
+    u /= a
+    u *= w
+    u *= c
+    return u
 
 
 def _stable_rows(spec, dt, n, rngs):
@@ -96,8 +145,8 @@ def _stable_rows(spec, dt, n, rngs):
     w = np.empty((len(rngs), n))
     for row, rng in enumerate(rngs):
         u[row] = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-        w[row] = rng.standard_exponential(n)
-    return (spec.scale * dt) ** (1.0 / spec.alpha) * _standard_symmetric_stable(spec.alpha, u, w)
+        rng.standard_exponential(out=w[row])
+    return _standard_symmetric_stable(spec.alpha, u, w, (spec.scale * dt) ** (1.0 / spec.alpha))
 
 
 def sample_stable_increment(spec, dt, rng, size=None):
@@ -105,6 +154,9 @@ def sample_stable_increment(spec, dt, rng, size=None):
 
     Exact in law: one uniform and one exponential variate per draw are
     pushed through the polar transform, then scaled by (scale*dt)^(1/alpha).
+    The transform's sines and cosines are evaluated by the half-angle
+    tangent, to double-precision roundoff; its speed depends on numpy's
+    ``tan`` being SIMD-dispatched, which float64 ``sin`` and ``cos`` need not be.
     Returns a scalar when ``size`` is None, else an array of that shape.
     The one-row case of :func:`sample_increment_array`.
     """

@@ -22,6 +22,7 @@ binned in :func:`smoothing_table` (every hot path) and convolved by
 the PDE grid's sigma multiplies the solver's spectrum by.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,8 +198,9 @@ def smoothing_table(mu, eps):
     row's own table; a 1-D array is the one-row case.  A call builds all
     its rows in one pass: the runs are laid out on the rows end to end,
     the rows of each FFT length are binned into one block, and each block
-    is convolved with one FFT along its rows, the kernel's transform built
-    once per length.
+    is convolved with one FFT along its rows.  The kernel's transform is
+    built once per (length, h, eps) and kept for later calls, which repeat
+    those step after step.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
@@ -258,7 +260,7 @@ def smoothing_table(mu, eps):
         weights = np.bincount(at_g.ravel(), (1.0 - frac_g).ravel(), minlength=g * m)
         weights += np.bincount(at_g.ravel() + 1, frac_g.ravel(), minlength=g * m)
         weights /= n * h
-        kernel_hat = periodic_gaussian_transform(m, h, m * h, eps)
+        kernel_hat = _table_kernel(m, h, eps)
         # a lone row goes through the 1-D transforms, which numpy runs faster
         block = periodic_convolution(weights.reshape(g, m) if g > 1 else weights,
                                      kernel_hat, h)
@@ -281,6 +283,15 @@ def smoothing_table(mu, eps):
     values[axis_starts] = 0.0
     values[ends - 1] = 0.0
     return tables if s.ndim == 2 else tables[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _table_kernel(m, h, eps):
+    """:func:`smoothing_table`'s kernel transform on m nodes of spacing h,
+    read-only, as it is shared by every call of that length."""
+    kernel_hat = periodic_gaussian_transform(m, h, m * h, eps)
+    kernel_hat.flags.writeable = False
+    return kernel_hat
 
 
 def read_table(table, x):

@@ -115,6 +115,19 @@ class TestSimulateCommand:
             assert "error:" in err and "'cf_tolerance'" in err and "Traceback" not in err
             assert not (out / "summary.json").exists()
 
+    def test_cf_xi_grid_without_a_cf_test_rejected(self, tmp_path, capsys):
+        # the key has a default, so it counts as given only when the file gives it
+        cfg = write_config(tmp_path, {**SIM_CFG, "sigma": {"kind": "linear_sine"},
+                                      "cf_xi_grid": [0.5, 1.0]})
+        out = tmp_path / "xi"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'cf_xi_grid'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+        cfg = write_config(tmp_path, {**SIM_CFG, "sigma": {"kind": "linear_sine"},
+                                      "n_particles": 50})
+        assert main(["simulate", cfg, "--out", str(tmp_path / "default")]) == 0
+
     def test_nan_truncation_rejected(self, tmp_path, capsys):
         # json reads NaN, so a config file can carry one
         cfg = write_config(tmp_path, {**SIM_CFG, "truncation": float("nan")})
@@ -325,6 +338,31 @@ class TestPdeCommand:
         assert "error:" in err and f"'{key}'" in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("runs", ["linear_oracle", "adjoint_checks"])
+    def test_snapshots_without_a_solve_rejected(self, tmp_path, capsys, monkeypatch, runs):
+        # only a solve reads snapshots, and none runs beside the oracle or
+        # without a horizon; the resolved config would hold the default 5
+        def no_run(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.fp, "solve_fp", no_run)
+        monkeypatch.setattr(cli.fp, "adjoint_identity_check", no_run)
+        case = {"sigma": {"kind": "constant", "value": 1.0},
+                "phi": {"center": 0.0, "width": 2.5}, "psi": {"center": 0.0, "width": 2.5}}
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "sigma": {"kind": "constant", "value": 1.0}, "snapshots": 4,
+            **({"horizon": 0.2, "linear_oracle": {"cases": [{"alpha": 1.5, "dt": 0.02}]}}
+               if runs == "linear_oracle" else
+               {"alpha": 1.5, "adjoint_checks": {"cases": [case]}}),
+        }
+        out = tmp_path / runs
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'snapshots'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     def test_alpha_beside_the_linear_oracle_read_by_adjoint_checks(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,
@@ -455,6 +493,30 @@ class TestCompareCommand:
         checks = {c["name"]: c for c in summary["checks"]}
         assert checks["l1_decreasing_1"]["passed"] is True
         assert checks["pde_mass_drift"]["limit"] == 1e-9
+
+    @pytest.mark.parametrize("n_list", [[2000, 200], [200, 200], [100, 400, 300]])
+    def test_n_list_not_ascending_rejected_before_solving(
+            self, tmp_path, capsys, monkeypatch, n_list):
+        # the l1_decreasing checks compare the L1s in list order
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli.fp, "solve_fp", no_run)
+        monkeypatch.setattr(cli, "simulate", no_run)
+        payload = {
+            "command": "compare", "seed": 9,
+            "driver": {"kind": "stable", "alpha": 1.5},
+            "sigma": {"kind": "smoothed_power", "eps": 0.5, "s": 0.5},
+            "initial": {"kind": "gaussian"},
+            "horizon": 0.1,
+            "particles": {"n_list": n_list, "dt": 0.01},
+            "pde": {"grid": {"half_width": 30.0, "points": 256}, "dt": 0.01},
+        }
+        out = tmp_path / "cmp"
+        assert main(["compare", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'n_list' in particles" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
 
     def test_snapshots_off_the_particle_steps_rejected_before_solving(
             self, tmp_path, capsys, monkeypatch):

@@ -83,6 +83,27 @@ class TestStableSampler:
         b = sample_stable_increment(spec, 0.5, substream(10), size=1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9, 1.99, 2.0])
+    def test_transform_matches_long_double_reference(self, alpha):
+        # the half-angle evaluation against the transform computed in long
+        # double on the same variates, uniform draws plus u next to 0 and +-pi/2
+        rng = substream(11)
+        edge = np.nextafter(math.pi / 2.0, 0.0)
+        u = np.concatenate([rng.uniform(-math.pi / 2.0, math.pi / 2.0, 50_000),
+                            [edge, -edge, 1e-300, -1e-9, 0.0]])
+        w = np.concatenate([rng.standard_exponential(50_000), [0.5, 3.0, 1e-6, 20.0, 1.0]])
+        z = drivers._standard_symmetric_stable(alpha, u.copy(), w.copy())
+        uu, ww, a = u.astype(np.longdouble), w.astype(np.longdouble), np.longdouble(alpha)
+        if alpha == 2.0:
+            ref = 2 * np.sin(uu) * np.sqrt(ww)
+        else:
+            ref = (np.sin(a * uu) / np.cos(uu) ** (1 / a)
+                   * (np.cos((1 - a) * uu) / ww) ** ((1 - a) / a))
+        assert np.all(np.isfinite(z))
+        assert np.all(np.abs(z - ref) <= 3e-14 * np.abs(ref))
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             StableDriverSpec(0.0, 1.0)

@@ -264,16 +264,39 @@ class TestSmoothingTable:
         own = [smoothing_table(row, 0.05) for row in s]
         lengths = {1 << (nodes.size - 1).bit_length() for nodes, _ in own}
         assert len(lengths) == 2
-        built = []
-        transform = measures.periodic_gaussian_transform
-        monkeypatch.setattr(measures, "periodic_gaussian_transform",
-                            lambda m, *args: built.append(m) or transform(m, *args))
+        measures._table_kernel.cache_clear()
+        built = self._count_builds(monkeypatch)
         tables = smoothing_table(s, 0.05)
         assert len(tables) == len(own)
         for (nodes, values), (want_nodes, want_values) in zip(tables, own):
             assert np.array_equal(nodes, want_nodes)
             assert np.array_equal(values, want_values)
         assert sorted(built) == sorted(lengths)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []
+        transform = measures.periodic_gaussian_transform
+        monkeypatch.setattr(measures, "periodic_gaussian_transform",
+                            lambda m, *args: built.append(m) or transform(m, *args))
+        return built
+
+    def test_a_repeated_call_reuses_the_read_only_kernel(self, monkeypatch):
+        s = np.sort(substream(115).normal(0.0, 1.0, (3, 50)), axis=1)
+        measures._table_kernel.cache_clear()
+        built = self._count_builds(monkeypatch)
+        first = smoothing_table(s, 0.05)
+        assert len(built) == 1
+        again = smoothing_table(s, 0.05)
+        assert len(built) == 1
+        for (_, values), (_, want) in zip(again, first):
+            assert np.array_equal(values, want)
+        m = built[0]
+        h = _NODE_SPACING * math.sqrt(0.05)
+        kernel_hat = measures._table_kernel(m, h, 0.05)
+        assert len(built) == 1 and not kernel_hat.flags.writeable
+        assert np.array_equal(kernel_hat,
+                              measures.periodic_gaussian_transform(m, h, m * h, 0.05))
 
     @staticmethod
     def _assert_rows_are_own_tables(s, eps):
