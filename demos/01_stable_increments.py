@@ -11,7 +11,7 @@ increments are indistinguishable from unit-step ones.
 import numpy as np
 from scipy.stats import ks_2samp
 
-from levymv import StableDriverSpec, sample_stable_increment
+from levymv import StableDriverSpec, sample_increment_array
 from levymv.rng import substream
 
 n = 400_000
@@ -20,7 +20,7 @@ xi_grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 print("empirical CF vs exp(-|xi|^alpha), %d draws per alpha" % n)
 for alpha in (0.8, 1.2, 1.5, 1.9, 2.0):
     spec = StableDriverSpec(alpha=alpha, scale=1.0)
-    z = sample_stable_increment(spec, 1.0, substream(1, int(alpha * 10)), size=n)
+    z = sample_increment_array(spec, 1.0, n, substream(1, int(alpha * 10)))
     emp = np.exp(1j * xi_grid[:, None] * z[None, :]).mean(axis=1)
     gap = np.max(np.abs(emp - np.exp(-xi_grid ** alpha)))
     print(f"  alpha={alpha:3.1f}: sup CF gap = {gap:.2e}")
@@ -30,12 +30,12 @@ print("against unit-step increments (two-sample KS)")
 for alpha in (0.9, 1.5):
     spec = StableDriverSpec(alpha=alpha, scale=1.0)
     dt = 0.2
-    a = sample_stable_increment(spec, dt, substream(2, 0), size=100_000)
-    b = sample_stable_increment(spec, 1.0, substream(2, 1), size=100_000)
+    a = sample_increment_array(spec, dt, 100_000, substream(2, 0))
+    b = sample_increment_array(spec, 1.0, 100_000, substream(2, 1))
     p = ks_2samp(a / dt ** (1.0 / alpha), b).pvalue
     print(f"  alpha={alpha}: KS p-value = {p:.3f}")
 
 print("\nalpha = 2 endpoint is Gaussian: CF exp(-c xi^2) means variance 2c")
-z = sample_stable_increment(StableDriverSpec(2.0, 0.7), 1.0, substream(3), size=n)
+z = sample_increment_array(StableDriverSpec(2.0, 0.7), 1.0, n, substream(3))
 print(f"  sample variance = {z.var():.4f}, expected {2 * 0.7:.4f}")
 print(f"  sample kurtosis = {np.mean(z ** 4) / z.var() ** 2:.4f}, expected 3")

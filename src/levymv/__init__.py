@@ -5,7 +5,7 @@ from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel
                            SmoothedDensityPower)
 from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec,
                       cf_constant_from_levy_constant, levy_constant_from_cf_constant,
-                      sample_stable_increment, truncated_stable_triplet)
+                      sample_increment_array, truncated_stable_triplet)
 from .fokker_planck import (AdjointReport, DensityGrid, FractionalParams, FpResult,
                             StabilityError, adjoint_identity_check, bump,
                             fractional_laplacian, gaussian_grid, solve_fp,

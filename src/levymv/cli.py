@@ -29,7 +29,7 @@ import numpy as np
 
 from . import coefficients, exports, fokker_planck as fp, measures, particles
 from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec, _step_count,
-                      sample_stable_increment)
+                      sample_increment_array)
 from .particles import (FileLaw, GaussianLaw, PointMass, SimulationConfig,
                         UniformLaw, chaos_rate_experiment, simulate)
 from .perturbation import CheckResult, PerturbationParams, verify_h1
@@ -338,9 +338,12 @@ def cmd_pde(cfg, outdir, threads, given):
             if cfg[key] is not None:
                 raise ConfigError(f"{_name((key,))} is not read beside 'linear_oracle', "
                                   "whose cases give their own alpha and dt")
-    if "snapshots" in given and (cfg["linear_oracle"] is not None or cfg["horizon"] is None):
-        raise ConfigError(f"{_name(('snapshots',))} is read only by a solve, which runs given "
-                          "'horizon' and no 'linear_oracle'")
+    # no solve runs without a horizon, and the oracle's solves take no snapshots
+    for key in ("snapshots", "scheme", "mass_tolerance", "boundary_density_tol"):
+        beside_oracle = key == "snapshots" and cfg["linear_oracle"] is not None
+        if key in given and (cfg["horizon"] is None or beside_oracle):
+            needs = "'horizon' and no 'linear_oracle'" if key == "snapshots" else "'horizon'"
+            raise ConfigError(f"{_name((key,))} is read only by a solve, which runs given {needs}")
     summary = {"config": cfg}
     checks = []
     sigma = _build_sigma(cfg["sigma"])
@@ -532,8 +535,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
         rows = []
         for i, alpha in enumerate(c["alphas"]):
             spec = StableDriverSpec(alpha=alpha, scale=c["scale"])
-            z = sample_stable_increment(spec, 1.0, substream(seed, 10, i),
-                                        size=c["n_samples"])
+            z = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 10, i))
             xi = np.asarray(c["xi_grid"])
             gap = _cf_gap(z, xi, np.exp(-c["scale"] * np.abs(xi) ** alpha))
             rows.append({"alpha": alpha, "max_abs_cf_gap": gap})
@@ -546,10 +548,9 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
         rows = []
         for i, alpha in enumerate(c["alphas"]):
             spec = StableDriverSpec(alpha=alpha, scale=1.0)
-            a = sample_stable_increment(spec, c["dt"], substream(seed, 20, i),
-                                        size=c["n_samples"]) / c["dt"] ** (1.0 / alpha)
-            b = sample_stable_increment(spec, 1.0, substream(seed, 21, i),
-                                        size=c["n_samples"])
+            a = sample_increment_array(spec, c["dt"], c["n_samples"],
+                                       substream(seed, 20, i)) / c["dt"] ** (1.0 / alpha)
+            b = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 21, i))
             p = float(ks_2samp(a, b).pvalue)
             rows.append({"alpha": alpha, "ks_pvalue": p})
             checks.append(CheckResult(f"ks_pvalue_{i}", p, c["level"], ">"))
@@ -558,7 +559,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
     if "gaussian_moments" in batteries:
         c = batteries["gaussian_moments"]
         spec = StableDriverSpec(alpha=2.0, scale=c["scale"])
-        z = sample_stable_increment(spec, 1.0, substream(seed, 30), size=c["n_samples"])
+        z = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 30))
         var = float(np.var(z))
         kurt = float(np.mean(z ** 4) / var ** 2)
         report["gaussian_moments"] = {"variance": var, "expected": 2.0 * c["scale"],

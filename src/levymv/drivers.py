@@ -12,15 +12,15 @@ Three layers:
   driver the cut triplet is built in closed form, with the jumps below
   ``DELTA`` replaced by a variance-matched Gaussian.
 
-Sampling works on rows: :func:`sample_increment_array` takes one
-generator, or one generator per row of lockstep runs.  Each row draws its
-variates from its own generator, in the order it would draw them alone
-(stable: the uniforms, then the exponentials; triplet: the normals, the
-band's jump counts and draws, then the big jumps' counts and draws); the
-transforms to increments and the per-particle jump sums then run once on
-all rows.  So a row's increments do not depend on the other rows, and
-:func:`sample_stable_increment` and :func:`sample_triplet_increments`
-are the one-row calls.
+One sampler serves them all: :func:`sample_increment_array` takes one
+generator, for one array of increments, or one generator per row of
+lockstep runs.  Each row draws its variates from its own generator, in
+the order it would draw them alone (stable: the uniforms, then the
+exponentials; triplet: the normals, the band's jump counts and draws,
+then the big jumps' counts and draws); the transforms to increments and
+the per-particle jump sums then run once on all rows.  So a row's
+increments do not depend on the other rows, and a one-row call gives
+the bits of the same row drawn beside others.
 
 Scale convention for the stable family: ``scale`` is the characteristic
 function constant, one increment over ``dt`` has CF
@@ -41,8 +41,6 @@ __all__ = [
     "StableDriverSpec",
     "LevyTripletSpec",
     "JumpAtoms",
-    "sample_stable_increment",
-    "sample_triplet_increments",
     "sample_increment_array",
     "truncated_stable_triplet",
     "cf_constant_from_levy_constant",
@@ -149,22 +147,6 @@ def _stable_rows(spec, dt, n, rngs):
     return _standard_symmetric_stable(spec.alpha, u, w, (spec.scale * dt) ** (1.0 / spec.alpha))
 
 
-def sample_stable_increment(spec, dt, rng, size=None):
-    """Draw increment(s) of the stable driver over a step of length dt.
-
-    Exact in law: one uniform and one exponential variate per draw are
-    pushed through the polar transform, then scaled by (scale*dt)^(1/alpha).
-    The transform's sines and cosines are evaluated by the half-angle
-    tangent, to double-precision roundoff; its speed depends on numpy's
-    ``tan`` being SIMD-dispatched, which float64 ``sin`` and ``cos`` need not be.
-    Returns a scalar when ``size`` is None, else an array of that shape.
-    The one-row case of :func:`sample_increment_array`.
-    """
-    shape = () if size is None else size
-    z = _sample_rows(spec, dt, int(np.prod(shape)), [rng])[0][0].reshape(shape)
-    return float(z) if size is None else z
-
-
 class JumpAtoms:
     """Finite jump measure made of atoms [(position, rate), ...], |position| > 1.
 
@@ -262,7 +244,13 @@ def _check_truncation(level):
         raise ValueError(f"truncation level must be positive or inf, got {level}")
 
 
-def _triplet_rows(spec, dt, n, rngs, truncation):
+def _triplet_rows(spec, dt, n, rngs, level):
+    """(totals, big_jump_sums) of ``len(rngs)`` rows of n triplet increments.
+
+    ``totals`` include every jump; ``big_jump_sums`` collect each
+    particle's jumps with |amplitude| > ``level``, and are 0 when ``level``
+    is None, so ``totals - big_jump_sums`` is the truncated increment.
+    """
     rows = len(rngs)
     sd = math.sqrt(spec.gaussian_a * dt)
     normal = np.empty((rows, n))
@@ -291,41 +279,11 @@ def _triplet_rows(spec, dt, n, rngs, truncation):
         owners = np.repeat(np.arange(rows * n), counts.ravel())
         amps = measure.amplitudes(np.concatenate(draws, axis=-1))
         totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
-        if (measure is spec.big_jumps and truncation is not None
-                and np.isfinite(truncation)):
-            over = np.abs(amps) > truncation
+        if measure is spec.big_jumps and level is not None:
+            over = np.abs(amps) > level
             big_sums = np.bincount(owners[over], weights=amps[over],
                                    minlength=rows * n).reshape(rows, n)
     return totals, big_sums
-
-
-def _sample_rows(driver, dt, n, rngs, truncation=None):
-    """(totals, big_jump_sums) of ``len(rngs)`` rows of n increments each.
-
-    Row r draws from ``rngs[r]`` alone, exactly the variates in exactly the
-    order it would draw as the only row; the transforms from variates to
-    increments then act on all rows at once.  ``big_jump_sums`` is None for
-    a stable driver.
-    """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    _check_truncation(truncation)
-    if isinstance(driver, StableDriverSpec):
-        return _stable_rows(driver, dt, n, rngs), None
-    return _triplet_rows(driver, dt, n, rngs, truncation)
-
-
-def sample_triplet_increments(spec, dt, n, rng, truncation=None):
-    """Vectorized triplet increments for n particles over one step.
-
-    Returns (totals, big_jump_sums) where big_jump_sums[i] collects this
-    particle's jumps with |amplitude| > truncation (0 when truncation is
-    None or inf); totals always include every jump, so
-    ``totals - big_jump_sums`` is the truncated-driver increment.  The
-    one-row case of :func:`sample_increment_array`.
-    """
-    totals, big_sums = _sample_rows(spec, dt, n, [rng], truncation)
-    return totals[0], big_sums[0]
 
 
 def truncated_stable_triplet(spec, level):
@@ -349,25 +307,38 @@ def truncated_stable_triplet(spec, level):
 
 
 def sample_increment_array(driver, dt, n, rng, truncation=None):
-    """Per-particle increments for one engine step, truncation applied.
+    """Per-particle increments over a step of length dt, truncation applied.
 
     ``rng`` is one generator, for an array of n increments, or a sequence
     of generators, one per row of a ``(len(rng), n)`` array; row r is bit
     for bit what ``rng[r]`` alone gives, so the rows of lockstep runs are
-    sampled in one call.  Stable drivers are drawn exactly; a finite
-    truncation on a stable driver must be materialized first with
+    sampled in one call.
+
+    Stable drivers are drawn exactly in law: one uniform and one
+    exponential variate per increment are pushed through the polar
+    transform, then scaled by (scale*dt)^(1/alpha).  The transform's sines
+    and cosines are evaluated by the half-angle tangent, to double-precision
+    roundoff; its speed depends on numpy's ``tan`` being SIMD-dispatched,
+    which float64 ``sin`` and ``cos`` need not be.  A finite truncation on a
+    stable driver must be materialized first with
     :func:`truncated_stable_triplet` (the engine does this once at
-    configuration time).
+    configuration time).  A triplet driver's increments drop, per particle,
+    the big jumps above a finite truncation level.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     _check_truncation(truncation)
-    finite = truncation is not None and np.isfinite(truncation)
-    if isinstance(driver, StableDriverSpec) and finite and driver.alpha < 2.0:
-        raise ValueError("truncated stable sampling requires the triplet form; "
-                         "build it once with truncated_stable_triplet()")
-    totals, big_sums = _sample_rows(driver, dt, n, rngs, truncation)
-    if finite and big_sums is not None:
-        totals = totals - big_sums
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    level = truncation if truncation is not None and np.isfinite(truncation) else None
+    if isinstance(driver, StableDriverSpec):
+        if level is not None and driver.alpha < 2.0:
+            raise ValueError("truncated stable sampling requires the triplet form; "
+                             "build it once with truncated_stable_triplet()")
+        totals = _stable_rows(driver, dt, n, rngs)
+    else:
+        totals, big_sums = _triplet_rows(driver, dt, n, rngs, level)
+        if level is not None:
+            totals -= big_sums
     return totals[0] if rngs is not rng else totals
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "fractional_laplacian",
     "solve_linear_exact",
     "solve_fp",
-    "stable_step_limit",
     "adjoint_identity_check",
     "AdjointReport",
     "bump",

@@ -232,17 +232,6 @@ def _advance(positions, sigma_values, increments):
         return positions + sigma_values * increments
 
 
-def step_increments(cfg, step_index):
-    """The increment vector consumed by step ``step_index`` of a run.
-
-    Exposed so couplings and hand-rolled oracles can replay exactly what
-    the engine drew; pure function of (seed, step) and the particle count.
-    """
-    rng = substream(cfg.seed, _ROLE_STEP, step_index)
-    return sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                  cfg.n_particles, rng, truncation=cfg.truncation_N)
-
-
 def initial_positions(cfg):
     return cfg.initial_law.sample(cfg.n_particles, substream(cfg.seed, _ROLE_INIT))
 

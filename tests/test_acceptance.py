@@ -39,8 +39,7 @@ def test_ac1_stable_sampler_cf_match():
     worst = 0.0
     for i, alpha in enumerate((0.8, 1.2, 1.5, 1.9, 2.0)):
         spec = lm.StableDriverSpec(alpha=alpha, scale=1.0)
-        z = lm.sample_stable_increment(spec, 1.0, substream(20240801, 10, i),
-                                       size=1_000_000)
+        z = lm.sample_increment_array(spec, 1.0, 1_000_000, substream(20240801, 10, i))
         emp = np.exp(1j * xi[:, None] * z[None, :]).mean(axis=1)
         gap = float(np.max(np.abs(emp - np.exp(-np.abs(xi) ** alpha))))
         assert gap <= 5e-3, (alpha, gap)

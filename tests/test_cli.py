@@ -363,6 +363,22 @@ class TestPdeCommand:
         assert "error:" in err and "'snapshots'" in err and "Traceback" not in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key,value", [("scheme", "if-rk4"), ("mass_tolerance", 1e-9),
+                                           ("boundary_density_tol", 1e-4)])
+    def test_solve_keys_without_a_horizon_rejected(self, tmp_path, capsys, monkeypatch,
+                                                   key, value):
+        # AC9 runs the duality checks only, and no solve reads these keys
+        def no_run(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.fp, "adjoint_identity_check", no_run)
+        out = tmp_path / key
+        payload = {**PRESETS["AC9"], key: value}
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"'{key}'" in err and "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     def test_alpha_beside_the_linear_oracle_read_by_adjoint_checks(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,

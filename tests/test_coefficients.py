@@ -8,7 +8,7 @@ import pytest
 
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
                                  SmoothedDensityPower)
-from levymv.drivers import StableDriverSpec, sample_stable_increment
+from levymv.drivers import StableDriverSpec, sample_increment_array
 from levymv.fokker_planck import (FractionalParams, adjoint_identity_check, bump,
                                   gaussian_grid)
 from levymv.measures import (EmpiricalMeasure, periodic_convolution,
@@ -140,16 +140,14 @@ class TestSmoothedDensityPower:
             assert self._max_rel_gap_to_exact(sig, s) < 1e-4, n
         # the compare regime: N(0, 1) pushed by a stable increment, wide tails
         n = 100_000
-        jump = sample_stable_increment(StableDriverSpec(1.5, 1.0), 0.5,
-                                       substream(214, 1), size=n)
+        jump = sample_increment_array(StableDriverSpec(1.5, 1.0), 0.5, n, substream(214, 1))
         s = np.sort(substream(214, 0).standard_normal(n) + jump)
         assert self._max_rel_gap_to_exact(sig, s) < 1e-4
 
     def test_heavy_tails_lay_out_only_the_occupied_lattice(self):
         sig = SmoothedDensityPower(0.5, 0.5)
         n = 100_000
-        s = np.sort(sample_stable_increment(StableDriverSpec(0.8, 1.0), 1.0,
-                                            substream(215), size=n))
+        s = np.sort(sample_increment_array(StableDriverSpec(0.8, 1.0), 1.0, n, substream(215)))
         h = math.sqrt(0.5) / 64.0
         assert (s[-1] - s[0]) / h > 1e8
         nodes, values = sig.summarize(s)

@@ -11,7 +11,6 @@ from levymv import drivers
 from levymv.drivers import (DELTA, JumpAtoms, LevyTripletSpec, StableDriverSpec,
                             cf_constant_from_levy_constant,
                             levy_constant_from_cf_constant, sample_increment_array,
-                            sample_stable_increment, sample_triplet_increments,
                             truncated_stable_triplet)
 from levymv.rng import substream
 
@@ -24,23 +23,20 @@ class TestStableSampler:
     def test_alpha2_is_gaussian_with_variance_2c(self):
         # CF exp(-c xi^2) is the normal law with variance 2c
         c = 0.7
-        z = sample_stable_increment(StableDriverSpec(2.0, c), 1.0,
-                                    substream(1), size=400_000)
+        z = sample_increment_array(StableDriverSpec(2.0, c), 1.0, 400_000, substream(1))
         assert abs(z.var() - 2.0 * c) < 0.02
         assert abs(z.mean()) < 0.01
         kurt = np.mean(z ** 4) / z.var() ** 2
         assert abs(kurt - 3.0) < 0.1
 
     def test_symmetry_median(self):
-        z = sample_stable_increment(StableDriverSpec(1.5, 1.0), 1.0,
-                                    substream(2), size=1_000_000)
+        z = sample_increment_array(StableDriverSpec(1.5, 1.0), 1.0, 1_000_000, substream(2))
         iqr = np.percentile(z, 75) - np.percentile(z, 25)
         assert abs(np.median(z)) < 3.0 * iqr / math.sqrt(z.size)
 
     def test_cf_match_alpha_15(self):
         n = 1_000_000
-        z = sample_stable_increment(StableDriverSpec(1.5, 1.0), 1.0,
-                                    substream(3), size=n)
+        z = sample_increment_array(StableDriverSpec(1.5, 1.0), 1.0, n, substream(3))
         xi = [0.5, 1.0, 2.0]
         gaps = np.abs(empirical_cf(z, xi) - np.exp(-np.abs(xi) ** 1.5))
         assert gaps.max() <= 4.0 / math.sqrt(n) + 1e-3
@@ -49,16 +45,14 @@ class TestStableSampler:
         n = 200_000
         xi = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
         for i, alpha in enumerate((0.8, 1.0, 1.3, 1.7, 2.0)):
-            z = sample_stable_increment(StableDriverSpec(alpha, 1.0), 1.0,
-                                        substream(4, i), size=n)
+            z = sample_increment_array(StableDriverSpec(alpha, 1.0), 1.0, n, substream(4, i))
             gaps = np.abs(empirical_cf(z, xi) - np.exp(-np.abs(xi) ** alpha))
             assert gaps.max() <= 4.0 / math.sqrt(n) + 1e-3, alpha
 
     def test_dt_scaling_matches_cf(self):
         # increments over dt have CF exp(-c dt |xi|^alpha)
         alpha, c, dt, n = 1.2, 0.8, 0.3, 200_000
-        z = sample_stable_increment(StableDriverSpec(alpha, c), dt,
-                                    substream(5), size=n)
+        z = sample_increment_array(StableDriverSpec(alpha, c), dt, n, substream(5))
         xi = [0.5, 1.0, 2.0]
         gaps = np.abs(empirical_cf(z, xi) - np.exp(-c * dt * np.abs(xi) ** alpha))
         assert gaps.max() <= 4.0 / math.sqrt(n) + 1e-3
@@ -66,21 +60,14 @@ class TestStableSampler:
     def test_self_similarity_two_sample_ks(self):
         alpha, dt, n = 1.5, 0.3, 100_000
         spec = StableDriverSpec(alpha, 1.0)
-        a = sample_stable_increment(spec, dt, substream(6), size=n) / dt ** (1 / alpha)
-        b = sample_stable_increment(spec, 1.0, substream(7), size=n)
+        a = sample_increment_array(spec, dt, n, substream(6)) / dt ** (1 / alpha)
+        b = sample_increment_array(spec, 1.0, n, substream(7))
         assert ks_2samp(a, b).pvalue > 0.01
-
-    def test_scalar_draw_and_determinism(self):
-        spec = StableDriverSpec(1.5, 1.0)
-        a = sample_stable_increment(spec, 1.0, substream(8))
-        b = sample_stable_increment(spec, 1.0, substream(8))
-        c = sample_stable_increment(spec, 1.0, substream(9))
-        assert isinstance(a, float) and a == b and a != c
 
     def test_vector_determinism_bit_identical(self):
         spec = StableDriverSpec(1.1, 2.0)
-        a = sample_stable_increment(spec, 0.5, substream(10), size=1000)
-        b = sample_stable_increment(spec, 0.5, substream(10), size=1000)
+        a = sample_increment_array(spec, 0.5, 1000, substream(10))
+        b = sample_increment_array(spec, 0.5, 1000, substream(10))
         assert np.array_equal(a, b)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -112,7 +99,7 @@ class TestStableSampler:
         with pytest.raises(ValueError):
             StableDriverSpec(1.5, -1.0)
         with pytest.raises(ValueError):
-            sample_stable_increment(StableDriverSpec(1.5, 1.0), 0.0, substream(0))
+            sample_increment_array(StableDriverSpec(1.5, 1.0), 0.0, 10, substream(0))
 
 
 class TestConstants:
@@ -139,24 +126,30 @@ class TestConstants:
             assert abs(val - c * xi ** alpha) / (c * xi ** alpha) < 2e-3, alpha
 
 
+def triplet_increments(spec, dt, n, rng, truncation=None):
+    """One row's (totals, big-jump sums) from the sampler's triplet row function:
+    the sums collect the jumps above a finite ``truncation``, the totals every jump."""
+    totals, big_sums = drivers._triplet_rows(spec, dt, n, [rng], truncation)
+    return totals[0], big_sums[0]
+
+
 class TestTripletSampler:
     def test_pure_drift_is_exact(self):
         spec = LevyTripletSpec(gaussian_a=0.0, drift_b=1.0)
-        tot, big = sample_triplet_increments(spec, 0.5, 10, substream(11), truncation=0.1)
+        tot, big = triplet_increments(spec, 0.5, 10, substream(11), truncation=0.1)
         assert np.all(tot == 0.5)
         assert np.all(big == 0.0)
 
     def test_gaussian_part_variance(self):
         spec = LevyTripletSpec(gaussian_a=2.0, drift_b=0.0)
-        tot, _ = sample_triplet_increments(spec, 0.5, 300_000, substream(12))
+        tot, _ = triplet_increments(spec, 0.5, 300_000, substream(12))
         assert abs(tot.var() - 1.0) < 0.01  # a * dt = 1
 
     def test_big_jump_atom_poisson_count(self):
         # a truncation below the atom collects every jump in big_sums
         lam, dt = 3.0, 0.25
         spec = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, lam)]))
-        tot, big = sample_triplet_increments(spec, dt, 20_000, substream(13),
-                                             truncation=1.5)
+        tot, big = triplet_increments(spec, dt, 20_000, substream(13), truncation=1.5)
         counts = big / 2.0
         # all amplitudes sit on the atom: whole counts, and nothing else moves
         assert np.array_equal(counts, np.round(counts))
@@ -169,9 +162,8 @@ class TestTripletSampler:
         # diffusion part, drawn first from the stream as without jumps
         jumps = JumpAtoms([(3.0, 2.0), (-2.0, 1.0)])
         spec = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3, big_jumps=jumps)
-        tot, big = sample_triplet_increments(spec, 1.0, 50, substream(16),
-                                             truncation=1.5)
-        plain, _ = sample_triplet_increments(
+        tot, big = triplet_increments(spec, 1.0, 50, substream(16), truncation=1.5)
+        plain, _ = triplet_increments(
             LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3), 1.0, 50, substream(16))
         assert np.any(big != 0.0)
         assert np.allclose(tot - big, plain, rtol=0.0, atol=1e-12)
@@ -227,9 +219,6 @@ class TestTruncation:
     def test_level_must_be_positive(self):
         for level in (0.0, -1.0, math.nan, "2.0"):
             with pytest.raises(ValueError):
-                sample_triplet_increments(ATOMS, 1.0, 10, substream(20),
-                                          truncation=level)
-            with pytest.raises(ValueError):
                 increments(ATOMS, level)
             with pytest.raises(ValueError):
                 increments(StableDriverSpec(2.0, 1.0), level)
@@ -242,7 +231,7 @@ class TestTruncatedStable:
         spec = StableDriverSpec(alpha, 1.0)
         trip = truncated_stable_triplet(spec, level)
         k_levy = levy_constant_from_cf_constant(1.0, alpha)
-        tot, _ = sample_triplet_increments(trip, dt, 400_000, substream(19))
+        tot, _ = triplet_increments(trip, dt, 400_000, substream(19))
         for xi in (0.5, 1.0, 2.0):
             psi = 2 * k_levy * quad(
                 lambda y: (1 - math.cos(xi * y)) * y ** (-1 - alpha),
@@ -265,7 +254,7 @@ class TestTruncatedStable:
         trip = truncated_stable_triplet(StableDriverSpec(alpha, 1.0), level)
         k_levy = levy_constant_from_cf_constant(1.0, alpha)
         expected = 2.0 * k_levy * level ** (2 - alpha) / (2 - alpha)
-        tot, _ = sample_triplet_increments(trip, 0.5, 400_000, substream(21))
+        tot, _ = triplet_increments(trip, 0.5, 400_000, substream(21))
         assert abs(tot.var() / 0.5 - expected) / expected < 0.05
 
     def test_level_below_one_rejected(self):
@@ -314,16 +303,12 @@ class TestRowSampler:
             assert alone.shape == (n,)
             assert np.array_equal(row, alone)
         if isinstance(driver, LevyTripletSpec):
-            totals, big = drivers._sample_rows(driver, 0.05, n,
-                                               [substream(*k) for k in keys], truncation)
+            totals, big = drivers._triplet_rows(driver, 0.05, n,
+                                                [substream(*k) for k in keys], truncation)
             for t, b, key in zip(totals, big, keys):
-                want_t, want_b = sample_triplet_increments(driver, 0.05, n, substream(*key),
-                                                           truncation=truncation)
+                want_t, want_b = triplet_increments(driver, 0.05, n, substream(*key),
+                                                    truncation=truncation)
                 assert np.array_equal(t, want_t) and np.array_equal(b, want_b)
             assert np.array_equal(rows, totals - big)
             if truncation is not None and n > 1:
                 assert np.any(big != 0.0)
-        else:
-            for row, key in zip(rows, keys):
-                assert np.array_equal(
-                    row, sample_stable_increment(driver, 0.05, substream(*key), size=n))

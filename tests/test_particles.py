@@ -18,7 +18,7 @@ from levymv.particles import (ChaosRateTable, FileLaw, GaussianLaw,
                               MarginalFlow, PointMass, SimulationConfig,
                               SimulationError, UniformLaw, chaos_rate_experiment,
                               initial_positions, picard_flow, simulate,
-                              simulate_coupled, step_increments)
+                              simulate_coupled)
 from levymv.rng import derive_key, substream
 
 
@@ -29,6 +29,14 @@ def make_cfg(**kw):
                 initial_law=GaussianLaw(0.0, 1.0), truncation_N=2.0)
     base.update(kw)
     return SimulationConfig(**base)
+
+
+def step_increments(cfg, step_index):
+    """The increment vector consumed by step ``step_index`` of a run, replayed
+    from the engine's stream: a pure function of (seed, step) and the particle count."""
+    rng = substream(cfg.seed, particles._ROLE_STEP, step_index)
+    return sample_increment_array(cfg.effective_driver, cfg.dt_effective,
+                                  cfg.n_particles, rng, truncation=cfg.truncation_N)
 
 
 class TestStepping:
@@ -157,9 +165,7 @@ class TestSimulate:
         # B = sup sigma and v = driver variance per unit time
         cfg = make_cfg(n_particles=20_000, dt=0.02, horizon_T=1.0, seed=24)
         flow = simulate(cfg)
-        from levymv.drivers import sample_triplet_increments
-        tot, _ = sample_triplet_increments(cfg.effective_driver, 1.0, 200_000,
-                                           substream(25))
+        tot = sample_increment_array(cfg.effective_driver, 1.0, 200_000, substream(25))
         v = float(tot.var())
         bound_sigma = 1.5  # sup of 1 + 0.5 sin
         m0 = second_moment(flow.marginals[0])

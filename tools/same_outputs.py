@@ -7,17 +7,28 @@ BASE is any git revision of this repository.  It is exported with
 is run there and in this checkout (its working tree, uncommitted edits
 included), each at ``--threads 1``.  The checkout also runs AC4 and AC5
 at ``--threads 3``, compared against the base's ``--threads 1`` output.
-Each pair of output directories is compared with ``diff -r``; one line
-per run is printed, and the exit status is 0 only if every pair is
-identical and every run exited as its base run did.
+Each pair of output directories is compared file by file; one line per
+run is printed, and the exit status is 0 only if every pair is identical
+and every run exited as its base run did.  Under a ``DIFFERS`` line, each
+differing file gets one line with the largest relative difference among
+its numbers and the pair of values where it falls: a text file (CSV,
+JSON) is read number by number, a binary container of
+:mod:`levymv.exports` as its float64 row times and payload.
 """
 
+import filecmp
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from levymv.exports import MAGIC, _read_block  # noqa: E402
+
 PRESETS = [f"AC{k}" for k in range(1, 11)]
 THREADED = ["AC4", "AC5"]
 
@@ -42,6 +53,52 @@ def _run(src, preset, threads, out, work):
     return subprocess.run(cmd, env=_env(src), cwd=work, capture_output=True).returncode
 
 
+# a number standing alone, not the digits of a name such as x1 or cf_gap_0
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|nan|inf(?:inity)?)(?![\w.])", re.IGNORECASE)
+
+
+def _numbers(path):
+    with open(path, "rb") as fh:
+        head = fh.read(len(MAGIC))
+    if head == MAGIC:
+        _, times, rows = _read_block(path)
+        return np.concatenate([times, rows.ravel()])
+    with open(path, errors="replace") as fh:
+        return np.array([float(t) for t in _NUMBER.findall(fh.read())])
+
+
+def _files(top):
+    return {os.path.relpath(os.path.join(d, f), top)
+            for d, _, names in os.walk(top) for f in names}
+
+
+def differences(base_dir, head_dir):
+    """One line per file that differs between the two output directories."""
+    base_files, head_files = _files(base_dir), _files(head_dir)
+    lines = []
+    for rel in sorted(base_files | head_files):
+        if rel not in head_files or rel not in base_files:
+            lines.append(f"{rel}: only {'at base' if rel in base_files else 'here'}")
+            continue
+        a, b = os.path.join(base_dir, rel), os.path.join(head_dir, rel)
+        if filecmp.cmp(a, b, shallow=False):
+            continue
+        x, y = _numbers(a), _numbers(b)
+        if x.shape != y.shape or not x.size:
+            lines.append(f"{rel}: {x.size} numbers at base, {y.size} here")
+            continue
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel_diff = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        # equal values, nan included, differ by 0; a nan against a number by inf
+        rel_diff[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+        rel_diff[np.isnan(rel_diff)] = np.inf
+        i = int(np.argmax(rel_diff))
+        lines.append(f"{rel}: largest relative difference {rel_diff[i]:.2g} among "
+                     f"{x.size} numbers ({float(x[i])!r} at base, {float(y[i])!r} here)")
+    return lines
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -62,14 +119,14 @@ def main(argv=None):
             for threads in [1, 3] if preset in THREADED else [1]:
                 out = os.path.join(tmp, f"head-{preset}-t{threads}")
                 code = _run(head_src, preset, threads, out, tmp)
-                diff = subprocess.run(["diff", "-r", base_out, out], capture_output=True,
-                                      text=True)
-                same = diff.returncode == 0 and code == base_code
+                lines = differences(base_out, out)
+                same = not lines and code == base_code
                 ok &= same
-                detail = "" if diff.returncode == 0 else (
-                    f", {len(diff.stdout.splitlines())} lines of diff")
+                detail = f", {len(lines)} differing files" if lines else ""
                 print(f"{preset} --threads {threads}: {'identical' if same else 'DIFFERS'} "
                       f"(exit {base_code} at {base}, {code} here{detail})", flush=True)
+                for line in lines:
+                    print(f"    {line}", flush=True)
     return 0 if ok else 1
 
 
