@@ -3,15 +3,18 @@
 Subcommands: simulate | pde | chaos-rate | compare | validate-sampler |
 check-h1.  Each reads one JSON config file or a shipped ``--preset`` and
 writes its artifacts into ``--out``.  ``SCHEMAS`` holds one table per
-command with every key's type and default; ``main`` resolves the config
-against it before the command runs.  Commands read only the resolved config,
-which holds every default and is what ``config.resolved.json`` records, and
-the set of top-level keys the config gave, which tells a given value from a
-default.  An unknown, missing or ill-typed key prints ``error: ...`` naming
-the key and exits 2, as do a config file that cannot be read or parsed, a
-config that would run nothing, a given key that the run would not read and a
-``--threads`` below 1; a check that does not pass, or a run that aborts,
-exits 1.  Every gate
+command with every key's type, value domain and default, the condition
+under which a key is read, and the rules that relate keys; ``main``
+resolves the config against it before the output directory is made.  The
+resolved config holds every default the run uses and exactly the keys it
+reads; commands index it directly, and ``config.resolved.json`` records
+it, so rerunning from that file reproduces the run.  A config that breaks
+the schema (an unknown, missing or ill-typed key, a value outside its
+domain, a key given where the run would not read it, keys that do not fit
+together), a config file that cannot be read or parsed, an initial file
+that cannot be loaded and a ``--threads`` below 1 print ``error: ...``
+naming the key, file or flag and exit 2; a check that does not pass, or a
+run that aborts, exits 1.  Every gate
 is a ``CheckResult``: each command hands its list to ``_finish``, which
 writes it as the summary's ``checks`` and derives ``pass`` from it.
 ``--threads`` is not part of the config and never changes results,
@@ -38,7 +41,8 @@ from .rng import substream
 
 
 class ConfigError(Exception):
-    """A config key is unknown, missing or of the wrong type."""
+    """A config key is unknown, missing, ill-typed, outside its domain, given
+    where the run would not read it, or at odds with another key."""
 
 
 _REQUIRED = object()
@@ -62,6 +66,9 @@ def _scalar(what, ok):
 
 # JSON numbers load as int or float; true and false load as bool, which is not int
 NUMBER = _scalar("a number", lambda v: type(v) in (int, float))
+POSITIVE = _scalar("a finite number above 0",
+                   lambda v: type(v) in (int, float) and 0 < v < math.inf)
+ALPHA = _scalar("a number in (0, 2]", lambda v: type(v) in (int, float) and 0 < v <= 2)
 INTEGER = _scalar("an integer", lambda v: type(v) is int)
 COUNT = _scalar("a positive integer", lambda v: type(v) is int and v >= 1)
 STRING = _scalar("a string", lambda v: isinstance(v, str))
@@ -72,34 +79,60 @@ def _one_of(*allowed):
     return _scalar("one of " + ", ".join(map(repr, allowed)), lambda v: v in allowed)
 
 
-def _list_of(item, least=1, most=math.inf):
-    """A list of ``least`` to ``most`` entries, each checked by ``item``."""
+def _list_of(item, least=1, most=math.inf, ascending=False):
+    """A list of ``least`` to ``most`` entries, each checked by ``item``, and
+    strictly ascending if ``ascending``."""
     def check(value, path):
         if not (isinstance(value, list) and least <= len(value) <= most):
             size = least if least == most else f"at least {least}"
             raise ConfigError(f"{_name(path)} must be a list of {size} item(s), got {value!r}")
-        return [item(v, path + (i,)) for i, v in enumerate(value)]
+        items = [item(v, path + (i,)) for i, v in enumerate(value)]
+        if ascending and any(a >= b for a, b in zip(items, items[1:])):
+            raise ConfigError(f"{_name(path)} must be strictly ascending, got {value!r}")
+        return items
     return check
 
 
-def _block(schema):
-    """A JSON object; each ``schema`` entry is a bare type (a required key) or
-    a (type, default) pair, where a null default lets the key be null."""
+def _block(schema, *rules):
+    """A JSON object.  Each ``schema`` entry is a bare type (a required key),
+    a (type, default) pair, where a null default lets the key be null, or a
+    (type, default, (runs, what)) triple for a key read only by ``what``,
+    which runs where ``runs(resolved block)`` holds.  There the key is
+    required if its default is ``_REQUIRED``; elsewhere it is left out of
+    the resolved block, and a given one is an error.  Each rule is called
+    on the resolved block once every key is typed and present where read,
+    and raises ``ConfigError`` for keys that do not fit together; only then
+    are the keys that the run would not read rejected or left out.  A block
+    nested at any depth resolves the same way."""
+    reach = {key: spec[2] for key, spec in schema.items()
+             if isinstance(spec, tuple) and len(spec) == 3}
+
     def check(value, path=()):
         if not isinstance(value, dict):
             where = _name(path) if path else "the config"
             raise ConfigError(f"{where} must be a JSON object, got {value!r}")
         resolved = {}
         for key, spec in schema.items():
-            key_type, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+            key_type, default = spec[:2] if isinstance(spec, tuple) else (spec, _REQUIRED)
             given = value.get(key, default)
-            if given is _REQUIRED:
+            if given is not _REQUIRED:
+                nullable = given is None and default is None
+                resolved[key] = given if nullable else key_type(given, path + (key,))
+            elif key not in reach:
                 raise ConfigError(f"{_name(path + (key,))} is required")
-            nullable = given is None and default is None
-            resolved[key] = given if nullable else key_type(given, path + (key,))
         for key in value:
             if key not in schema:
                 raise ConfigError(f"{_name(path + (key,))} is unknown")
+        for key, (runs, what) in reach.items():
+            if runs(resolved) and key not in resolved:
+                raise ConfigError(f"{_name(path + (key,))} is required by {what}")
+        for rule in rules:
+            rule(resolved)
+        for key, (runs, what) in reach.items():
+            if not runs(resolved):
+                if key in value:
+                    raise ConfigError(f"{_name(path + (key,))} is read only by {what}")
+                resolved.pop(key, None)
         return resolved
     return check
 
@@ -113,26 +146,20 @@ def _kinds(schemas):
     return check
 
 
-def _needed(cfg, key, use):
-    """``cfg[key]`` for a key the schema lets be null but ``use`` needs."""
-    if cfg[key] is None:
-        raise ConfigError(f"key {key!r} is required {use}")
-    return cfg[key]
-
-
 _SCALE, _SNAPSHOTS, _STANDARD_NORMAL = (NUMBER, 1.0), (COUNT, 5), {"kind": "gaussian"}
 _GAUSSIAN = {"mean": (NUMBER, 0.0), "std": (NUMBER, 1.0)}
-_STABLE = {"alpha": NUMBER, "scale": _SCALE}
+_STABLE = {"alpha": ALPHA, "scale": _SCALE}
 _LINEAR = {"c0": (NUMBER, 1.0), "c1": (NUMBER, 0.5)}
 _SIGMA = _kinds({"constant": {"value": NUMBER}, "linear_sine": _LINEAR,
                  "linear_cauchy": _LINEAR, "smoothed_power": {"eps": NUMBER, "s": NUMBER}})
 _GRID = _block({"half_width": NUMBER, "points": COUNT})
 _BUMP = _block({"center": NUMBER, "width": NUMBER})
-_PAIR, _NUMBERS, _COUNTS = _list_of(NUMBER, 2, 2), _list_of(NUMBER), _list_of(COUNT)
+# _SIZES: system sizes along which checks compare results in list order
+_PAIR, _NUMBERS, _SIZES = _list_of(NUMBER, 2, 2), _list_of(NUMBER), _list_of(COUNT, ascending=True)
 
 # the keys of one particle run, shared by simulate and chaos-rate
 _PARTICLE_RUN = {
-    "dt": NUMBER, "horizon": NUMBER, "sigma": _SIGMA, "truncation": (NUMBER, None),
+    "dt": POSITIVE, "horizon": POSITIVE, "sigma": _SIGMA, "truncation": (NUMBER, None),
     "driver": _kinds({"stable": _STABLE,
                       "triplet": {"gaussian_a": (NUMBER, 0.0), "drift_b": (NUMBER, 0.0),
                                   "big_jump_atoms": (_list_of(_PAIR), None)}}),
@@ -141,72 +168,130 @@ _PARTICLE_RUN = {
                         "file": {"path": STRING}}), _STANDARD_NORMAL),
 }
 
+
+def _cf_test(c):
+    # for a constant coefficient over a stable driver, the terminal law is
+    # exactly stable: its CF is known when the initial law's is
+    return c["sigma"]["kind"] == "constant" and c["driver"]["kind"] == "stable" \
+        and c["initial"]["kind"] != "file"
+
+
+_CF_TEST = (_cf_test, "the CF test, which runs given a constant sigma, a stable driver "
+                      "and an initial law with a closed-form CF (not a file law)")
+
+
+def _n_ref_covers_n_list(c):
+    if c["n_ref"] is not None and c["n_ref"] < 10 * max(c["n_list"]):
+        raise ConfigError(f"{_name(('n_ref',))} = {c['n_ref']} must be at least 10 times "
+                          f"the largest of {_name(('n_list',))}, {max(c['n_list'])}")
+
+
+def _solves(c):
+    # a horizon asks for a solve, unless the linear oracle runs its own solves to it
+    return c["horizon"] is not None and c["linear_oracle"] is None
+
+
+def _pde_runs(c):
+    if c["horizon"] is None and (c["linear_oracle"] is not None or c["adjoint_checks"] is None):
+        raise ConfigError(f"{_name(('horizon',))} is required by linear_oracle, and without "
+                          "adjoint_checks, where a pde config would run nothing")
+    if _solves(c) and c["snapshots"] > _step_count(c["horizon"], c["dt"]):
+        raise ConfigError(f"{_name(('snapshots',))} = {c['snapshots']} exceeds the "
+                          f"{_step_count(c['horizon'], c['dt'])} steps of {_name(('dt',))} = "
+                          f"{c['dt']!r} to {_name(('horizon',))} = {c['horizon']!r}")
+
+
+def _snapshots_on_both_grids(c):
+    # compare pairs, by index, the PDE snapshot every pde_steps / snapshots
+    # steps with the particle marginal every particle_steps / snapshots steps
+    steps = {grid: _step_count(c["horizon"], c[grid]["dt"]) for grid in ("pde", "particles")}
+    if any(n % c["snapshots"] for n in steps.values()):
+        raise ConfigError(f"{_name(('snapshots',))} = {c['snapshots']} must divide the steps "
+                          f"to {_name(('horizon',))} = {c['horizon']!r} on both grids: " +
+                          ", ".join(f"{n} steps of {_name((grid, 'dt'))} = {c[grid]['dt']!r}"
+                                    for grid, n in steps.items()))
+
+
+_SOLVE = "a solve, which runs given 'horizon' and no 'linear_oracle'"
+_HORIZON_SOLVES = (lambda c: c["horizon"] is not None, "the solves, which run given 'horizon'")
+
 # validate-sampler runs each battery listed in "batteries" on the block of its name
 _BATTERIES = {
-    "cf": {"alphas": _NUMBERS, "scale": _SCALE, "n_samples": COUNT, "xi_grid": _NUMBERS,
-           "tolerance": NUMBER},
-    "self_similarity": {"alphas": _NUMBERS, "n_samples": COUNT, "dt": (NUMBER, 0.25),
-                        "level": (NUMBER, 0.01)},
+    "cf": {"alphas": _list_of(ALPHA), "scale": _SCALE, "n_samples": COUNT,
+           "xi_grid": _NUMBERS, "tolerance": NUMBER},
+    "self_similarity": {"alphas": _list_of(ALPHA), "n_samples": COUNT,
+                        "dt": (NUMBER, 0.25), "level": (NUMBER, 0.01)},
     "gaussian_moments": {"scale": _SCALE, "n_samples": COUNT},
-    "lemma4": {"n_values": _COUNTS, "reps": COUNT, "n_ref": (COUNT, 10 ** 6),
+    # the lemma4_monotone checks read the means in list order
+    "lemma4": {"n_values": _SIZES, "reps": COUNT, "n_ref": (COUNT, 10 ** 6),
                "bound": (NUMBER, 4.0)},
     "distance_bound": {"trials": COUNT, "n_min": (COUNT, 2), "n_max": (COUNT, 64),
                        "tolerance": (NUMBER, 1e-12)},
 }
 
 _COMMAND_KEYS = {
-    "simulate": {
+    "simulate": ({
         **_PARTICLE_RUN, "n_particles": COUNT, "record_every": (COUNT, 1),
         "flow_format": (_one_of("csv", "binary"), "csv"),
         "kde_half_width": (NUMBER, 10.0), "kde_points": (COUNT, 401),
-        "kde_eps": (NUMBER, 0.05),
-        "cf_xi_grid": (_NUMBERS, [0.25, 0.5, 1.0, 2.0]),
-        "cf_tolerance": (NUMBER, None),     # null: 4 / sqrt(n_particles) + 1e-3
-    },
-    "chaos-rate": {
-        **_PARTICLE_RUN, "n_list": _COUNTS, "reps": COUNT, "n_ref": (COUNT, None),
-        "slope_max": (NUMBER, None), "require_monotone": (FLAG, False),
-    },
-    "pde": {
+        "kde_eps": (POSITIVE, 0.05),
+        "cf_xi_grid": (_NUMBERS, [0.25, 0.5, 1.0, 2.0], _CF_TEST),
+        # null: 4 / sqrt(n_particles) + 1e-3
+        "cf_tolerance": (NUMBER, None, _CF_TEST),
+    },),
+    "chaos-rate": ({
+        **_PARTICLE_RUN, "n_list": _list_of(COUNT, 4, ascending=True), "reps": COUNT,
+        "n_ref": (COUNT, None), "slope_max": (NUMBER, None), "require_monotone": (FLAG, False),
+    }, _n_ref_covers_n_list),
+    "pde": ({
         "grid": _GRID, "sigma": _SIGMA,
         "initial": (_kinds({"point": {"warmup": (NUMBER, 1e-3)}, "gaussian": _GAUSSIAN}),
                     _STANDARD_NORMAL),
-        # a solve needs alpha, dt and horizon; the linear oracle needs horizon
-        "alpha": (NUMBER, None), "dt": (NUMBER, None), "horizon": (NUMBER, None),
-        "diffusivity": (NUMBER, 1.0), "snapshots": _SNAPSHOTS,
-        "scheme": (_one_of("rk4", "if-rk4"), "rk4"),
-        "boundary_density_tol": (NUMBER, 1e-4), "mass_tolerance": (NUMBER, fp.MASS_TOLERANCE),
+        # the linear oracle's cases give their own alpha and dt
+        "alpha": (ALPHA, _REQUIRED, (lambda c: _solves(c) or c["adjoint_checks"] is not None,
+                                     f"adjoint_checks or {_SOLVE}")),
+        "dt": (POSITIVE, _REQUIRED, (_solves, _SOLVE)), "horizon": (POSITIVE, None),
+        "diffusivity": (NUMBER, 1.0), "snapshots": (*_SNAPSHOTS, (_solves, _SOLVE)),
+        "scheme": (_one_of("rk4", "if-rk4"), "rk4", _HORIZON_SOLVES),
+        "boundary_density_tol": (NUMBER, 1e-4, _HORIZON_SOLVES),
+        "mass_tolerance": (NUMBER, fp.MASS_TOLERANCE, _HORIZON_SOLVES),
         "adjoint_checks": (_block({
             "tolerance": (NUMBER, 1e-4),
             "cases": _list_of(_block({"sigma": _SIGMA, "phi": _BUMP, "psi": _BUMP}))}), None),
         "linear_oracle": (_block({
-            "cases": _list_of(_block({"alpha": NUMBER, "dt": NUMBER})),
+            "cases": _list_of(_block({"alpha": ALPHA, "dt": POSITIVE})),
             "sup_tolerance": (NUMBER, 1e-6), "order_ratio_range": (_PAIR, [12.0, 20.0])}),
             None),
-    },
-    "compare": {
+    }, _pde_runs),
+    "compare": ({
         # both descriptions must start from one density and share one law
         "driver": _kinds({"stable": _STABLE}), "initial": _kinds({"gaussian": _GAUSSIAN}),
-        "sigma": _SIGMA, "horizon": NUMBER,
-        "particles": _block({"n_list": _COUNTS, "dt": NUMBER}),
-        "pde": _block({"grid": _GRID, "dt": NUMBER, "boundary_density_tol": (NUMBER, 1e-3)}),
-        "snapshots": _SNAPSHOTS, "kde_eps": (NUMBER, 0.01),
+        "sigma": _SIGMA, "horizon": POSITIVE,
+        # the l1_decreasing checks read the L1s in list order
+        "particles": _block({"n_list": _SIZES, "dt": POSITIVE}),
+        "pde": _block({"grid": _GRID, "dt": POSITIVE, "boundary_density_tol": (NUMBER, 1e-3)}),
+        "snapshots": _SNAPSHOTS, "kde_eps": (POSITIVE, 0.01),
         "l1_max_at_largest": (NUMBER, None),
-    },
-    "validate-sampler": {
+    }, _snapshots_on_both_grids),
+    "validate-sampler": ({
         "batteries": _list_of(_one_of(*_BATTERIES)),
-        **{name: (_block(keys), None) for name, keys in _BATTERIES.items()},
-    },
-    "check-h1": {
+        **{name: (_block(keys), _REQUIRED,
+                  (lambda c, name=name: name in c["batteries"],
+                   f"the {name} battery, which runs where 'batteries' lists it"))
+           for name, keys in _BATTERIES.items()},
+    },),
+    "check-h1": ({
         "alpha": NUMBER, "gamma": NUMBER, "eps": NUMBER,
         "k1_bound": (NUMBER, 1.0), "levy_k": (NUMBER, 1.0),
-        "resolutions": (_COUNTS, [256, 512, 1024, 2048]),
-    },
+        "resolutions": (_list_of(COUNT), [256, 512, 1024, 2048]),
+    },),
 }
 
-# one schema per command: every key it reads, with its type and default
-SCHEMAS = {command: _block({"command": (_one_of(command), command), "seed": INTEGER, **keys})
-           for command, keys in _COMMAND_KEYS.items()}
+# one schema per command: every key it reads, with its type, domain, default
+# and reach, and the rules that relate its keys
+SCHEMAS = {command: _block({"command": (_one_of(command), command), "seed": INTEGER, **keys},
+                           *rules)
+           for command, (keys, *rules) in _COMMAND_KEYS.items()}
 
 
 def _build_driver(d):
@@ -286,18 +371,8 @@ def _cf_gap(samples, xi, expected):
     return float(np.max(np.abs(emp - expected)))
 
 
-def cmd_simulate(cfg, outdir, threads, given):
+def cmd_simulate(cfg, outdir, threads):
     sim = _build_sim_config(cfg, cfg["n_particles"])
-    # for a constant coefficient over a stable driver, the terminal law is
-    # exactly stable: its CF is known when the initial law's is
-    sigma_cfg, driver_cfg = cfg["sigma"], cfg["driver"]
-    xi = np.array(cfg["cf_xi_grid"])
-    base = sim.initial_law.cf(xi) \
-        if sigma_cfg["kind"] == "constant" and driver_cfg["kind"] == "stable" else None
-    for key in ("cf_tolerance", "cf_xi_grid"):
-        if base is None and key in given:
-            raise ConfigError(f"{_name((key,))} is read only by the CF test: a constant sigma, "
-                              "a stable driver and an initial law with a closed-form CF")
     flow = simulate(sim, record_every=cfg["record_every"])
     if cfg["flow_format"] == "csv":
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
@@ -314,10 +389,11 @@ def cmd_simulate(cfg, outdir, threads, given):
                          names=("x", "density"))
     summary = {"config": cfg, "moments": moments}
     checks = []
-    if base is not None:
-        alpha = driver_cfg["alpha"]
-        c_tot = driver_cfg["scale"] * cfg["horizon"] * abs(sigma_cfg["value"]) ** alpha
-        expected = base * np.exp(-c_tot * np.abs(xi) ** alpha)
+    if _cf_test(cfg):
+        xi = np.array(cfg["cf_xi_grid"])
+        alpha = cfg["driver"]["alpha"]
+        c_tot = cfg["driver"]["scale"] * cfg["horizon"] * abs(cfg["sigma"]["value"]) ** alpha
+        expected = sim.initial_law.cf(xi) * np.exp(-c_tot * np.abs(xi) ** alpha)
         gap = _cf_gap(flow.final().samples, xi, expected)
         tol = cfg["cf_tolerance"] if cfg["cf_tolerance"] is not None \
             else 4.0 / math.sqrt(sim.n_particles) + 1e-3
@@ -326,24 +402,7 @@ def cmd_simulate(cfg, outdir, threads, given):
     return _finish(outdir, cfg, summary, checks)
 
 
-def cmd_pde(cfg, outdir, threads, given):
-    if cfg["horizon"] is None and cfg["adjoint_checks"] is None \
-            and cfg["linear_oracle"] is None:
-        raise ConfigError("a pde config needs 'horizon', 'adjoint_checks' or "
-                          "'linear_oracle'; without any it runs nothing")
-    if cfg["linear_oracle"] is not None:
-        # the oracle's cases give their own alpha and dt, and no solve runs
-        # beside it; alpha is still read by adjoint_checks
-        for key in ("dt",) if cfg["adjoint_checks"] is not None else ("dt", "alpha"):
-            if cfg[key] is not None:
-                raise ConfigError(f"{_name((key,))} is not read beside 'linear_oracle', "
-                                  "whose cases give their own alpha and dt")
-    # no solve runs without a horizon, and the oracle's solves take no snapshots
-    for key in ("snapshots", "scheme", "mass_tolerance", "boundary_density_tol"):
-        beside_oracle = key == "snapshots" and cfg["linear_oracle"] is not None
-        if key in given and (cfg["horizon"] is None or beside_oracle):
-            needs = "'horizon' and no 'linear_oracle'" if key == "snapshots" else "'horizon'"
-            raise ConfigError(f"{_name((key,))} is read only by a solve, which runs given {needs}")
+def cmd_pde(cfg, outdir, threads):
     summary = {"config": cfg}
     checks = []
     sigma = _build_sigma(cfg["sigma"])
@@ -353,7 +412,7 @@ def cmd_pde(cfg, outdir, threads, given):
 
     if cfg["adjoint_checks"] is not None:
         adjoint = cfg["adjoint_checks"]
-        p = params(_needed(cfg, "alpha", "by adjoint_checks"))
+        p = params(cfg["alpha"])
         grid = _grid_from_config(cfg, p)
         rows = []
         for i, case in enumerate(adjoint["cases"]):
@@ -366,22 +425,22 @@ def cmd_pde(cfg, outdir, threads, given):
                                       adjoint["tolerance"]))
         summary["adjoint_checks"] = {"tolerance": adjoint["tolerance"], "cases": rows}
 
+    def solve(grid, dt, p, **snapshots):
+        # the solve aborts once its mass drifts beyond mass_tolerance
+        return fp.solve_fp(grid, cfg["horizon"], dt, sigma, p, scheme=cfg["scheme"],
+                           boundary_density_tol=cfg["boundary_density_tol"],
+                           mass_tolerance=cfg["mass_tolerance"], **snapshots)
+
     if cfg["linear_oracle"] is not None:
         oracle = cfg["linear_oracle"]
-        horizon = _needed(cfg, "horizon", "by linear_oracle")
         lo_ratio, hi_ratio = oracle["order_ratio_range"]
         rows = []
         for i, case in enumerate(oracle["cases"]):
             p = params(case["alpha"])
             grid = _grid_from_config(cfg, p)
-            exact = fp.solve_linear_exact(grid, horizon, p)
-            errs = []
-            for dt in (case["dt"], case["dt"] / 2.0):
-                # the solve aborts once its mass drifts beyond mass_tolerance
-                res = fp.solve_fp(grid, horizon, dt, sigma, p, scheme=cfg["scheme"],
-                                  boundary_density_tol=cfg["boundary_density_tol"],
-                                  mass_tolerance=cfg["mass_tolerance"])
-                errs.append(float(np.max(np.abs(res.final().values - exact.values))))
+            exact = fp.solve_linear_exact(grid, cfg["horizon"], p)
+            errs = [float(np.max(np.abs(solve(grid, dt, p).final().values - exact.values)))
+                    for dt in (case["dt"], case["dt"] / 2.0)]
             ratio = errs[0] / max(errs[1], 1e-300)
             rows.append({"alpha": case["alpha"], "dt": case["dt"],
                          "sup_error": errs[0], "sup_error_half_dt": errs[1],
@@ -392,18 +451,9 @@ def cmd_pde(cfg, outdir, threads, given):
         summary["linear_oracle"] = rows
 
     elif cfg["horizon"] is not None:
-        horizon, dt = cfg["horizon"], _needed(cfg, "dt", "to solve")
-        p = params(_needed(cfg, "alpha", "to solve"))
+        p = params(cfg["alpha"])
         grid = _grid_from_config(cfg, p)
-        steps = _step_count(horizon, dt)
-        if cfg["snapshots"] > steps:
-            raise ConfigError(f"{_name(('snapshots',))} = {cfg['snapshots']} exceeds the "
-                              f"{steps} steps of {_name(('dt',))} = {dt!r} to "
-                              f"{_name(('horizon',))} = {horizon!r}")
-        res = fp.solve_fp(grid, horizon, dt, sigma, p, snapshots=cfg["snapshots"],
-                          scheme=cfg["scheme"],
-                          boundary_density_tol=cfg["boundary_density_tol"],
-                          mass_tolerance=cfg["mass_tolerance"])
+        res = solve(grid, cfg["dt"], p, snapshots=cfg["snapshots"])
         exports.density_stack_to_binary(res.times, res.grids,
                                         os.path.join(outdir, "snapshots.bin"))
         res.final().to_csv(os.path.join(outdir, "final_density.csv"))
@@ -422,7 +472,7 @@ def cmd_pde(cfg, outdir, threads, given):
                                cfg["boundary_density_tol"])]
         sigma_cfg = cfg["sigma"]
         if sigma_cfg["kind"] == "constant" and sigma_cfg["value"] != 0.0:
-            exact = fp.solve_linear_exact(grid, horizon, fp.FractionalParams(
+            exact = fp.solve_linear_exact(grid, cfg["horizon"], fp.FractionalParams(
                 alpha=p.alpha, diffusivity=p.diffusivity * abs(sigma_cfg["value"]) ** p.alpha))
             sup = float(np.max(np.abs(res.final().values - exact.values)))
             summary["max_error_vs_exact"] = sup
@@ -430,7 +480,7 @@ def cmd_pde(cfg, outdir, threads, given):
     return _finish(outdir, cfg, summary, checks)
 
 
-def cmd_chaos_rate(cfg, outdir, threads, given):
+def cmd_chaos_rate(cfg, outdir, threads):
     base = _build_sim_config(cfg, max(cfg["n_list"]))
     table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
                                   threads=threads)
@@ -454,30 +504,10 @@ def cmd_chaos_rate(cfg, outdir, threads, given):
     return _finish(outdir, cfg, {"config": cfg, "result": payload}, checks)
 
 
-def cmd_compare(cfg, outdir, threads, given):
+def cmd_compare(cfg, outdir, threads):
     pde_cfg, particle_dt = cfg["pde"], cfg["particles"]["dt"]
-    # the PDE snapshots at steps j * pde_every of pde_steps pair, by index, with
-    # the particle marginals at steps j * particle_every of particle_steps;
-    # checked in integers before anything runs
-    pde_steps = _step_count(cfg["horizon"], pde_cfg["dt"])
-    particle_steps = _step_count(cfg["horizon"], particle_dt)
-    if pde_steps % cfg["snapshots"]:
-        raise ConfigError(
-            f"{_name(('snapshots',))} = {cfg['snapshots']} does not divide the "
-            f"{pde_steps} PDE steps of {_name(('pde', 'dt'))} = {pde_cfg['dt']!r}, so "
-            f"the snapshots would fall between PDE steps")
-    pde_every = pde_steps // cfg["snapshots"]
-    if pde_every * particle_steps % pde_steps:
-        raise ConfigError(
-            f"{_name(('pde', 'dt'))} = {pde_cfg['dt']!r} and {_name(('particles', 'dt'))} "
-            f"= {particle_dt!r} do not line up: PDE snapshots every {pde_every} of "
-            f"{pde_steps} steps fall between the {particle_steps} particle steps")
-    particle_every = pde_every * particle_steps // pde_steps
-    n_list = cfg["particles"]["n_list"]
-    if any(a >= b for a, b in zip(n_list, n_list[1:])):
-        # the l1_decreasing checks read the L1s in list order
-        raise ConfigError(f"{_name(('particles', 'n_list'))} must be strictly ascending, "
-                          f"got {n_list!r}")
+    # the schema has checked that the snapshots divide both step counts
+    particle_every = _step_count(cfg["horizon"], particle_dt) // cfg["snapshots"]
     driver = _build_driver(cfg["driver"])
     initial = _build_initial(cfg["initial"])
     grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
@@ -490,7 +520,7 @@ def cmd_compare(cfg, outdir, threads, given):
                       snapshots=cfg["snapshots"],
                       boundary_density_tol=pde_cfg["boundary_density_tol"])
     rows = []
-    for n in n_list:
+    for n in cfg["particles"]["n_list"]:
         sim = SimulationConfig(
             n_particles=n, dt=particle_dt, horizon_T=cfg["horizon"],
             seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial)
@@ -521,17 +551,14 @@ def cmd_compare(cfg, outdir, threads, given):
     return _finish(outdir, cfg, summary, checks)
 
 
-def cmd_validate_sampler(cfg, outdir, threads, given):
-    batteries = {name: _needed(cfg, name, "by batteries") for name in cfg["batteries"]}
-    for name in _BATTERIES:
-        if cfg[name] is not None and name not in batteries:
-            raise ConfigError(f"{_name((name,))} is given, but 'batteries' does not list it")
+def cmd_validate_sampler(cfg, outdir, threads):
+    batteries = cfg["batteries"]
     report = {"config": cfg}
     checks = []
     seed = cfg["seed"]
 
     if "cf" in batteries:
-        c = batteries["cf"]
+        c = cfg["cf"]
         rows = []
         for i, alpha in enumerate(c["alphas"]):
             spec = StableDriverSpec(alpha=alpha, scale=c["scale"])
@@ -544,7 +571,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
 
     if "self_similarity" in batteries:
         from scipy.stats import ks_2samp
-        c = batteries["self_similarity"]
+        c = cfg["self_similarity"]
         rows = []
         for i, alpha in enumerate(c["alphas"]):
             spec = StableDriverSpec(alpha=alpha, scale=1.0)
@@ -557,7 +584,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
         report["self_similarity"] = rows
 
     if "gaussian_moments" in batteries:
-        c = batteries["gaussian_moments"]
+        c = cfg["gaussian_moments"]
         spec = StableDriverSpec(alpha=2.0, scale=c["scale"])
         z = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 30))
         var = float(np.var(z))
@@ -568,7 +595,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
                    CheckResult("gaussian_kurtosis", abs(kurt - 3.0), 0.05, "<")]
 
     if "lemma4" in batteries:
-        c = batteries["lemma4"]
+        c = cfg["lemma4"]
         ests = [measures.empirical_gap_experiment(
                     lambda r, size: r.standard_normal(size), n, c["reps"],
                     substream(seed, 40, i), n_ref=c["n_ref"])
@@ -581,7 +608,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
             for n, est in zip(c["n_values"], ests)]}
 
     if "distance_bound" in batteries:
-        c = batteries["distance_bound"]
+        c = cfg["distance_bound"]
         rng = substream(seed, 50)
         violations = 0
         for _ in range(c["trials"]):
@@ -595,7 +622,7 @@ def cmd_validate_sampler(cfg, outdir, threads, given):
     return _finish(outdir, cfg, report, checks)
 
 
-def cmd_check_h1(cfg, outdir, threads, given):
+def cmd_check_h1(cfg, outdir, threads):
     params = PerturbationParams(gamma=cfg["gamma"], eps=cfg["eps"], alpha=cfg["alpha"],
                                 k1_bound=cfg["k1_bound"], levy_k=cfg["levy_k"])
     report = verify_h1(params, resolutions=tuple(cfg["resolutions"]))
@@ -607,6 +634,11 @@ def cmd_check_h1(cfg, outdir, threads, given):
 _COMMANDS = {"simulate": cmd_simulate, "pde": cmd_pde, "chaos-rate": cmd_chaos_rate,
              "compare": cmd_compare, "validate-sampler": cmd_validate_sampler,
              "check-h1": cmd_check_h1}
+
+
+def _reject(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None):
@@ -629,38 +661,35 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 2
+        return _reject(f"--threads must be at least 1, got {args.threads}")
     if args.config and args.preset:
-        print("error: give either a config file or --preset, not both", file=sys.stderr)
-        return 2
+        return _reject("give either a config file or --preset, not both")
     if args.preset:
         if args.preset not in PRESETS:
-            print(f"error: unknown preset {args.preset!r}; "
-                  f"available: {', '.join(sorted(PRESETS))}", file=sys.stderr)
-            return 2
-        cfg = PRESETS[args.preset]
-        label = args.preset
+            return _reject(f"unknown preset {args.preset!r}; "
+                                f"available: {', '.join(sorted(PRESETS))}")
+        cfg, label = PRESETS[args.preset], args.preset
     elif args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read config file {args.config!r}: {exc}", file=sys.stderr)
-            return 2
+            return _reject(f"cannot read config file {args.config!r}: {exc}")
         label = os.path.splitext(os.path.basename(args.config))[0]
     else:
-        print("error: a config file or --preset is required", file=sys.stderr)
-        return 2
+        return _reject("a config file or --preset is required")
     if args.seed is not None and isinstance(cfg, dict):
         cfg = {**cfg, "seed": args.seed}
     outdir = args.out or os.path.join("runs", f"{args.command}-{label}")
+    fresh = not os.path.exists(outdir)
     try:
         resolved = SCHEMAS[args.command](cfg)
         os.makedirs(outdir, exist_ok=True)
-        return _COMMANDS[args.command](resolved, outdir, args.threads, set(cfg))
+        return _COMMANDS[args.command](resolved, outdir, args.threads)
     except (ConfigError, ValueError, fp.StabilityError, particles.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ConfigError) and fresh and os.path.isdir(outdir):
+            os.rmdir(outdir)  # an initial file that cannot be loaded stops a run before it writes
         return 2 if isinstance(exc, ConfigError) else 1
 
 

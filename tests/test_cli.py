@@ -558,29 +558,6 @@ class TestCompareCommand:
         assert "error:" in err and "0.045" in err and "0.01" in err
         assert "Traceback" not in err
 
-    def test_pde_steps_not_divided_by_snapshots_rejected_before_solving(
-            self, tmp_path, capsys, monkeypatch):
-        # 11 PDE steps of 0.01 cannot be cut into 5 whole snapshot intervals
-        def no_run(*args, **kwargs):
-            raise AssertionError("a solve ran")
-
-        monkeypatch.setattr(cli.fp, "solve_fp", no_run)
-        monkeypatch.setattr(cli, "simulate", no_run)
-        payload = {
-            "command": "compare", "seed": 9,
-            "driver": {"kind": "stable", "alpha": 1.5},
-            "sigma": {"kind": "constant", "value": 1.0},
-            "initial": {"kind": "gaussian"},
-            "horizon": 0.11,
-            "particles": {"n_list": [100, 1000], "dt": 0.01},
-            "pde": {"grid": {"half_width": 30.0, "points": 256}, "dt": 0.01},
-            "snapshots": 5,
-        }
-        cfg = write_config(tmp_path, payload)
-        assert main(["compare", cfg, "--out", str(tmp_path / "cmp")]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "'snapshots'" in err and "Traceback" not in err
-
     def test_non_gaussian_initial_rejected(self, tmp_path, capsys):
         payload = {
             "command": "compare", "seed": 9,
@@ -638,19 +615,6 @@ class TestValidateAndH1Commands:
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, key
 
-    def test_battery_block_not_listed_rejected(self, tmp_path, capsys):
-        # a cf block beside batteries that do not list cf would not be run
-        payload = {"command": "validate-sampler", "seed": 4, "batteries": ["distance_bound"],
-                   "distance_bound": {"trials": 10},
-                   "cf": {"alphas": [1.5], "n_samples": 1000, "xi_grid": [1.0],
-                          "tolerance": 1e-9}}
-        out = tmp_path / "unlisted"
-        assert main(["validate-sampler", write_config(tmp_path, payload),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "'cf'" in err and "Traceback" not in err
-        assert not (out / "summary.json").exists()
-
     def test_check_h1_pass_and_fail_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, {
             "command": "check-h1", "seed": 1, "alpha": 1.5, "gamma": 1.0,
@@ -670,20 +634,27 @@ class TestResolvedConfig:
         minimal = {"command": "simulate", "seed": 5, "n_particles": 2000, "dt": 0.1,
                    "horizon": 0.5, "driver": {"kind": "stable", "alpha": 1.5},
                    "sigma": {"kind": "constant", "value": 1.0}}
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["simulate", write_config(tmp_path, minimal), "--out", str(out1)]) == 0
-        resolved = json.loads((out1 / "config.resolved.json").read_text())
+        no_cf = {**minimal, "n_particles": 200, "sigma": {"kind": "linear_sine"}}
+        # rerunning from the resolved config reproduces the whole output directory
+        codes = {}
+        for name, cfg in {"minimal": minimal, "no-cf": no_cf, **SMALL_CONFIGS}.items():
+            out1, out2 = tmp_path / name, tmp_path / f"{name}-rerun"
+            codes[name] = main([cfg["command"], write_config(tmp_path, cfg), "--out", str(out1)])
+            assert codes[name] != 2 and main([cfg["command"], str(out1 / "config.resolved.json"),
+                                              "--out", str(out2)]) == codes[name], name
+            names = sorted(os.listdir(out1))
+            assert names == sorted(os.listdir(out2)), name
+            for file in names:
+                assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), (name, file)
+        assert codes["minimal"] == codes["no-cf"] == 0
+        resolved = json.loads((tmp_path / "minimal" / "config.resolved.json").read_text())
         assert resolved["record_every"] == 1 and resolved["kde_points"] == 401
         assert resolved["flow_format"] == "csv" and resolved["truncation"] is None
         assert resolved["initial"] == {"kind": "gaussian", "mean": 0.0, "std": 1.0}
         assert resolved["driver"] == {"kind": "stable", "alpha": 1.5, "scale": 1.0}
-        # rerunning from the resolved config reproduces the whole output directory
-        assert main(["simulate", str(out1 / "config.resolved.json"),
-                     "--out", str(out2)]) == 0
-        names = sorted(os.listdir(out1))
-        assert names == sorted(os.listdir(out2))
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # without a CF test, the resolved config leaves out the keys only it reads
+        resolved = json.loads((tmp_path / "no-cf" / "config.resolved.json").read_text())
+        assert "cf_xi_grid" not in resolved and "cf_tolerance" not in resolved
 
     def test_every_preset_resolves(self):
         for name, preset in PRESETS.items():
@@ -765,3 +736,61 @@ class TestChecks:
         resolved = SCHEMAS["pde"](given)
         assert default is fp.MASS_TOLERANCE == 1e-9
         assert resolved["mass_tolerance"] is fp.MASS_TOLERANCE
+
+
+class _ReadRecorder(dict):
+    """A dict that records the keys read from it by indexing."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestReach:
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_every_resolved_key_is_read(self, tmp_path, capsys, monkeypatch, name):
+        # the resolved config holds exactly the keys the run reads; "command"
+        # picks the schema, and "seed" is required of every command, also of
+        # those that draw nothing
+        cfg = SMALL_CONFIGS[name]
+        command = cli._COMMANDS[cfg["command"]]
+        recorders = []
+
+        def recording(resolved, *args):
+            recorders.append(_ReadRecorder(resolved))
+            return command(recorders[-1], *args)
+
+        monkeypatch.setitem(cli._COMMANDS, cfg["command"], recording)
+        main([cfg["command"], write_config(tmp_path, cfg), "--out", str(tmp_path / "run")])
+        (recorder,) = recorders
+        assert set(recorder) - recorder.read <= {"command", "seed"}, name
+        # writing the config out does not count as reading it
+        written = _ReadRecorder(recorder)
+        cli._write_json(str(tmp_path / "written.json"), written)
+        assert not written.read
+
+
+REJECT = os.path.join(os.path.dirname(__file__), "configs", "reject")
+# one line per config: file name, command, and the text its error must hold
+# (the key it names, or the name of a file that cannot be parsed)
+with open(os.path.join(REJECT, "index.txt")) as fh:
+    REJECT_CASES = [line.split(None, 2) for line in fh.read().splitlines()]
+
+
+class TestRejectCorpus:
+    @pytest.mark.parametrize("name,command,names", REJECT_CASES,
+                             ids=[case[0] for case in REJECT_CASES])
+    def test_config_exits_2_naming_its_key(self, tmp_path, capsys, name, command, names):
+        out = tmp_path / "out"
+        assert main([command, os.path.join(REJECT, name), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and names in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_every_config_is_indexed(self):
+        indexed = sorted(case[0] for case in REJECT_CASES)
+        assert indexed == sorted(set(os.listdir(REJECT)) - {"index.txt"})
