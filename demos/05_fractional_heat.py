@@ -13,7 +13,8 @@ import numpy as np
 
 from levymv import (Constant, FractionalParams, SmoothedDensityPower,
                     fractional_laplacian, gaussian_grid, solve_fp,
-                    solve_linear_exact, stable_heat_kernel_grid)
+                    stable_heat_kernel_grid)
+from levymv.fokker_planck import linear_oracle
 
 params = FractionalParams(alpha=1.5, diffusivity=1.0)
 
@@ -21,13 +22,14 @@ grid = gaussian_grid(8.0, 256, std=0.7)
 flat = fractional_laplacian(np.full(grid.m, 1.0), grid, params)
 print(f"constant function maps to zero: sup = {np.max(np.abs(flat)):.1e}")
 
+# the order study that `levymv pde` runs for a linear_oracle block (preset AC7)
 print("\nlinear flow vs the explicit stepper (constant coefficient):")
-exact = solve_linear_exact(grid, 1.0, FractionalParams(1.2, 1.0))
-for dt in (0.01, 0.005):
-    res = solve_fp(grid, 1.0, dt, Constant(1.0), FractionalParams(1.2, 1.0),
-                   boundary_density_tol=1e-2)
-    err = np.max(np.abs(res.final().values - exact.values))
-    print(f"  dt={dt}: sup error = {err:.2e}")
+(row,), checks = linear_oracle([(grid, FractionalParams(1.2, 1.0), 0.01)], 1.0, Constant(1.0),
+                               1e-6, (12.0, 20.0), boundary_density_tol=1e-2)
+print(f"  dt={row['dt']}: sup error = {row['sup_error']:.2e}")
+print(f"  dt={row['dt'] / 2}: sup error = {row['sup_error_half_dt']:.2e}")
+print(f"  error ratio {row['order_ratio']:.1f} (16 for a fourth-order scheme): "
+      f"{'pass' if all(c.passed for c in checks) else 'FAIL'}")
 
 print("\nself-similar spreading of the fractional heat kernel:")
 t0, t1 = 0.5, 0.75

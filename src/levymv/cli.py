@@ -14,9 +14,15 @@ domain, a key given where the run would not read it, keys that do not fit
 together), a config file that cannot be read or parsed, an initial file
 that cannot be loaded and a ``--threads`` below 1 print ``error: ...``
 naming the key, file or flag and exit 2; a check that does not pass, or a
-run that aborts, exits 1.  Every gate
-is a ``CheckResult``: each command hands its list to ``_finish``, which
-writes it as the summary's ``checks`` and derives ``pass`` from it.
+run that aborts, exits 1.  A command builds the library objects from the
+resolved config, makes one library call per experiment, writes its files
+and hands its checks to ``_finish``: the experiments live next to what
+they test (the sampler batteries in ``drivers`` and ``measures``, the
+linear oracle, the duality table and a solve's health checks in
+``fokker_planck``, the CF test, the chaos-rate checks and the L1 table of
+``compare`` in ``particles``), and each returns its payload and its
+checks.  Every gate is a ``CheckResult``; ``_finish`` writes the list as
+the summary's ``checks`` and derives ``pass`` from it.
 ``--threads`` is not part of the config and never changes results,
 and outputs hold no timestamps, so the whole output directory is
 byte-identical across reruns and thread counts.
@@ -30,14 +36,12 @@ import sys
 
 import numpy as np
 
-from . import coefficients, exports, fokker_planck as fp, measures, particles
-from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec, _step_count,
-                      sample_increment_array)
+from . import coefficients, drivers, exports, fokker_planck as fp, measures, particles
+from .drivers import JumpAtoms, LevyTripletSpec, StableDriverSpec, _step_count
 from .particles import (FileLaw, GaussianLaw, PointMass, SimulationConfig,
                         UniformLaw, chaos_rate_experiment, simulate)
 from .perturbation import CheckResult, PerturbationParams, verify_h1
 from .presets import PRESETS
-from .rng import substream
 
 
 class ConfigError(Exception):
@@ -215,18 +219,21 @@ def _snapshots_on_both_grids(c):
 _SOLVE = "a solve, which runs given 'horizon' and no 'linear_oracle'"
 _HORIZON_SOLVES = (lambda c: c["horizon"] is not None, "the solves, which run given 'horizon'")
 
-# validate-sampler runs each battery listed in "batteries" on the block of its name
+# validate-sampler runs each battery listed in "batteries", in this order, on
+# the block of its name: the block's keys and "seed" are the battery's parameters
 _BATTERIES = {
-    "cf": {"alphas": _list_of(ALPHA), "scale": _SCALE, "n_samples": COUNT,
-           "xi_grid": _NUMBERS, "tolerance": NUMBER},
-    "self_similarity": {"alphas": _list_of(ALPHA), "n_samples": COUNT,
-                        "dt": (NUMBER, 0.25), "level": (NUMBER, 0.01)},
-    "gaussian_moments": {"scale": _SCALE, "n_samples": COUNT},
+    "cf": (drivers.cf, {"alphas": _list_of(ALPHA), "scale": _SCALE, "n_samples": COUNT,
+                        "xi_grid": _NUMBERS, "tolerance": NUMBER}),
+    "self_similarity": (drivers._self_similarity, {
+        "alphas": _list_of(ALPHA), "n_samples": COUNT, "dt": (NUMBER, 0.25),
+        "level": (NUMBER, 0.01)}),
+    "gaussian_moments": (drivers._gaussian_moments, {"scale": _SCALE, "n_samples": COUNT}),
     # the lemma4_monotone checks read the means in list order
-    "lemma4": {"n_values": _SIZES, "reps": COUNT, "n_ref": (COUNT, 10 ** 6),
-               "bound": (NUMBER, 4.0)},
-    "distance_bound": {"trials": COUNT, "n_min": (COUNT, 2), "n_max": (COUNT, 64),
-                       "tolerance": (NUMBER, 1e-12)},
+    "lemma4": (measures._lemma4, {"n_values": _SIZES, "reps": COUNT,
+                                  "n_ref": (COUNT, 10 ** 6), "bound": (NUMBER, 4.0)}),
+    "distance_bound": (measures._distance_bound, {
+        "trials": COUNT, "n_min": (COUNT, 2), "n_max": (COUNT, 64),
+        "tolerance": (NUMBER, 1e-12)}),
 }
 
 _COMMAND_KEYS = {
@@ -278,7 +285,7 @@ _COMMAND_KEYS = {
         **{name: (_block(keys), _REQUIRED,
                   (lambda c, name=name: name in c["batteries"],
                    f"the {name} battery, which runs where 'batteries' lists it"))
-           for name, keys in _BATTERIES.items()},
+           for name, (_, keys) in _BATTERIES.items()},
     },),
     "check-h1": ({
         "alpha": NUMBER, "gamma": NUMBER, "eps": NUMBER,
@@ -357,20 +364,6 @@ def _finish(outdir, cfg, summary, checks):
     return 1 if failing else 0
 
 
-def _within_2se(name, means, stderrs, sense):
-    """One check per step along ``means``: the mean may rise over the one
-    before by at most (``<=``) or by less than (``<``) twice their combined
-    standard error."""
-    return [CheckResult(f"{name}_{i}", b, a + 2.0 * math.hypot(sa, sb), sense)
-            for i, (a, b, sa, sb) in enumerate(zip(means, means[1:], stderrs, stderrs[1:]), 1)]
-
-
-def _cf_gap(samples, xi, expected):
-    """max over xi of |empirical CF of the samples - expected CF|."""
-    emp = np.exp(1j * xi[:, None] * samples[None, :]).mean(axis=1)
-    return float(np.max(np.abs(emp - expected)))
-
-
 def cmd_simulate(cfg, outdir, threads):
     sim = _build_sim_config(cfg, cfg["n_particles"])
     flow = simulate(sim, record_every=cfg["record_every"])
@@ -378,27 +371,17 @@ def cmd_simulate(cfg, outdir, threads):
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
     else:
         exports.flow_to_binary(flow, os.path.join(outdir, "flow.bin"))
-    moments = [{"time": float(t),
-                "mean": float(np.mean(m.samples)),
-                "second_moment": measures.second_moment(m)}
-               for t, m in zip(flow.times, flow.marginals)]
     kde_grid = np.linspace(-cfg["kde_half_width"], cfg["kde_half_width"], cfg["kde_points"])
-    kde = measures.read_table(
-        measures.smoothing_table(flow.final(), cfg["kde_eps"]), kde_grid)
+    kde = measures.read_table(measures.smoothing_table(flow.final(), cfg["kde_eps"]), kde_grid)
     exports.curve_to_csv(kde_grid, kde, os.path.join(outdir, "final_kde.csv"),
                          names=("x", "density"))
-    summary = {"config": cfg, "moments": moments}
+    summary = {"config": cfg, "moments": [
+        {"time": float(t), "mean": float(np.mean(m.samples)),
+         "second_moment": measures.second_moment(m)} for t, m in zip(flow.times, flow.marginals)]}
     checks = []
     if _cf_test(cfg):
-        xi = np.array(cfg["cf_xi_grid"])
-        alpha = cfg["driver"]["alpha"]
-        c_tot = cfg["driver"]["scale"] * cfg["horizon"] * abs(cfg["sigma"]["value"]) ** alpha
-        expected = sim.initial_law.cf(xi) * np.exp(-c_tot * np.abs(xi) ** alpha)
-        gap = _cf_gap(flow.final().samples, xi, expected)
-        tol = cfg["cf_tolerance"] if cfg["cf_tolerance"] is not None \
-            else 4.0 / math.sqrt(sim.n_particles) + 1e-3
-        summary["cf_test"] = {"max_abs_gap": gap, "tolerance": tol}
-        checks.append(CheckResult("cf_gap", gap, tol))
+        summary["cf_test"], checks = particles._terminal_cf_test(
+            flow, sim, cfg["cf_xi_grid"], cfg["cf_tolerance"])
     return _finish(outdir, cfg, summary, checks)
 
 
@@ -411,72 +394,47 @@ def cmd_pde(cfg, outdir, threads):
         return fp.FractionalParams(alpha=alpha, diffusivity=cfg["diffusivity"])
 
     if cfg["adjoint_checks"] is not None:
-        adjoint = cfg["adjoint_checks"]
-        p = params(cfg["alpha"])
-        grid = _grid_from_config(cfg, p)
-        rows = []
-        for i, case in enumerate(adjoint["cases"]):
-            rep = fp.adjoint_identity_check(
-                _build_sigma(case["sigma"]), grid, fp.bump(**case["phi"]),
-                fp.bump(**case["psi"]), p)
-            rows.append({"sigma": case["sigma"], "lhs": rep.lhs, "rhs": rep.rhs,
-                         "rel_error": rep.rel_error})
-            checks.append(CheckResult(f"duality_rel_error_{i}", rep.rel_error,
-                                      adjoint["tolerance"]))
-        summary["adjoint_checks"] = {"tolerance": adjoint["tolerance"], "cases": rows}
+        adjoint, p = cfg["adjoint_checks"], params(cfg["alpha"])
+        cases = [(case["sigma"], _build_sigma(case["sigma"]), fp.bump(**case["phi"]),
+                  fp.bump(**case["psi"])) for case in adjoint["cases"]]
+        summary["adjoint_checks"], found = fp._duality_table(
+            cases, _grid_from_config(cfg, p), p, adjoint["tolerance"])
+        checks += found
 
-    def solve(grid, dt, p, **snapshots):
-        # the solve aborts once its mass drifts beyond mass_tolerance
-        return fp.solve_fp(grid, cfg["horizon"], dt, sigma, p, scheme=cfg["scheme"],
-                           boundary_density_tol=cfg["boundary_density_tol"],
-                           mass_tolerance=cfg["mass_tolerance"], **snapshots)
-
-    if cfg["linear_oracle"] is not None:
-        oracle = cfg["linear_oracle"]
-        lo_ratio, hi_ratio = oracle["order_ratio_range"]
-        rows = []
-        for i, case in enumerate(oracle["cases"]):
-            p = params(case["alpha"])
+    if cfg["horizon"] is not None:
+        # every solve aborts once its mass drifts beyond mass_tolerance
+        options = {key: cfg[key] for key in ("scheme", "boundary_density_tol", "mass_tolerance")}
+        if cfg["linear_oracle"] is not None:
+            oracle = cfg["linear_oracle"]
+            ps = [params(case["alpha"]) for case in oracle["cases"]]
+            cases = [(_grid_from_config(cfg, p), p, case["dt"])
+                     for p, case in zip(ps, oracle["cases"])]
+            summary["linear_oracle"], found = fp.linear_oracle(
+                cases, cfg["horizon"], sigma, oracle["sup_tolerance"],
+                oracle["order_ratio_range"], **options)
+        else:
+            p = params(cfg["alpha"])
             grid = _grid_from_config(cfg, p)
-            exact = fp.solve_linear_exact(grid, cfg["horizon"], p)
-            errs = [float(np.max(np.abs(solve(grid, dt, p).final().values - exact.values)))
-                    for dt in (case["dt"], case["dt"] / 2.0)]
-            ratio = errs[0] / max(errs[1], 1e-300)
-            rows.append({"alpha": case["alpha"], "dt": case["dt"],
-                         "sup_error": errs[0], "sup_error_half_dt": errs[1],
-                         "order_ratio": ratio})
-            checks += [CheckResult(f"sup_error_{i}", errs[0], oracle["sup_tolerance"]),
-                       CheckResult(f"order_ratio_lo_{i}", ratio, lo_ratio, ">="),
-                       CheckResult(f"order_ratio_hi_{i}", ratio, hi_ratio)]
-        summary["linear_oracle"] = rows
-
-    elif cfg["horizon"] is not None:
-        p = params(cfg["alpha"])
-        grid = _grid_from_config(cfg, p)
-        res = solve(grid, cfg["dt"], p, snapshots=cfg["snapshots"])
-        exports.density_stack_to_binary(res.times, res.grids,
-                                        os.path.join(outdir, "snapshots.bin"))
-        res.final().to_csv(os.path.join(outdir, "final_density.csv"))
-        steps = np.arange(res.mass_trace.size)
-        exports.curve_to_csv(steps, res.mass_trace,
-                             os.path.join(outdir, "mass_trace.csv"),
-                             names=("step", "mass"))
-        exports.curve_to_csv(steps, res.boundary_trace,
-                             os.path.join(outdir, "boundary_trace.csv"),
-                             names=("step", "boundary_density"))
-        summary["mass_max_drift"] = float(np.max(np.abs(res.mass_trace - 1.0)))
-        summary["boundary_density_max"] = float(res.boundary_trace.max())
-        summary["snapshot_times"] = [float(t) for t in res.times]
-        checks += [CheckResult("mass_drift", summary["mass_max_drift"], cfg["mass_tolerance"]),
-                   CheckResult("boundary_density", summary["boundary_density_max"],
-                               cfg["boundary_density_tol"])]
-        sigma_cfg = cfg["sigma"]
-        if sigma_cfg["kind"] == "constant" and sigma_cfg["value"] != 0.0:
-            exact = fp.solve_linear_exact(grid, cfg["horizon"], fp.FractionalParams(
-                alpha=p.alpha, diffusivity=p.diffusivity * abs(sigma_cfg["value"]) ** p.alpha))
-            sup = float(np.max(np.abs(res.final().values - exact.values)))
-            summary["max_error_vs_exact"] = sup
-
+            res = fp.solve_fp(grid, cfg["horizon"], cfg["dt"], sigma, p,
+                              snapshots=cfg["snapshots"], **options)
+            exports.density_stack_to_binary(res.times, res.grids,
+                                            os.path.join(outdir, "snapshots.bin"))
+            res.final().to_csv(os.path.join(outdir, "final_density.csv"))
+            steps = np.arange(res.mass_trace.size)
+            exports.curve_to_csv(steps, res.mass_trace, os.path.join(outdir, "mass_trace.csv"),
+                                 names=("step", "mass"))
+            exports.curve_to_csv(steps, res.boundary_trace,
+                                 os.path.join(outdir, "boundary_trace.csv"),
+                                 names=("step", "boundary_density"))
+            health, found = fp._health_checks(res, cfg["mass_tolerance"],
+                                              cfg["boundary_density_tol"])
+            summary.update(health)
+            sigma_cfg = cfg["sigma"]
+            if sigma_cfg["kind"] == "constant" and sigma_cfg["value"] != 0.0:
+                exact = fp.solve_linear_exact(grid, cfg["horizon"], fp.FractionalParams(
+                    alpha=p.alpha, diffusivity=p.diffusivity * abs(sigma_cfg["value"]) ** p.alpha))
+                summary["max_error_vs_exact"] = fp._sup_error(res.final(), exact)
+        checks += found
     return _finish(outdir, cfg, summary, checks)
 
 
@@ -484,30 +442,14 @@ def cmd_chaos_rate(cfg, outdir, threads):
     base = _build_sim_config(cfg, max(cfg["n_list"]))
     table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
                                   threads=threads)
+    payload, checks = particles._chaos_checks(table, cfg["slope_max"], cfg["require_monotone"])
     exports.chaos_table_to_csv(table, os.path.join(outdir, "table.csv"))
-    payload = table.to_json_dict()
-    checks = []
-    if table.status.startswith("degenerate"):
-        payload["criterion"] = "degenerate measure-independent coefficient"
-    else:
-        if cfg["slope_max"] is not None:
-            slope = CheckResult("slope", table.fitted_slope, cfg["slope_max"])
-            payload["criterion"] = {"slope_max": slope.limit, "fitted": slope.value,
-                                    "pass": slope.passed}
-            checks.append(slope)
-        if cfg["require_monotone"]:
-            monotone = _within_2se("monotone", [r.mean_sq_gap for r in table.rows],
-                                   [r.stderr for r in table.rows], "<=")
-            payload["monotone_within_2se"] = all(c.passed for c in monotone)
-            checks += monotone
     _write_json(os.path.join(outdir, "slope.json"), payload)
     return _finish(outdir, cfg, {"config": cfg, "result": payload}, checks)
 
 
 def cmd_compare(cfg, outdir, threads):
-    pde_cfg, particle_dt = cfg["pde"], cfg["particles"]["dt"]
-    # the schema has checked that the snapshots divide both step counts
-    particle_every = _step_count(cfg["horizon"], particle_dt) // cfg["snapshots"]
+    pde_cfg, n_list = cfg["pde"], cfg["particles"]["n_list"]
     driver = _build_driver(cfg["driver"])
     initial = _build_initial(cfg["initial"])
     grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
@@ -519,106 +461,28 @@ def cmd_compare(cfg, outdir, threads):
     res = fp.solve_fp(grid, cfg["horizon"], pde_cfg["dt"], sigma, params,
                       snapshots=cfg["snapshots"],
                       boundary_density_tol=pde_cfg["boundary_density_tol"])
-    rows = []
-    for n in cfg["particles"]["n_list"]:
-        sim = SimulationConfig(
-            n_particles=n, dt=particle_dt, horizon_T=cfg["horizon"],
-            seed=cfg["seed"], driver=driver, sigma=sigma, initial_law=initial)
-        flow = simulate(sim, record_every=particle_every)
-        for t, p_t, marg in zip(res.times[1:], res.grids[1:], flow.marginals[1:],
-                                strict=True):
-            kde = measures.read_table(measures.smoothing_table(marg, cfg["kde_eps"]),
-                                      p_t.nodes)
-            l1 = float(np.sum(np.abs(kde - p_t.values)) * p_t.dx)
-            rows.append({"n": n, "time": float(t), "l1_distance": l1})
+    # the schema has checked that the snapshots divide the particle steps
+    sim = SimulationConfig(n_particles=max(n_list), dt=cfg["particles"]["dt"],
+                           horizon_T=cfg["horizon"], seed=cfg["seed"], driver=driver,
+                           sigma=sigma, initial_law=initial)
+    payload, checks = particles.kde_l1_table(sim, n_list, res, cfg["kde_eps"],
+                                             cfg["l1_max_at_largest"])
     with open(os.path.join(outdir, "l1_by_n.csv"), "w") as fh:
         fh.write("n,time,l1_distance\n")
-        for r in rows:
+        for r in payload["rows"]:
             fh.write(f"{r['n']},{r['time']:.17g},{r['l1_distance']:.17g}\n")
-    t_final = res.times[-1]
-    l1s = [r["l1_distance"] for r in rows if r["time"] == t_final]
-    limit = cfg["l1_max_at_largest"]
-    summary = {"config": cfg, "rows": rows,
-               "l1_at_largest": l1s[-1], "l1_max_at_largest": limit,
-               "pde_mass_max_drift": float(np.max(np.abs(res.mass_trace - 1.0)))}
-    # at the horizon, L1 falls strictly with each step up in n
-    checks = [CheckResult(f"l1_decreasing_{i}", b, a, "<")
-              for i, (a, b) in enumerate(zip(l1s, l1s[1:]), 1)]
-    if limit is not None:
-        checks.append(CheckResult("l1_at_largest", l1s[-1], limit))
-    checks.append(CheckResult("pde_mass_drift", summary["pde_mass_max_drift"],
-                              fp.MASS_TOLERANCE))
-    return _finish(outdir, cfg, summary, checks)
+    drift = float(np.max(np.abs(res.mass_trace - 1.0)))
+    checks.append(CheckResult("pde_mass_drift", drift, fp.MASS_TOLERANCE))
+    return _finish(outdir, cfg, {"config": cfg, **payload, "pde_mass_max_drift": drift}, checks)
 
 
 def cmd_validate_sampler(cfg, outdir, threads):
-    batteries = cfg["batteries"]
     report = {"config": cfg}
     checks = []
-    seed = cfg["seed"]
-
-    if "cf" in batteries:
-        c = cfg["cf"]
-        rows = []
-        for i, alpha in enumerate(c["alphas"]):
-            spec = StableDriverSpec(alpha=alpha, scale=c["scale"])
-            z = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 10, i))
-            xi = np.asarray(c["xi_grid"])
-            gap = _cf_gap(z, xi, np.exp(-c["scale"] * np.abs(xi) ** alpha))
-            rows.append({"alpha": alpha, "max_abs_cf_gap": gap})
-            checks.append(CheckResult(f"cf_gap_{i}", gap, c["tolerance"]))
-        report["cf"] = {"tolerance": c["tolerance"], "rows": rows}
-
-    if "self_similarity" in batteries:
-        from scipy.stats import ks_2samp
-        c = cfg["self_similarity"]
-        rows = []
-        for i, alpha in enumerate(c["alphas"]):
-            spec = StableDriverSpec(alpha=alpha, scale=1.0)
-            a = sample_increment_array(spec, c["dt"], c["n_samples"],
-                                       substream(seed, 20, i)) / c["dt"] ** (1.0 / alpha)
-            b = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 21, i))
-            p = float(ks_2samp(a, b).pvalue)
-            rows.append({"alpha": alpha, "ks_pvalue": p})
-            checks.append(CheckResult(f"ks_pvalue_{i}", p, c["level"], ">"))
-        report["self_similarity"] = rows
-
-    if "gaussian_moments" in batteries:
-        c = cfg["gaussian_moments"]
-        spec = StableDriverSpec(alpha=2.0, scale=c["scale"])
-        z = sample_increment_array(spec, 1.0, c["n_samples"], substream(seed, 30))
-        var = float(np.var(z))
-        kurt = float(np.mean(z ** 4) / var ** 2)
-        report["gaussian_moments"] = {"variance": var, "expected": 2.0 * c["scale"],
-                                      "kurtosis": kurt}
-        checks += [CheckResult("gaussian_variance", abs(var - 2.0 * c["scale"]), 0.02, "<"),
-                   CheckResult("gaussian_kurtosis", abs(kurt - 3.0), 0.05, "<")]
-
-    if "lemma4" in batteries:
-        c = cfg["lemma4"]
-        ests = [measures.empirical_gap_experiment(
-                    lambda r, size: r.standard_normal(size), n, c["reps"],
-                    substream(seed, 40, i), n_ref=c["n_ref"])
-                for i, n in enumerate(c["n_values"])]
-        means = [est.mean_sq_distance for est in ests]
-        checks += [CheckResult(f"lemma4_bound_{i}", m, c["bound"]) for i, m in enumerate(means)]
-        checks += _within_2se("lemma4_monotone", means, [est.stderr for est in ests], "<")
-        report["lemma4"] = {"bound": c["bound"], "rows": [
-            {"n": n, "mean_sq_distance": est.mean_sq_distance, "stderr": est.stderr}
-            for n, est in zip(c["n_values"], ests)]}
-
-    if "distance_bound" in batteries:
-        c = cfg["distance_bound"]
-        rng = substream(seed, 50)
-        violations = 0
-        for _ in range(c["trials"]):
-            n = int(rng.integers(c["n_min"], c["n_max"] + 1))
-            xs = rng.normal(0.0, 1.0 + rng.random() * 3.0, n)
-            ys = xs + rng.normal(0.0, rng.random() * 2.0, n)
-            violations += not measures.check_empirical_distance_bound(xs, ys, tol=c["tolerance"])
-        report["distance_bound"] = {"trials": c["trials"], "violations": violations}
-        checks.append(CheckResult("distance_bound_violations", violations, 0))
-
+    for name, (battery, _) in _BATTERIES.items():
+        if name in cfg["batteries"]:
+            report[name], found = battery(seed=cfg["seed"], **cfg[name])
+            checks += found
     return _finish(outdir, cfg, report, checks)
 
 

@@ -122,18 +122,18 @@ class LinearInteraction:
 
     The kernel must be bounded with bounded first and second
     x-derivatives; construction probes those bounds by finite
-    differences on an expanding grid and rejects kernels whose probes
-    keep growing with the window.  A kernel with ``summary_stats`` and
-    ``mean_from_stats`` (``SineKernel``) is summarized by those; any other
-    kernel by the samples, against which it is summed pairwise, each point
-    in one reduction over every sample.
+    differences on 201 x 201 grids of half width 10 and 30 and rejects
+    kernels whose probes grow with the window.  A kernel with
+    ``summary_stats`` and ``mean_from_stats`` (``SineKernel``) is
+    summarized by those; any other kernel by the samples, against which it
+    is summed pairwise, each point in one reduction over every sample.
     """
 
-    def __init__(self, kernel, probe_halfwidths=(10.0, 30.0), probe_points=201):
+    def __init__(self, kernel):
         self.kernel = kernel
         sups = []
-        for hw in probe_halfwidths:
-            xs = np.linspace(-hw, hw, probe_points)
+        for hw in (10.0, 30.0):
+            xs = np.linspace(-hw, hw, 201)
             xx, yy = np.meshgrid(xs, xs, indexing="ij")
             h = 1e-4 * max(1.0, hw / 10.0)
             v = kernel(xx, yy)

@@ -29,6 +29,11 @@ function constant, one increment over ``dt`` has CF
 ``scale = K * pi / (gamma(1+alpha) * sin(pi*alpha/2))``; both directions
 are exposed below so the two parameterizations can be converted
 explicitly instead of guessed.
+
+The sampler's validation batteries (:func:`cf`, self-similarity and the
+Gaussian endpoint) hold its draws against closed forms; each takes its
+``validate-sampler`` config block and a seed, and returns its payload and
+its checks.
 """
 
 import math
@@ -36,6 +41,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .measures import _cf_gap
+from .perturbation import CheckResult
+from .rng import substream
 
 __all__ = [
     "StableDriverSpec",
@@ -45,6 +54,7 @@ __all__ = [
     "truncated_stable_triplet",
     "cf_constant_from_levy_constant",
     "levy_constant_from_cf_constant",
+    "cf",
 ]
 
 # jumps of the truncated stable driver below this size are replaced by a
@@ -340,6 +350,55 @@ def sample_increment_array(driver, dt, n, rng, truncation=None):
         if level is not None:
             totals -= big_sums
     return totals[0] if rngs is not rng else totals
+
+
+def cf(*, alphas, scale, n_samples, xi_grid, tolerance, seed):
+    """The CF battery: per alpha, the sup over ``xi_grid`` of the gap between
+    the empirical CF of ``n_samples`` unit-step stable increments and
+    exp(-scale |xi|^alpha), at most ``tolerance``."""
+    xi = np.asarray(xi_grid)
+    rows, checks = [], []
+    for i, alpha in enumerate(alphas):
+        spec = StableDriverSpec(alpha=alpha, scale=scale)
+        z = sample_increment_array(spec, 1.0, n_samples, substream(seed, 10, i))
+        gap = _cf_gap(z, xi, np.exp(-scale * np.abs(xi) ** alpha))
+        rows.append({"alpha": alpha, "max_abs_cf_gap": gap})
+        checks.append(CheckResult(f"cf_gap_{i}", gap, tolerance))
+    return {"tolerance": tolerance, "rows": rows}, checks
+
+
+def _self_similarity(*, alphas, n_samples, dt, level, seed):
+    """The self-similarity battery: per alpha, the two-sample KS p-value of
+    ``n_samples`` increments over ``dt`` scaled by dt^(-1/alpha) against
+    unit-step ones, above ``level``."""
+    from scipy.stats import ks_2samp  # scipy.stats is slow to import; only this reads it
+    rows, checks = [], []
+    for i, alpha in enumerate(alphas):
+        spec = StableDriverSpec(alpha=alpha, scale=1.0)
+        a = sample_increment_array(spec, dt, n_samples,
+                                   substream(seed, 20, i)) / dt ** (1.0 / alpha)
+        b = sample_increment_array(spec, 1.0, n_samples, substream(seed, 21, i))
+        p = float(ks_2samp(a, b).pvalue)
+        rows.append({"alpha": alpha, "ks_pvalue": p})
+        checks.append(CheckResult(f"ks_pvalue_{i}", p, level, ">"))
+    return rows, checks
+
+
+# the gaussian_moments battery's limits on |variance - 2 scale| and |kurtosis - 3|
+GAUSSIAN_VARIANCE_GAP = 0.02
+GAUSSIAN_KURTOSIS_GAP = 0.05
+
+
+def _gaussian_moments(*, scale, n_samples, seed):
+    """The Gaussian-endpoint battery: ``n_samples`` alpha = 2 increments have
+    variance 2 scale and kurtosis 3."""
+    z = sample_increment_array(StableDriverSpec(alpha=2.0, scale=scale), 1.0, n_samples,
+                               substream(seed, 30))
+    var = float(np.var(z))
+    kurt = float(np.mean(z ** 4) / var ** 2)
+    return {"variance": var, "expected": 2.0 * scale, "kurtosis": kurt}, [
+        CheckResult("gaussian_variance", abs(var - 2.0 * scale), GAUSSIAN_VARIANCE_GAP, "<"),
+        CheckResult("gaussian_kurtosis", abs(kurt - 3.0), GAUSSIAN_KURTOSIS_GAP, "<")]
 
 
 def _step_count(horizon, dt):

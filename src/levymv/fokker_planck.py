@@ -26,6 +26,10 @@ step, of the spectrum's change, updates the nodal values that the mass,
 minimum and boundary traces and the snapshots read (so a step that
 changes nothing keeps the density's bits), and a step of either scheme
 makes 9 transform calls.
+
+Two checks hold the solver to closed forms: :func:`linear_oracle`, the
+order study against the exact linear flow, and the weak-form duality of
+the jump generator and the multiplier (:func:`adjoint_identity_check`).
 """
 
 import math
@@ -35,6 +39,7 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .drivers import _step_count, cf_constant_from_levy_constant
+from .perturbation import CheckResult
 
 __all__ = [
     "DensityGrid",
@@ -45,6 +50,7 @@ __all__ = [
     "solve_linear_exact",
     "solve_fp",
     "adjoint_identity_check",
+    "linear_oracle",
     "AdjointReport",
     "bump",
     "gaussian_grid",
@@ -98,9 +104,9 @@ class DensityGrid:
     def mass(self):
         return float(self.values.sum()) * self.dx
 
-    def boundary_density(self, fraction=0.05):
-        """Max density within the outer ``fraction`` of the domain per side."""
-        k = max(1, int(self.m * fraction))
+    def boundary_density(self):
+        """Max density within the outer 5% of the domain per side."""
+        k = max(1, int(self.m * 0.05))
         return float(max(self.values[:k].max(), self.values[-k:].max()))
 
     def with_values(self, values, renormalize=False):
@@ -188,8 +194,8 @@ def stable_heat_kernel_grid(half_width, m, t, params):
     return solve_linear_exact(grid.with_values(delta, renormalize=True), t, params)
 
 
-def stable_step_limit(grid, sigma_max, params, safety=0.5):
-    """Largest dt the explicit scheme tolerates, scaled by ``safety``.
+def stable_step_limit(grid, sigma_max, params):
+    """The largest dt the explicit scheme takes: half its stability bound.
 
     The stiffest mode carries |multiplier| = diffusivity (pi/dx)^alpha
     times the sup of |sigma|^alpha; the classical four-stage explicit
@@ -199,7 +205,7 @@ def stable_step_limit(grid, sigma_max, params, safety=0.5):
         * abs(sigma_max) ** params.alpha
     if lam <= 0.0:
         return math.inf  # vanishing coefficient: nothing moves at any dt
-    return safety * RK4_REAL_AXIS / lam
+    return 0.5 * RK4_REAL_AXIS / lam
 
 
 class _Operator:
@@ -221,7 +227,7 @@ class _Operator:
         return abs_sigma, np.fft.rfft(w) * self.multiplier
 
 
-def _step_rk4(p, v, dt, op, safety, mass_tolerance):
+def _step_rk4(p, v, dt, op, mass_tolerance):
     """One explicit RK4 step of the spectral system from the density ``p``
     and its spectrum ``v``; returns the new density and its spectrum, the
     density's values moved by the inverse transform of the spectrum's change.
@@ -232,7 +238,7 @@ def _step_rk4(p, v, dt, op, safety, mass_tolerance):
     zero mode is invariant, so any drift is a bug, not a modeling error).
     """
     s1, k1 = op.stage(v)
-    limit = stable_step_limit(p, float(s1.max()), op.params, safety)
+    limit = stable_step_limit(p, float(s1.max()), op.params)
     if dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:.3g} exceeds stability bound {limit:.3g} "
                              f"(alpha={op.params.alpha}, dx={p.dx:.3g})")
@@ -293,7 +299,7 @@ class FpResult:
 
 
 def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
-             safety=0.5, boundary_density_tol=1e-4, mass_tolerance=MASS_TOLERANCE):
+             boundary_density_tol=1e-4, mass_tolerance=MASS_TOLERANCE):
     """March the density to ``horizon`` recording snapshots and health logs.
 
     Besides the initial density, ``snapshots`` densities are recorded, at
@@ -320,7 +326,7 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
     op = _Operator(p0, sigma, params)
     for k in range(n_steps):
         if scheme == "rk4":
-            p, v = _step_rk4(p, v, dt, op, safety, mass_tolerance)
+            p, v = _step_rk4(p, v, dt, op, mass_tolerance)
         else:
             p, v = _step_lawson(p, v, dt, op)
         t = (k + 1) * dt
@@ -339,6 +345,17 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
     return FpResult(times=times, grids=grids, mass_trace=np.asarray(mass),
                     min_trace=np.asarray(mins), boundary_trace=np.asarray(bdry),
                     dt=dt, scheme=scheme)
+
+
+def _health_checks(res, mass_tolerance, boundary_density_tol):
+    """A solve's health payload (its largest mass drift and boundary density,
+    and its snapshot times) and the checks of the first two."""
+    payload = {"mass_max_drift": float(np.max(np.abs(res.mass_trace - 1.0))),
+               "boundary_density_max": float(res.boundary_trace.max()),
+               "snapshot_times": [float(t) for t in res.times]}
+    return payload, [CheckResult("mass_drift", payload["mass_max_drift"], mass_tolerance),
+                     CheckResult("boundary_density", payload["boundary_density_max"],
+                                 boundary_density_tol)]
 
 
 def bump(center=0.0, width=1.0):
@@ -375,9 +392,12 @@ def _gauss_legendre_panels(breaks, nodes_per_panel):
     return (mid + half * gx[None, :]).ravel(), (half * gw[None, :]).ravel()
 
 
+# the duality check's test functions must vanish outside this share of the domain
+SUPPORT_FRACTION = 0.8
+
+
 def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
-                           head_cut=0.01, log_panels=20, nodes_per_panel=24,
-                           support_fraction=0.8):
+                           head_cut=0.01, log_panels=20, nodes_per_panel=24):
     """Weak-form duality check of the jump generator against the multiplier.
 
     Left side: the generator applied to ``phi`` by direct singular
@@ -393,10 +413,10 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     x, nu = nu_grid.nodes, nu_grid.values
     for name, fn in (("phi", phi), ("psi", psi)):
         edge = np.max(np.abs(fn(np.concatenate(
-            [np.linspace(-L, -support_fraction * L, 64),
-             np.linspace(support_fraction * L, L, 64)]))))
+            [np.linspace(-L, -SUPPORT_FRACTION * L, 64),
+             np.linspace(SUPPORT_FRACTION * L, L, 64)]))))
         if edge > 1e-12:
-            raise ValueError(f"{name} must vanish outside |x| <= {support_fraction} L")
+            raise ValueError(f"{name} must vanish outside |x| <= {SUPPORT_FRACTION} L")
     if np.any(nu < -1e-8 * max(nu.max(), 1e-300)):
         raise ValueError("grid density must be nonnegative")
     if abs(nu_grid.mass() - 1.0) > 1e-6:
@@ -450,3 +470,48 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     rhs = float(np.sum(phi(x) * fractional_laplacian(w, nu_grid, params)) * dx)
     rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     return AdjointReport(lhs=lhs, rhs=rhs, rel_error=rel)
+
+
+def _duality_table(cases, nu_grid, params, tolerance):
+    """:func:`adjoint_identity_check` on ``nu_grid`` for each (label, sigma,
+    phi, psi) case: the payload, a row per case of its label (as ``sigma``),
+    its two sides and its relative error, and the checks, each relative
+    error at most ``tolerance``."""
+    rows, checks = [], []
+    for i, (label, sigma, phi, psi) in enumerate(cases):
+        rep = adjoint_identity_check(sigma, nu_grid, phi, psi, params)
+        rows.append({"sigma": label, "lhs": rep.lhs, "rhs": rep.rhs,
+                     "rel_error": rep.rel_error})
+        checks.append(CheckResult(f"duality_rel_error_{i}", rep.rel_error, tolerance))
+    return {"tolerance": tolerance, "cases": rows}, checks
+
+
+def _sup_error(density, exact):
+    """sup over the nodes of |density - exact|."""
+    return float(np.max(np.abs(density.values - exact.values)))
+
+
+def linear_oracle(cases, horizon, sigma, sup_tolerance, order_ratio_range, **solve_options):
+    """The order study of :func:`solve_fp` against :func:`solve_linear_exact`.
+
+    Each case is (initial grid, params, dt): the sup error of the solve to
+    ``horizon`` at dt, at most ``sup_tolerance``, and at dt / 2; their ratio,
+    16 for a fourth-order scheme, lies in ``order_ratio_range``.  Returns a
+    row per case and the checks.  The exact flow is the solve's own for the
+    unit coefficient, so ``sigma`` is ``Constant(1.0)`` for a meaningful
+    study; ``solve_options`` go to every solve.
+    """
+    lo_ratio, hi_ratio = order_ratio_range
+    rows, checks = [], []
+    for i, (grid, params, dt) in enumerate(cases):
+        exact = solve_linear_exact(grid, horizon, params)
+        errs = [_sup_error(solve_fp(grid, horizon, d, sigma, params, **solve_options).final(),
+                           exact)
+                for d in (dt, dt / 2.0)]
+        ratio = errs[0] / max(errs[1], 1e-300)
+        rows.append({"alpha": params.alpha, "dt": dt, "sup_error": errs[0],
+                     "sup_error_half_dt": errs[1], "order_ratio": ratio})
+        checks += [CheckResult(f"sup_error_{i}", errs[0], sup_tolerance),
+                   CheckResult(f"order_ratio_lo_{i}", ratio, lo_ratio, ">="),
+                   CheckResult(f"order_ratio_hi_{i}", ratio, hi_ratio)]
+    return rows, checks

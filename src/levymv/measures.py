@@ -13,7 +13,10 @@ row, serve :func:`wasserstein2`, :func:`check_empirical_distance_bound`,
 the gap experiment and the particle engine's coupled runs; the blocked
 pairwise kernel mean serves :func:`smoothed_density` and the pair-kernel
 coefficient; the Monte-Carlo mean with its standard error serves the gap
-and chaos-rate experiments.
+and chaos-rate experiments, and the step check of such means within two
+standard errors serves the lemma-4 battery and the chaos-rate monotone
+check; the empirical CF gap serves the sampler's CF battery and the
+simulate command's CF test.
 
 Gaussian smoothing is exact in :func:`smoothed_density` (the oracle) and
 binned in :func:`smoothing_table` (every hot path) and convolved by
@@ -27,6 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .perturbation import CheckResult
+from .rng import substream
 
 __all__ = [
     "EmpiricalMeasure",
@@ -109,6 +115,21 @@ def check_empirical_distance_bound(xs, ys, tol=1e-12):
     _, excess = _sorted_pairing(EmpiricalMeasure(xs).samples, EmpiricalMeasure(ys).samples,
                                 (xs - ys).ravel())
     return bool(excess <= tol)
+
+
+def _distance_bound(*, trials, n_min, n_max, tolerance, seed):
+    """The distance-bound battery: :func:`check_empirical_distance_bound` at
+    ``tolerance`` on ``trials`` random pairs of n_min..n_max points, the
+    second a noisy copy of the first; a failing pair is a violation."""
+    rng = substream(seed, 50)
+    violations = 0
+    for _ in range(trials):
+        n = int(rng.integers(n_min, n_max + 1))
+        xs = rng.normal(0.0, 1.0 + rng.random() * 3.0, n)
+        ys = xs + rng.normal(0.0, rng.random() * 2.0, n)
+        violations += not check_empirical_distance_bound(xs, ys, tol=tolerance)
+    return ({"trials": trials, "violations": violations},
+            [CheckResult("distance_bound_violations", violations, 0)])
 
 
 def _sorted_pairing(xs, ys, gap=None):
@@ -377,6 +398,21 @@ def empirical_gap_experiment(law_sampler, n, reps, rng, n_ref=10 ** 6):
     return GapEstimate(n=n, reps=reps, mean_sq_distance=mean, stderr=stderr)
 
 
+def _lemma4(*, n_values, reps, n_ref, bound, seed):
+    """The lemma-4 battery: :func:`empirical_gap_experiment` on the standard
+    normal law at each n; each mean at most ``bound``, and each below the
+    one before within twice their combined standard error."""
+    ests = [empirical_gap_experiment(lambda r, size: r.standard_normal(size), n, reps,
+                                     substream(seed, 40, i), n_ref=n_ref)
+            for i, n in enumerate(n_values)]
+    means = [est.mean_sq_distance for est in ests]
+    checks = [CheckResult(f"lemma4_bound_{i}", m, bound) for i, m in enumerate(means)]
+    checks += _within_2se("lemma4_monotone", means, [est.stderr for est in ests], "<")
+    return {"bound": bound, "rows": [
+        {"n": n, "mean_sq_distance": est.mean_sq_distance, "stderr": est.stderr}
+        for n, est in zip(n_values, ests)]}, checks
+
+
 def _mean_stderr(values):
     """(mean, standard error) of Monte-Carlo repetitions; the error is inf
     for one repetition."""
@@ -384,3 +420,17 @@ def _mean_stderr(values):
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
     return mean, stderr
+
+
+def _within_2se(name, means, stderrs, sense):
+    """One check per step along ``means``: the mean may rise over the one
+    before by at most (``<=``) or by less than (``<``) twice their combined
+    standard error."""
+    return [CheckResult(f"{name}_{i}", b, a + 2.0 * math.hypot(sa, sb), sense)
+            for i, (a, b, sa, sb) in enumerate(zip(means, means[1:], stderrs, stderrs[1:]), 1)]
+
+
+def _cf_gap(samples, xi, expected):
+    """max over xi of |empirical CF of the samples - expected CF|."""
+    emp = np.exp(1j * xi[:, None] * samples[None, :]).mean(axis=1)
+    return float(np.max(np.abs(emp - expected)))

@@ -30,6 +30,11 @@ Randomness comes from counter-based substreams keyed by
 reproducible bit-for-bit regardless of worker count or of how
 repetitions are chunked among workers, and particle permutations act on
 trajectories exactly as they act on the streams.
+
+The experiments on the engine return their payload and their checks:
+:func:`kde_l1_table` holds the system's marginals against a density
+solve in L1, the chaos-rate table gets its slope and monotone checks,
+and a constant-coefficient stable run its terminal CF test.
 """
 
 import math
@@ -40,7 +45,9 @@ import numpy as np
 
 from .drivers import (StableDriverSpec, _check_truncation, _step_count,
                       sample_increment_array, truncated_stable_triplet)
-from .measures import EmpiricalMeasure, _mean_stderr, _sorted_pairing, wasserstein2
+from .measures import (EmpiricalMeasure, _cf_gap, _mean_stderr, _sorted_pairing,
+                       _within_2se, read_table, smoothing_table, wasserstein2)
+from .perturbation import CheckResult
 from .rng import SubstreamRows, derive_key, substream
 
 __all__ = [
@@ -56,6 +63,7 @@ __all__ = [
     "CouplingResult",
     "SimulationError",
     "simulate",
+    "kde_l1_table",
     "picard_flow",
     "simulate_coupled",
     "chaos_rate_experiment",
@@ -277,6 +285,55 @@ def simulate(cfg, record_every=1):
     return MarginalFlow(times=np.asarray(times), marginals=marginals)
 
 
+def _terminal_cf_test(flow, cfg, xi_grid, tolerance):
+    """The CF test of a run of ``cfg`` with a constant coefficient over a
+    stable driver, whose law at the horizon is the initial law convolved
+    with a stable law: the sup over ``xi_grid`` of the gap between the two
+    CFs, the final marginal's empirical one and the exact one, at most
+    ``tolerance`` (None: 4 / sqrt(n) + 1e-3).  Returns the payload and the
+    check."""
+    xi = np.array(xi_grid)
+    alpha = cfg.driver.alpha
+    c_tot = cfg.driver.scale * cfg.horizon_T * abs(cfg.sigma.value) ** alpha
+    expected = cfg.initial_law.cf(xi) * np.exp(-c_tot * np.abs(xi) ** alpha)
+    gap = _cf_gap(flow.final().samples, xi, expected)
+    tol = tolerance if tolerance is not None else 4.0 / math.sqrt(cfg.n_particles) + 1e-3
+    return {"max_abs_gap": gap, "tolerance": tol}, [CheckResult("cf_gap", gap, tol)]
+
+
+def kde_l1_table(cfg, n_list, pde, kde_eps, l1_max_at_largest=None):
+    """The particle system against the density solver, by L1 distance.
+
+    ``pde`` is a solve to ``cfg``'s horizon (an ``FpResult``) whose
+    snapshot count divides ``cfg.n_steps``; ``cfg`` gives everything but
+    the system size.  For each n of ``n_list``, in ascending order, the
+    system is simulated with its marginal recorded every ``cfg.n_steps /
+    snapshots`` steps, so that the k-th recorded marginal falls on the
+    solve's k-th snapshot after t = 0, and its :func:`smoothing_table` KDE
+    of width ``kde_eps`` is read on the snapshot's nodes.  Returns the
+    payload, one row of (n, time, L1 distance) per pair and the last n's
+    L1 at the horizon against ``l1_max_at_largest``, and the checks: at
+    the horizon L1 falls strictly with each step up in n, and the last is
+    at most ``l1_max_at_largest`` unless that is None.
+    """
+    every = cfg.n_steps // (len(pde.times) - 1)
+    rows = []
+    for n in n_list:
+        flow = simulate(replace(cfg, n_particles=n), record_every=every)
+        for t, p_t, marg in zip(pde.times[1:], pde.grids[1:], flow.marginals[1:],
+                                strict=True):
+            kde = read_table(smoothing_table(marg, kde_eps), p_t.nodes)
+            l1 = float(np.sum(np.abs(kde - p_t.values)) * p_t.dx)
+            rows.append({"n": n, "time": float(t), "l1_distance": l1})
+    l1s = [r["l1_distance"] for r in rows if r["time"] == pde.times[-1]]
+    checks = [CheckResult(f"l1_decreasing_{i}", b, a, "<")
+              for i, (a, b) in enumerate(zip(l1s, l1s[1:]), 1)]
+    if l1_max_at_largest is not None:
+        checks.append(CheckResult("l1_at_largest", l1s[-1], l1_max_at_largest))
+    return {"rows": rows, "l1_at_largest": l1s[-1],
+            "l1_max_at_largest": l1_max_at_largest}, checks
+
+
 @dataclass
 class PicardResult:
     flows: list
@@ -493,3 +550,26 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
                                     [max(r.mean_sq_gap, 1e-300) for r in rows])
     return ChaosRateTable(rows=rows, fitted_slope=slope, slope_stderr=slope_se,
                           status="ok", reference_n=n_ref, reps=reps)
+
+
+def _chaos_checks(table, slope_max, require_monotone):
+    """A chaos-rate table's payload and checks: the fitted slope at most
+    ``slope_max`` unless that is None, and, if ``require_monotone``, each
+    size's mean square gap at most the one before plus twice their combined
+    standard error.  A degenerate table gets neither."""
+    payload = table.to_json_dict()
+    checks = []
+    if table.status.startswith("degenerate"):
+        payload["criterion"] = "degenerate measure-independent coefficient"
+        return payload, checks
+    if slope_max is not None:
+        slope = CheckResult("slope", table.fitted_slope, slope_max)
+        payload["criterion"] = {"slope_max": slope.limit, "fitted": slope.value,
+                                "pass": slope.passed}
+        checks.append(slope)
+    if require_monotone:
+        monotone = _within_2se("monotone", [r.mean_sq_gap for r in table.rows],
+                               [r.stderr for r in table.rows], "<=")
+        payload["monotone_within_2se"] = all(c.passed for c in monotone)
+        checks += monotone
+    return payload, checks

@@ -212,8 +212,7 @@ def _displacement_ratio(y, a, lam, params):
     return np.abs(ratio - 1.0) / np.abs(lam)
 
 
-def verify_h1(params, resolutions=(256, 512, 1024, 2048),
-              ratio_grid_sizes=(400, 21, 25)):
+def verify_h1(params, resolutions=(256, 512, 1024, 2048)):
     """Run the full admissibility battery, one :class:`CheckResult` per
     comparison.
 
@@ -302,7 +301,7 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048),
     checks.append(CheckResult("square_integral_finite", abs(vals[-1]), sys.float_info.max))
 
     # shifted-density ratio bound, sampled over (y, a, lambda)
-    ny, na, nl = ratio_grid_sizes
+    ny, na, nl = 400, 21, 25
     ys = np.concatenate([np.geomspace(1e-10, e, ny // 2),
                          np.linspace(e, 1.0, ny - ny // 2)[1:]])
     avals = np.linspace(-k1, k1, na)

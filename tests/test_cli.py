@@ -518,7 +518,7 @@ class TestCompareCommand:
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr(cli.fp, "solve_fp", no_run)
-        monkeypatch.setattr(cli, "simulate", no_run)
+        monkeypatch.setattr(cli.particles, "simulate", no_run)
         payload = {
             "command": "compare", "seed": 9,
             "driver": {"kind": "stable", "alpha": 1.5},
@@ -542,7 +542,7 @@ class TestCompareCommand:
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr(cli.fp, "solve_fp", no_run)
-        monkeypatch.setattr(cli, "simulate", no_run)
+        monkeypatch.setattr(cli.particles, "simulate", no_run)
         payload = {
             "command": "compare", "seed": 9,
             "driver": {"kind": "stable", "alpha": 1.5},
@@ -614,6 +614,12 @@ class TestValidateAndH1Commands:
             assert main(["validate-sampler", cfg, "--out", str(tmp_path / key)]) == 2
             err = capsys.readouterr().err
             assert "error:" in err and repr(key) in err and "Traceback" not in err, key
+
+    def test_battery_parameters_are_its_block_keys(self):
+        # validate-sampler calls each battery with its block's keys and the seed
+        import inspect
+        for name, (battery, keys) in cli._BATTERIES.items():
+            assert list(inspect.signature(battery).parameters) == [*keys, "seed"], name
 
     def test_check_h1_pass_and_fail_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, {

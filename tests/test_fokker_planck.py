@@ -304,7 +304,7 @@ class TestSolverEqualsHandSteps:
         grid = gaussian_grid(8.0, 128, mean=0.3, std=0.5)
         params = FractionalParams(1.5, 1.0)
         one, _ = _step_rk4(grid, np.fft.rfft(grid.values), self.dt,
-                           _Operator(grid, SIGMAS[name], params), 0.5, 1e-9)
+                           _Operator(grid, SIGMAS[name], params), 1e-9)
         res = solve_fp(grid, self.dt, self.dt, SIGMAS[name], params,
                        boundary_density_tol=1e-2)
         assert len(res.mass_trace) == 2
@@ -347,7 +347,7 @@ class TestTransformsPerStep:
         op = _Operator(grid, SIGMAS[name], params)
         v = np.fft.rfft(grid.values)
         calls = self._count(monkeypatch)
-        _step_rk4(grid, v, 2.0 ** -8, op, 0.5, 1e-9)
+        _step_rk4(grid, v, 2.0 ** -8, op, 1e-9)
         assert len(calls) <= 10 and calls.count("irfft") == 5
         del calls[:]
         _step_lawson(grid, v, 2.0 ** -8, op)
