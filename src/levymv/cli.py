@@ -216,6 +216,23 @@ def _snapshots_on_both_grids(c):
                                     for grid, n in steps.items()))
 
 
+def _has_exact_flow(sigma):
+    # a nonzero constant sigma's flow is the linear one with its diffusivity
+    # scaled by |value|^alpha
+    return sigma["kind"] == "constant" and sigma["value"] != 0.0
+
+
+def _oracle_has_an_exact_flow(c):
+    if c["linear_oracle"] is not None and not _has_exact_flow(c["sigma"]):
+        raise ConfigError(f"{_name(('sigma',))} must be a nonzero constant beside "
+                          f"{_name(('linear_oracle',))}, whose exact flow needs one; "
+                          f"got {c['sigma']!r}")
+
+
+# a constant sigma steps the system and its frozen-flow copies alike, so
+# its chaos table is degenerate and no gate reads it
+_CHAOS_GATES = (lambda c: c["sigma"]["kind"] != "constant",
+                "the chaos-rate gates, which run given a sigma that is not constant")
 _SOLVE = "a solve, which runs given 'horizon' and no 'linear_oracle'"
 _HORIZON_SOLVES = (lambda c: c["horizon"] is not None, "the solves, which run given 'horizon'")
 
@@ -248,7 +265,8 @@ _COMMAND_KEYS = {
     },),
     "chaos-rate": ({
         **_PARTICLE_RUN, "n_list": _list_of(COUNT, 4, ascending=True), "reps": COUNT,
-        "n_ref": (COUNT, None), "slope_max": (NUMBER, None), "require_monotone": (FLAG, False),
+        "n_ref": (COUNT, None), "slope_max": (NUMBER, None, _CHAOS_GATES),
+        "require_monotone": (FLAG, False, _CHAOS_GATES),
     }, _n_ref_covers_n_list),
     "pde": ({
         "grid": _GRID, "sigma": _SIGMA,
@@ -269,7 +287,7 @@ _COMMAND_KEYS = {
             "cases": _list_of(_block({"alpha": ALPHA, "dt": POSITIVE})),
             "sup_tolerance": (NUMBER, 1e-6), "order_ratio_range": (_PAIR, [12.0, 20.0])}),
             None),
-    }, _pde_runs),
+    }, _pde_runs, _oracle_has_an_exact_flow),
     "compare": ({
         # both descriptions must start from one density and share one law
         "driver": _kinds({"stable": _STABLE}), "initial": _kinds({"gaussian": _GAUSSIAN}),
@@ -429,10 +447,8 @@ def cmd_pde(cfg, outdir, threads):
             health, found = fp._health_checks(res, cfg["mass_tolerance"],
                                               cfg["boundary_density_tol"])
             summary.update(health)
-            sigma_cfg = cfg["sigma"]
-            if sigma_cfg["kind"] == "constant" and sigma_cfg["value"] != 0.0:
-                exact = fp.solve_linear_exact(grid, cfg["horizon"], fp.FractionalParams(
-                    alpha=p.alpha, diffusivity=p.diffusivity * abs(sigma_cfg["value"]) ** p.alpha))
+            if _has_exact_flow(cfg["sigma"]):
+                exact = fp._constant_flow(grid, cfg["horizon"], sigma, p)
                 summary["max_error_vs_exact"] = fp._sup_error(res.final(), exact)
         checks += found
     return _finish(outdir, cfg, summary, checks)
@@ -442,7 +458,8 @@ def cmd_chaos_rate(cfg, outdir, threads):
     base = _build_sim_config(cfg, max(cfg["n_list"]))
     table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
                                   threads=threads)
-    payload, checks = particles._chaos_checks(table, cfg["slope_max"], cfg["require_monotone"])
+    gates = {key: cfg[key] for key in ("slope_max", "require_monotone") if key in cfg}
+    payload, checks = particles._chaos_checks(table, **gates)
     exports.chaos_table_to_csv(table, os.path.join(outdir, "table.csv"))
     _write_json(os.path.join(outdir, "slope.json"), payload)
     return _finish(outdir, cfg, {"config": cfg, "result": payload}, checks)

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
+from .coefficients import Constant
 from .drivers import _step_count, cf_constant_from_levy_constant
+from .measures import _row_block
 from .perturbation import CheckResult
 
 __all__ = [
@@ -408,6 +410,11 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     the multiplier form moved onto ``|sigma|^alpha psi`` spectrally.
     Both test functions must be compactly supported away from the seam, and
     ``nu_grid`` must be a probability density: sigma reads it as the measure.
+
+    The quadrature is built once per distinct |sigma| value, chunk by chunk
+    under the block budget of :mod:`levymv.measures`, so its working set
+    stays a few MiB at any grid size; the result does not depend on the
+    budget.
     """
     L, dx = nu_grid.half_width, nu_grid.dx
     x, nu = nu_grid.nodes, nu_grid.values
@@ -443,31 +450,39 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     # one full period [head_cut, head_cut + p(x)] with the Hurwitz-zeta
     # weight folding in every later period exactly; the quadrature depends
     # on x only through |sigma(x)|, so it is built once per distinct value
-    # (row) and each node reads its value's row.  The integrand is blocked
-    # over the nodes, about 2^17 node-abscissa pairs at a time, to bound
-    # memory: each node's sum is one reduction over its own row.
+    # (row) and each node reads its value's row.  The distinct values are
+    # walked in chunks of as many rows as the block budget holds, and a
+    # chunk's nodes are summed in blocks of as many nodes: each node's sum
+    # is one reduction over its own row.
     s_distinct, row = np.unique(s, return_inverse=True)
-    period = 2.0 * L / s_distinct
-    ratio = (head_cut + period) / head_cut
+    by_row = np.argsort(row, kind="stable")            # the nodes, row by row
+    row_starts = np.concatenate(([0], np.cumsum(np.bincount(row))))
     tau_breaks = np.linspace(0.0, 1.0, log_panels + 1)
     tau, tau_w = _gauss_legendre_panels(tau_breaks, nodes_per_panel)
-    y = head_cut * np.power.outer(ratio, tau)            # (distinct, nq)
-    dy = y * np.log(ratio)[:, None] * tau_w[None, :]
-    weight = period[:, None] ** (-1.0 - alpha) * hurwitz_zeta(
-        1.0 + alpha, y / period[:, None])
+    step = _row_block(tau.size)
+    phi_x = phi(x)
     body = np.empty(x.size)
-    step = max(1, (1 << 17) // tau.size)
-    for lo in range(0, x.size, step):
-        b = slice(lo, lo + step)
-        xb, sb, yb = x[b, None], s[b, None], y[row[b]]
-        big_g = phi_wrapped(xb + sb * yb) + phi_wrapped(xb - sb * yb) - 2.0 * phi(xb)
-        body[b] = np.sum(big_g * weight[row[b]] * dy[row[b]], axis=1)
+    for lo in range(0, s_distinct.size, step):
+        period = 2.0 * L / s_distinct[lo:lo + step]
+        ratio = (head_cut + period) / head_cut
+        y = head_cut * np.power.outer(ratio, tau)        # (rows, nq)
+        dy = y * np.log(ratio)[:, None] * tau_w[None, :]
+        weight = period[:, None] ** (-1.0 - alpha) * hurwitz_zeta(
+            1.0 + alpha, y / period[:, None])
+        nodes = by_row[row_starts[lo]:row_starts[lo + period.size]]
+        for first in range(0, nodes.size, step):
+            b = nodes[first:first + step]
+            r = row[b] - lo
+            xb, sb, yb = x[b, None], s[b, None], y[r]
+            big_g = (phi_wrapped(xb + sb * yb) + phi_wrapped(xb - sb * yb)
+                     - 2.0 * phi_x[b, None])
+            body[b] = np.sum(big_g * weight[r] * dy[r], axis=1)
 
     gen_phi = k_sing * (head + body)
     lhs = float(np.sum(gen_phi * psi(x)) * dx)
 
     w = s ** alpha * psi(x)
-    rhs = float(np.sum(phi(x) * fractional_laplacian(w, nu_grid, params)) * dx)
+    rhs = float(np.sum(phi_x * fractional_laplacian(w, nu_grid, params)) * dx)
     rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     return AdjointReport(lhs=lhs, rhs=rhs, rel_error=rel)
 
@@ -491,20 +506,32 @@ def _sup_error(density, exact):
     return float(np.max(np.abs(density.values - exact.values)))
 
 
+def _constant_flow(p0, t, sigma, params):
+    """The exact flow of :func:`solve_fp` under the constant coefficient
+    ``sigma`` (nonzero): the linear flow with its diffusivity scaled by
+    |value|^alpha."""
+    return solve_linear_exact(p0, t, FractionalParams(
+        alpha=params.alpha, diffusivity=params.diffusivity * abs(sigma.value) ** params.alpha))
+
+
 def linear_oracle(cases, horizon, sigma, sup_tolerance, order_ratio_range, **solve_options):
-    """The order study of :func:`solve_fp` against :func:`solve_linear_exact`.
+    """The order study of :func:`solve_fp` against its exact flow.
 
     Each case is (initial grid, params, dt): the sup error of the solve to
     ``horizon`` at dt, at most ``sup_tolerance``, and at dt / 2; their ratio,
     16 for a fourth-order scheme, lies in ``order_ratio_range``.  Returns a
-    row per case and the checks.  The exact flow is the solve's own for the
-    unit coefficient, so ``sigma`` is ``Constant(1.0)`` for a meaningful
-    study; ``solve_options`` go to every solve.
+    row per case and the checks.  ``sigma`` is a nonzero
+    :class:`~levymv.coefficients.Constant`, whose exact flow is the linear
+    one with the diffusivity scaled by |value|^alpha (any other coefficient
+    raises ``ValueError``); ``solve_options`` go to every solve.
     """
+    if not isinstance(sigma, Constant) or sigma.value == 0.0:
+        raise ValueError("the linear oracle needs a nonzero constant coefficient, "
+                         "the only one with an exact flow")
     lo_ratio, hi_ratio = order_ratio_range
     rows, checks = [], []
     for i, (grid, params, dt) in enumerate(cases):
-        exact = solve_linear_exact(grid, horizon, params)
+        exact = _constant_flow(grid, horizon, sigma, params)
         errs = [_sup_error(solve_fp(grid, horizon, d, sigma, params, **solve_options).final(),
                            exact)
                 for d in (dt, dt / 2.0)]

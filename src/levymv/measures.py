@@ -23,6 +23,14 @@ binned in :func:`smoothing_table` (every hot path) and convolved by
 :func:`periodic_convolution`; the kernel's transform,
 :func:`periodic_gaussian_transform`, is built once per grid and is the one
 the PDE grid's sigma multiplies the solver's spectrum by.
+
+Every blocked reduction is sized by one block budget, ``_BLOCK_ELEMENTS``
+float64 values per temporary: the pairwise kernel mean, the CF gap and
+the duality check's jump quadrature in :mod:`levymv.fokker_planck` each
+take as many rows (points, frequencies, nodes) per block as the budget
+holds, and at least one.  The budget bounds their working set, not their
+results: each row is one reduction over its own full length, whichever
+rows share its block.
 """
 
 import functools
@@ -174,17 +182,28 @@ def smoothed_density(mu, eps, x):
     return _pair_mean(lambda xq, y: gaussian_kernel(xq - y, eps), x, s)
 
 
+# the block budget, in float64 values per temporary: a blocked kernel holds
+# ten or so temporaries of this size, 256 KiB each, within one core's L2
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _row_block(row_size):
+    """How many rows of ``row_size`` values one block takes: as many as the
+    budget holds, and at least one, so a row is never split."""
+    return max(1, _BLOCK_ELEMENTS // max(1, row_size))
+
+
 def _pair_mean(kernel, x, samples):
     """(1/n) sum_i kernel(x, samples_i) at each point of scalar or array x.
 
-    Blocked over the points, about 2^22 point-sample pairs at a time, to
-    bound memory: each point's sum spans every sample in one reduction, so
+    Blocked over the points, as many as the block budget holds against
+    every sample: each point's sum spans every sample in one reduction, so
     it does not depend on the points queried with it.
     """
     xq = np.asarray(x, dtype=float)
     flat = xq.ravel()
     out = np.empty(flat.size)
-    step = max(1, (1 << 22) // max(1, samples.size))
+    step = _row_block(samples.size)
     for lo in range(0, flat.size, step):
         out[lo:lo + step] = kernel(flat[lo:lo + step, None], samples[None, :]).sum(axis=1)
     out /= samples.size
@@ -431,6 +450,16 @@ def _within_2se(name, means, stderrs, sense):
 
 
 def _cf_gap(samples, xi, expected):
-    """max over xi of |empirical CF of the samples - expected CF|."""
-    emp = np.exp(1j * xi[:, None] * samples[None, :]).mean(axis=1)
+    """max over xi of |empirical CF of the samples - expected CF|.
+
+    Blocked over xi, as many as the block budget holds against every
+    sample (one at a time for a large sample): each xi's mean is one
+    reduction over every sample.
+    """
+    emp = np.empty(xi.size, dtype=complex)
+    step = _row_block(samples.size)
+    for lo in range(0, xi.size, step):
+        phase = 1j * xi[lo:lo + step, None] * samples[None, :]
+        emp[lo:lo + step] = np.exp(phase, out=phase).mean(axis=1)
+        del phase                                    # before the next block's
     return float(np.max(np.abs(emp - expected)))

@@ -552,7 +552,7 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
                           status="ok", reference_n=n_ref, reps=reps)
 
 
-def _chaos_checks(table, slope_max, require_monotone):
+def _chaos_checks(table, slope_max=None, require_monotone=False):
     """A chaos-rate table's payload and checks: the fitted slope at most
     ``slope_max`` unless that is None, and, if ``require_monotone``, each
     size's mean square gap at most the one before plus twice their combined

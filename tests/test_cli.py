@@ -395,6 +395,21 @@ class TestPdeCommand:
         summary = json.load(open(out / "summary.json"))
         assert "adjoint_checks" in summary and "linear_oracle" in summary
 
+    def test_linear_oracle_solves_against_its_own_coefficient(self, tmp_path, capsys):
+        # sigma = 2 speeds the flow up by 2^alpha; the exact flow must too
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 8.0, "points": 128},
+            "initial": {"kind": "gaussian", "std": 0.5},
+            "sigma": {"kind": "constant", "value": 2.0},
+            "horizon": 0.2, "boundary_density_tol": 1e-2,
+            "linear_oracle": {"cases": [{"alpha": 1.5, "dt": 0.002}]},
+        }
+        out = tmp_path / "two"
+        assert main(["pde", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        (row,) = json.load(open(out / "summary.json"))["linear_oracle"]
+        assert row["sup_error"] < 1e-9 and 12.0 <= row["order_ratio"] <= 20.0
+
     def test_stability_failure_exits_nonzero(self, tmp_path, capsys):
         payload = {
             "command": "pde", "seed": 1,

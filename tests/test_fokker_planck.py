@@ -13,7 +13,7 @@ from levymv.fokker_planck import (AdjointReport, DensityGrid, FractionalParams,
                                   StabilityError, _fd_second, _gauss_legendre_panels,
                                   _Operator, _step_lawson, _step_rk4,
                                   adjoint_identity_check, bump,
-                                  fractional_laplacian, gaussian_grid, solve_fp,
+                                  fractional_laplacian, gaussian_grid, linear_oracle, solve_fp,
                                   solve_linear_exact, stable_heat_kernel_grid,
                                   stable_step_limit)
 
@@ -64,6 +64,14 @@ class TestLinearExact:
         out = solve_linear_exact(grid, 1e4, FractionalParams(1.5))
         assert np.max(np.abs(out.values - 1.0 / 16.0)) < 1e-10
 
+
+    @pytest.mark.parametrize("sigma", [SmoothedDensityPower(0.5, 0.5),
+                                       Constant(0.0, check_nonzero=False)],
+                             ids=["smoothed", "zero"])
+    def test_linear_oracle_needs_a_nonzero_constant(self, sigma):
+        with pytest.raises(ValueError, match="nonzero constant"):
+            linear_oracle([(gaussian_grid(8.0, 128), FractionalParams(1.5), 0.01)], 0.1,
+                          sigma, 1e-6, (12.0, 20.0))
 
 class TestStepFp:
     """The explicit RK4 step, taken through solve_fp."""

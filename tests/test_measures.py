@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from levymv import measures
-from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure,
-                             _sorted_pairing, _w2sq_sorted_unequal, gaussian_kernel,
+from levymv.coefficients import CauchyKernel, SmoothedDensityPower
+from levymv.fokker_planck import FractionalParams, adjoint_identity_check, bump, gaussian_grid
+from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure, _cf_gap,
+                             _pair_mean, _sorted_pairing, _w2sq_sorted_unequal, gaussian_kernel,
                              check_empirical_distance_bound,
                              empirical_gap_experiment, read_table,
                              second_moment, smoothed_density, smoothing_table,
@@ -347,6 +350,54 @@ class TestSmoothingTable:
             smoothing_table(np.array([]), 0.5)
         with pytest.raises(ValueError):
             smoothing_table(np.array([0.0]), 0.0)
+
+
+def _traced_peak_mib(fn):
+    """The peak of the memory traced while ``fn()`` runs (numpy reports its
+    buffers to tracemalloc), in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockBudget:
+    # the budget bounds each blocked kernel's working set; holding every row
+    # (or 2^22 point-sample pairs) at once, these cases peak at 50.7, 64.0
+    # and 152.6 MiB
+
+    def test_duality_case_at_4096_points_stays_small(self):
+        nu = gaussian_grid(8.0, 4096, std=1.0)
+        peak = _traced_peak_mib(lambda: adjoint_identity_check(
+            SmoothedDensityPower(0.5, 0.5), nu, bump(-1.0, 2.5), bump(1.2, 2.2),
+            FractionalParams(1.5, 1.0)))
+        assert peak <= 8.0
+
+    def test_smoothed_density_of_many_points_stays_small(self):
+        samples = substream(131).normal(0.0, 1.0, 10 ** 4)
+        x = np.linspace(-4.0, 4.0, 4000)
+        assert _traced_peak_mib(lambda: smoothed_density(samples, 0.5, x)) <= 4.0
+
+    def test_cf_gap_over_a_large_sample_stays_small(self):
+        samples = substream(132).standard_cauchy(10 ** 6)
+        xi = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        assert _traced_peak_mib(lambda: _cf_gap(samples, xi, np.exp(-np.abs(xi)))) <= 40.0
+
+    def test_results_do_not_depend_on_the_budget(self, monkeypatch):
+        # each point's and each xi's sum is one reduction over every sample,
+        # whichever rows share its block
+        rng = substream(133)
+        samples = np.sort(rng.normal(0.0, 1.0, 2000))
+        x = rng.normal(0.0, 2.0, 300)
+        xi = np.linspace(-3.0, 3.0, 41)
+        kernel = CauchyKernel(1.0, 0.5)
+        assert measures._row_block(samples.size) > 1
+        default = (_pair_mean(kernel, x, samples), _cf_gap(samples, xi, np.exp(-xi * xi)))
+        monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 1)
+        assert np.array_equal(_pair_mean(kernel, x, samples), default[0])
+        assert _cf_gap(samples, xi, np.exp(-xi * xi)) == default[1]
 
 
 class TestSecondMoment:
