@@ -64,7 +64,6 @@ class TestLinearExact:
         out = solve_linear_exact(grid, 1e4, FractionalParams(1.5))
         assert np.max(np.abs(out.values - 1.0 / 16.0)) < 1e-10
 
-
     @pytest.mark.parametrize("sigma", [SmoothedDensityPower(0.5, 0.5),
                                        Constant(0.0, check_nonzero=False)],
                              ids=["smoothed", "zero"])
@@ -72,6 +71,7 @@ class TestLinearExact:
         with pytest.raises(ValueError, match="nonzero constant"):
             linear_oracle([(gaussian_grid(8.0, 128), FractionalParams(1.5), 0.01)], 0.1,
                           sigma, 1e-6, (12.0, 20.0))
+
 
 class TestStepFp:
     """The explicit RK4 step, taken through solve_fp."""
