@@ -4,18 +4,23 @@ Subcommands: simulate | pde | chaos-rate | compare | validate-sampler |
 check-h1.  Each reads one JSON config file or a shipped ``--preset`` and
 writes its artifacts into ``--out``.  ``SCHEMAS`` holds one table per
 command with every key's type, value domain and default, the condition
-under which a key is read, and the rules that relate keys; ``main``
-resolves the config against it before the output directory is made.  The
-resolved config holds every default the run uses and exactly the keys it
-reads; commands index it directly, and ``config.resolved.json`` records
-it, so rerunning from that file reproduces the run.  A config that breaks
-the schema (an unknown, missing or ill-typed key, a value outside its
-domain, a key given where the run would not read it, keys that do not fit
-together), a config file that cannot be read or parsed, an initial file
-that cannot be loaded and a ``--threads`` below 1 print ``error: ...``
-naming the key, file or flag and exit 2; a check that does not pass, or a
-run that aborts, exits 1.  A command builds the library objects from the
-resolved config, makes one library call per experiment, writes its files
+under which a key is read, the rules that relate keys and the
+constructors of the library objects; ``main`` resolves the config against
+it before the output directory is made.  Resolution builds the run: each
+kind of sigma, driver and initial law, each duality test function and
+each command's run (its particle ``SimulationConfig``, its initial
+densities, its ``PerturbationParams``) is built once, as its block
+resolves, and a value its constructor rejects is rejected there, naming
+the block.  The resolved config holds every default the run uses and
+exactly the keys it reads; commands index it directly and read the built
+objects from it, and ``config.resolved.json`` records it, so rerunning
+from that file reproduces the run.  A config that breaks the schema (an
+unknown, missing or ill-typed key, a value outside its domain or one that
+a constructor rejects, a key given where the run would not read it, keys
+that do not fit together), a config file that cannot be read or parsed
+and a ``--threads`` below 1 print ``error: ...`` naming the key, file or
+flag and exit 2; a check that does not pass, or a run that aborts, exits
+1.  A command makes one library call per experiment, writes its files
 and hands its checks to ``_finish``: the experiments live next to what
 they test (the sampler batteries in ``drivers`` and ``measures``, the
 linear oracle, the duality table and a solve's health checks in
@@ -36,7 +41,9 @@ import sys
 
 import numpy as np
 
-from . import coefficients, drivers, exports, fokker_planck as fp, measures, particles
+from . import drivers, exports, fokker_planck as fp, measures, particles
+from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel,
+                           SmoothedDensityPower)
 from .drivers import JumpAtoms, LevyTripletSpec, StableDriverSpec, _step_count
 from .particles import (FileLaw, GaussianLaw, PointMass, SimulationConfig,
                         UniformLaw, chaos_rate_experiment, simulate)
@@ -46,7 +53,13 @@ from .presets import PRESETS
 
 class ConfigError(Exception):
     """A config key is unknown, missing, ill-typed, outside its domain, given
-    where the run would not read it, or at odds with another key."""
+    where the run would not read it, or at odds with another key, or a
+    block holds values that its constructor rejects."""
+
+
+class _Resolved(dict):
+    """A resolved block: its keys, as the resolved config holds them, and
+    ``built``, the object its constructor built from them."""
 
 
 _REQUIRED = object()
@@ -68,8 +81,11 @@ def _scalar(what, ok):
     return check
 
 
-# JSON numbers load as int or float; true and false load as bool, which is not int
-NUMBER = _scalar("a number", lambda v: type(v) in (int, float))
+# JSON numbers load as int or float; true and false load as bool, which is not int.
+# Python's parser also reads NaN, which no comparison rejects, and Infinity,
+# which stands for inf (a truncation level may be one)
+NUMBER = _scalar("a number other than NaN",
+                 lambda v: type(v) in (int, float) and not math.isnan(v))
 POSITIVE = _scalar("a finite number above 0",
                    lambda v: type(v) in (int, float) and 0 < v < math.inf)
 ALPHA = _scalar("a number in (0, 2]", lambda v: type(v) in (int, float) and 0 < v <= 2)
@@ -97,7 +113,7 @@ def _list_of(item, least=1, most=math.inf, ascending=False):
     return check
 
 
-def _block(schema, *rules):
+def _block(schema, *rules, build=None):
     """A JSON object.  Each ``schema`` entry is a bare type (a required key),
     a (type, default) pair, where a null default lets the key be null, or a
     (type, default, (runs, what)) triple for a key read only by ``what``,
@@ -106,8 +122,12 @@ def _block(schema, *rules):
     the resolved block, and a given one is an error.  Each rule is called
     on the resolved block once every key is typed and present where read,
     and raises ``ConfigError`` for keys that do not fit together; only then
-    are the keys that the run would not read rejected or left out.  A block
-    nested at any depth resolves the same way."""
+    are the keys that the run would not read rejected or left out.  Last,
+    ``build``, the block's constructor, is called on the resolved block and
+    its object kept as the block's ``built``; a ``ValueError`` it raises
+    becomes a ``ConfigError`` naming the block.  A block nested at any
+    depth resolves the same way, and is built before the block that holds
+    it."""
     reach = {key: spec[2] for key, spec in schema.items()
              if isinstance(spec, tuple) and len(spec) == 3}
 
@@ -137,27 +157,46 @@ def _block(schema, *rules):
                 if key in value:
                     raise ConfigError(f"{_name(path + (key,))} is read only by {what}")
                 resolved.pop(key, None)
+        resolved = _Resolved(resolved)
+        if build is not None:
+            try:
+                resolved.built = build(resolved)
+            except ValueError as exc:
+                raise ConfigError(f"{_name(path) if path else 'the config'}: {exc}") from exc
         return resolved
     return check
 
 
-def _kinds(schemas):
-    """A block whose ``kind`` key picks the schema of its other keys."""
+def _kinds(kinds):
+    """A block whose ``kind`` key picks a (constructor, schema) pair: the
+    schema of its other keys, and the constructor that takes them as
+    keyword arguments (None for a kind that builds nothing)."""
     def check(value, path):
         picked = value.get("kind") if isinstance(value, dict) else None
-        keys = schemas.get(picked, {}) if isinstance(picked, str) else {}
-        return _block({"kind": _one_of(*schemas), **keys})(value, path)
+        make, keys = kinds.get(picked, (None, {})) if isinstance(picked, str) else (None, {})
+        build = None if make is None else (
+            lambda c: make(**{k: v for k, v in c.items() if k != "kind"}))
+        return _block({"kind": _one_of(*kinds), **keys}, build=build)(value, path)
     return check
 
 
+def _triplet(gaussian_a, drift_b, big_jump_atoms):
+    big = None if big_jump_atoms is None else JumpAtoms(big_jump_atoms)
+    return LevyTripletSpec(gaussian_a=gaussian_a, drift_b=drift_b, big_jumps=big)
+
+
 _SCALE, _SNAPSHOTS, _STANDARD_NORMAL = (NUMBER, 1.0), (COUNT, 5), {"kind": "gaussian"}
-_GAUSSIAN = {"mean": (NUMBER, 0.0), "std": (NUMBER, 1.0)}
-_STABLE = {"alpha": ALPHA, "scale": _SCALE}
+_GAUSSIAN = (GaussianLaw, {"mean": (NUMBER, 0.0), "std": (NUMBER, 1.0)})
+_STABLE = (StableDriverSpec, {"alpha": ALPHA, "scale": _SCALE})
 _LINEAR = {"c0": (NUMBER, 1.0), "c1": (NUMBER, 0.5)}
-_SIGMA = _kinds({"constant": {"value": NUMBER}, "linear_sine": _LINEAR,
-                 "linear_cauchy": _LINEAR, "smoothed_power": {"eps": NUMBER, "s": NUMBER}})
-_GRID = _block({"half_width": NUMBER, "points": COUNT})
-_BUMP = _block({"center": NUMBER, "width": NUMBER})
+_SIGMA = _kinds({"constant": (Constant, {"value": NUMBER}),
+                 "linear_sine": (lambda **k: LinearInteraction(SineKernel(**k)), _LINEAR),
+                 "linear_cauchy": (lambda **k: LinearInteraction(CauchyKernel(**k)), _LINEAR),
+                 "smoothed_power": (SmoothedDensityPower, {"eps": NUMBER, "s": NUMBER})})
+# the uniform density on the grid: its geometry, on which initial densities are laid
+_GRID = _block({"half_width": NUMBER, "points": COUNT},
+               build=lambda c: fp.DensityGrid(c["half_width"], np.ones(c["points"])))
+_BUMP = _block({"center": NUMBER, "width": NUMBER}, build=lambda c: fp.bump(**c))
 # _SIZES: system sizes along which checks compare results in list order
 _PAIR, _NUMBERS, _SIZES = _list_of(NUMBER, 2, 2), _list_of(NUMBER), _list_of(COUNT, ascending=True)
 
@@ -165,18 +204,26 @@ _PAIR, _NUMBERS, _SIZES = _list_of(NUMBER, 2, 2), _list_of(NUMBER), _list_of(COU
 _PARTICLE_RUN = {
     "dt": POSITIVE, "horizon": POSITIVE, "sigma": _SIGMA, "truncation": (NUMBER, None),
     "driver": _kinds({"stable": _STABLE,
-                      "triplet": {"gaussian_a": (NUMBER, 0.0), "drift_b": (NUMBER, 0.0),
-                                  "big_jump_atoms": (_list_of(_PAIR), None)}}),
-    "initial": (_kinds({"point": {"x0": (NUMBER, 0.0)}, "gaussian": _GAUSSIAN,
-                        "uniform": {"lo": (NUMBER, -1.0), "hi": (NUMBER, 1.0)},
-                        "file": {"path": STRING}}), _STANDARD_NORMAL),
+                      "triplet": (_triplet, {"gaussian_a": (NUMBER, 0.0), "drift_b": (NUMBER, 0.0),
+                                             "big_jump_atoms": (_list_of(_PAIR), None)})}),
+    "initial": (_kinds({"point": (PointMass, {"x0": (NUMBER, 0.0)}), "gaussian": _GAUSSIAN,
+                        "uniform": (UniformLaw, {"lo": (NUMBER, -1.0), "hi": (NUMBER, 1.0)}),
+                        "file": (FileLaw, {"path": STRING})}), _STANDARD_NORMAL),
 }
 
 
+def _particles(c, n, dt, truncation=None):
+    """The particle run of config ``c`` with ``n`` particles and step ``dt``."""
+    return SimulationConfig(n_particles=n, dt=dt, horizon_T=c["horizon"], seed=c["seed"],
+                            driver=c["driver"].built, sigma=c["sigma"].built,
+                            initial_law=c["initial"].built, truncation_N=truncation)
+
+
 def _cf_test(c):
-    # for a constant coefficient over a stable driver, the terminal law is
-    # exactly stable: its CF is known when the initial law's is
-    return c["sigma"]["kind"] == "constant" and c["driver"]["kind"] == "stable" \
+    # for a coefficient that does not depend on the measure, over a stable
+    # driver, the terminal law is exactly stable: its CF is known when the
+    # initial law's is
+    return c["sigma"].built.constant_value is not None and c["driver"]["kind"] == "stable" \
         and c["initial"]["kind"] != "file"
 
 
@@ -216,14 +263,10 @@ def _snapshots_on_both_grids(c):
                                     for grid, n in steps.items()))
 
 
-def _has_exact_flow(sigma):
+def _oracle_has_an_exact_flow(c):
     # a nonzero constant sigma's flow is the linear one with its diffusivity
     # scaled by |value|^alpha
-    return sigma["kind"] == "constant" and sigma["value"] != 0.0
-
-
-def _oracle_has_an_exact_flow(c):
-    if c["linear_oracle"] is not None and not _has_exact_flow(c["sigma"]):
+    if c["linear_oracle"] is not None and not c["sigma"].built.constant_value:
         raise ConfigError(f"{_name(('sigma',))} must be a nonzero constant beside "
                           f"{_name(('linear_oracle',))}, whose exact flow needs one; "
                           f"got {c['sigma']!r}")
@@ -231,8 +274,45 @@ def _oracle_has_an_exact_flow(c):
 
 # a constant sigma steps the system and its frozen-flow copies alike, so
 # its chaos table is degenerate and no gate reads it
-_CHAOS_GATES = (lambda c: c["sigma"]["kind"] != "constant",
-                "the chaos-rate gates, which run given a sigma that is not constant")
+_CHAOS_GATES = (lambda c: c["sigma"].built.constant_value is None,
+                "the chaos-rate gates, which run given a sigma that depends on the measure")
+
+
+def _duality_case(c):
+    """An adjoint case as the duality table takes it: (label, sigma, phi, psi)."""
+    sigma = c["sigma"].built
+    if sigma.constant_value == 0.0:
+        raise ValueError("its sigma is identically zero; the duality check needs |sigma| > 0")
+    return c["sigma"], sigma, c["phi"].built, c["psi"].built
+
+
+def _pde_starts(c):
+    """The initial density and the params of each alpha that a solve, a
+    linear-oracle case or the adjoint checks run at, by alpha."""
+    grid, initial, oracle = c["grid"].built, c["initial"], c["linear_oracle"]
+    alphas = [c["alpha"]] if "alpha" in c else []
+    alphas += [case["alpha"] for case in oracle["cases"]] if oracle is not None else []
+
+    def start(alpha):
+        params = fp.FractionalParams(alpha=alpha, diffusivity=c["diffusivity"])
+        if initial["kind"] == "gaussian":
+            law = initial.built
+            return fp.gaussian_grid(grid.half_width, grid.m, mean=law.mean, std=law.std), params
+        # a point mass, warmed up under the run's own params
+        return fp.stable_heat_kernel_grid(grid.half_width, grid.m, t=initial["warmup"],
+                                          params=params), params
+    return {alpha: start(alpha) for alpha in dict.fromkeys(alphas)}
+
+
+def _compare_run(c):
+    """The particle run at the largest size, the initial density of the
+    solve and the solve's params."""
+    law, driver, grid = c["initial"].built, c["driver"].built, c["pde"]["grid"].built
+    start = fp.gaussian_grid(grid.half_width, grid.m, mean=law.mean, std=law.std)
+    # the multiplier constant is calibrated to the driver's CF constant:
+    # with a constant coefficient both descriptions then share one law
+    params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
+    return _particles(c, max(c["particles"]["n_list"]), c["particles"]["dt"]), start, params
 _SOLVE = "a solve, which runs given 'horizon' and no 'linear_oracle'"
 _HORIZON_SOLVES = (lambda c: c["horizon"] is not None, "the solves, which run given 'horizon'")
 
@@ -262,15 +342,17 @@ _COMMAND_KEYS = {
         "cf_xi_grid": (_NUMBERS, [0.25, 0.5, 1.0, 2.0], _CF_TEST),
         # null: 4 / sqrt(n_particles) + 1e-3
         "cf_tolerance": (NUMBER, None, _CF_TEST),
-    },),
+    }, lambda c: _particles(c, c["n_particles"], c["dt"], c["truncation"])),
     "chaos-rate": ({
         **_PARTICLE_RUN, "n_list": _list_of(COUNT, 4, ascending=True), "reps": COUNT,
         "n_ref": (COUNT, None), "slope_max": (NUMBER, None, _CHAOS_GATES),
         "require_monotone": (FLAG, False, _CHAOS_GATES),
-    }, _n_ref_covers_n_list),
+    }, lambda c: _particles(c, max(c["n_list"]), c["dt"], c["truncation"]),
+        _n_ref_covers_n_list),
     "pde": ({
         "grid": _GRID, "sigma": _SIGMA,
-        "initial": (_kinds({"point": {"warmup": (NUMBER, 1e-3)}, "gaussian": _GAUSSIAN}),
+        # a point mass is warmed up on the grid by _pde_starts
+        "initial": (_kinds({"point": (None, {"warmup": (NUMBER, 1e-3)}), "gaussian": _GAUSSIAN}),
                     _STANDARD_NORMAL),
         # the linear oracle's cases give their own alpha and dt
         "alpha": (ALPHA, _REQUIRED, (lambda c: _solves(c) or c["adjoint_checks"] is not None,
@@ -282,12 +364,13 @@ _COMMAND_KEYS = {
         "mass_tolerance": (NUMBER, fp.MASS_TOLERANCE, _HORIZON_SOLVES),
         "adjoint_checks": (_block({
             "tolerance": (NUMBER, 1e-4),
-            "cases": _list_of(_block({"sigma": _SIGMA, "phi": _BUMP, "psi": _BUMP}))}), None),
+            "cases": _list_of(_block({"sigma": _SIGMA, "phi": _BUMP, "psi": _BUMP},
+                                     build=_duality_case))}), None),
         "linear_oracle": (_block({
             "cases": _list_of(_block({"alpha": ALPHA, "dt": POSITIVE})),
             "sup_tolerance": (NUMBER, 1e-6), "order_ratio_range": (_PAIR, [12.0, 20.0])}),
             None),
-    }, _pde_runs, _oracle_has_an_exact_flow),
+    }, _pde_starts, _pde_runs, _oracle_has_an_exact_flow),
     "compare": ({
         # both descriptions must start from one density and share one law
         "driver": _kinds({"stable": _STABLE}), "initial": _kinds({"gaussian": _GAUSSIAN}),
@@ -297,71 +380,27 @@ _COMMAND_KEYS = {
         "pde": _block({"grid": _GRID, "dt": POSITIVE, "boundary_density_tol": (NUMBER, 1e-3)}),
         "snapshots": _SNAPSHOTS, "kde_eps": (POSITIVE, 0.01),
         "l1_max_at_largest": (NUMBER, None),
-    }, _snapshots_on_both_grids),
+    }, _compare_run, _snapshots_on_both_grids),
     "validate-sampler": ({
         "batteries": _list_of(_one_of(*_BATTERIES)),
         **{name: (_block(keys), _REQUIRED,
                   (lambda c, name=name: name in c["batteries"],
                    f"the {name} battery, which runs where 'batteries' lists it"))
            for name, (_, keys) in _BATTERIES.items()},
-    },),
+    }, None),
     "check-h1": ({
         "alpha": NUMBER, "gamma": NUMBER, "eps": NUMBER,
         "k1_bound": (NUMBER, 1.0), "levy_k": (NUMBER, 1.0),
         "resolutions": (_list_of(COUNT), [256, 512, 1024, 2048]),
-    },),
+    }, lambda c: PerturbationParams(gamma=c["gamma"], eps=c["eps"], alpha=c["alpha"],
+                                    k1_bound=c["k1_bound"], levy_k=c["levy_k"])),
 }
 
 # one schema per command: every key it reads, with its type, domain, default
-# and reach, and the rules that relate its keys
+# and reach, the constructor of its run and the rules that relate its keys
 SCHEMAS = {command: _block({"command": (_one_of(command), command), "seed": INTEGER, **keys},
-                           *rules)
-           for command, (keys, *rules) in _COMMAND_KEYS.items()}
-
-
-def _build_driver(d):
-    if d["kind"] == "stable":
-        return StableDriverSpec(alpha=d["alpha"], scale=d["scale"])
-    big = None if d["big_jump_atoms"] is None else JumpAtoms(d["big_jump_atoms"])
-    return LevyTripletSpec(gaussian_a=d["gaussian_a"], drift_b=d["drift_b"], big_jumps=big)
-
-
-def _build_sigma(d):
-    kind = d["kind"]
-    if kind == "constant":
-        return coefficients.Constant(d["value"], check_nonzero=d["value"] != 0.0)
-    if kind == "smoothed_power":
-        return coefficients.SmoothedDensityPower(eps=d["eps"], s=d["s"])
-    kernel = coefficients.SineKernel if kind == "linear_sine" else coefficients.CauchyKernel
-    return coefficients.LinearInteraction(kernel(d["c0"], d["c1"]))
-
-
-def _build_initial(d):
-    # each kind's schema keys are the fields of its law
-    law = {"point": PointMass, "gaussian": GaussianLaw, "uniform": UniformLaw,
-           "file": FileLaw}[d["kind"]]
-    try:
-        return law(**{key: value for key, value in d.items() if key != "kind"})
-    except (OSError, ValueError) as exc:  # only a file law reads anything
-        raise ConfigError(f"{_name(('initial', 'path'))}: cannot load "
-                          f"{d['path']!r}: {exc}") from exc
-
-
-def _build_sim_config(cfg, n):
-    return SimulationConfig(
-        n_particles=n, dt=cfg["dt"], horizon_T=cfg["horizon"], seed=cfg["seed"],
-        driver=_build_driver(cfg["driver"]), sigma=_build_sigma(cfg["sigma"]),
-        initial_law=_build_initial(cfg["initial"]), truncation_N=cfg["truncation"])
-
-
-def _grid_from_config(cfg, params):
-    """The initial density on the grid; a point mass is warmed up under ``params``."""
-    g, init = cfg["grid"], cfg["initial"]
-    if init["kind"] == "gaussian":
-        return fp.gaussian_grid(g["half_width"], g["points"],
-                                mean=init["mean"], std=init["std"])
-    return fp.stable_heat_kernel_grid(g["half_width"], g["points"], t=init["warmup"],
-                                      params=params)
+                           *rules, build=build)
+           for command, (keys, build, *rules) in _COMMAND_KEYS.items()}
 
 
 def _write_json(path, payload):
@@ -383,7 +422,7 @@ def _finish(outdir, cfg, summary, checks):
 
 
 def cmd_simulate(cfg, outdir, threads):
-    sim = _build_sim_config(cfg, cfg["n_particles"])
+    sim = cfg.built
     flow = simulate(sim, record_every=cfg["record_every"])
     if cfg["flow_format"] == "csv":
         exports.flow_to_csv(flow, os.path.join(outdir, "flow.csv"))
@@ -406,17 +445,13 @@ def cmd_simulate(cfg, outdir, threads):
 def cmd_pde(cfg, outdir, threads):
     summary = {"config": cfg}
     checks = []
-    sigma = _build_sigma(cfg["sigma"])
-
-    def params(alpha):
-        return fp.FractionalParams(alpha=alpha, diffusivity=cfg["diffusivity"])
+    sigma, starts = cfg["sigma"].built, cfg.built
 
     if cfg["adjoint_checks"] is not None:
-        adjoint, p = cfg["adjoint_checks"], params(cfg["alpha"])
-        cases = [(case["sigma"], _build_sigma(case["sigma"]), fp.bump(**case["phi"]),
-                  fp.bump(**case["psi"])) for case in adjoint["cases"]]
+        adjoint = cfg["adjoint_checks"]
         summary["adjoint_checks"], found = fp._duality_table(
-            cases, _grid_from_config(cfg, p), p, adjoint["tolerance"])
+            [case.built for case in adjoint["cases"]], *starts[cfg["alpha"]],
+            adjoint["tolerance"])
         checks += found
 
     if cfg["horizon"] is not None:
@@ -424,15 +459,12 @@ def cmd_pde(cfg, outdir, threads):
         options = {key: cfg[key] for key in ("scheme", "boundary_density_tol", "mass_tolerance")}
         if cfg["linear_oracle"] is not None:
             oracle = cfg["linear_oracle"]
-            ps = [params(case["alpha"]) for case in oracle["cases"]]
-            cases = [(_grid_from_config(cfg, p), p, case["dt"])
-                     for p, case in zip(ps, oracle["cases"])]
+            cases = [(*starts[case["alpha"]], case["dt"]) for case in oracle["cases"]]
             summary["linear_oracle"], found = fp.linear_oracle(
                 cases, cfg["horizon"], sigma, oracle["sup_tolerance"],
                 oracle["order_ratio_range"], **options)
         else:
-            p = params(cfg["alpha"])
-            grid = _grid_from_config(cfg, p)
+            grid, p = starts[cfg["alpha"]]
             res = fp.solve_fp(grid, cfg["horizon"], cfg["dt"], sigma, p,
                               snapshots=cfg["snapshots"], **options)
             exports.density_stack_to_binary(res.times, res.grids,
@@ -447,7 +479,7 @@ def cmd_pde(cfg, outdir, threads):
             health, found = fp._health_checks(res, cfg["mass_tolerance"],
                                               cfg["boundary_density_tol"])
             summary.update(health)
-            if _has_exact_flow(cfg["sigma"]):
+            if sigma.constant_value:  # a nonzero constant has an exact flow
                 exact = fp._constant_flow(grid, cfg["horizon"], sigma, p)
                 summary["max_error_vs_exact"] = fp._sup_error(res.final(), exact)
         checks += found
@@ -455,8 +487,7 @@ def cmd_pde(cfg, outdir, threads):
 
 
 def cmd_chaos_rate(cfg, outdir, threads):
-    base = _build_sim_config(cfg, max(cfg["n_list"]))
-    table = chaos_rate_experiment(base, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
+    table = chaos_rate_experiment(cfg.built, cfg["n_list"], cfg["reps"], n_ref=cfg["n_ref"],
                                   threads=threads)
     gates = {key: cfg[key] for key in ("slope_max", "require_monotone") if key in cfg}
     payload, checks = particles._chaos_checks(table, **gates)
@@ -466,24 +497,13 @@ def cmd_chaos_rate(cfg, outdir, threads):
 
 
 def cmd_compare(cfg, outdir, threads):
-    pde_cfg, n_list = cfg["pde"], cfg["particles"]["n_list"]
-    driver = _build_driver(cfg["driver"])
-    initial = _build_initial(cfg["initial"])
-    grid = fp.gaussian_grid(pde_cfg["grid"]["half_width"], pde_cfg["grid"]["points"],
-                            mean=initial.mean, std=initial.std)
-    # the multiplier constant is calibrated to the driver's CF constant:
-    # with a constant coefficient both descriptions then share one law
-    params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
-    sigma = _build_sigma(cfg["sigma"])
-    res = fp.solve_fp(grid, cfg["horizon"], pde_cfg["dt"], sigma, params,
+    sim, start, params = cfg.built
+    res = fp.solve_fp(start, cfg["horizon"], cfg["pde"]["dt"], sim.sigma, params,
                       snapshots=cfg["snapshots"],
-                      boundary_density_tol=pde_cfg["boundary_density_tol"])
+                      boundary_density_tol=cfg["pde"]["boundary_density_tol"])
     # the schema has checked that the snapshots divide the particle steps
-    sim = SimulationConfig(n_particles=max(n_list), dt=cfg["particles"]["dt"],
-                           horizon_T=cfg["horizon"], seed=cfg["seed"], driver=driver,
-                           sigma=sigma, initial_law=initial)
-    payload, checks = particles.kde_l1_table(sim, n_list, res, cfg["kde_eps"],
-                                             cfg["l1_max_at_largest"])
+    payload, checks = particles.kde_l1_table(sim, cfg["particles"]["n_list"], res,
+                                             cfg["kde_eps"], cfg["l1_max_at_largest"])
     with open(os.path.join(outdir, "l1_by_n.csv"), "w") as fh:
         fh.write("n,time,l1_distance\n")
         for r in payload["rows"]:
@@ -504,9 +524,7 @@ def cmd_validate_sampler(cfg, outdir, threads):
 
 
 def cmd_check_h1(cfg, outdir, threads):
-    params = PerturbationParams(gamma=cfg["gamma"], eps=cfg["eps"], alpha=cfg["alpha"],
-                                k1_bound=cfg["k1_bound"], levy_k=cfg["levy_k"])
-    report = verify_h1(params, resolutions=tuple(cfg["resolutions"]))
+    report = verify_h1(cfg.built, resolutions=tuple(cfg["resolutions"]))
     payload = report.to_json_dict()
     _write_json(os.path.join(outdir, "report.json"), payload)
     return _finish(outdir, cfg, {"config": cfg, "report": payload}, report.checks)
@@ -561,17 +579,17 @@ def main(argv=None):
         return _reject("a config file or --preset is required")
     if args.seed is not None and isinstance(cfg, dict):
         cfg = {**cfg, "seed": args.seed}
-    outdir = args.out or os.path.join("runs", f"{args.command}-{label}")
-    fresh = not os.path.exists(outdir)
     try:
         resolved = SCHEMAS[args.command](cfg)
-        os.makedirs(outdir, exist_ok=True)
+    except ConfigError as exc:
+        return _reject(exc)
+    outdir = args.out or os.path.join("runs", f"{args.command}-{label}")
+    os.makedirs(outdir, exist_ok=True)
+    try:
         return _COMMANDS[args.command](resolved, outdir, args.threads)
-    except (ConfigError, ValueError, fp.StabilityError, particles.SimulationError) as exc:
+    except (ValueError, fp.StabilityError, particles.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ConfigError) and fresh and os.path.isdir(outdir):
-            os.rmdir(outdir)  # an initial file that cannot be loaded stops a run before it writes
-        return 2 if isinstance(exc, ConfigError) else 1
+        return 1
 
 
 if __name__ == "__main__":

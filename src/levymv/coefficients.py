@@ -11,7 +11,12 @@ Three families:
   coefficient built from Gaussian smoothing of the measure, nonlinear in
   the measure.
 
-Every family has the same methods, so a new family is one class.
+Every family has the same methods, so a new family is one class, and
+one structural fact, ``constant_value``: the value sigma takes at every x
+and every measure, or None when sigma depends on either.  Where it is not
+None the nonlinear equation is the linear one, whose law is exactly
+stable, whose Fokker-Planck equation is the fractional heat equation and
+whose chaos gaps vanish identically; the checks that rest on that read it.
 ``evaluate(x, mu)`` is the exact sigma against an empirical measure or its
 samples (the oracle of the tests).
 ``summarize(samples)`` reduces a sorted sample array once and
@@ -55,15 +60,13 @@ class Constant:
     """sigma = value everywhere.
 
     A vanishing coefficient freezes the dynamics and breaks the
-    nondegeneracy the density results rely on, so value = 0 is rejected
-    unless explicitly allowed for degenerate control experiments.
+    nondegeneracy the density results rely on; the checks that need a
+    nonzero value (the linear oracle, the exact flow, the duality check)
+    reject zero themselves.
     """
 
-    def __init__(self, value, check_nonzero=True):
-        if check_nonzero and value == 0.0:
-            raise ValueError("constant coefficient must be nonzero "
-                             "(pass check_nonzero=False for degenerate controls)")
-        self.value = float(value)
+    def __init__(self, value):
+        self.value = self.constant_value = float(value)
 
     def evaluate(self, x, mu):
         return np.broadcast_to(self.value, np.shape(x)).copy() if np.ndim(x) else self.value
@@ -126,7 +129,8 @@ class LinearInteraction:
     kernels whose probes grow with the window.  A kernel with
     ``summary_stats`` and ``mean_from_stats`` (``SineKernel``) is
     summarized by those; any other kernel by the samples, against which it
-    is summed pairwise, each point in one reduction over every sample.
+    is summed pairwise, each point in one reduction over every sample.  A
+    built-in kernel with ``c1 == 0`` is the constant ``c0``.
     """
 
     def __init__(self, kernel):
@@ -150,6 +154,8 @@ class LinearInteraction:
                                  "interaction kernels must be bounded with "
                                  "bounded x-derivatives")
         self.sup_bound, self.k1_bound, self.k2_bound = sups[-1]
+        built_in = isinstance(kernel, (SineKernel, CauchyKernel))
+        self.constant_value = kernel.c0 if built_in and kernel.c1 == 0.0 else None
 
     def evaluate(self, x, mu):
         samples = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu)
@@ -199,6 +205,8 @@ class SmoothedDensityPower:
     of the exact smoothed density, and 0 beyond 8 sqrt(eps) of every
     sample.
     """
+
+    constant_value = None
 
     def __init__(self, eps, s):
         if not eps > 0.0:

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .coefficients import Constant
 from .drivers import _step_count, cf_constant_from_levy_constant
 from .measures import _row_block
 from .perturbation import CheckResult
@@ -361,7 +360,11 @@ def _health_checks(res, mass_tolerance, boundary_density_tol):
 
 
 def bump(center=0.0, width=1.0):
-    """Smooth bump supported on (center-width, center+width), peak value 1."""
+    """Smooth bump supported on (center-width, center+width), peak value 1;
+    ``center`` must be finite and ``width`` finite and above 0."""
+    if not (math.isfinite(center) and math.isfinite(width) and width > 0.0):
+        raise ValueError(f"a bump needs a finite center and width above 0, got {center}, {width}")
+
     def fn(x):
         t = (np.asarray(x, dtype=float) - center) / width
         out = np.zeros(np.shape(t))
@@ -507,11 +510,11 @@ def _sup_error(density, exact):
 
 
 def _constant_flow(p0, t, sigma, params):
-    """The exact flow of :func:`solve_fp` under the constant coefficient
-    ``sigma`` (nonzero): the linear flow with its diffusivity scaled by
-    |value|^alpha."""
-    return solve_linear_exact(p0, t, FractionalParams(
-        alpha=params.alpha, diffusivity=params.diffusivity * abs(sigma.value) ** params.alpha))
+    """The exact flow of :func:`solve_fp` under a coefficient ``sigma`` with a
+    nonzero ``constant_value``: the linear flow with its diffusivity scaled
+    by |value|^alpha."""
+    diffusivity = params.diffusivity * abs(sigma.constant_value) ** params.alpha
+    return solve_linear_exact(p0, t, FractionalParams(params.alpha, diffusivity))
 
 
 def linear_oracle(cases, horizon, sigma, sup_tolerance, order_ratio_range, **solve_options):
@@ -520,12 +523,12 @@ def linear_oracle(cases, horizon, sigma, sup_tolerance, order_ratio_range, **sol
     Each case is (initial grid, params, dt): the sup error of the solve to
     ``horizon`` at dt, at most ``sup_tolerance``, and at dt / 2; their ratio,
     16 for a fourth-order scheme, lies in ``order_ratio_range``.  Returns a
-    row per case and the checks.  ``sigma`` is a nonzero
-    :class:`~levymv.coefficients.Constant`, whose exact flow is the linear
-    one with the diffusivity scaled by |value|^alpha (any other coefficient
-    raises ``ValueError``); ``solve_options`` go to every solve.
+    row per case and the checks.  ``sigma`` has a nonzero ``constant_value``,
+    so its exact flow is the linear one with the diffusivity scaled by
+    |value|^alpha (any other coefficient raises ``ValueError``);
+    ``solve_options`` go to every solve.
     """
-    if not isinstance(sigma, Constant) or sigma.value == 0.0:
+    if not sigma.constant_value:
         raise ValueError("the linear oracle needs a nonzero constant coefficient, "
                          "the only one with an exact flow")
     lo_ratio, hi_ratio = order_ratio_range

@@ -96,8 +96,14 @@ class PointMass:
 
 @dataclass(frozen=True)
 class GaussianLaw:
+    """A normal law; a std of 0 is a point mass, which is its own law."""
+
     mean: float = 0.0
     std: float = 1.0
+
+    def __post_init__(self):
+        if not self.std > 0.0:
+            raise ValueError(f"std must be above 0, got {self.std!r}")
 
     def sample(self, n, rng):
         return self.mean + self.std * rng.standard_normal(n)
@@ -121,14 +127,17 @@ class UniformLaw:
 
 @dataclass(frozen=True)
 class FileLaw:
-    """Empirical law of a single-column CSV, loaded once at construction;
-    draws resample it."""
+    """Empirical law of a single-column CSV, loaded once at construction (a
+    file that cannot be loaded raises ``ValueError``); draws resample it."""
 
     path: str
     samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", EmpiricalMeasure.from_csv(self.path).samples)
+        try:
+            object.__setattr__(self, "samples", EmpiricalMeasure.from_csv(self.path).samples)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot load path {self.path!r}: {exc}") from exc
 
     def sample(self, n, rng):
         return self.samples[rng.integers(0, self.samples.size, n)]
@@ -286,15 +295,15 @@ def simulate(cfg, record_every=1):
 
 
 def _terminal_cf_test(flow, cfg, xi_grid, tolerance):
-    """The CF test of a run of ``cfg`` with a constant coefficient over a
-    stable driver, whose law at the horizon is the initial law convolved
-    with a stable law: the sup over ``xi_grid`` of the gap between the two
-    CFs, the final marginal's empirical one and the exact one, at most
-    ``tolerance`` (None: 4 / sqrt(n) + 1e-3).  Returns the payload and the
-    check."""
+    """The CF test of a run of ``cfg`` whose coefficient has a
+    ``constant_value``, over a stable driver, whose law at the horizon is
+    the initial law convolved with a stable law: the sup over ``xi_grid``
+    of the gap between the two CFs, the final marginal's empirical one and
+    the exact one, at most ``tolerance`` (None: 4 / sqrt(n) + 1e-3).
+    Returns the payload and the check."""
     xi = np.array(xi_grid)
     alpha = cfg.driver.alpha
-    c_tot = cfg.driver.scale * cfg.horizon_T * abs(cfg.sigma.value) ** alpha
+    c_tot = cfg.driver.scale * cfg.horizon_T * abs(cfg.sigma.constant_value) ** alpha
     expected = cfg.initial_law.cf(xi) * np.exp(-c_tot * np.abs(xi) ** alpha)
     gap = _cf_gap(flow.final().samples, xi, expected)
     tol = tolerance if tolerance is not None else 4.0 / math.sqrt(cfg.n_particles) + 1e-3
@@ -505,7 +514,10 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     once and shared read-only by every batch, across threads too: the
     driver (``cfg_base``'s ``effective_driver``, so a truncated stable
     driver is not rebuilt for the reference or any run) and the sigma
-    summaries of the reference marginals.
+    summaries of the reference marginals.  A coefficient with a
+    ``constant_value`` steps the systems and their copies alike, so its
+    table is degenerate: its gaps are zero up to roundoff, and no slope is
+    fitted.
     """
     n_list = list(n_list)
     if sorted(n_list) != n_list or len(n_list) < 4:
@@ -542,14 +554,12 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     for i, n in enumerate(n_list):
         mean, se = _mean_stderr(np.asarray(flat[i * reps:(i + 1) * reps]))
         rows.append(ChaosRow(n=n, mean_sq_gap=mean, stderr=se))
-    if all(r.mean_sq_gap == 0.0 for r in rows):
-        return ChaosRateTable(rows=rows, fitted_slope=None, slope_stderr=None,
-                              status="degenerate: all-zero", reference_n=n_ref,
-                              reps=reps)
-    slope, slope_se = _loglog_slope([r.n for r in rows],
-                                    [max(r.mean_sq_gap, 1e-300) for r in rows])
+    degenerate = cfg_base.sigma.constant_value is not None
+    slope, slope_se = (None, None) if degenerate else _loglog_slope(
+        [r.n for r in rows], [max(r.mean_sq_gap, 1e-300) for r in rows])
     return ChaosRateTable(rows=rows, fitted_slope=slope, slope_stderr=slope_se,
-                          status="ok", reference_n=n_ref, reps=reps)
+                          status="degenerate: all-zero" if degenerate else "ok",
+                          reference_n=n_ref, reps=reps)
 
 
 def _chaos_checks(table, slope_max=None, require_monotone=False):

@@ -1,12 +1,14 @@
 """CLI front end: config handling, outputs, exit codes, reproducibility."""
 
+import copy
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from levymv import cli
+from levymv import cli, coefficients, particles
 from levymv.cli import SCHEMAS, main
 from levymv.presets import PRESETS
 
@@ -132,8 +134,9 @@ class TestSimulateCommand:
         # json reads NaN, so a config file can carry one
         cfg = write_config(tmp_path, {**SIM_CFG, "truncation": float("nan")})
         assert "NaN" in open(cfg).read()
-        assert main(["simulate", cfg, "--out", str(tmp_path / "nan")]) != 0
-        assert "error:" in capsys.readouterr().err
+        assert main(["simulate", cfg, "--out", str(tmp_path / "nan")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'truncation'" in err
 
     def test_non_numeric_truncation_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**SIM_CFG, "truncation": "2.0"})
@@ -179,7 +182,8 @@ class TestSimulateCommand:
             cfg = write_config(tmp_path, {**SIM_CFG, "initial": initial})
             assert main(["simulate", cfg, "--out", str(tmp_path / "file")]) == 2, name
             err = capsys.readouterr().err
-            assert "error:" in err and "'path'" in err and "Traceback" not in err, name
+            assert "error:" in err and "key 'initial': cannot load" in err and name in err \
+                and "Traceback" not in err, name
 
     def test_non_numeric_sizes_rejected(self, tmp_path, capsys):
         for key, value in (("n_particles", "100"), ("n_particles", 100.0),
@@ -425,23 +429,44 @@ class TestPdeCommand:
 
 class TestChaosCommand:
     def test_degenerate_constant_sigma(self, tmp_path, capsys):
+        # a pair kernel with c1 = 0 is the constant c0
         payload = {
             "command": "chaos-rate", "seed": 2,
             "driver": {"kind": "stable", "alpha": 1.5, "scale": 0.5},
             "truncation": 2.0,
-            "sigma": {"kind": "constant", "value": 1.0},
             "initial": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
             "dt": 0.1, "horizon": 0.3,
             "n_list": [10, 20, 40, 80], "reps": 3, "n_ref": 800,
         }
-        cfg = write_config(tmp_path, payload)
-        out = str(tmp_path / "chaos0")
-        assert main(["chaos-rate", cfg, "--out", out]) == 0
-        slope = json.load(open(os.path.join(out, "slope.json")))
-        assert slope["status"] == "degenerate: all-zero"
-        assert slope["fitted_slope"] is None
-        table = open(os.path.join(out, "table.csv")).read().splitlines()
-        assert table[0] == "n,mean_sq_gap,stderr" and len(table) == 5
+        for sigma in ({"kind": "constant", "value": 1.0},
+                      {"kind": "linear_sine", "c0": 1.0, "c1": 0.0},
+                      {"kind": "linear_cauchy", "c0": 0.7, "c1": 0}):
+            cfg = write_config(tmp_path, {**payload, "sigma": sigma})
+            out = str(tmp_path / sigma["kind"])
+            assert main(["chaos-rate", cfg, "--out", out]) == 0
+            slope = json.load(open(os.path.join(out, "slope.json")))
+            assert slope["status"] == "degenerate: all-zero", sigma
+            assert slope["fitted_slope"] is None
+            # zero, up to the roundoff of the pairwise mean of c0 over the
+            # reference marginal and over the system
+            assert all(r["mean_sq_gap"] < 1e-24 for r in slope["rows"]), sigma
+            table = open(os.path.join(out, "table.csv")).read().splitlines()
+            assert table[0] == "n,mean_sq_gap,stderr" and len(table) == 5
+
+    def test_each_object_is_built_once(self, tmp_path, capsys, monkeypatch):
+        # resolution builds the truncated driver and the pair-kernel sigma
+        # (whose construction probes the kernel), and the run reuses them
+        builds = []
+        triplet = particles.truncated_stable_triplet
+        probe = coefficients.LinearInteraction.__init__
+        monkeypatch.setattr(particles, "truncated_stable_triplet",
+                            lambda *args: builds.append("driver") or triplet(*args))
+        monkeypatch.setattr(coefficients.LinearInteraction, "__init__",
+                            lambda self, kernel: builds.append("sigma") or probe(self, kernel))
+        cfg = SMALL_CONFIGS["chaos-rate"]
+        assert main(["chaos-rate", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "run")]) == 1
+        assert sorted(builds) == ["driver", "sigma"]
 
     def test_failed_slope_criterion_exits_nonzero(self, tmp_path, capsys):
         payload = {
@@ -727,6 +752,57 @@ SMALL_CONFIGS = {
 }
 
 
+def _numeric_leaves(cfg, path=()):
+    """The path of each number in ``cfg`` (a bool is not one), but the seed's."""
+    if isinstance(cfg, (dict, list)):
+        items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+        return [p for k, v in items if k != "seed" for p in _numeric_leaves(v, path + (k,))]
+    return [path] if type(cfg) in (int, float) else []
+
+
+def _with_value(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+class TestValueSweep:
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_each_number_set_to_0_minus_1_and_nan(self, tmp_path, capsys, monkeypatch,
+                                                 name):
+        # a value the schema or a constructor rejects exits 2 naming its key,
+        # or the block that holds it, before the output directory exists; any
+        # other runs to a verdict or aborts, without a traceback, and no
+        # command meets a value that the library rejects
+        cfg = SMALL_CONFIGS[name]
+        command, rejected = cli._COMMANDS[cfg["command"]], []
+
+        def run(*args):
+            try:
+                return command(*args)
+            except ValueError as exc:
+                rejected.append(exc)
+                raise
+
+        monkeypatch.setitem(cli._COMMANDS, cfg["command"], run)
+        for i, (path, value) in enumerate((path, value) for path in _numeric_leaves(cfg)
+                                          for value in (0, -1, math.nan)):
+            out = tmp_path / f"run{i}"
+            code = main([cfg["command"], write_config(tmp_path, _with_value(cfg, path, value)),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            named = [key for key in path[-2:] if isinstance(key, str)]
+            assert "Traceback" not in err and code in (0, 1, 2), (path, value, err)
+            if code == 2:
+                assert err.startswith("error:") and any(key in err for key in named), \
+                    (path, value, err)
+                assert not out.exists(), (path, value)
+        assert not rejected
+
+
 class TestChecks:
     @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
     def test_pass_is_the_verdict_of_every_check(self, tmp_path, capsys, name):
@@ -760,7 +836,8 @@ class TestChecks:
 
 
 class _ReadRecorder(dict):
-    """A dict that records the keys read from it by indexing."""
+    """A dict that records the keys read from it by indexing; it stands in
+    for the resolved block, so it also holds the block's built object."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -774,17 +851,20 @@ class _ReadRecorder(dict):
 class TestReach:
     @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
     def test_every_resolved_key_is_read(self, tmp_path, capsys, monkeypatch, name):
-        # the resolved config holds exactly the keys the run reads; "command"
-        # picks the schema, and "seed" is required of every command, also of
-        # those that draw nothing
+        # the resolved config holds exactly the keys the run reads: the
+        # constructor of the command's run, which resolution calls once the
+        # keys are resolved, and then the command; "command" picks the
+        # schema, and "seed" is required of every command, also of those
+        # that draw nothing
         cfg = SMALL_CONFIGS[name]
         command = cli._COMMANDS[cfg["command"]]
         recorders = []
 
         def recording(resolved, *args):
-            recorders.append(_ReadRecorder(resolved))
-            return command(recorders[-1], *args)
+            recorders.append(resolved)
+            return command(resolved, *args)
 
+        monkeypatch.setattr(cli, "_Resolved", _ReadRecorder)
         monkeypatch.setitem(cli._COMMANDS, cfg["command"], recording)
         main([cfg["command"], write_config(tmp_path, cfg), "--out", str(tmp_path / "run")])
         (recorder,) = recorders

@@ -23,17 +23,33 @@ class TestConstant:
         assert sig.evaluate(0.7, mu) == 1.0
         assert np.all(sig.evaluate(np.linspace(-3, 3, 7), mu) == 1.0)
 
-    def test_zero_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            Constant(0.0)
-        assert Constant(0.0, check_nonzero=False).value == 0.0
-
     def test_grid_evaluation(self):
         grid = gaussian_grid(8.0, 64)
         spectrum = np.fft.rfft(grid.values)
         values, sigma = Constant(2.0).on_grid(grid)(spectrum)
         assert np.all(sigma == 2.0)
         assert np.array_equal(values, np.fft.irfft(spectrum, n=grid.m))
+
+
+class TestConstantValue:
+    @pytest.mark.parametrize("sig,value", [
+        (Constant(1.3), 1.3), (Constant(0.0), 0.0), (Constant(-2), -2.0),
+        (LinearInteraction(SineKernel(0.7, 0.0)), 0.7),
+        (LinearInteraction(CauchyKernel(0.7, 0.0)), 0.7),
+        (LinearInteraction(SineKernel(1.0, 0.5)), None),
+        (LinearInteraction(CauchyKernel(0.5, 1.0)), None),
+        # a kernel that is not built in is not inspected
+        (LinearInteraction(lambda x, y: 0.7 + 0.0 * (x - y)), None),
+        (SmoothedDensityPower(0.5, 0.5), None),
+    ], ids=["constant", "zero", "negative", "sine-c1-0", "cauchy-c1-0", "sine", "cauchy",
+            "custom-kernel", "smoothed"])
+    def test_constant_value(self, sig, value):
+        # the value sigma takes at every x and every measure, or None
+        assert sig.constant_value == value
+        if value is not None:
+            rng = substream(216)
+            mu, x = EmpiricalMeasure(rng.normal(0, 3, 300)), rng.normal(0, 3, 11)
+            np.testing.assert_allclose(sig.evaluate(x, mu), value, rtol=1e-15, atol=0.0)
 
 
 class TestLinearInteraction:

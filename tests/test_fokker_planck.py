@@ -65,7 +65,7 @@ class TestLinearExact:
         assert np.max(np.abs(out.values - 1.0 / 16.0)) < 1e-10
 
     @pytest.mark.parametrize("sigma", [SmoothedDensityPower(0.5, 0.5),
-                                       Constant(0.0, check_nonzero=False)],
+                                       Constant(0.0)],
                              ids=["smoothed", "zero"])
     def test_linear_oracle_needs_a_nonzero_constant(self, sigma):
         with pytest.raises(ValueError, match="nonzero constant"):
@@ -78,7 +78,7 @@ class TestStepFp:
 
     def test_zero_coefficient_freezes_density(self):
         grid = gaussian_grid(8.0, 128)
-        res = solve_fp(grid, 1e-3, 1e-3, Constant(0.0, check_nonzero=False),
+        res = solve_fp(grid, 1e-3, 1e-3, Constant(0.0),
                        FractionalParams(1.5))
         assert np.array_equal(res.final().values, grid.values)
 
@@ -477,6 +477,16 @@ class TestAdjointIdentity:
         with pytest.raises(ValueError):
             adjoint_identity_check(Constant(1.0), nu, bump(5.0, 4.0),
                                    bump(0.0, 2.0), FractionalParams(1.5))
+
+    @pytest.mark.parametrize("center,width", [(0.0, 0.0), (0.0, -2.5), (math.nan, 2.5),
+                                              (0.0, math.nan), (math.inf, 2.5),
+                                              (0.0, math.inf)])
+    def test_bump_that_vanishes_or_is_not_finite_rejected(self, center, width):
+        # a zero width makes the bump identically zero, and the duality check
+        # pass with both sides 0; a negative width would act as its absolute
+        # value, and a non-finite argument gives NaN or no compact support
+        with pytest.raises(ValueError, match="width above 0"):
+            bump(center, width)
 
 
 class TestDensityGrid:

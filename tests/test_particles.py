@@ -41,7 +41,7 @@ def step_increments(cfg, step_index):
 
 class TestStepping:
     def test_zero_coefficient_freezes_positions(self):
-        cfg = make_cfg(sigma=Constant(0.0, check_nonzero=False))
+        cfg = make_cfg(sigma=Constant(0.0))
         flow = simulate(cfg)
         x0 = np.sort(initial_positions(cfg))
         for marg in flow.marginals:
@@ -457,6 +457,12 @@ class TestInitialLaws:
         assert abs(g.mean() - 1.0) < 0.01 and abs(g.std() - 0.5) < 0.01
         u = UniformLaw(-2.0, 3.0).sample(100_000, substream(63))
         assert u.min() >= -2.0 and u.max() <= 3.0
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, math.nan])
+    def test_gaussian_std_must_be_above_0(self, std):
+        # a point mass is a law of its own
+        with pytest.raises(ValueError, match="std must be above 0"):
+            GaussianLaw(0.0, std)
 
     @pytest.mark.parametrize("law", [PointMass(0.7), GaussianLaw(1.0, 0.5),
                                      UniformLaw(-2.0, 3.0)])
