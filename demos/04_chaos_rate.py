@@ -24,8 +24,8 @@ for label, sigma in (
     cfg = SimulationConfig(n_particles=ladder[-1], sigma=sigma, **common)
     table = chaos_rate_experiment(cfg, ladder, reps=10, n_ref=4000, threads=2)
     print(f"{label}:")
-    for row in table.rows:
-        print(f"  n={row.n:4d}: mean sq sup-gap = {row.mean_sq_gap:.3e}"
-              f" +/- {row.stderr:.1e}")
-    print(f"  fitted log-log slope: {table.fitted_slope:.3f}"
-          f" +/- {table.slope_stderr:.3f}\n")
+    for row in table["rows"]:
+        print(f"  n={row['n']:4d}: mean sq sup-gap = {row['mean_sq_gap']:.3e}"
+              f" +/- {row['stderr']:.1e}")
+    print(f"  fitted log-log slope: {table['fitted_slope']:.3f}"
+          f" +/- {table['slope_stderr']:.3f}\n")

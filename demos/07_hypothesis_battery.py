@@ -25,14 +25,13 @@ curve_to_csv(ys, perturbation_profile(ys, params), "perturbation_profile.csv",
              names=("y", "k"))
 print("wrote perturbation_profile.csv for plotting")
 
-report = verify_h1(params)
-print(f"\nbattery ({'all pass' if report.all_passed else 'FAILURES'}):")
-for chk in report.checks:
+report, checks = verify_h1(params)
+print(f"\nbattery ({'all pass' if report['all_passed'] else 'FAILURES'}):")
+for chk in checks:
     flag = "pass" if chk.passed else "FAIL"
     print(f"  {chk.name:42s} {flag}   margin {chk.margin:+.3e}")
 
 print("\nthe sufficiency threshold is strict; sitting exactly on it is flagged:")
 at_threshold = PerturbationParams(gamma=1.0, eps=0.25, alpha=1.5, k1_bound=1.0)
-rep = verify_h1(at_threshold)
-chk = rep["eps_below_profile_threshold"]
+chk = {c.name: c for c in verify_h1(at_threshold)[1]}["eps_below_profile_threshold"]
 print(f"  eps=0.25 -> {chk.name}: {'pass' if chk.passed else 'flagged'}")

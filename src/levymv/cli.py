@@ -24,10 +24,12 @@ flag and exit 2; a check that does not pass, or a run that aborts, exits
 and hands its checks to ``_finish``: the experiments live next to what
 they test (the sampler batteries in ``drivers`` and ``measures``, the
 linear oracle, the duality table and a solve's health checks in
-``fokker_planck``, the CF test, the chaos-rate checks and the L1 table of
-``compare`` in ``particles``), and each returns its payload and its
-checks.  Every gate is a ``CheckResult``; ``_finish`` writes the list as
-the summary's ``checks`` and derives ``pass`` from it.
+``fokker_planck``, the CF test, the chaos-rate table and its checks and
+the L1 table of ``compare`` in ``particles``, the H1 battery in
+``perturbation``), and each returns its payload, the plain data the
+command writes, and its checks.  Every gate is a ``CheckResult``;
+``_finish`` writes the list as the summary's ``checks`` and derives
+``pass`` from it.
 ``--threads`` is not part of the config and never changes results,
 and outputs hold no timestamps, so the whole output directory is
 byte-identical across reruns and thread counts.
@@ -88,6 +90,8 @@ NUMBER = _scalar("a number other than NaN",
                  lambda v: type(v) in (int, float) and not math.isnan(v))
 POSITIVE = _scalar("a finite number above 0",
                    lambda v: type(v) in (int, float) and 0 < v < math.inf)
+NONNEGATIVE = _scalar("a finite number at least 0",
+                      lambda v: type(v) in (int, float) and 0 <= v < math.inf)
 ALPHA = _scalar("a number in (0, 2]", lambda v: type(v) in (int, float) and 0 < v <= 2)
 INTEGER = _scalar("an integer", lambda v: type(v) is int)
 COUNT = _scalar("a positive integer", lambda v: type(v) is int and v >= 1)
@@ -221,14 +225,18 @@ def _particles(c, n, dt, truncation=None):
 
 def _cf_test(c):
     # for a coefficient that does not depend on the measure, over a stable
-    # driver, the terminal law is exactly stable: its CF is known when the
-    # initial law's is
-    return c["sigma"].built.constant_value is not None and c["driver"]["kind"] == "stable" \
-        and c["initial"]["kind"] != "file"
+    # driver that no finite truncation cuts (alpha = 2 has no jumps to cut),
+    # the terminal law is exactly stable: its CF is known when the initial
+    # law's is
+    driver, level = c["driver"], c["truncation"]
+    uncut = level is None or math.isinf(level)
+    return c["sigma"].built.constant_value is not None and driver["kind"] == "stable" \
+        and (uncut or driver["alpha"] == 2) and c["initial"]["kind"] != "file"
 
 
 _CF_TEST = (_cf_test, "the CF test, which runs given a constant sigma, a stable driver "
-                      "and an initial law with a closed-form CF (not a file law)")
+                      "that no finite truncation cuts and an initial law with a "
+                      "closed-form CF (not a file law)")
 
 
 def _n_ref_covers_n_list(c):
@@ -352,7 +360,8 @@ _COMMAND_KEYS = {
     "pde": ({
         "grid": _GRID, "sigma": _SIGMA,
         # a point mass is warmed up on the grid by _pde_starts
-        "initial": (_kinds({"point": (None, {"warmup": (NUMBER, 1e-3)}), "gaussian": _GAUSSIAN}),
+        "initial": (_kinds({"point": (None, {"warmup": (NONNEGATIVE, 1e-3)}),
+                            "gaussian": _GAUSSIAN}),
                     _STANDARD_NORMAL),
         # the linear oracle's cases give their own alpha and dt
         "alpha": (ALPHA, _REQUIRED, (lambda c: _solves(c) or c["adjoint_checks"] is not None,
@@ -524,10 +533,9 @@ def cmd_validate_sampler(cfg, outdir, threads):
 
 
 def cmd_check_h1(cfg, outdir, threads):
-    report = verify_h1(cfg.built, resolutions=tuple(cfg["resolutions"]))
-    payload = report.to_json_dict()
+    payload, checks = verify_h1(cfg.built, resolutions=tuple(cfg["resolutions"]))
     _write_json(os.path.join(outdir, "report.json"), payload)
-    return _finish(outdir, cfg, {"config": cfg, "report": payload}, report.checks)
+    return _finish(outdir, cfg, {"config": cfg, "report": payload}, checks)
 
 
 _COMMANDS = {"simulate": cmd_simulate, "pde": cmd_pde, "chaos-rate": cmd_chaos_rate,

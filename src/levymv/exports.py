@@ -89,10 +89,11 @@ def density_stack_from_binary(path):
 
 
 def chaos_table_to_csv(table, path):
+    """The rows of a :func:`~levymv.particles.chaos_rate_experiment` payload."""
     with open(path, "w") as fh:
         fh.write("n,mean_sq_gap,stderr\n")
-        for r in table.rows:
-            fh.write(f"{r.n},{r.mean_sq_gap:.17g},{r.stderr:.17g}\n")
+        for r in table["rows"]:
+            fh.write(f"{r['n']},{r['mean_sq_gap']:.17g},{r['stderr']:.17g}\n")
 
 
 def curve_to_csv(xs, ys, path, names=("x", "y")):

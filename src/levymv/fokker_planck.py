@@ -10,7 +10,7 @@ is negative on peaks; the equivalent singular-integral constant is
 The zero mode is multiplied by exactly zero, so total mass is invariant
 under every scheme here; drift beyond ``mass_tolerance`` (by default
 ``MASS_TOLERANCE``, 1e-9) signals a bug and aborts.  Positivity is
-monitored, never enforced by clipping.
+monitored under both schemes, never enforced by clipping.
 
 :func:`solve_fp` builds what a solve holds fixed once: the multiplier and
 sigma's grid evaluator ``sigma.on_grid(grid)`` (nodes, and a kernel
@@ -21,11 +21,12 @@ evaluator's, which gives the stage's nodal values and sigma on the nodes
 together) and one forward transform of |sigma|^alpha times the values.
 Explicit RK4 and the integrating-factor RK4 share that stage; the
 integrating factor freezes |sigma|^alpha at the first stage's sigma, and
-RK4's stability check reads the same sigma.  One inverse transform per
-step, of the spectrum's change, updates the nodal values that the mass,
-minimum and boundary traces and the snapshots read (so a step that
-changes nothing keeps the density's bits), and a step of either scheme
-makes 9 transform calls.
+RK4's stability check reads the same sigma.  Either scheme's step
+returns the spectrum's change, and :func:`solve_fp` makes one inverse
+transform of it per step, which updates the nodal values that the
+per-step drift and positivity monitors, the mass, minimum and boundary
+traces and the snapshots read (so a step that changes nothing keeps the
+density's bits); a step of either scheme makes 9 transform calls.
 
 Two checks hold the solver to closed forms: :func:`linear_oracle`, the
 order study against the exact linear flow, and the weak-form duality of
@@ -52,7 +53,6 @@ __all__ = [
     "solve_fp",
     "adjoint_identity_check",
     "linear_oracle",
-    "AdjointReport",
     "bump",
     "gaussian_grid",
     "stable_heat_kernel_grid",
@@ -228,15 +228,13 @@ class _Operator:
         return abs_sigma, np.fft.rfft(w) * self.multiplier
 
 
-def _step_rk4(p, v, dt, op, mass_tolerance):
+def _step_rk4(p, v, dt, op):
     """One explicit RK4 step of the spectral system from the density ``p``
-    and its spectrum ``v``; returns the new density and its spectrum, the
-    density's values moved by the inverse transform of the spectrum's change.
+    and its spectrum ``v``; returns the spectrum's change and the new
+    spectrum.
 
     Raises :class:`StabilityError` when dt exceeds the spectral-radius
-    bound, when the step creates negative values beyond the positivity
-    monitor, or when mass drifts by more than ``mass_tolerance`` (the
-    zero mode is invariant, so any drift is a bug, not a modeling error).
+    bound, which only this scheme has.
     """
     s1, k1 = op.stage(v)
     limit = stable_step_limit(p, float(s1.max()), op.params)
@@ -247,22 +245,13 @@ def _step_rk4(p, v, dt, op, mass_tolerance):
     k3 = op.stage(v + 0.5 * dt * k2)[1]
     k4 = op.stage(v + dt * k3)[1]
     dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new = p.values + np.fft.irfft(dv, n=p.m)
-    drift = abs(float(new.sum()) - float(p.values.sum())) * p.dx
-    if drift > mass_tolerance:
-        raise StabilityError(f"mass drifted by {drift:.3g} in one step; "
-                             "zero-mode invariance is broken")
-    floor = -1e-8 * max(float(new.max()), 1e-300)
-    if float(new.min()) < floor:
-        raise StabilityError(f"positivity monitor tripped: min {new.min():.3g} "
-                             f"< {floor:.3g}; reduce dt or refine the grid")
-    return p._unchecked(new), v + dv
+    return dv, v + dv
 
 
 def _step_lawson(p, v, dt, op):
     """Integrating-factor RK4 on the linearization with |sigma|^alpha frozen
-    at its maximum over the first stage; it takes and returns the density
-    and its spectrum as :func:`_step_rk4` does.
+    at its maximum over the first stage; it takes what :func:`_step_rk4`
+    takes (the density unread) and returns what it returns.
 
     Exact for measure-independent coefficients; removes the stiff step
     limit when alpha is close to 2.
@@ -280,7 +269,7 @@ def _step_lawson(p, v, dt, op):
     k3 = n_hat(e_half * v + 0.5 * dt * k2)
     k4 = n_hat(e_full * v + dt * e_half * k3)
     v_new = e_full * v + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return p._unchecked(p.values + np.fft.irfft(v_new - v, n=p.m)), v_new
+    return v_new - v, v_new
 
 
 @dataclass
@@ -309,8 +298,11 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
     Heavy-tailed dynamics push mass toward the periodic seam; the run
     aborts once the boundary density exceeds ``boundary_density_tol``
     rather than silently wrapping significant mass.  It also aborts once
-    mass leaves one by more than ``mass_tolerance``, and, under RK4, once
-    one step moves it by more than that.
+    mass leaves one by more than ``mass_tolerance``, and, under either
+    scheme, once one step moves it by more than that (the zero mode is
+    invariant, so any drift is a bug, not a modeling error) or makes a
+    value below -1e-8 times the step's largest (the positivity monitor;
+    negative values are reported, never clipped).
     """
     if scheme not in ("rk4", "if-rk4"):
         raise ValueError("scheme must be 'rk4' or 'if-rk4'")
@@ -325,14 +317,22 @@ def solve_fp(p0, horizon, dt, sigma, params, snapshots=1, scheme="rk4",
     mass, mins, bdry = [p0.mass()], [float(p0.values.min())], [p0.boundary_density()]
     p, v = p0, np.fft.rfft(p0.values)
     op = _Operator(p0, sigma, params)
+    step = _step_rk4 if scheme == "rk4" else _step_lawson
     for k in range(n_steps):
-        if scheme == "rk4":
-            p, v = _step_rk4(p, v, dt, op, mass_tolerance)
-        else:
-            p, v = _step_lawson(p, v, dt, op)
+        change, v = step(p, v, dt, op)
+        new = p.values + np.fft.irfft(change, n=p.m)
+        drift = abs(float(new.sum()) - float(p.values.sum())) * p.dx
+        if drift > mass_tolerance:
+            raise StabilityError(f"mass drifted by {drift:.3g} in one step; "
+                                 "zero-mode invariance is broken")
+        low, floor = float(new.min()), -1e-8 * max(float(new.max()), 1e-300)
+        if low < floor:
+            raise StabilityError(f"positivity monitor tripped: min {low:.3g} "
+                                 f"< {floor:.3g}; reduce dt or refine the grid")
+        p = p._unchecked(new)
         t = (k + 1) * dt
         mass.append(p.mass())
-        mins.append(float(p.values.min()))
+        mins.append(low)
         bdry.append(p.boundary_density())
         if abs(mass[-1] - 1.0) > mass_tolerance:
             raise StabilityError(f"mass left unity at t={t:.4g}: {mass[-1]!r}")
@@ -380,13 +380,6 @@ def _fd_second(fn, x, h):
             + 16 * fn(x - h) - fn(x - 2 * h)) / (12.0 * h * h)
 
 
-@dataclass(frozen=True)
-class AdjointReport:
-    lhs: float
-    rhs: float
-    rel_error: float
-
-
 def _gauss_legendre_panels(breaks, nodes_per_panel):
     """Gauss-Legendre nodes/weights on a sequence of panels (vectorized)."""
     gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
@@ -399,18 +392,24 @@ def _gauss_legendre_panels(breaks, nodes_per_panel):
 
 # the duality check's test functions must vanish outside this share of the domain
 SUPPORT_FRACTION = 0.8
+# its jump quadrature: the Taylor head below HEAD_CUT, then LOG_PANELS
+# log-graded panels of NODES_PER_PANEL Gauss-Legendre nodes over one period
+HEAD_CUT = 0.01
+LOG_PANELS = 20
+NODES_PER_PANEL = 24
 
 
-def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
-                           head_cut=0.01, log_panels=20, nodes_per_panel=24):
+def adjoint_identity_check(sigma, nu_grid, phi, psi, params):
     """Weak-form duality check of the jump generator against the multiplier.
 
     Left side: the generator applied to ``phi`` by direct singular
-    quadrature in the jump variable (Taylor head below ``head_cut``,
-    log-graded Gauss-Legendre panels over one period of the wrapped test
-    function, with the periodic tail summed exactly through the Hurwitz
-    zeta), integrated against ``psi``.  Right side: the same pairing with
-    the multiplier form moved onto ``|sigma|^alpha psi`` spectrally.
+    quadrature in the jump variable (Taylor head below ``HEAD_CUT``,
+    ``LOG_PANELS`` log-graded Gauss-Legendre panels over one period of the
+    wrapped test function, with the periodic tail summed exactly through
+    the Hurwitz zeta), integrated against ``psi``.  Right side: the same
+    pairing with the multiplier form moved onto ``|sigma|^alpha psi``
+    spectrally.  Returns ``{lhs, rhs, rel_error}``, the relative error
+    being |lhs - rhs| / (|lhs| + |rhs|).
     Both test functions must be compactly supported away from the seam, and
     ``nu_grid`` must be a probability density: sigma reads it as the measure.
 
@@ -441,16 +440,16 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     def phi_wrapped(u):
         return phi((u + L) % (2.0 * L) - L)
 
-    # Taylor head: G(y) ~ (s y)^2 phi'' + (s y)^4 phi'''' / 12 below head_cut
+    # Taylor head: G(y) ~ (s y)^2 phi'' + (s y)^4 phi'''' / 12 below HEAD_CUT
     h = 0.01
     phi2 = _fd_second(phi, x, h)
     phi2_p = _fd_second(phi, x + 5 * h, h)
     phi2_m = _fd_second(phi, x - 5 * h, h)
     phi4 = (phi2_p - 2.0 * phi2 + phi2_m) / (25.0 * h * h)
-    head = (s ** 2 * phi2 * head_cut ** (2.0 - alpha) / (2.0 - alpha)
-            + s ** 4 * phi4 * head_cut ** (4.0 - alpha) / (12.0 * (4.0 - alpha)))
+    head = (s ** 2 * phi2 * HEAD_CUT ** (2.0 - alpha) / (2.0 - alpha)
+            + s ** 4 * phi4 * HEAD_CUT ** (4.0 - alpha) / (12.0 * (4.0 - alpha)))
 
-    # one full period [head_cut, head_cut + p(x)] with the Hurwitz-zeta
+    # one full period [HEAD_CUT, HEAD_CUT + p(x)] with the Hurwitz-zeta
     # weight folding in every later period exactly; the quadrature depends
     # on x only through |sigma(x)|, so it is built once per distinct value
     # (row) and each node reads its value's row.  The distinct values are
@@ -460,15 +459,15 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
     s_distinct, row = np.unique(s, return_inverse=True)
     by_row = np.argsort(row, kind="stable")            # the nodes, row by row
     row_starts = np.concatenate(([0], np.cumsum(np.bincount(row))))
-    tau_breaks = np.linspace(0.0, 1.0, log_panels + 1)
-    tau, tau_w = _gauss_legendre_panels(tau_breaks, nodes_per_panel)
+    tau_breaks = np.linspace(0.0, 1.0, LOG_PANELS + 1)
+    tau, tau_w = _gauss_legendre_panels(tau_breaks, NODES_PER_PANEL)
     step = _row_block(tau.size)
     phi_x = phi(x)
     body = np.empty(x.size)
     for lo in range(0, s_distinct.size, step):
         period = 2.0 * L / s_distinct[lo:lo + step]
-        ratio = (head_cut + period) / head_cut
-        y = head_cut * np.power.outer(ratio, tau)        # (rows, nq)
+        ratio = (HEAD_CUT + period) / HEAD_CUT
+        y = HEAD_CUT * np.power.outer(ratio, tau)        # (rows, nq)
         dy = y * np.log(ratio)[:, None] * tau_w[None, :]
         weight = period[:, None] ** (-1.0 - alpha) * hurwitz_zeta(
             1.0 + alpha, y / period[:, None])
@@ -486,8 +485,8 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params,
 
     w = s ** alpha * psi(x)
     rhs = float(np.sum(phi_x * fractional_laplacian(w, nu_grid, params)) * dx)
-    rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-    return AdjointReport(lhs=lhs, rhs=rhs, rel_error=rel)
+    return {"lhs": lhs, "rhs": rhs,
+            "rel_error": abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)}
 
 
 def _duality_table(cases, nu_grid, params, tolerance):
@@ -497,10 +496,9 @@ def _duality_table(cases, nu_grid, params, tolerance):
     error at most ``tolerance``."""
     rows, checks = [], []
     for i, (label, sigma, phi, psi) in enumerate(cases):
-        rep = adjoint_identity_check(sigma, nu_grid, phi, psi, params)
-        rows.append({"sigma": label, "lhs": rep.lhs, "rhs": rep.rhs,
-                     "rel_error": rep.rel_error})
-        checks.append(CheckResult(f"duality_rel_error_{i}", rep.rel_error, tolerance))
+        sides = adjoint_identity_check(sigma, nu_grid, phi, psi, params)
+        rows.append({"sigma": label, **sides})
+        checks.append(CheckResult(f"duality_rel_error_{i}", sides["rel_error"], tolerance))
     return {"tolerance": tolerance, "cases": rows}, checks
 
 

@@ -35,7 +35,6 @@ rows share its block.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "periodic_convolution",
     "second_moment",
     "empirical_gap_experiment",
-    "GapEstimate",
 ]
 
 
@@ -391,18 +389,9 @@ def _w2sq_sorted_unequal(x, y):
     return float(np.sum(lengths * (xi - yi) ** 2))
 
 
-@dataclass(frozen=True)
-class GapEstimate:
-    """Monte-Carlo estimate of E d^2(nu^n, nu) with its standard error."""
-
-    n: int
-    reps: int
-    mean_sq_distance: float
-    stderr: float
-
-
 def empirical_gap_experiment(law_sampler, n, reps, rng, n_ref=10 ** 6):
-    """Estimate E d^2(nu^n, nu) against a large-sample stand-in for nu.
+    """Estimate E d^2(nu^n, nu) against a large-sample stand-in for nu:
+    (mean square distance, its standard error) over ``reps`` repetitions.
 
     ``law_sampler(rng, size)`` draws i.i.d. samples.  The reference law
     is represented by one i.i.d. sample of size ``n_ref`` (frozen across
@@ -413,8 +402,7 @@ def empirical_gap_experiment(law_sampler, n, reps, rng, n_ref=10 ** 6):
     for r in range(reps):
         xs = np.sort(law_sampler(rng, n))
         vals[r] = _w2sq_sorted_unequal(xs, ref)
-    mean, stderr = _mean_stderr(vals)
-    return GapEstimate(n=n, reps=reps, mean_sq_distance=mean, stderr=stderr)
+    return _mean_stderr(vals)
 
 
 def _lemma4(*, n_values, reps, n_ref, bound, seed):
@@ -424,12 +412,11 @@ def _lemma4(*, n_values, reps, n_ref, bound, seed):
     ests = [empirical_gap_experiment(lambda r, size: r.standard_normal(size), n, reps,
                                      substream(seed, 40, i), n_ref=n_ref)
             for i, n in enumerate(n_values)]
-    means = [est.mean_sq_distance for est in ests]
+    means, stderrs = zip(*ests)
     checks = [CheckResult(f"lemma4_bound_{i}", m, bound) for i, m in enumerate(means)]
-    checks += _within_2se("lemma4_monotone", means, [est.stderr for est in ests], "<")
-    return {"bound": bound, "rows": [
-        {"n": n, "mean_sq_distance": est.mean_sq_distance, "stderr": est.stderr}
-        for n, est in zip(n_values, ests)]}, checks
+    checks += _within_2se("lemma4_monotone", means, stderrs, "<")
+    rows = [{"n": n, "mean_sq_distance": m, "stderr": se} for n, (m, se) in zip(n_values, ests)]
+    return {"bound": bound, "rows": rows}, checks
 
 
 def _mean_stderr(values):

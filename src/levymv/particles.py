@@ -57,8 +57,6 @@ __all__ = [
     "FileLaw",
     "SimulationConfig",
     "MarginalFlow",
-    "ChaosRateTable",
-    "ChaosRow",
     "PicardResult",
     "CouplingResult",
     "SimulationError",
@@ -114,8 +112,15 @@ class GaussianLaw:
 
 @dataclass(frozen=True)
 class UniformLaw:
+    """The uniform law on [lo, hi]: both bounds finite, hi above lo."""
+
     lo: float = -1.0
     hi: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
+            raise ValueError(f"hi must be above lo, both finite, got lo = {self.lo!r} "
+                             f"and hi = {self.hi!r}")
 
     def sample(self, n, rng):
         return rng.uniform(self.lo, self.hi, n)
@@ -296,11 +301,12 @@ def simulate(cfg, record_every=1):
 
 def _terminal_cf_test(flow, cfg, xi_grid, tolerance):
     """The CF test of a run of ``cfg`` whose coefficient has a
-    ``constant_value``, over a stable driver, whose law at the horizon is
-    the initial law convolved with a stable law: the sup over ``xi_grid``
-    of the gap between the two CFs, the final marginal's empirical one and
-    the exact one, at most ``tolerance`` (None: 4 / sqrt(n) + 1e-3).
-    Returns the payload and the check."""
+    ``constant_value``, over a stable driver that no finite truncation
+    cuts, whose law at the horizon is the initial law convolved with a
+    stable law: the sup over ``xi_grid`` of the gap between the two CFs,
+    the final marginal's empirical one and the exact one, at most
+    ``tolerance`` (None: 4 / sqrt(n) + 1e-3).  Returns the payload and the
+    check."""
     xi = np.array(xi_grid)
     alpha = cfg.driver.alpha
     c_tot = cfg.driver.scale * cfg.horizon_T * abs(cfg.sigma.constant_value) ** alpha
@@ -449,40 +455,6 @@ def _simulate_coupled(cfgs, summaries):
             for g, e in zip(sup_gap, worst_excess)]
 
 
-@dataclass(frozen=True)
-class ChaosRow:
-    n: int
-    mean_sq_gap: float
-    stderr: float
-
-
-@dataclass
-class ChaosRateTable:
-    """Mean-square sup-deviations against the reference flow, by system size."""
-
-    rows: list
-    fitted_slope: float
-    slope_stderr: float
-    status: str
-    reference_n: int
-    reps: int
-
-    def to_json_dict(self):
-        ci = (None if self.fitted_slope is None else
-              [self.fitted_slope - 1.96 * self.slope_stderr,
-               self.fitted_slope + 1.96 * self.slope_stderr])
-        return {
-            "rows": [{"n": r.n, "mean_sq_gap": r.mean_sq_gap, "stderr": r.stderr}
-                     for r in self.rows],
-            "fitted_slope": self.fitted_slope,
-            "slope_stderr": self.slope_stderr,
-            "slope_ci95": ci,
-            "status": self.status,
-            "reference_n": self.reference_n,
-            "reps": self.reps,
-        }
-
-
 def _loglog_slope(ns, vals):
     lx = np.log(np.asarray(ns, dtype=float))
     ly = np.log(np.asarray(vals, dtype=float))
@@ -518,6 +490,12 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     ``constant_value`` steps the systems and their copies alike, so its
     table is degenerate: its gaps are zero up to roundoff, and no slope is
     fitted.
+
+    Returns the table's payload: ``rows``, one ``{n, mean_sq_gap, stderr}``
+    per size, the ``fitted_slope`` of log mean square gap against log n
+    with its ``slope_stderr`` and ``slope_ci95`` (all three None for a
+    degenerate table), the ``status`` ("ok" or "degenerate: all-zero"),
+    ``reference_n`` and ``reps``.
     """
     n_list = list(n_list)
     if sorted(n_list) != n_list or len(n_list) < 4:
@@ -553,33 +531,38 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     rows = []
     for i, n in enumerate(n_list):
         mean, se = _mean_stderr(np.asarray(flat[i * reps:(i + 1) * reps]))
-        rows.append(ChaosRow(n=n, mean_sq_gap=mean, stderr=se))
-    degenerate = cfg_base.sigma.constant_value is not None
-    slope, slope_se = (None, None) if degenerate else _loglog_slope(
-        [r.n for r in rows], [max(r.mean_sq_gap, 1e-300) for r in rows])
-    return ChaosRateTable(rows=rows, fitted_slope=slope, slope_stderr=slope_se,
-                          status="degenerate: all-zero" if degenerate else "ok",
-                          reference_n=n_ref, reps=reps)
+        rows.append({"n": n, "mean_sq_gap": mean, "stderr": se})
+    if cfg_base.sigma.constant_value is not None:
+        slope = slope_se = ci = None
+    else:
+        slope, slope_se = _loglog_slope(n_list, [max(r["mean_sq_gap"], 1e-300) for r in rows])
+        ci = [slope - 1.96 * slope_se, slope + 1.96 * slope_se]
+    return {"rows": rows, "fitted_slope": slope, "slope_stderr": slope_se, "slope_ci95": ci,
+            "status": "ok" if slope is not None else "degenerate: all-zero",
+            "reference_n": n_ref, "reps": reps}
 
 
 def _chaos_checks(table, slope_max=None, require_monotone=False):
-    """A chaos-rate table's payload and checks: the fitted slope at most
-    ``slope_max`` unless that is None, and, if ``require_monotone``, each
-    size's mean square gap at most the one before plus twice their combined
-    standard error.  A degenerate table gets neither."""
-    payload = table.to_json_dict()
+    """A chaos-rate table's payload and checks: the table, a
+    :func:`chaos_rate_experiment` payload, with the gates' keys added, and
+    the checks: the fitted slope at most ``slope_max`` unless that is None,
+    and, if ``require_monotone``, each size's mean square gap at most the
+    one before plus twice their combined standard error.  A degenerate
+    table gets neither."""
+    payload = dict(table)
     checks = []
-    if table.status.startswith("degenerate"):
+    if table["fitted_slope"] is None:
         payload["criterion"] = "degenerate measure-independent coefficient"
         return payload, checks
     if slope_max is not None:
-        slope = CheckResult("slope", table.fitted_slope, slope_max)
+        slope = CheckResult("slope", table["fitted_slope"], slope_max)
         payload["criterion"] = {"slope_max": slope.limit, "fitted": slope.value,
                                 "pass": slope.passed}
         checks.append(slope)
     if require_monotone:
-        monotone = _within_2se("monotone", [r.mean_sq_gap for r in table.rows],
-                               [r.stderr for r in table.rows], "<=")
+        rows = table["rows"]
+        monotone = _within_2se("monotone", [r["mean_sq_gap"] for r in rows],
+                               [r["stderr"] for r in rows], "<=")
         payload["monotone_within_2se"] = all(c.passed for c in monotone)
         checks += monotone
     return payload, checks

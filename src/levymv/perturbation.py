@@ -35,7 +35,6 @@ __all__ = [
     "perturbation_profile",
     "perturbation_profile_deriv",
     "verify_h1",
-    "H1Report",
     "CheckResult",
 ]
 
@@ -47,8 +46,9 @@ class PerturbationParams:
     ``gamma`` must exceed alpha/2 so that k^2 beta1 is integrable at the
     origin; ``eps`` fixes the knots at eps and 2*eps; ``k1_bound`` is the
     Lipschitz bound of the coefficient's x-derivative entering the
-    smallness thresholds.  ``c_coeff`` is the unique blending constant
-    that makes the profile vanish exactly at the band edge.
+    smallness thresholds; ``levy_k``, the band density's constant K, must
+    be above 0.  ``c_coeff`` is the unique blending constant that makes
+    the profile vanish exactly at the band edge.
     """
 
     gamma: float
@@ -67,6 +67,8 @@ class PerturbationParams:
             raise ValueError("eps must lie in (0, 1/2)")
         if self.k1_bound < 0.0:
             raise ValueError("k1_bound must be nonnegative")
+        if not self.levy_k > 0.0:
+            raise ValueError(f"levy_k must be above 0, got {self.levy_k!r}")
         g, e = self.gamma, self.eps
         c = (1.0 + g) * e / ((1.0 + g) - e * (1.0 + 2.0 * g))
         if not (np.isfinite(c) and c > 0.0):
@@ -161,29 +163,6 @@ class CheckResult:
                 "sense": self.sense, "passed": self.passed, "margin": self.margin}
 
 
-@dataclass
-class H1Report:
-    params: PerturbationParams
-    checks: list
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name):
-        return {c.name: c for c in self.checks}[name]
-
-    def to_json_dict(self):
-        return {
-            "params": {"gamma": self.params.gamma, "eps": self.params.eps,
-                       "alpha": self.params.alpha, "k1_bound": self.params.k1_bound,
-                       "levy_k": self.params.levy_k, "c_coeff": self.params.c_coeff},
-            "all_passed": self.all_passed,
-            "checks": [{"name": c.name, "passed": c.passed, "margin": c.margin,
-                        "details": c.details} for c in self.checks],
-        }
-
-
 def _profile_sq_band_integral(params, resolution):
     """int_{-1}^{1} k^2 beta1 at a given grid resolution.
 
@@ -214,7 +193,7 @@ def _displacement_ratio(y, a, lam, params):
 
 def verify_h1(params, resolutions=(256, 512, 1024, 2048)):
     """Run the full admissibility battery, one :class:`CheckResult` per
-    comparison.
+    comparison; returns the payload and the checks.
 
     Each margin comes from the comparison that decides its check, in the
     natural units of that inequality: limit - value for an upper limit,
@@ -222,6 +201,9 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048)):
     check passed, and > 0 when a strict one did.  A convergence study
     gives one check per comparison: each step down in its corrections,
     the last relative correction, and the finiteness of the last value.
+
+    The payload holds the ``params`` (with the blending constant), whether
+    ``all_passed``, and per check its name, verdict, margin and details.
     """
     g, e, c = params.gamma, params.eps, params.c_coeff
     a, k1 = params.alpha, params.k1_bound
@@ -337,6 +319,12 @@ def verify_h1(params, resolutions=(256, 512, 1024, 2048)):
     checks.append(CheckResult("log_deriv_integrand_finite", abs(spot_vals[-1]),
                               sys.float_info.max))
 
-    return H1Report(params=params, checks=checks)
+    return {
+        "params": {"gamma": g, "eps": e, "alpha": a, "k1_bound": k1,
+                   "levy_k": params.levy_k, "c_coeff": c},
+        "all_passed": all(chk.passed for chk in checks),
+        "checks": [{"name": chk.name, "passed": chk.passed, "margin": chk.margin,
+                    "details": chk.details} for chk in checks],
+    }, checks
 
 

@@ -130,6 +130,21 @@ class TestSimulateCommand:
                                       "n_particles": 50})
         assert main(["simulate", cfg, "--out", str(tmp_path / "default")]) == 0
 
+    def test_truncated_stable_driver_decides_no_cf_gap(self, tmp_path, capsys):
+        # a finite truncation cuts the stable driver's big jumps, so the
+        # terminal law is not stable and no CF test runs; at alpha = 2 there
+        # are no jumps to cut, and it runs
+        decided = {}
+        for alpha in (1.5, 2.0):
+            cfg = write_config(tmp_path, {**SIM_CFG, "n_particles": 2000, "truncation": 2.0,
+                                          "driver": {"kind": "stable", "alpha": alpha}})
+            out = tmp_path / f"alpha{alpha}"
+            assert main(["simulate", cfg, "--out", str(out)]) == 0, alpha
+            summary = json.loads((out / "summary.json").read_text())
+            decided[alpha] = [c["name"] for c in summary["checks"]]
+            assert ("cf_test" in summary) == bool(decided[alpha]), alpha
+        assert decided == {1.5: [], 2.0: ["cf_gap"]}
+
     def test_nan_truncation_rejected(self, tmp_path, capsys):
         # json reads NaN, so a config file can carry one
         cfg = write_config(tmp_path, {**SIM_CFG, "truncation": float("nan")})
@@ -425,6 +440,21 @@ class TestPdeCommand:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["pde", cfg, "--out", str(tmp_path / "bad")]) == 1
+
+    def test_if_rk4_negative_density_exits_1(self, tmp_path, capsys):
+        # the positivity monitor runs under both schemes; this integrating-
+        # factor solve drives the density below its floor
+        payload = {
+            "command": "pde", "seed": 1,
+            "grid": {"half_width": 20.0, "points": 1024},
+            "initial": {"kind": "gaussian", "std": 0.3},
+            "alpha": 1.9, "sigma": {"kind": "smoothed_power", "eps": 0.05, "s": 1.0},
+            "dt": 0.05, "horizon": 1.0, "scheme": "if-rk4",
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["pde", cfg, "--out", str(tmp_path / "negative")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: positivity monitor tripped") and "Traceback" not in err
 
 
 class TestChaosCommand:

@@ -14,7 +14,7 @@ from levymv.drivers import LevyTripletSpec, StableDriverSpec, sample_increment_a
 from levymv.exports import (chaos_table_to_csv, flow_from_binary, flow_to_binary,
                             flow_to_csv)
 from levymv.measures import EmpiricalMeasure, second_moment, wasserstein2
-from levymv.particles import (ChaosRateTable, FileLaw, GaussianLaw,
+from levymv.particles import (FileLaw, GaussianLaw,
                               MarginalFlow, PointMass, SimulationConfig,
                               SimulationError, UniformLaw, chaos_rate_experiment,
                               initial_positions, picard_flow, simulate,
@@ -371,23 +371,24 @@ class TestChaosExperiment:
     def test_degenerate_for_measure_independent_sigma(self):
         cfg = make_cfg(sigma=Constant(1.0), n_particles=50, seed=51)
         table = chaos_rate_experiment(cfg, [10, 20, 40, 80], reps=3, n_ref=800)
-        assert table.status == "degenerate: all-zero"
-        assert table.fitted_slope is None
-        assert all(r.mean_sq_gap == 0.0 for r in table.rows)
+        assert table["status"] == "degenerate: all-zero"
+        assert table["fitted_slope"] is None
+        assert all(r["mean_sq_gap"] == 0.0 for r in table["rows"])
 
     def test_gaps_shrink_with_system_size(self):
         cfg = make_cfg(n_particles=50, dt=0.05, horizon_T=0.5, seed=52)
         table = chaos_rate_experiment(cfg, [25, 50, 100, 200], reps=8, n_ref=2000)
-        rows = table.rows
-        assert table.fitted_slope < -0.4
+        rows = table["rows"]
+        assert table["fitted_slope"] < -0.4
         for a, b in zip(rows, rows[1:]):
-            assert b.mean_sq_gap <= a.mean_sq_gap + 2.0 * math.hypot(a.stderr, b.stderr)
+            assert b["mean_sq_gap"] <= a["mean_sq_gap"] + 2.0 * math.hypot(a["stderr"],
+                                                                           b["stderr"])
 
     def test_threading_does_not_change_results(self):
         # reps 5: no thread count here divides it, so the chunks of rows differ
         tables = [chaos_rate_experiment(
                       make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=53),
-                      [10, 20, 40, 80], reps=5, n_ref=800, threads=t).to_json_dict()
+                      [10, 20, 40, 80], reps=5, n_ref=800, threads=t)
                   for t in (1, 2, 3)]
         assert tables[0] == tables[1] == tables[2]
 
@@ -464,6 +465,13 @@ class TestInitialLaws:
         with pytest.raises(ValueError, match="std must be above 0"):
             GaussianLaw(0.0, std)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5), (-math.inf, 1.0),
+                                        (0.0, math.nan)])
+    def test_uniform_bounds_finite_and_hi_above_lo(self, lo, hi):
+        # lo == hi would divide by zero in the CF
+        with pytest.raises(ValueError, match="hi must be above lo"):
+            UniformLaw(lo, hi)
+
     @pytest.mark.parametrize("law", [PointMass(0.7), GaussianLaw(1.0, 0.5),
                                      UniformLaw(-2.0, 3.0)])
     def test_cf_matches_empirical_cf(self, law):
@@ -516,9 +524,8 @@ class TestExports:
         assert len(lines) == 1 + flow.times.size
 
     def test_chaos_table_csv(self, tmp_path):
-        table = ChaosRateTable(
-            rows=[], fitted_slope=None, slope_stderr=None, status="degenerate",
-            reference_n=0, reps=0)
+        table = {"rows": [], "fitted_slope": None, "slope_stderr": None, "slope_ci95": None,
+                 "status": "degenerate", "reference_n": 0, "reps": 0}
         path = tmp_path / "t.csv"
         chaos_table_to_csv(table, path)
         assert path.read_text().startswith("n,mean_sq_gap,stderr")

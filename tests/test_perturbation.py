@@ -12,6 +12,11 @@ def params(gamma=1.0, eps=0.01, alpha=1.5, k1=1.0):
     return PerturbationParams(gamma=gamma, eps=eps, alpha=alpha, k1_bound=k1)
 
 
+def checks_by_name(p):
+    """The checks of :func:`verify_h1` on ``p``, by name."""
+    return {c.name: c for c in verify_h1(p)[1]}
+
+
 class TestProfileValues:
     def test_vanishes_at_band_edge_exactly(self):
         p = params()
@@ -89,6 +94,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             PerturbationParams(gamma=1.5, eps=0.01, alpha=2.0)
 
+    @pytest.mark.parametrize("levy_k", [0.0, -1.0, float("nan")])
+    def test_levy_k_must_be_above_0(self, levy_k):
+        with pytest.raises(ValueError, match="levy_k must be above 0"):
+            PerturbationParams(gamma=1.0, eps=0.01, alpha=1.5, levy_k=levy_k)
+
     def test_blending_constant_formula(self):
         p = params(gamma=1.0, eps=0.01)
         expected = 2.0 * 0.01 / (2.0 - 0.01 * 3.0)
@@ -97,48 +107,48 @@ class TestParamsValidation:
 
 class TestVerifyH1:
     def test_reference_parameters_pass_everything(self):
-        report = verify_h1(params(gamma=1.0, eps=0.01, alpha=1.5, k1=1.0))
-        assert report.all_passed
-        for check in report.checks:
+        payload, checks = verify_h1(params(gamma=1.0, eps=0.01, alpha=1.5, k1=1.0))
+        assert payload["all_passed"]
+        for check in checks:
             assert check.passed, check.name
 
     def test_c1_patching_margin(self):
-        report = verify_h1(params())
+        report = checks_by_name(params())
         assert report["c1_patching"].margin > 0.0
 
     def test_closed_form_bounds_have_positive_margin(self):
-        report = verify_h1(params())
+        report = checks_by_name(params())
         for name in ("sup_profile_bound", "profile_over_y_bound",
                      "profile_smallness", "deriv_smallness"):
             assert report[name].margin > 0.0, name
 
     def test_square_integral_head_exponent(self):
         # k^2 beta1 ~ y^(1+2g-a) near 0; the analytic head uses that exponent
-        report = verify_h1(params(gamma=1.0, alpha=1.5))
+        report = checks_by_name(params(gamma=1.0, alpha=1.5))
         det = report["square_integral_converges"].details
         assert det["head_exponent"] == pytest.approx(2 + 2 * 1.0 - 1.5)
         vals = det["values"]
         assert abs(vals[-1] - vals[-2]) < 1e-3 * abs(vals[-1])
 
     def test_displacement_ratio_bounded_by_half(self):
-        report = verify_h1(params())
+        report = checks_by_name(params())
         assert report["displacement_ratio_bound"].details["sup"] <= 0.5
 
     def test_threshold_case_flagged(self):
         # eps exactly at ((1+K1)(1+gamma))^(-1/gamma): strict inequality fails
         k1, gamma = 1.0, 1.0
         eps_threshold = ((1 + k1) * (1 + gamma)) ** (-1 / gamma)
-        report = verify_h1(params(gamma=gamma, eps=eps_threshold, k1=k1))
-        assert not report["eps_below_profile_threshold"].passed
-        assert not report.all_passed
+        payload, checks = verify_h1(params(gamma=gamma, eps=eps_threshold, k1=k1))
+        assert not {c.name: c for c in checks}["eps_below_profile_threshold"].passed
+        assert not payload["all_passed"]
 
     def test_too_large_eps_breaks_ratio_bound(self):
-        report = verify_h1(params(eps=0.3, gamma=1.0, alpha=1.5, k1=1.0))
-        assert not report.all_passed
+        payload, _ = verify_h1(params(eps=0.3, gamma=1.0, alpha=1.5, k1=1.0))
+        assert not payload["all_passed"]
 
     def test_report_serializes(self):
         import json
-        payload = verify_h1(params()).to_json_dict()
+        payload, _ = verify_h1(params())
         text = json.dumps(payload)
         assert "displacement_ratio_bound" in text
         assert payload["all_passed"] is True
@@ -147,20 +157,21 @@ class TestVerifyH1:
         # the derivative's sup sits within roundoff of its bound here; the check
         # passes on the bound's 1e-12 allowance, and its margin is measured
         # against the same allowance
-        report = verify_h1(PerturbationParams(gamma=1.0, eps=0.45, alpha=0.5, k1_bound=0.0))
+        report = checks_by_name(PerturbationParams(gamma=1.0, eps=0.45, alpha=0.5,
+                                                   k1_bound=0.0))
         check = report["sup_deriv_bound"]
         assert check.passed and check.margin >= 0.0
 
     @pytest.mark.parametrize("p", [params(), params(eps=0.3), params(gamma=1.3, eps=0.02),
                                    params(eps=0.25), params(k1=0.0, alpha=0.5, eps=0.45)])
     def test_every_margin_agrees_with_its_verdict(self, p):
-        for check in verify_h1(p).checks:
+        for check in verify_h1(p)[1]:
             strict = check.sense in ("<", ">")
             assert check.passed == (check.margin > 0.0 if strict else check.margin >= 0.0), \
                 check.name
 
     def test_composite_checks_are_one_check_per_comparison(self):
-        names = [c.name for c in verify_h1(params()).checks]
+        names = [c.name for c in verify_h1(params())[1]]
         assert len(set(names)) == len(names)
         for name in ("square_integral_decreasing_r1024", "square_integral_decreasing_r2048",
                      "square_integral_finite", "log_deriv_integrand_converges",
