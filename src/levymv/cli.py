@@ -17,11 +17,13 @@ objects from it, and ``config.resolved.json`` records it, so rerunning
 from that file reproduces the run.  A config that breaks the schema (an
 unknown, missing or ill-typed key, a value outside its domain or one that
 a constructor rejects, a key given where the run would not read it, keys
-that do not fit together), a config file that cannot be read or parsed
-and a ``--threads`` below 1 print ``error: ...`` naming the key, file or
-flag and exit 2; a check that does not pass, or a run that aborts, exits
-1.  A command makes one library call per experiment, writes its files
-and hands its checks to ``_finish``: the experiments live next to what
+that do not fit together, such as a horizon with no finite step count at
+its dt or a sigma too narrow for the grid it is solved on), a config file
+that cannot be read or parsed and a ``--threads`` below 1 print
+``error: ...`` naming the key, file or flag and exit 2; a check that
+does not pass, or a run that aborts, exits 1.  A command makes one
+library call per experiment, writes its files and hands its checks to
+``_finish``: the experiments live next to what
 they test (the sampler batteries in ``drivers`` and ``measures``, the
 linear oracle, the duality table and a solve's health checks in
 ``fokker_planck``, the CF test, the chaos-rate table and its checks and
@@ -68,11 +70,24 @@ _REQUIRED = object()
 
 
 def _name(path):
-    """How an error message names the key at ``path`` (keys and list indices)."""
+    """How an error message names the key at ``path`` (keys and list indices;
+    the empty path is the config itself)."""
+    if not path:
+        return "the config"
     if isinstance(path[-1], int):
         return f"item {path[-1]} of {_name(path[:-1])}"
     where = ".".join(map(str, path[:-1]))
     return f"key {path[-1]!r}" + (f" in {where}" if where else "")
+
+
+def _named(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a constructor or a library call on the
+    values of the key at ``path``: a ``ValueError`` it raises is that key's
+    error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{_name(path)}: {exc}") from exc
 
 
 def _scalar(what, ok):
@@ -137,8 +152,7 @@ def _block(schema, *rules, build=None):
 
     def check(value, path=()):
         if not isinstance(value, dict):
-            where = _name(path) if path else "the config"
-            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+            raise ConfigError(f"{_name(path)} must be a JSON object, got {value!r}")
         resolved = {}
         for key, spec in schema.items():
             key_type, default = spec[:2] if isinstance(spec, tuple) else (spec, _REQUIRED)
@@ -163,10 +177,7 @@ def _block(schema, *rules, build=None):
                 resolved.pop(key, None)
         resolved = _Resolved(resolved)
         if build is not None:
-            try:
-                resolved.built = build(resolved)
-            except ValueError as exc:
-                raise ConfigError(f"{_name(path) if path else 'the config'}: {exc}") from exc
+            resolved.built = _named(path, build, resolved)
         return resolved
     return check
 
@@ -245,6 +256,11 @@ def _n_ref_covers_n_list(c):
                           f"the largest of {_name(('n_list',))}, {max(c['n_list'])}")
 
 
+def _steps(horizon, dt):
+    """The step count of ``horizon`` at ``dt``."""
+    return _named(("horizon",), _step_count, horizon, dt)
+
+
 def _solves(c):
     # a horizon asks for a solve, unless the linear oracle runs its own solves to it
     return c["horizon"] is not None and c["linear_oracle"] is None
@@ -254,21 +270,39 @@ def _pde_runs(c):
     if c["horizon"] is None and (c["linear_oracle"] is not None or c["adjoint_checks"] is None):
         raise ConfigError(f"{_name(('horizon',))} is required by linear_oracle, and without "
                           "adjoint_checks, where a pde config would run nothing")
-    if _solves(c) and c["snapshots"] > _step_count(c["horizon"], c["dt"]):
+    if _solves(c) and c["snapshots"] > _steps(c["horizon"], c["dt"]):
         raise ConfigError(f"{_name(('snapshots',))} = {c['snapshots']} exceeds the "
                           f"{_step_count(c['horizon'], c['dt'])} steps of {_name(('dt',))} = "
                           f"{c['dt']!r} to {_name(('horizon',))} = {c['horizon']!r}")
+    for case in c["linear_oracle"]["cases"] if c["linear_oracle"] is not None else ():
+        _steps(c["horizon"], case["dt"] / 2.0)   # the oracle solves at dt and dt / 2
 
 
 def _snapshots_on_both_grids(c):
     # compare pairs, by index, the PDE snapshot every pde_steps / snapshots
     # steps with the particle marginal every particle_steps / snapshots steps
-    steps = {grid: _step_count(c["horizon"], c[grid]["dt"]) for grid in ("pde", "particles")}
+    steps = {grid: _steps(c["horizon"], c[grid]["dt"]) for grid in ("pde", "particles")}
     if any(n % c["snapshots"] for n in steps.values()):
         raise ConfigError(f"{_name(('snapshots',))} = {c['snapshots']} must divide the steps "
                           f"to {_name(('horizon',))} = {c['horizon']!r} on both grids: " +
                           ", ".join(f"{n} steps of {_name((grid, 'dt'))} = {c[grid]['dt']!r}"
                                     for grid, n in steps.items()))
+
+
+def _fits_the_grid(c):
+    # each sigma that a pde run solves or checks duality with builds its grid
+    # evaluator as the run will (a smoothing too narrow for the spacing is
+    # its error), and each duality test function vanishes off the support
+    # that the check needs
+    grid = c["grid"].built
+    if c["horizon"] is not None:
+        _named(("sigma",), c["sigma"].built.on_grid, grid)
+    adjoint = c["adjoint_checks"]
+    for i, case in enumerate(adjoint["cases"] if adjoint is not None else ()):
+        path = ("adjoint_checks", "cases", i)
+        _named(path + ("sigma",), case["sigma"].built.on_grid, grid)
+        for key in ("phi", "psi"):
+            _named(path + (key,), fp._check_support, key, case[key].built, grid.half_width)
 
 
 def _oracle_has_an_exact_flow(c):
@@ -294,6 +328,12 @@ def _duality_case(c):
     return c["sigma"], sigma, c["phi"].built, c["psi"].built
 
 
+def _laid_on(grid, law):
+    """The gaussian initial ``law`` laid on ``grid``."""
+    return _named(("initial",), fp.gaussian_grid, grid.half_width, grid.m, mean=law.mean,
+                  std=law.std)
+
+
 def _pde_starts(c):
     """The initial density and the params of each alpha that a solve, a
     linear-oracle case or the adjoint checks run at, by alpha."""
@@ -304,8 +344,7 @@ def _pde_starts(c):
     def start(alpha):
         params = fp.FractionalParams(alpha=alpha, diffusivity=c["diffusivity"])
         if initial["kind"] == "gaussian":
-            law = initial.built
-            return fp.gaussian_grid(grid.half_width, grid.m, mean=law.mean, std=law.std), params
+            return _laid_on(grid, initial.built), params
         # a point mass, warmed up under the run's own params
         return fp.stable_heat_kernel_grid(grid.half_width, grid.m, t=initial["warmup"],
                                           params=params), params
@@ -315,8 +354,8 @@ def _pde_starts(c):
 def _compare_run(c):
     """The particle run at the largest size, the initial density of the
     solve and the solve's params."""
-    law, driver, grid = c["initial"].built, c["driver"].built, c["pde"]["grid"].built
-    start = fp.gaussian_grid(grid.half_width, grid.m, mean=law.mean, std=law.std)
+    driver = c["driver"].built
+    start = _laid_on(c["pde"]["grid"].built, c["initial"].built)
     # the multiplier constant is calibrated to the driver's CF constant:
     # with a constant coefficient both descriptions then share one law
     params = fp.FractionalParams(alpha=driver.alpha, diffusivity=driver.scale)
@@ -379,7 +418,7 @@ _COMMAND_KEYS = {
             "cases": _list_of(_block({"alpha": ALPHA, "dt": POSITIVE})),
             "sup_tolerance": (NUMBER, 1e-6), "order_ratio_range": (_PAIR, [12.0, 20.0])}),
             None),
-    }, _pde_starts, _pde_runs, _oracle_has_an_exact_flow),
+    }, _pde_starts, _pde_runs, _oracle_has_an_exact_flow, _fits_the_grid),
     "compare": ({
         # both descriptions must start from one density and share one law
         "driver": _kinds({"stable": _STABLE}), "initial": _kinds({"gaussian": _GAUSSIAN}),
@@ -389,7 +428,8 @@ _COMMAND_KEYS = {
         "pde": _block({"grid": _GRID, "dt": POSITIVE, "boundary_density_tol": (NUMBER, 1e-3)}),
         "snapshots": _SNAPSHOTS, "kde_eps": (POSITIVE, 0.01),
         "l1_max_at_largest": (NUMBER, None),
-    }, _compare_run, _snapshots_on_both_grids),
+    }, _compare_run, _snapshots_on_both_grids,
+        lambda c: _named(("sigma",), c["sigma"].built.on_grid, c["pde"]["grid"].built)),
     "validate-sampler": ({
         "batteries": _list_of(_one_of(*_BATTERIES)),
         **{name: (_block(keys), _REQUIRED,

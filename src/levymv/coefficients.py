@@ -5,8 +5,8 @@ Three families:
 * ``Constant`` -- measure-independent control case,
 * ``LinearInteraction`` -- averaged pair kernel
   sigma(x, mu) = (1/n) sum_i kernel(x, x_i), the classical linear
-  (McKean-Vlasov) structure; built-in kernels are bounded with bounded
-  first and second x-derivatives,
+  (McKean-Vlasov) structure, over a ``SineKernel`` or a ``CauchyKernel``;
+  each kernel carries its own reductions of a measure,
 * ``SmoothedDensityPower`` -- (g_eps * mu (x))^s, a porous-medium-type
   coefficient built from Gaussian smoothing of the measure, nonlinear in
   the measure.
@@ -38,7 +38,7 @@ smoothing is one kernel transform,
 :func:`levymv.measures.periodic_gaussian_transform`: the grid evaluator
 multiplies the solver's spectrum by it, and the samples are binned and
 convolved with it through :func:`levymv.measures.smoothing_table`.
-Exact pairwise sums over samples, a pair kernel's and the Gaussian
+Exact pairwise sums over samples, the Cauchy kernel's and the Gaussian
 smoothing's, are the one blocked kernel mean of :mod:`levymv.measures`.
 """
 
@@ -57,7 +57,7 @@ __all__ = [
 
 
 class Constant:
-    """sigma = value everywhere.
+    """sigma = value everywhere, a finite value.
 
     A vanishing coefficient freezes the dynamics and breaks the
     nondegeneracy the density results rely on; the checks that need a
@@ -67,6 +67,8 @@ class Constant:
 
     def __init__(self, value):
         self.value = self.constant_value = float(value)
+        if not np.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {value!r}")
 
     def evaluate(self, x, mu):
         return np.broadcast_to(self.value, np.shape(x)).copy() if np.ndim(x) else self.value
@@ -85,7 +87,8 @@ class Constant:
 
 
 class SineKernel:
-    """kernel(x, y) = c0 + c1 * sin(x - y); bounded, smooth, separable."""
+    """kernel(x, y) = c0 + c1 * sin(x - y); separable, so a measure reduces
+    to the means of cos and sin over its samples."""
 
     def __init__(self, c0=1.0, c1=0.5):
         self.c0 = float(c0)
@@ -107,9 +110,20 @@ class SineKernel:
         mc, ms = stats
         return self.c0 + self.c1 * (np.sin(x) * mc - np.cos(x) * ms)
 
+    def on_nodes(self, nodes):
+        """w -> sum_j kernel(nodes_i, nodes_j) w_j at each node, for weights
+        w of sum 1, by one weighted cos/sin reduction of w."""
+        cos, sin = np.cos(nodes), np.sin(nodes)
+
+        def mean(w):
+            mc, ms = float(np.sum(w * cos)), float(np.sum(w * sin))
+            return self.c0 + self.c1 * (sin * mc - cos * ms)
+        return mean
+
 
 class CauchyKernel:
-    """kernel(x, y) = c0 + c1 / (1 + (x - y)^2); bounded with bounded derivatives."""
+    """kernel(x, y) = c0 + c1 / (1 + (x - y)^2); a measure reduces only to
+    its samples, against which each point is summed pairwise."""
 
     def __init__(self, c0=1.0, c1=0.5):
         self.c0 = float(c0)
@@ -119,80 +133,56 @@ class CauchyKernel:
         d = x - y
         return self.c0 + self.c1 / (1.0 + d * d)
 
+    def summary_stats(self, samples):
+        return samples
+
+    def mean_from_stats(self, x, samples):
+        """Each point's mean over every sample in one blocked reduction; a
+        2-D ``x`` against 2-D samples row by row."""
+        if np.ndim(samples) > 1:
+            return np.stack([_pair_mean(self, xr, sr) for xr, sr in zip(x, samples)])
+        return _pair_mean(self, x, samples)
+
+    def on_nodes(self, nodes):
+        """w -> sum_j kernel(nodes_i, nodes_j) w_j at each node, for weights
+        w of sum 1, by the kernel's matrix on the nodes."""
+        mat = self(nodes[:, None], nodes[None, :])
+        return lambda w: mat @ w
+
 
 class LinearInteraction:
     """sigma(x, mu) = mean of kernel(x, y) over the samples of mu.
 
-    The kernel must be bounded with bounded first and second
-    x-derivatives; construction probes those bounds by finite
-    differences on 201 x 201 grids of half width 10 and 30 and rejects
-    kernels whose probes grow with the window.  A kernel with
-    ``summary_stats`` and ``mean_from_stats`` (``SineKernel``) is
-    summarized by those; any other kernel by the samples, against which it
-    is summed pairwise, each point in one reduction over every sample.  A
-    built-in kernel with ``c1 == 0`` is the constant ``c0``.
+    The kernel is a ``SineKernel`` or a ``CauchyKernel``, each of which
+    carries the three reductions sigma delegates to: ``summary_stats`` and
+    ``mean_from_stats`` (the ``summarize``/``from_summary`` pair) and
+    ``on_nodes``, the nodal mean of the grid evaluator.  For every finite
+    c0 and c1 both are bounded by |c0| + |c1|, with bounded x-derivatives:
+    the sine kernel's first and second by |c1| and |c1|, the Cauchy
+    kernel's by (3 sqrt(3) / 8) |c1| and 2 |c1|.  With ``c1 == 0`` sigma
+    is the constant ``c0``.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
-        sups = []
-        for hw in (10.0, 30.0):
-            xs = np.linspace(-hw, hw, 201)
-            xx, yy = np.meshgrid(xs, xs, indexing="ij")
-            h = 1e-4 * max(1.0, hw / 10.0)
-            v = kernel(xx, yy)
-            vp = kernel(xx + h, yy)
-            vm = kernel(xx - h, yy)
-            d1 = (vp - vm) / (2.0 * h)
-            d2 = (vp - 2.0 * v + vm) / (h * h)
-            sups.append((float(np.max(np.abs(v))),
-                         float(np.max(np.abs(d1))),
-                         float(np.max(np.abs(d2)))))
-        for small, big in zip(sups[0], sups[-1]):
-            if big > 1.5 * small + 1e-9:
-                raise ValueError("kernel bound probe grows with the window; "
-                                 "interaction kernels must be bounded with "
-                                 "bounded x-derivatives")
-        self.sup_bound, self.k1_bound, self.k2_bound = sups[-1]
-        built_in = isinstance(kernel, (SineKernel, CauchyKernel))
-        self.constant_value = kernel.c0 if built_in and kernel.c1 == 0.0 else None
+        self.constant_value = kernel.c0 if kernel.c1 == 0.0 else None
 
     def evaluate(self, x, mu):
         samples = mu.samples if isinstance(mu, EmpiricalMeasure) else np.asarray(mu)
         return self.from_summary(x, self.summarize(samples))
 
     def summarize(self, samples):
-        if hasattr(self.kernel, "summary_stats"):
-            return self.kernel.summary_stats(samples)
-        return samples
+        return self.kernel.summary_stats(samples)
 
     def from_summary(self, x, summary):
-        if hasattr(self.kernel, "mean_from_stats"):
-            return self.kernel.mean_from_stats(x, summary)
-        if np.ndim(summary) > 1:
-            return np.stack([_pair_mean(self.kernel, xr, sr) for xr, sr in zip(x, summary)])
-        return _pair_mean(self.kernel, x, summary)
+        return self.kernel.mean_from_stats(x, summary)
 
     def on_grid(self, grid):
-        nodes, dx, m = grid.nodes, grid.dx, grid.m
-        if isinstance(self.kernel, SineKernel):
-            # separable path: one weighted reduction instead of an m x m matrix
-            cos, sin = np.cos(nodes), np.sin(nodes)
-            c0, c1 = self.kernel.c0, self.kernel.c1
-
-            def reduce(w):
-                mc = float(np.sum(w * cos))
-                ms = float(np.sum(w * sin))
-                return c0 + c1 * (sin * mc - cos * ms)
-        else:
-            mat = self.kernel(nodes[:, None], nodes[None, :])
-
-            def reduce(w):
-                return mat @ w
+        mean, dx, m = self.kernel.on_nodes(grid.nodes), grid.dx, grid.m
 
         def sigma(spectrum):
             values = np.fft.irfft(spectrum, n=m)
-            return values, reduce(values * dx)
+            return values, mean(values * dx)
         return sigma
 
 
@@ -209,10 +199,10 @@ class SmoothedDensityPower:
     constant_value = None
 
     def __init__(self, eps, s):
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not s > 0.0:
-            raise ValueError("s must be positive")
+        if not 0.0 < eps < np.inf:
+            raise ValueError("eps must be positive and finite")
+        if not 0.0 < s < np.inf:
+            raise ValueError("s must be positive and finite")
         self.eps = float(eps)
         self.s = float(s)
 

@@ -86,8 +86,8 @@ class StableDriverSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 # pi/4 as the double math.pi/4 plus the rest, so pi/4 - |x|/2 keeps its
@@ -406,6 +406,10 @@ def _step_count(horizon, dt):
 
     The one rule by which the particle engine and the spectral solver snap
     a horizon to their time grid; the step actually taken is
-    ``horizon / _step_count(horizon, dt)``.
+    ``horizon / _step_count(horizon, dt)``.  A count too large to be a
+    finite number raises ``ValueError``.
     """
-    return max(1, int(round(horizon / dt)))
+    count = horizon / dt
+    if not math.isfinite(count):
+        raise ValueError(f"horizon {horizon!r} over dt {dt!r} is not a finite step count")
+    return max(1, int(round(count)))

@@ -79,8 +79,9 @@ class DensityGrid:
         m = values.size
         if m < 4 or (m & (m - 1)) != 0:
             raise ValueError("point count must be a power of two (>= 4)")
-        if not half_width > 0.0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < 2.0 * half_width < math.inf:
+            raise ValueError(f"half_width must be positive, with a finite period 2 half_width, "
+                             f"got {half_width!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
         tol = 1e-8 * max(float(values.max()), 1e-300)
@@ -200,10 +201,11 @@ def stable_step_limit(grid, sigma_max, params):
 
     The stiffest mode carries |multiplier| = diffusivity (pi/dx)^alpha
     times the sup of |sigma|^alpha; the classical four-stage explicit
-    scheme is stable on the real axis down to -2.7853.
+    scheme is stable on the real axis down to -2.7853.  A |sigma|^alpha
+    beyond the float range (inf) leaves no step.
     """
     lam = params.diffusivity * (math.pi / grid.dx) ** params.alpha \
-        * abs(sigma_max) ** params.alpha
+        * float(np.abs(sigma_max) ** params.alpha)
     if lam <= 0.0:
         return math.inf  # vanishing coefficient: nothing moves at any dt
     return 0.5 * RK4_REAL_AXIS / lam
@@ -399,6 +401,16 @@ LOG_PANELS = 20
 NODES_PER_PANEL = 24
 
 
+def _check_support(name, fn, half_width):
+    """Raise ``ValueError`` unless the test function ``fn`` vanishes outside
+    |x| <= SUPPORT_FRACTION * half_width, as the duality check needs."""
+    L = half_width
+    edge = np.max(np.abs(fn(np.concatenate([np.linspace(-L, -SUPPORT_FRACTION * L, 64),
+                                            np.linspace(SUPPORT_FRACTION * L, L, 64)]))))
+    if edge > 1e-12:
+        raise ValueError(f"{name} must vanish outside |x| <= {SUPPORT_FRACTION} L")
+
+
 def adjoint_identity_check(sigma, nu_grid, phi, psi, params):
     """Weak-form duality check of the jump generator against the multiplier.
 
@@ -421,11 +433,7 @@ def adjoint_identity_check(sigma, nu_grid, phi, psi, params):
     L, dx = nu_grid.half_width, nu_grid.dx
     x, nu = nu_grid.nodes, nu_grid.values
     for name, fn in (("phi", phi), ("psi", psi)):
-        edge = np.max(np.abs(fn(np.concatenate(
-            [np.linspace(-L, -SUPPORT_FRACTION * L, 64),
-             np.linspace(SUPPORT_FRACTION * L, L, 64)]))))
-        if edge > 1e-12:
-            raise ValueError(f"{name} must vanish outside |x| <= {SUPPORT_FRACTION} L")
+        _check_support(name, fn, L)
     if np.any(nu < -1e-8 * max(nu.max(), 1e-300)):
         raise ValueError("grid density must be nonnegative")
     if abs(nu_grid.mass() - 1.0) > 1e-6:
@@ -510,8 +518,8 @@ def _sup_error(density, exact):
 def _constant_flow(p0, t, sigma, params):
     """The exact flow of :func:`solve_fp` under a coefficient ``sigma`` with a
     nonzero ``constant_value``: the linear flow with its diffusivity scaled
-    by |value|^alpha."""
-    diffusivity = params.diffusivity * abs(sigma.constant_value) ** params.alpha
+    by |value|^alpha (inf beyond the float range)."""
+    diffusivity = params.diffusivity * float(np.abs(sigma.constant_value) ** params.alpha)
     return solve_linear_exact(p0, t, FractionalParams(params.alpha, diffusivity))
 
 

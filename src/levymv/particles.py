@@ -85,6 +85,10 @@ def _check_count(name, value):
 class PointMass:
     x0: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0!r}")
+
     def sample(self, n, rng):
         return np.full(n, self.x0)
 
@@ -100,8 +104,10 @@ class GaussianLaw:
     std: float = 1.0
 
     def __post_init__(self):
-        if not self.std > 0.0:
-            raise ValueError(f"std must be above 0, got {self.std!r}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not 0.0 < self.std < math.inf:
+            raise ValueError(f"std must be above 0 and finite, got {self.std!r}")
 
     def sample(self, n, rng):
         return self.mean + self.std * rng.standard_normal(n)

@@ -47,8 +47,9 @@ class PerturbationParams:
     origin; ``eps`` fixes the knots at eps and 2*eps; ``k1_bound`` is the
     Lipschitz bound of the coefficient's x-derivative entering the
     smallness thresholds; ``levy_k``, the band density's constant K, must
-    be above 0.  ``c_coeff`` is the unique blending constant that makes
-    the profile vanish exactly at the band edge.
+    be above 0.  Every parameter is finite.  ``c_coeff`` is the unique
+    blending constant that makes the profile vanish exactly at the band
+    edge.
     """
 
     gamma: float
@@ -61,18 +62,20 @@ class PerturbationParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if not self.gamma > self.alpha / 2.0:
-            raise ValueError(f"gamma must exceed alpha/2 = {self.alpha / 2.0}")
+        if not self.alpha / 2.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must exceed alpha/2 = {self.alpha / 2.0} and be finite, "
+                             f"got {self.gamma!r}")
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
-        if self.k1_bound < 0.0:
-            raise ValueError("k1_bound must be nonnegative")
-        if not self.levy_k > 0.0:
-            raise ValueError(f"levy_k must be above 0, got {self.levy_k!r}")
+        if not 0.0 <= self.k1_bound < np.inf:
+            raise ValueError(f"k1_bound must be nonnegative and finite, got {self.k1_bound!r}")
+        if not 0.0 < self.levy_k < np.inf:
+            raise ValueError(f"levy_k must be above 0 and finite, got {self.levy_k!r}")
         g, e = self.gamma, self.eps
         c = (1.0 + g) * e / ((1.0 + g) - e * (1.0 + 2.0 * g))
         if not (np.isfinite(c) and c > 0.0):
-            raise ValueError("blending constant is not finite and positive")
+            raise ValueError(f"the blending constant of gamma = {g!r} and eps = {e!r} is not "
+                             "finite and positive")
         object.__setattr__(self, "c_coeff", c)
         if perturbation_profile(1.0, self) != 0.0:
             raise AssertionError("profile must vanish exactly at the band edge")

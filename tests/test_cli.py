@@ -484,8 +484,8 @@ class TestChaosCommand:
             assert table[0] == "n,mean_sq_gap,stderr" and len(table) == 5
 
     def test_each_object_is_built_once(self, tmp_path, capsys, monkeypatch):
-        # resolution builds the truncated driver and the pair-kernel sigma
-        # (whose construction probes the kernel), and the run reuses them
+        # resolution builds the truncated driver and the pair-kernel sigma,
+        # and the run reuses them
         builds = []
         triplet = particles.truncated_stable_triplet
         probe = coefficients.LinearInteraction.__init__
@@ -800,13 +800,28 @@ def _with_value(cfg, path, value):
 
 
 class TestValueSweep:
+    @staticmethod
+    def _sweep(tmp_path, capsys, cfg, values):
+        # a value the schema or a constructor rejects exits 2 naming its key,
+        # or the block that holds it, before the output directory exists; any
+        # other runs to a verdict or aborts, without a traceback
+        for i, (path, value) in enumerate((path, value) for path in _numeric_leaves(cfg)
+                                          for value in values):
+            out = tmp_path / f"run{i}"
+            code = main([cfg["command"], write_config(tmp_path, _with_value(cfg, path, value)),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            named = [key for key in path[-2:] if isinstance(key, str)]
+            assert "Traceback" not in err and code in (0, 1, 2), (path, value, err)
+            if code == 2:
+                assert err.startswith("error:") and any(key in err for key in named), \
+                    (path, value, err)
+                assert not out.exists(), (path, value)
+
     @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
     def test_each_number_set_to_0_minus_1_and_nan(self, tmp_path, capsys, monkeypatch,
                                                  name):
-        # a value the schema or a constructor rejects exits 2 naming its key,
-        # or the block that holds it, before the output directory exists; any
-        # other runs to a verdict or aborts, without a traceback, and no
-        # command meets a value that the library rejects
+        # and no command meets a value that the library rejects
         cfg = SMALL_CONFIGS[name]
         command, rejected = cli._COMMANDS[cfg["command"]], []
 
@@ -818,19 +833,13 @@ class TestValueSweep:
                 raise
 
         monkeypatch.setitem(cli._COMMANDS, cfg["command"], run)
-        for i, (path, value) in enumerate((path, value) for path in _numeric_leaves(cfg)
-                                          for value in (0, -1, math.nan)):
-            out = tmp_path / f"run{i}"
-            code = main([cfg["command"], write_config(tmp_path, _with_value(cfg, path, value)),
-                         "--out", str(out)])
-            err = capsys.readouterr().err
-            named = [key for key in path[-2:] if isinstance(key, str)]
-            assert "Traceback" not in err and code in (0, 1, 2), (path, value, err)
-            if code == 2:
-                assert err.startswith("error:") and any(key in err for key in named), \
-                    (path, value, err)
-                assert not out.exists(), (path, value)
+        self._sweep(tmp_path, capsys, cfg, (0, -1, math.nan))
         assert not rejected
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_each_number_set_to_huge_and_infinite(self, tmp_path, capsys, name):
+        # a run may still find a finite value too large for it (exit 1)
+        self._sweep(tmp_path, capsys, SMALL_CONFIGS[name], (1e308, math.inf, -math.inf))
 
 
 class TestChecks:

@@ -38,11 +38,9 @@ class TestConstantValue:
         (LinearInteraction(CauchyKernel(0.7, 0.0)), 0.7),
         (LinearInteraction(SineKernel(1.0, 0.5)), None),
         (LinearInteraction(CauchyKernel(0.5, 1.0)), None),
-        # a kernel that is not built in is not inspected
-        (LinearInteraction(lambda x, y: 0.7 + 0.0 * (x - y)), None),
         (SmoothedDensityPower(0.5, 0.5), None),
     ], ids=["constant", "zero", "negative", "sine-c1-0", "cauchy-c1-0", "sine", "cauchy",
-            "custom-kernel", "smoothed"])
+            "smoothed"])
     def test_constant_value(self, sig, value):
         # the value sigma takes at every x and every measure, or None
         assert sig.constant_value == value
@@ -95,18 +93,31 @@ class TestLinearInteraction:
         mu2 = EmpiricalMeasure(np.concatenate([xs, xs]))
         assert sig.evaluate(0.9, mu) == pytest.approx(sig.evaluate(0.9, mu2))
 
-    def test_unbounded_kernel_rejected(self):
-        class Linear:
-            def __call__(self, x, y):
-                return x * y
-        with pytest.raises(ValueError):
-            LinearInteraction(Linear())
+    @pytest.mark.parametrize("kernel,bounds", [
+        (SineKernel(1.0, -0.5), (1.5, 0.5, 0.5)),
+        (CauchyKernel(-0.5, -1.0), (1.5, 3.0 * math.sqrt(3.0) / 8.0, 2.0)),
+    ], ids=["sine", "cauchy"])
+    def test_kernel_bounds_are_the_documented_ones(self, kernel, bounds):
+        # sup |kernel| <= |c0| + |c1| and the documented sups of its first and
+        # second x-derivatives, each attained on a fine grid of differences
+        d = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 20001)
+        h = 1e-4
+        v, vp, vm = kernel(d, 0.0), kernel(d + h, 0.0), kernel(d - h, 0.0)
+        found = (np.abs(v).max(), np.abs(vp - vm).max() / (2.0 * h),
+                 np.abs(vp - 2.0 * v + vm).max() / (h * h))
+        for got, bound in zip(found, bounds):
+            assert bound - 1e-3 < got <= bound + 1e-6
 
-    def test_probed_bounds_match_known_kernel(self):
-        sig = LinearInteraction(SineKernel(1.0, 0.5))
-        assert sig.sup_bound == pytest.approx(1.5, abs=1e-3)
-        assert sig.k1_bound == pytest.approx(0.5, abs=1e-3)
-        assert sig.k2_bound == pytest.approx(0.5, abs=1e-3)
+    @pytest.mark.parametrize("kernel", [SineKernel(1.0, 0.5), CauchyKernel(0.5, 1.0)],
+                             ids=["sine", "cauchy"])
+    def test_nodal_mean_is_the_pairwise_sum(self, kernel):
+        # a kernel's grid reduction is sum_j kernel(node_i, node_j) w_j for
+        # weights w of sum 1
+        nodes = gaussian_grid(8.0, 64).nodes
+        w = substream(217).random(nodes.size)
+        w /= w.sum()
+        want = np.array([np.sum(kernel(x, nodes) * w) for x in nodes])
+        np.testing.assert_allclose(kernel.on_nodes(nodes)(w), want, rtol=1e-13, atol=0.0)
 
     def test_odd_output_for_sine_kernel_on_even_density(self):
         grid = gaussian_grid(8.0, 256, mean=0.0, std=1.0)

@@ -11,7 +11,8 @@ from scipy.stats import norm
 from levymv import measures
 from levymv.coefficients import CauchyKernel, SmoothedDensityPower
 from levymv.fokker_planck import FractionalParams, adjoint_identity_check, bump, gaussian_grid
-from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, EmpiricalMeasure, _cf_gap,
+from levymv.measures import (_KERNEL_CUT, _NODE_SPACING, _TABLE_RANGE, EmpiricalMeasure,
+                             _cf_gap,
                              _pair_mean, _sorted_pairing, _w2sq_sorted_unequal, gaussian_kernel,
                              check_empirical_distance_bound,
                              empirical_gap_experiment, read_table,
@@ -342,6 +343,23 @@ class TestSmoothingTable:
             rows[2, 4] = bad
             with pytest.raises(ValueError):
                 smoothing_table(rows, 0.5)
+
+    def test_accuracy_holds_over_the_range_and_a_sample_beyond_it_is_rejected(self):
+        # the nodes' roundoff grows with |x| / h: a tight cluster just inside
+        # the range still reads within 1e-4 of the exact density, and one far
+        # sample, which would degrade every read of its row, is rejected
+        eps = 0.5
+        edge = _TABLE_RANGE * _NODE_SPACING * math.sqrt(eps)
+        s = np.sort(0.999 * edge + substream(117).normal(0.0, 1.5, 3000))
+        x = np.concatenate([0.999 * edge + np.linspace(-4.0, 4.0, 81), s[::10]])
+        got = read_table(smoothing_table(s, eps), x)
+        np.testing.assert_allclose(got, smoothed_density(s, eps, x), rtol=1e-4, atol=0.0)
+        for far, eps in ((-1e13, 0.05), (1e17, 0.5), (-1.001 * edge, 0.5)):
+            row = np.sort(np.r_[far, substream(118).normal(0.0, 1.0, 20)])
+            block = np.stack([np.sort(substream(119).normal(0.0, 1.0, 21)), row])
+            for samples in (row, block):
+                with pytest.raises(ValueError, match=f"beyond .* for eps={eps}"):
+                    smoothing_table(samples, eps)
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
