@@ -408,8 +408,8 @@ _COMMAND_KEYS = {
         "dt": (POSITIVE, _REQUIRED, (_solves, _SOLVE)), "horizon": (POSITIVE, None),
         "diffusivity": (NUMBER, 1.0), "snapshots": (*_SNAPSHOTS, (_solves, _SOLVE)),
         "scheme": (_one_of("rk4", "if-rk4"), "rk4", _HORIZON_SOLVES),
-        "boundary_density_tol": (NUMBER, 1e-4, _HORIZON_SOLVES),
-        "mass_tolerance": (NUMBER, fp.MASS_TOLERANCE, _HORIZON_SOLVES),
+        "boundary_density_tol": (POSITIVE, 1e-4, _HORIZON_SOLVES),
+        "mass_tolerance": (POSITIVE, fp.MASS_TOLERANCE, _HORIZON_SOLVES),
         "adjoint_checks": (_block({
             "tolerance": (NUMBER, 1e-4),
             "cases": _list_of(_block({"sigma": _SIGMA, "phi": _BUMP, "psi": _BUMP},
@@ -425,7 +425,7 @@ _COMMAND_KEYS = {
         "sigma": _SIGMA, "horizon": POSITIVE,
         # the l1_decreasing checks read the L1s in list order
         "particles": _block({"n_list": _SIZES, "dt": POSITIVE}),
-        "pde": _block({"grid": _GRID, "dt": POSITIVE, "boundary_density_tol": (NUMBER, 1e-3)}),
+        "pde": _block({"grid": _GRID, "dt": POSITIVE, "boundary_density_tol": (POSITIVE, 1e-3)}),
         "snapshots": _SNAPSHOTS, "kde_eps": (POSITIVE, 0.01),
         "l1_max_at_largest": (NUMBER, None),
     }, _compare_run, _snapshots_on_both_grids,

@@ -42,6 +42,8 @@ Exact pairwise sums over samples, the Cauchy kernel's and the Gaussian
 smoothing's, are the one blocked kernel mean of :mod:`levymv.measures`.
 """
 
+import math
+
 import numpy as np
 
 from .measures import (EmpiricalMeasure, _pair_mean, periodic_gaussian_transform,
@@ -199,8 +201,9 @@ class SmoothedDensityPower:
     constant_value = None
 
     def __init__(self, eps, s):
-        if not 0.0 < eps < np.inf:
-            raise ValueError("eps must be positive and finite")
+        # the kernel's normalization sqrt(2 pi eps) must be finite too
+        if not (eps > 0.0 and math.isfinite(2.0 * math.pi * float(eps))):
+            raise ValueError(f"eps must be positive, with 2 pi eps finite, got {eps!r}")
         if not 0.0 < s < np.inf:
             raise ValueError("s must be positive and finite")
         self.eps = float(eps)

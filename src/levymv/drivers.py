@@ -212,7 +212,9 @@ class _PowerJumps:
         """The uniforms: ``size`` of them by halves, else a ``(2, size)``
         array, the magnitude uniforms drawn first, then the sign uniforms."""
         if self.by_halves:
-            return rng.uniform(0.0, self.total_rate, size)
+            # the bits of rng.uniform(0.0, total_rate, size), which computes
+            # 0.0 + total_rate * u, without its per-call broadcasting
+            return self.total_rate * rng.random(size)
         return rng.random((2, size))
 
     def amplitudes(self, draws):
@@ -264,19 +266,19 @@ def _triplet_rows(spec, dt, n, rngs, level):
     rows = len(rngs)
     sd = math.sqrt(spec.gaussian_a * dt)
     normal = np.empty((rows, n))
-    # (measure, rate, counts, draws) of the band, then of the big jumps
-    parts = [(measure, rate, np.zeros((rows, n), dtype=np.int64), [])
+    # (measure, mean jump count per step, counts, draws) of the band, then
+    # of the big jumps, each if its rate is positive
+    parts = [(measure, rate * dt, np.empty((rows, n), dtype=np.int64), [])
              for measure, rate in ((spec.band, spec.band_rate),
-                                   (spec.big_jumps, spec.big_rate))]
+                                   (spec.big_jumps, spec.big_rate)) if rate > 0.0]
     for row, rng in enumerate(rngs):
         if sd > 0.0:
             rng.standard_normal(out=normal[row])
-        for measure, rate, counts, draws in parts:
-            if rate > 0.0:
-                counts[row] = rng.poisson(rate * dt, n)
-                k = int(counts[row].sum())
-                if k:
-                    draws.append(measure.draw(rng, k))
+        for measure, lam, counts, draws in parts:
+            counts[row] = rng.poisson(lam, n)
+            k = int(np.add.reduce(counts[row]))
+            if k:
+                draws.append(measure.draw(rng, k))
     totals = np.full((rows, n), spec.drift_b * dt)
     if sd > 0.0:
         totals += sd * normal

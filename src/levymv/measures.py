@@ -31,10 +31,18 @@ take as many rows (points, frequencies, nodes) per block as the budget
 holds, and at least one.  The budget bounds their working set, not their
 results: each row is one reduction over its own full length, whichever
 rows share its block.
+
+:func:`smoothing_table` is called once per step by the particle engine,
+with the same shapes step after step, so it keeps its large temporaries,
+the bins and FFT blocks, in arrays each thread holds across calls
+(``_kept``) rather than asking the allocator for fresh pages every step.
+Concurrent batches on worker threads each use their own; the tables it
+returns are always fresh arrays.
 """
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -247,7 +255,12 @@ def smoothing_table(mu, eps):
     the rows of each FFT length are binned into one block, and each block
     is convolved with one FFT along its rows.  The kernel's transform is
     built once per (length, h, eps) and kept for later calls, which repeat
-    those step after step.
+    those step after step.  So is the memory of each block's bins and of
+    its transform, per thread (see :func:`_kept`): a step of the particle
+    engine bins and convolves in the arrays the step before used, instead
+    of asking the allocator for fresh pages each time.  Every returned
+    array is fresh: a table never shares memory with the kept arrays or
+    with another call's table.
     """
     if not eps > 0.0:
         raise ValueError("smoothing width eps must be positive")
@@ -282,48 +295,55 @@ def smoothing_table(mu, eps):
     np.greater(left[:, 1:] - left[:, :-1], 2 * pad + 1, out=opens[:, 1:])
     first = np.flatnonzero(opens)                    # each run's first sample
     left = left.ravel()
-    last = np.concatenate((first[1:], [left.size])) - 1   # and its last
+    last = np.append(first[1:], left.size) - 1       # and its last
     starts = left[first] - pad
     lengths = left[last] + pad + 2 - starts
     # the runs of all rows end to end on one axis, a row's table the stretch
     # from its first run to its last
     ends = np.cumsum(lengths)
     axis_starts = ends - lengths
-    shift = axis_starts - starts                     # lattice -> axis, per run
     row_runs = np.searchsorted(first, np.arange(0, left.size, n))  # each row's first run
-    offsets = axis_starts[row_runs].tolist()
-    sizes = np.add.reduceat(lengths, row_runs).tolist()
-    # the rows of one FFT length m are binned as one (rows, m) block; a
-    # row's bins start past the block's earlier rows
-    groups = {}
-    block_shift = []
-    for row, (a, z) in enumerate(zip(offsets, sizes)):
-        m = 1 << (z - 1).bit_length()                # a fast FFT length
-        group = groups.setdefault(m, [])
-        block_shift.append([len(group) * m - a])
-        group.append(row)
-    at = (left + np.repeat(shift, last + 1 - first)).reshape(r, n)
-    at += block_shift
-    smoothed = [None] * r
-    for m, group in groups.items():
-        g = len(group)
-        at_g, frac_g = (at, frac) if g == r else (at[group], frac[group])
-        weights = np.bincount(at_g.ravel(), (1.0 - frac_g).ravel(), minlength=g * m)
-        weights += np.bincount(at_g.ravel() + 1, frac_g.ravel(), minlength=g * m)
-        weights /= n * h
-        kernel_hat = _table_kernel(m, h, eps)
-        # a lone row goes through the 1-D transforms, which numpy runs faster
-        block = periodic_convolution(weights.reshape(g, m) if g > 1 else weights,
-                                     kernel_hat, h)
-        for row, conv in zip(group, block.reshape(g, m)):
-            smoothed[row] = conv
+    offsets = axis_starts[row_runs]
+    sizes = np.add.reduceat(lengths, row_runs)
+    # the rows of one FFT length m, a fast one, are binned as one (rows, m)
+    # block; a row's bins start past the block's earlier rows
+    ffts = 1 << np.frexp(sizes - 1)[1]               # 2^bit_length(size - 1)
+    block_shift = -offsets
+    groups = []
+    for m in np.unique(ffts).tolist():
+        group = np.flatnonzero(ffts == m)
+        block_shift[group] += m * np.arange(group.size)
+        groups.append((m, group))
+    at = (left + np.repeat(axis_starts - starts, last + 1 - first)).reshape(r, n)
+    at += block_shift[:, None]
     values = np.empty(int(ends[-1]))
-    for conv, a, z in zip(smoothed, offsets, sizes):
-        np.maximum(conv[:z], 0.0, out=values[a:a + z])
-    del smoothed, conv                               # the blocks, before the nodes
-    lattice = np.arange(values.size)
-    lattice -= np.repeat(shift, lengths)
-    nodes = h * lattice
+    offsets, sizes = offsets.tolist(), sizes.tolist()
+    for m, group in groups:
+        g = group.size
+        at_g, frac_g = (at, frac) if g == r else (at[group], frac[group])
+        # a sample loads its left node by 1 - frac and its right one by frac;
+        # each node's two loads are summed apart, in sample order, then added
+        loads = _kept("loads", (2, g * m), float)
+        loads.fill(0.0)
+        np.add.at(loads[0], at_g.ravel(), (1.0 - frac_g).ravel())
+        np.add.at(loads[1], at_g.ravel() + 1, frac_g.ravel())
+        weights = np.add(loads[0], loads[1], out=loads[0])
+        weights /= n * h
+        # a lone row goes through the 1-D transforms, which numpy runs faster;
+        # the convolution overwrites the right loads, which are spent
+        shape = (g, m) if g > 1 else (m,)
+        block = periodic_convolution(weights.reshape(shape), _table_kernel(m, h, eps), h,
+                                     spectrum=_kept("spectrum", shape[:-1] + (m // 2 + 1,),
+                                                    complex),
+                                     out=loads[1].reshape(shape))
+        for row, conv in zip(group.tolist(), block.reshape(g, m)):
+            a, z = offsets[row], sizes[row]
+            np.maximum(conv[:z], 0.0, out=values[a:a + z])
+    # the lattice: each run counts up from its start
+    nodes = np.empty(values.size)
+    for a, start, length in zip(axis_starts.tolist(), starts.tolist(), lengths.tolist()):
+        nodes[a:a + length] = np.arange(start, start + length)
+    nodes *= h
     tables = []
     for row, (a, z) in enumerate(zip(offsets, sizes)):
         row_nodes = nodes[a:a + z]
@@ -334,6 +354,32 @@ def smoothing_table(mu, eps):
     values[axis_starts] = 0.0
     values[ends - 1] = 0.0
     return tables if s.ndim == 2 else tables[0]
+
+
+# smoothing_table's bins and FFT blocks are kept per thread, as lockstep
+# batches on worker threads build their tables concurrently; an array of
+# more than _KEPT_ELEMENTS values is not kept
+_KEPT_ELEMENTS = 1 << 18
+_kept_blocks = threading.local()
+
+
+def _kept(name, shape, dtype):
+    """A ``shape`` array of ``dtype`` over memory this thread keeps under
+    ``name`` for its next call with that name, which overwrites it: what it
+    holds must be copied out before then.  A thread's memory for a name is
+    made once, for _KEPT_ELEMENTS values, and never made again as shapes
+    change; numpy leaves the pages no call writes untouched, so they take
+    no memory.  (Kept arrays that grew by reallocation made compare's
+    n = 1e5 runs fault in about twice the pages.)  A larger array is fresh.
+    """
+    size = math.prod(shape)
+    if size > _KEPT_ELEMENTS:
+        return np.empty(shape, dtype)
+    buf = getattr(_kept_blocks, name, None)
+    if buf is None:
+        buf = np.empty(_KEPT_ELEMENTS, dtype)
+        setattr(_kept_blocks, name, buf)
+    return buf[:size].reshape(shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -360,14 +406,16 @@ def periodic_gaussian_transform(m, dx, period, eps):
     return np.fft.rfft(gaussian_kernel(dist, eps))
 
 
-def periodic_convolution(values, kernel_hat, dx):
+def periodic_convolution(values, kernel_hat, dx, spectrum=None, out=None):
     """g * p for p sampled with spacing dx on a periodic grid, by FFT, with
     ``kernel_hat`` from :func:`periodic_gaussian_transform`.  A 2-D
     ``values`` holds one grid per row; each row gets the bits a 1-D call
-    would give it."""
-    spectrum = np.fft.rfft(values)
+    would give it.  The transform is written into ``spectrum`` and the
+    result into ``out`` when they are given (numpy's ``out=``), with the
+    same bits as into fresh arrays."""
+    spectrum = np.fft.rfft(values, out=spectrum)
     spectrum *= kernel_hat
-    out = np.fft.irfft(spectrum, n=values.shape[-1])
+    out = np.fft.irfft(spectrum, n=values.shape[-1], out=out)
     out *= dx
     return out
 

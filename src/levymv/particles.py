@@ -233,24 +233,35 @@ def _check_finite(positions, step_index, time):
             f"{step_index} (t={time:.6g}); the run is unusable past this point")
 
 
-def _sigma_on_own_measure(sigma, x):
-    """sigma(x_i, mu^n) for every particle, mu^n the system's empirical measure.
+def _ranks(x):
+    """The argsort of each row of ``x`` as indices into the flattened array,
+    for ``x.take`` and ``out.put``."""
+    ranks = np.argsort(x, axis=-1)
+    ranks += np.arange(0, x.size, x.shape[-1]).reshape(x.shape[:-1] + (1,))
+    return ranks
 
-    ``x`` holds one system, or one system per row.  The rows are evaluated
-    in sorted particle order and scattered back: the sorted positions are
+
+def _sigma_in_order(sigma, ranked, ranks, summary=None):
+    """sigma at positions read in the order ``ranks`` (:func:`_ranks` of
+    some array of the same shape), scattered back to the order they were
+    read from.
+
+    ``ranked`` holds the positions so read, one system or one system per
+    row.  With ``summary`` None it is each row's own sorted positions, and
+    sigma sees the row's empirical measure mu^n: the sorted positions are
     summarized, one summary per row (the measure is order-free, and a fixed
     reduction order keeps interacting and frozen-flow stepping
-    bit-identical), and queried in that order, so a table read-back walks
-    its nodes forward; each particle gets the same number as in place.  A
-    non-finite sample gives non-finite sigma, which the finiteness check on
-    the advanced positions reports (the smoothed-density table rejects it
-    with ``ValueError`` instead).
+    bit-identical).  Otherwise every row is read against ``summary``.
+    Either way the positions are queried in that order, so a table
+    read-back walks its nodes forward when they are sorted or nearly so;
+    sigma is pointwise in the positions, so each gets the same number as
+    in place.  A non-finite sample gives non-finite sigma, which the
+    finiteness check on the advanced positions reports (the
+    smoothed-density table rejects it with ``ValueError`` instead).
     """
-    order = np.argsort(x, axis=-1)
-    xs = np.take_along_axis(x, order, axis=-1)
-    vals = sigma.from_summary(xs, sigma.summarize(xs))
-    out = np.empty(x.shape)
-    np.put_along_axis(out, order, vals, axis=-1)
+    vals = sigma.from_summary(ranked, sigma.summarize(ranked) if summary is None else summary)
+    out = np.empty(ranked.shape)
+    out.put(ranks, vals)
     return out
 
 
@@ -272,22 +283,37 @@ def _steps(cfg, streams, xs, parts):
     time (k + 1) dt and ``k + 1`` is yielded, so a caller that reads
     ``xs`` keeps no past step alive.  Parts may start from one shared
     array, as no step writes into one.  ``parts[i]`` is None for the
-    interacting part, sigma on each row's own empirical measure, or the
-    frozen-flow part's list of summaries, ``parts[i][k]`` being read at
-    step k.  Step k draws every row's increments in one call, from
-    ``streams.at(k)``, and all parts consume them; each advanced part is
-    checked for finiteness before the next is advanced.
+    interacting part, which comes first, sigma on each row's own empirical
+    measure, or the frozen-flow part's list of summaries, ``parts[i][k]``
+    being read at step k.  Step k draws every row's increments in one call,
+    from ``streams.at(k)``, and all parts consume them; each advanced part
+    is checked for finiteness before the next is advanced.
+
+    With an interacting part, every part is evaluated in the order of the
+    argsort that the step takes of the system's positions
+    (:func:`_sigma_in_order`): the coupled copies stay close to the
+    system, so in that order they come nearly sorted too, and a table
+    read-back walks the reference table forward instead of jumping about
+    it.  A frozen-flow part alone (a Picard iterate) is read in place.
+    The argsort lives from the step's draws to its end: held across the
+    next step's draws, it made compare's n = 1e5 runs fault in about
+    twice the pages.
     """
     sigma = cfg.sigma
     for k in range(cfg.n_steps):
         dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
                                     cfg.n_particles, streams.at(k),
                                     truncation=cfg.truncation_N)
+        ranks = _ranks(xs[0]) if parts[0] is None else None
         for i, summaries in enumerate(parts):
-            sig = (_sigma_on_own_measure(sigma, xs[i]) if summaries is None
-                   else sigma.from_summary(xs[i], summaries[k]))
+            if ranks is None:
+                sig = sigma.from_summary(xs[i], summaries[k])
+            else:
+                sig = _sigma_in_order(sigma, xs[i].take(ranks), ranks,
+                                      None if summaries is None else summaries[k])
             xs[i] = _advance(xs[i], sig, dz)
             _check_finite(xs[i], k + 1, (k + 1) * cfg.dt_effective)
+        del ranks
         yield k + 1
 
 
@@ -381,7 +407,7 @@ def picard_flow(cfg, iterations, common_increments=True):
     gaps = []
     for j in range(1, iterations + 1):
         prev = flows[-1]
-        summaries = [sigma.summarize(m.samples) for m in prev.marginals]
+        summaries = [sigma.summarize(m.samples) for m in prev.marginals[:-1]]
         prefix = (_ROLE_STEP,) if common_increments else (_ROLE_STEP, j)
         xs = [x0[None]]
         marginals = [EmpiricalMeasure(x0)]
@@ -427,7 +453,7 @@ def simulate_coupled(cfg, reference_flow):
             f"reference flow must be recorded at the run's {cfg.n_steps + 1} step times "
             f"up to {cfg.horizon_T:.6g}; it has {reference_flow.times.size} up to "
             f"{reference_flow.times[-1]:.6g}")
-    summaries = [cfg.sigma.summarize(m.samples) for m in reference_flow.marginals]
+    summaries = [cfg.sigma.summarize(m.samples) for m in reference_flow.marginals[:-1]]
     return _simulate_coupled([cfg], summaries)[0]
 
 
@@ -443,8 +469,9 @@ def _simulate_coupled(cfgs, summaries):
     sigma from its own row.  The distances act on all rows at once.
     No row reads another, so a run's result does not depend on which runs
     share its batch.  ``summaries[k]`` is ``sigma.summarize`` of the
-    reference marginal at step k; it is only read here, so one list can
-    serve many batches, concurrent ones included.
+    reference marginal at step k, for each step (the final marginal is
+    read by none); it is only read here, so one list can serve many
+    batches, concurrent ones included.
     """
     cfg = cfgs[0]
     xs = [np.stack([initial_positions(c) for c in cfgs])] * 2  # system, copies
@@ -515,7 +542,7 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     ref_cfg = replace(base, n_particles=n_ref,
                       seed=derive_key(cfg_base.seed, 0xFEED))
     reference_flow = simulate(ref_cfg)
-    summaries = [base.sigma.summarize(m.samples) for m in reference_flow.marginals]
+    summaries = [base.sigma.summarize(m.samples) for m in reference_flow.marginals[:-1]]
 
     def one_batch(task):
         i, n, batch_reps = task

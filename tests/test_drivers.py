@@ -277,6 +277,15 @@ class TestTruncatedStable:
         assert trip.gaussian_a == pytest.approx(small_var, rel=1e-14)
         assert trip.drift_b == 0.0
 
+    def test_band_draws_are_the_bits_of_uniform(self):
+        # the band's jumps are drawn by halves, one uniform on [0, rate)
+        # each: the same stream gives the bits rng.uniform would give
+        band = truncated_stable_triplet(StableDriverSpec(1.5, 0.5), 2.0).band
+        for size in (1, 7, 1000):
+            got = band.draw(substream(22, size), size)
+            want = substream(22, size).uniform(0.0, band.total_rate, size)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestRowSampler:
     """One call on a generator per row gives each generator's own call."""

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -360,6 +363,65 @@ class TestSmoothingTable:
             for samples in (row, block):
                 with pytest.raises(ValueError, match=f"beyond .* for eps={eps}"):
                     smoothing_table(samples, eps)
+
+    def test_a_table_is_unchanged_by_later_calls(self):
+        # the FFT blocks are kept across calls; no table shares memory with
+        # them, so later calls of other shapes, one and two rows, leave a
+        # table's bits alone
+        rng = substream(120)
+        rows = np.sort(rng.normal(0.0, 1.0, (20, 50)), axis=1)
+        tables = smoothing_table(rows, 0.5)
+        copies = [(nodes.copy(), values.copy()) for nodes, values in tables]
+        smoothing_table(rows + 3.0, 0.5)                 # the same shape
+        for shape, eps in (((5, 50), 0.5), ((3, 400), 0.5), ((2000,), 0.05), ((20, 50), 0.2)):
+            smoothing_table(np.sort(rng.normal(0.0, 1.0, shape), axis=-1), eps)
+        for (nodes, values), (want_nodes, want_values) in zip(tables, copies):
+            assert np.array_equal(nodes, want_nodes) and np.array_equal(values, want_values)
+
+    def test_tables_built_on_threads_equal_the_single_thread_tables(self):
+        # each thread keeps its own blocks, so concurrent calls cannot
+        # overwrite one another's
+        from concurrent.futures import ThreadPoolExecutor
+        rng = substream(121)
+        batches = [np.sort(rng.normal(0.0, 1.0 + k, (20, 50 * (1 + k % 3))), axis=1)
+                   for k in range(12)]
+        want = [smoothing_table(rows, 0.5) for rows in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)                     # switch threads often
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                got = list(pool.map(lambda rows: smoothing_table(rows, 0.5), batches * 3,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for tables, want_tables in zip(got, want * 3):
+            for (nodes, values), (want_nodes, want_values) in zip(tables, want_tables):
+                assert np.array_equal(nodes, want_nodes)
+                assert np.array_equal(values, want_values)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+    def test_repeated_calls_do_not_fault_in_fresh_pages(self):
+        # a coupled run's step builds a (20, 50) table after the one before:
+        # in the kept blocks, its temporaries need no fresh pages (with
+        # fresh blocks, each call faulted in about 290).  A fresh process,
+        # as the allocator's state after other tests could hide the faults
+        code = """if True:
+            import resource, sys
+            import numpy as np
+            from levymv.measures import smoothing_table
+            from levymv.rng import substream
+            rows = np.sort(substream(122).normal(0.0, 1.0, (20, 50)), axis=1)
+            for _ in range(5):
+                smoothing_table(rows, 0.5)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(50):
+                smoothing_table(rows, 0.5)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+        """
+        src = os.path.dirname(os.path.dirname(measures.__file__))
+        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert float(run.stdout) < 32
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):

@@ -126,7 +126,24 @@ class TestStepping:
         x = substream(113).standard_cauchy(1500)
         x = substream(114).permutation(np.r_[x, x[:300], np.zeros(20)])
         expected = sigma.from_summary(x, sigma.summarize(np.sort(x)))
-        assert np.array_equal(particles._sigma_on_own_measure(sigma, x), expected)
+        ranks = particles._ranks(x)
+        assert np.array_equal(particles._sigma_in_order(sigma, x.take(ranks), ranks), expected)
+
+    @pytest.mark.parametrize("sigma", [
+        LinearInteraction(SineKernel(1.0, 0.5)), LinearInteraction(CauchyKernel(1.0, 0.5)),
+        SmoothedDensityPower(0.05, 0.5)])
+    def test_copies_read_in_the_systems_order_equal_copies_read_in_place(self, sigma):
+        # a coupled step reads the frozen-flow copies, rows of them, in the
+        # system's sorted order against the reference summary: bit for bit
+        # the values read in place
+        rng = substream(115)
+        system = rng.standard_cauchy((3, 400))
+        copies = system + rng.normal(0.0, 0.01, system.shape)
+        summary = sigma.summarize(np.sort(rng.normal(0.0, 1.0, 2000)))
+        ranks = particles._ranks(system)
+        assert np.array_equal(
+            particles._sigma_in_order(sigma, copies.take(ranks), ranks, summary),
+            sigma.from_summary(copies, summary))
 
 
 class TestSimulate:
