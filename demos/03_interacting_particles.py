@@ -10,15 +10,14 @@ and watch successive flows contract toward the interacting dynamics.
 """
 
 from levymv import (GaussianLaw, LinearInteraction, SineKernel, StableDriverSpec,
-                    second_moment, wasserstein2)
+                    second_moment, truncated, wasserstein2)
 from levymv.particles import SimulationConfig, picard_flow, simulate
 
 cfg = SimulationConfig(
     n_particles=5000, dt=0.02, horizon_T=1.0, seed=2024,
-    driver=StableDriverSpec(alpha=1.5, scale=0.5),
+    driver=truncated(StableDriverSpec(alpha=1.5, scale=0.5), 2.0),
     sigma=LinearInteraction(SineKernel(1.0, 0.5)),
     initial_law=GaussianLaw(0.0, 1.0),
-    truncation_N=2.0,
 )
 
 flow = simulate(cfg)
@@ -30,9 +29,9 @@ print("\nfixed-point iteration on marginal flows (common increments,")
 print("so the gaps measure contraction, not Monte-Carlo noise):")
 small = SimulationConfig(
     n_particles=3000, dt=0.02, horizon_T=0.4, seed=99,
-    driver=StableDriverSpec(alpha=1.5, scale=0.5),
+    driver=cfg.driver,
     sigma=LinearInteraction(SineKernel(1.0, 0.5)),
-    initial_law=GaussianLaw(0.0, 1.0), truncation_N=2.0)
+    initial_law=GaussianLaw(0.0, 1.0))
 res = picard_flow(small, 6)
 for j, gap in enumerate(res.successive_gaps, start=1):
     print(f"  iterate {j}: sup_t distance to previous flow = {gap:.3e}")

@@ -10,12 +10,12 @@ in general.
 """
 
 from levymv import (GaussianLaw, LinearInteraction, SineKernel,
-                    SmoothedDensityPower, StableDriverSpec)
+                    SmoothedDensityPower, StableDriverSpec, truncated)
 from levymv.particles import SimulationConfig, chaos_rate_experiment
 
 common = dict(dt=0.02, horizon_T=1.0, seed=515,
-              driver=StableDriverSpec(alpha=1.5, scale=0.5),
-              initial_law=GaussianLaw(0.0, 1.0), truncation_N=2.0)
+              driver=truncated(StableDriverSpec(alpha=1.5, scale=0.5), 2.0),
+              initial_law=GaussianLaw(0.0, 1.0))
 ladder = [25, 50, 100, 200, 400]
 
 for label, sigma in (

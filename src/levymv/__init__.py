@@ -5,7 +5,7 @@ from .coefficients import (CauchyKernel, Constant, LinearInteraction, SineKernel
                            SmoothedDensityPower)
 from .drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec,
                       cf_constant_from_levy_constant, levy_constant_from_cf_constant,
-                      sample_increment_array, truncated_stable_triplet)
+                      sample_increment_array, truncated)
 from .fokker_planck import (DensityGrid, FractionalParams, FpResult, StabilityError,
                             adjoint_identity_check, bump, fractional_laplacian,
                             gaussian_grid, solve_fp, solve_linear_exact,

@@ -228,10 +228,14 @@ _PARTICLE_RUN = {
 
 
 def _particles(c, n, dt, truncation=None):
-    """The particle run of config ``c`` with ``n`` particles and step ``dt``."""
-    return SimulationConfig(n_particles=n, dt=dt, horizon_T=c["horizon"], seed=c["seed"],
-                            driver=c["driver"].built, sigma=c["sigma"].built,
-                            initial_law=c["initial"].built, truncation_N=truncation)
+    """The particle run of config ``c`` with ``n`` particles and step ``dt``,
+    its driver cut once at the ``truncation`` level; the cut driver's jump
+    counts per step must be ones a Poisson draw takes."""
+    driver = _named(("truncation",), drivers.truncated, c["driver"].built, truncation)
+    sim = SimulationConfig(n_particles=n, dt=dt, horizon_T=c["horizon"], seed=c["seed"],
+                           driver=driver, sigma=c["sigma"].built, initial_law=c["initial"].built)
+    _named(("driver",), drivers._check_step, driver, sim.dt_effective)
+    return sim
 
 
 def _cf_test(c):
@@ -240,9 +244,8 @@ def _cf_test(c):
     # the terminal law is exactly stable: its CF is known when the initial
     # law's is
     driver, level = c["driver"], c["truncation"]
-    uncut = level is None or math.isinf(level)
     return c["sigma"].built.constant_value is not None and driver["kind"] == "stable" \
-        and (uncut or driver["alpha"] == 2) and c["initial"]["kind"] != "file"
+        and (level in (None, math.inf) or driver["alpha"] == 2) and c["initial"]["kind"] != "file"
 
 
 _CF_TEST = (_cf_test, "the CF test, which runs given a constant sigma, a stable driver "
@@ -306,12 +309,12 @@ def _fits_the_grid(c):
 
 
 def _oracle_has_an_exact_flow(c):
-    # a nonzero constant sigma's flow is the linear one with its diffusivity
-    # scaled by |value|^alpha
-    if c["linear_oracle"] is not None and not c["sigma"].built.constant_value:
-        raise ConfigError(f"{_name(('sigma',))} must be a nonzero constant beside "
-                          f"{_name(('linear_oracle',))}, whose exact flow needs one; "
-                          f"got {c['sigma']!r}")
+    # the oracle's exact flow at each case's alpha is the linear one with its
+    # diffusivity scaled by |value|^alpha of a nonzero constant sigma, and
+    # the scaled diffusivity must be finite
+    for case in c["linear_oracle"]["cases"] if c["linear_oracle"] is not None else ():
+        _named(("sigma",), fp._constant_params, c["sigma"].built,
+               fp.FractionalParams(case["alpha"], c["diffusivity"]))
 
 
 # a constant sigma steps the system and its frozen-flow copies alike, so
@@ -406,7 +409,7 @@ _COMMAND_KEYS = {
         "alpha": (ALPHA, _REQUIRED, (lambda c: _solves(c) or c["adjoint_checks"] is not None,
                                      f"adjoint_checks or {_SOLVE}")),
         "dt": (POSITIVE, _REQUIRED, (_solves, _SOLVE)), "horizon": (POSITIVE, None),
-        "diffusivity": (NUMBER, 1.0), "snapshots": (*_SNAPSHOTS, (_solves, _SOLVE)),
+        "diffusivity": (POSITIVE, 1.0), "snapshots": (*_SNAPSHOTS, (_solves, _SOLVE)),
         "scheme": (_one_of("rk4", "if-rk4"), "rk4", _HORIZON_SOLVES),
         "boundary_density_tol": (POSITIVE, 1e-4, _HORIZON_SOLVES),
         "mass_tolerance": (POSITIVE, fp.MASS_TOLERANCE, _HORIZON_SOLVES),
@@ -635,7 +638,7 @@ def main(argv=None):
     os.makedirs(outdir, exist_ok=True)
     try:
         return _COMMANDS[args.command](resolved, outdir, args.threads)
-    except (ValueError, fp.StabilityError, particles.SimulationError) as exc:
+    except (ValueError, MemoryError, fp.StabilityError, particles.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

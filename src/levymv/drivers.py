@@ -7,10 +7,12 @@ Three layers:
 * general drivers specified by a characteristic triplet, assembled per
   step as drift + diffusion + a symmetric jump band on |y| <= 1 + big
   jumps on |y| > 1,
-* pathwise removal of the big jumps above a level ``N``, which turns a
-  heavy-tailed driver into a square-integrable one; for the stable
-  driver the cut triplet is built in closed form, with the jumps below
-  ``DELTA`` replaced by a variance-matched Gaussian.
+* truncation, :func:`truncated`: the driver with its jumps above a level
+  ``N`` removed from its Levy measure, which turns a heavy-tailed driver
+  into a square-integrable one; the stable driver's cut triplet is built
+  in closed form, with the jumps below ``DELTA`` replaced by a
+  variance-matched Gaussian.  The cut is made once, on the driver, and
+  sampling only ever draws the driver it is given.
 
 One sampler serves them all: :func:`sample_increment_array` takes one
 generator, for one array of increments, or one generator per row of
@@ -51,7 +53,7 @@ __all__ = [
     "LevyTripletSpec",
     "JumpAtoms",
     "sample_increment_array",
-    "truncated_stable_triplet",
+    "truncated",
     "cf_constant_from_levy_constant",
     "levy_constant_from_cf_constant",
     "cf",
@@ -163,7 +165,9 @@ class JumpAtoms:
     Like every jump measure of a :class:`LevyTripletSpec`, it samples in
     two parts: ``draw(rng, size)`` takes the variates of ``size`` jumps,
     along the last axis, and ``amplitudes`` maps draws, of one generator or
-    of several joined along that axis, to jump amplitudes elementwise.
+    of several joined along that axis, to jump amplitudes elementwise; and
+    ``within(level)`` is the measure restricted to |y| <= level, None when
+    nothing is left.
     """
 
     def __init__(self, atoms):
@@ -186,6 +190,10 @@ class JumpAtoms:
     def amplitudes(self, draws):
         return self._positions[draws]
 
+    def within(self, level):
+        kept = [(y, r) for y, r in self.atoms if abs(y) <= level]
+        return JumpAtoms(kept) if kept else None
+
 
 class _PowerJumps:
     """Symmetric finite jump measure K|y|^(-1-alpha) on lo < |y| <= hi.
@@ -198,11 +206,17 @@ class _PowerJumps:
     """
 
     def __init__(self, levy_k, alpha, lo, hi, by_halves=False):
+        self.levy_k = levy_k
         self.alpha = alpha
         self.lo = lo
         self.hi = hi
         self.by_halves = by_halves
         self.total_rate = 2.0 * levy_k * (lo ** -alpha - hi ** -alpha) / alpha
+
+    def within(self, level):
+        """The same density on lo < |y| <= min(hi, level), the same draws."""
+        return _PowerJumps(self.levy_k, self.alpha, self.lo, min(self.hi, level),
+                           self.by_halves) if level > self.lo else None
 
     def _magnitude(self, v):
         a = self.alpha
@@ -230,10 +244,10 @@ class LevyTripletSpec:
     """Driver specified by (gaussian_a, drift_b, jump measure).
 
     The jump measure is an optional symmetric ``band`` on |y| <= 1, which
-    needs no compensator (the one :func:`truncated_stable_triplet` builds),
-    plus finite ``big_jumps`` on |y| > 1 (e.g. :class:`JumpAtoms`).  Each
-    has a ``total_rate`` and samples by ``draw`` and ``amplitudes`` (see
-    :class:`JumpAtoms`).
+    needs no compensator (the one :func:`truncated` builds for a stable
+    driver), plus finite ``big_jumps`` on |y| > 1 (e.g. :class:`JumpAtoms`).
+    Each has a ``total_rate``, samples by ``draw`` and ``amplitudes`` and
+    restricts itself by ``within`` (see :class:`JumpAtoms`).
     """
 
     def __init__(self, gaussian_a=0.0, drift_b=0.0, band=None, big_jumps=None):
@@ -256,13 +270,57 @@ def _check_truncation(level):
         raise ValueError(f"truncation level must be positive or inf, got {level}")
 
 
-def _triplet_rows(spec, dt, n, rngs, level):
-    """(totals, big_jump_sums) of ``len(rngs)`` rows of n triplet increments.
+def truncated(driver, level):
+    """``driver`` with its Levy measure restricted to |y| <= ``level``.
 
-    ``totals`` include every jump; ``big_jump_sums`` collect each
-    particle's jumps with |amplitude| > ``level``, and are 0 when ``level``
-    is None, so ``totals - big_jump_sums`` is the truncated increment.
+    A level of None or inf, or a driver without jumps (stable at alpha = 2),
+    gives the driver itself.  A triplet keeps its Gaussian part and drift,
+    and each of its jump measures restricts itself (``within``): atoms
+    above the level go, a power-law piece lowers its upper edge.  Big jumps
+    carry no compensator, so removing them from the measure gives the law
+    that removing them from each path gives.  A stable driver, whose level
+    must exceed 1, becomes the triplet with the density K|y|^(-1-alpha)
+    kept exactly on DELTA < |y| <= level, as a band up to 1 and big jumps
+    above, and the jumps below DELTA replaced by a Gaussian of the same
+    variance, 2K DELTA^(2-alpha)/(2-alpha) (Asmussen & Rosinski 2001).
     """
+    _check_truncation(level)
+    if level is None or math.isinf(level):
+        return driver
+    if isinstance(driver, StableDriverSpec):
+        if driver.alpha == 2.0:
+            return driver
+        if not level > 1.0:
+            raise ValueError("truncation level must exceed 1 for this construction")
+        alpha = driver.alpha
+        levy_k = levy_constant_from_cf_constant(driver.scale, alpha)
+        driver = LevyTripletSpec(
+            gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
+            band=_PowerJumps(levy_k, alpha, DELTA, 1.0, by_halves=True),
+            big_jumps=_PowerJumps(levy_k, alpha, 1.0, math.inf))
+    return LevyTripletSpec(driver.gaussian_a, driver.drift_b,
+                           *(m and m.within(level) for m in (driver.band, driver.big_jumps)))
+
+
+# Generator.poisson rejects a mean above this (numpy's POISSON_LAM_MAX)
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _check_step(driver, dt):
+    """``ValueError`` unless each jump part of ``driver`` has a mean count per
+    step of ``dt`` that ``Generator.poisson`` can draw: finite and at most
+    ``_POISSON_MAX``."""
+    if isinstance(driver, StableDriverSpec):
+        return
+    for part, rate in (("band", driver.band_rate), ("big-jump", driver.big_rate)):
+        if not rate * dt <= _POISSON_MAX:
+            raise ValueError(f"its {part} rate {rate:.6g} gives a mean jump count of "
+                             f"{rate * dt:.6g} per step of {dt:.6g}, above the "
+                             f"{_POISSON_MAX:.6g} that a Poisson draw takes")
+
+
+def _triplet_rows(spec, dt, n, rngs):
+    """``len(rngs)`` rows of n triplet increments."""
     rows = len(rngs)
     sd = math.sqrt(spec.gaussian_a * dt)
     normal = np.empty((rows, n))
@@ -282,44 +340,18 @@ def _triplet_rows(spec, dt, n, rngs, level):
     totals = np.full((rows, n), spec.drift_b * dt)
     if sd > 0.0:
         totals += sd * normal
-    big_sums = np.zeros((rows, n))
     for measure, _, counts, draws in parts:
-        if not draws:
-            continue
-        # particle i of row r owns bin r * n + i; its jumps arrive in the
-        # order the row drew them, so each bin sums as in a one-row call
-        owners = np.repeat(np.arange(rows * n), counts.ravel())
-        amps = measure.amplitudes(np.concatenate(draws, axis=-1))
-        totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
-        if measure is spec.big_jumps and level is not None:
-            over = np.abs(amps) > level
-            big_sums = np.bincount(owners[over], weights=amps[over],
-                                   minlength=rows * n).reshape(rows, n)
-    return totals, big_sums
+        if draws:
+            # particle i of row r owns bin r * n + i; its jumps arrive in the
+            # order the row drew them, so each bin sums as in a one-row call
+            owners = np.repeat(np.arange(rows * n), counts.ravel())
+            amps = measure.amplitudes(np.concatenate(draws, axis=-1))
+            totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
+    return totals
 
 
-def truncated_stable_triplet(spec, level):
-    """Triplet representation of the stable driver with jumps > level removed.
-
-    The density K|y|^(-1-alpha) is kept exactly on DELTA < |y| <= level,
-    as a band up to 1 and big jumps above; the jumps below DELTA become a
-    Gaussian of the same variance, 2K DELTA^(2-alpha)/(2-alpha)
-    (Asmussen & Rosinski 2001).  For alpha = 2 the driver has no jumps and
-    is returned unchanged.
-    """
-    if spec.alpha == 2.0:
-        return spec
-    if not level > 1.0:
-        raise ValueError("truncation level must exceed 1 for this construction")
-    alpha = spec.alpha
-    levy_k = levy_constant_from_cf_constant(spec.scale, alpha)
-    return LevyTripletSpec(gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
-                           band=_PowerJumps(levy_k, alpha, DELTA, 1.0, by_halves=True),
-                           big_jumps=_PowerJumps(levy_k, alpha, 1.0, level))
-
-
-def sample_increment_array(driver, dt, n, rng, truncation=None):
-    """Per-particle increments over a step of length dt, truncation applied.
+def sample_increment_array(driver, dt, n, rng):
+    """Per-particle increments of ``driver`` over a step of length dt.
 
     ``rng`` is one generator, for an array of n increments, or a sequence
     of generators, one per row of a ``(len(rng), n)`` array; row r is bit
@@ -331,26 +363,15 @@ def sample_increment_array(driver, dt, n, rng, truncation=None):
     transform, then scaled by (scale*dt)^(1/alpha).  The transform's sines
     and cosines are evaluated by the half-angle tangent, to double-precision
     roundoff; its speed depends on numpy's ``tan`` being SIMD-dispatched,
-    which float64 ``sin`` and ``cos`` need not be.  A finite truncation on a
-    stable driver must be materialized first with
-    :func:`truncated_stable_triplet` (the engine does this once at
-    configuration time).  A triplet driver's increments drop, per particle,
-    the big jumps above a finite truncation level.
+    which float64 ``sin`` and ``cos`` need not be.  Triplet drivers are
+    assembled from their parts, every jump of their measure included; a
+    truncated driver is cut beforehand, by :func:`truncated`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    _check_truncation(truncation)
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    level = truncation if truncation is not None and np.isfinite(truncation) else None
-    if isinstance(driver, StableDriverSpec):
-        if level is not None and driver.alpha < 2.0:
-            raise ValueError("truncated stable sampling requires the triplet form; "
-                             "build it once with truncated_stable_triplet()")
-        totals = _stable_rows(driver, dt, n, rngs)
-    else:
-        totals, big_sums = _triplet_rows(driver, dt, n, rngs, level)
-        if level is not None:
-            totals -= big_sums
+    totals = (_stable_rows if isinstance(driver, StableDriverSpec) else _triplet_rows)(
+        driver, dt, n, rngs)
     return totals[0] if rngs is not rng else totals
 
 

@@ -160,8 +160,8 @@ class FractionalParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
-        if not self.diffusivity > 0.0:
-            raise ValueError("diffusivity must be positive")
+        if not 0.0 < self.diffusivity < math.inf:
+            raise ValueError(f"diffusivity must be positive and finite, got {self.diffusivity!r}")
 
     def singular_integral_constant(self):
         """K with Dalpha f = K int (f(x+y)-f(x)-1{|y|<=1} f'(x) y)|y|^(-1-alpha) dy."""
@@ -515,12 +515,24 @@ def _sup_error(density, exact):
     return float(np.max(np.abs(density.values - exact.values)))
 
 
+def _constant_params(sigma, params):
+    """The params of the linear flow that a coefficient ``sigma`` with a
+    nonzero ``constant_value`` follows: the diffusivity scaled by
+    |value|^alpha, which must be positive and finite; any other
+    coefficient, or a scaled diffusivity out of that range, raises
+    ``ValueError``."""
+    if not sigma.constant_value:
+        raise ValueError("the linear oracle needs a nonzero constant coefficient, "
+                         "the only one with an exact flow")
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(sigma.constant_value) ** params.alpha)
+    return FractionalParams(params.alpha, params.diffusivity * scale)
+
+
 def _constant_flow(p0, t, sigma, params):
     """The exact flow of :func:`solve_fp` under a coefficient ``sigma`` with a
-    nonzero ``constant_value``: the linear flow with its diffusivity scaled
-    by |value|^alpha (inf beyond the float range)."""
-    diffusivity = params.diffusivity * float(np.abs(sigma.constant_value) ** params.alpha)
-    return solve_linear_exact(p0, t, FractionalParams(params.alpha, diffusivity))
+    nonzero ``constant_value``."""
+    return solve_linear_exact(p0, t, _constant_params(sigma, params))
 
 
 def linear_oracle(cases, horizon, sigma, sup_tolerance, order_ratio_range, **solve_options):
@@ -534,9 +546,6 @@ def linear_oracle(cases, horizon, sigma, sup_tolerance, order_ratio_range, **sol
     |value|^alpha (any other coefficient raises ``ValueError``);
     ``solve_options`` go to every solve.
     """
-    if not sigma.constant_value:
-        raise ValueError("the linear oracle needs a nonzero constant coefficient, "
-                         "the only one with an exact flow")
     lo_ratio, hi_ratio = order_ratio_range
     rows, checks = [], []
     for i, (grid, params, dt) in enumerate(cases):

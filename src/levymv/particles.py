@@ -43,8 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drivers import (StableDriverSpec, _check_truncation, _step_count,
-                      sample_increment_array, truncated_stable_triplet)
+from .drivers import _step_count, sample_increment_array
 from .measures import (EmpiricalMeasure, _cf_gap, _mean_stderr, _sorted_pairing,
                        _within_2se, read_table, smoothing_table, wasserstein2)
 from .perturbation import CheckResult
@@ -164,13 +163,8 @@ class SimulationConfig:
 
     ``horizon_T`` is snapped to a whole number of steps of length ``dt``
     at construction and the effective step recorded in ``dt_effective``.
-    A finite ``truncation_N`` on a stable driver is materialized as the
-    equivalent triplet with the tail cut (``effective_driver``), so
-    stepping only ever sees drivers it can sample directly.  Every
-    construction, ``dataclasses.replace`` included, builds that triplet
-    again; a triplet passed as ``driver`` is kept as it is, together with
-    ``truncation_N``, so configs derived from
-    ``replace(cfg, driver=cfg.effective_driver)`` share one build.
+    The run steps ``driver`` as it is given; a truncated driver is cut
+    beforehand, once, by :func:`levymv.drivers.truncated`.
     """
 
     n_particles: int
@@ -180,7 +174,6 @@ class SimulationConfig:
     driver: object
     sigma: object
     initial_law: object = field(default_factory=GaussianLaw)
-    truncation_N: float = None
 
     def __post_init__(self):
         _check_count("n_particles", self.n_particles)
@@ -192,13 +185,6 @@ class SimulationConfig:
             raise ValueError("dt and horizon must be positive")
         self.n_steps = _step_count(self.horizon_T, self.dt)
         self.dt_effective = self.horizon_T / self.n_steps
-        trunc = self.truncation_N
-        _check_truncation(trunc)
-        if (isinstance(self.driver, StableDriverSpec) and trunc is not None
-                and math.isfinite(trunc) and self.driver.alpha < 2.0):
-            self.effective_driver = truncated_stable_triplet(self.driver, trunc)
-        else:
-            self.effective_driver = self.driver
 
     def times(self):
         return self.dt_effective * np.arange(self.n_steps + 1)
@@ -301,9 +287,7 @@ def _steps(cfg, streams, xs, parts):
     """
     sigma = cfg.sigma
     for k in range(cfg.n_steps):
-        dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                    cfg.n_particles, streams.at(k),
-                                    truncation=cfg.truncation_N)
+        dz = sample_increment_array(cfg.driver, cfg.dt_effective, cfg.n_particles, streams.at(k))
         ranks = _ranks(xs[0]) if parts[0] is None else None
         for i, summaries in enumerate(parts):
             if ranks is None:
@@ -333,9 +317,9 @@ def simulate(cfg, record_every=1):
 
 def _terminal_cf_test(flow, cfg, xi_grid, tolerance):
     """The CF test of a run of ``cfg`` whose coefficient has a
-    ``constant_value``, over a stable driver that no finite truncation
-    cuts, whose law at the horizon is the initial law convolved with a
-    stable law: the sup over ``xi_grid`` of the gap between the two CFs,
+    ``constant_value`` and whose driver is stable (not truncated), whose
+    law at the horizon is the initial law convolved with a stable law: the
+    sup over ``xi_grid`` of the gap between the two CFs,
     the final marginal's empirical one and the exact one, at most
     ``tolerance`` (None: 4 / sqrt(n) + 1e-3).  Returns the payload and the
     check."""
@@ -460,8 +444,8 @@ def simulate_coupled(cfg, reference_flow):
 def _simulate_coupled(cfgs, summaries):
     """Step coupled runs of one system size in lockstep; one result per run.
 
-    ``cfgs`` share the particle count, the time grid and sigma and differ
-    in their seeds (the driver too, so their effective drivers agree).  Run
+    ``cfgs`` share the particle count, the time grid, the driver and sigma
+    and differ in their seeds.  Run
     r is row r of the ``(len(cfgs), n)`` position arrays of both parts of
     :func:`_steps`, the system and the copies, which start from one array;
     it draws its increments and initial sample from its own substreams
@@ -515,11 +499,10 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     A row's seed derives from its (size, repetition) pair alone and no row
     reads another, so neither the chunking nor the scheduling can change a
     result: each run's result equals that of ``simulate_coupled`` on the
-    same config, bit for bit.  What is fixed per experiment is resolved
-    once and shared read-only by every batch, across threads too: the
-    driver (``cfg_base``'s ``effective_driver``, so a truncated stable
-    driver is not rebuilt for the reference or any run) and the sigma
-    summaries of the reference marginals.  A coefficient with a
+    same config, bit for bit.  What is fixed per experiment is built once
+    and shared read-only by every batch, across threads too: the driver
+    and sigma of ``cfg_base`` and the sigma summaries of the reference
+    marginals.  A coefficient with a
     ``constant_value`` steps the systems and their copies alike, so its
     table is degenerate: its gaps are zero up to roundoff, and no slope is
     fitted.
@@ -538,15 +521,13 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     if n_ref < 10 * max(n_list):
         raise ValueError("reference size must be at least 10x the largest system")
     _check_count("threads", threads)
-    base = replace(cfg_base, driver=cfg_base.effective_driver)
-    ref_cfg = replace(base, n_particles=n_ref,
-                      seed=derive_key(cfg_base.seed, 0xFEED))
-    reference_flow = simulate(ref_cfg)
-    summaries = [base.sigma.summarize(m.samples) for m in reference_flow.marginals[:-1]]
+    reference_flow = simulate(replace(cfg_base, n_particles=n_ref,
+                                      seed=derive_key(cfg_base.seed, 0xFEED)))
+    summaries = [cfg_base.sigma.summarize(m.samples) for m in reference_flow.marginals[:-1]]
 
     def one_batch(task):
         i, n, batch_reps = task
-        cfgs = [replace(base, n_particles=n, seed=derive_key(cfg_base.seed, i + 1, r))
+        cfgs = [replace(cfg_base, n_particles=n, seed=derive_key(cfg_base.seed, i + 1, r))
                 for r in batch_reps]
         return [res.mean_sq() for res in _simulate_coupled(cfgs, summaries)]
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from levymv import cli, coefficients, particles
+from levymv import cli, coefficients, drivers
 from levymv.cli import SCHEMAS, main
 from levymv.presets import PRESETS
 
@@ -487,10 +487,10 @@ class TestChaosCommand:
         # resolution builds the truncated driver and the pair-kernel sigma,
         # and the run reuses them
         builds = []
-        triplet = particles.truncated_stable_triplet
+        cut = drivers.truncated
         probe = coefficients.LinearInteraction.__init__
-        monkeypatch.setattr(particles, "truncated_stable_triplet",
-                            lambda *args: builds.append("driver") or triplet(*args))
+        monkeypatch.setattr(drivers, "truncated",
+                            lambda *args: builds.append("driver") or cut(*args))
         monkeypatch.setattr(coefficients.LinearInteraction, "__init__",
                             lambda self, kernel: builds.append("sigma") or probe(self, kernel))
         cfg = SMALL_CONFIGS["chaos-rate"]
@@ -515,6 +515,15 @@ class TestChaosCommand:
         assert capsys.readouterr().out.strip() == f"FAIL {out}: slope"
         summary = json.loads((out / "summary.json").read_text())
         assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("slope", False)]
+
+    def test_jump_draw_beyond_memory_exits_1_without_a_traceback(self, tmp_path, capsys):
+        # at scale 1e12 the cut driver's mean jump count per step is one a
+        # Poisson draw takes, but the jumps it counts do not fit in memory
+        cfg = write_config(tmp_path, {**SMALL_CONFIGS["chaos-rate"],
+                                      "driver": {"kind": "stable", "alpha": 1.5, "scale": 1e12}})
+        assert main(["chaos-rate", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_non_numeric_keys_rejected(self, tmp_path, capsys):
         payload = {

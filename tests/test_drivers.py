@@ -11,7 +11,7 @@ from levymv import drivers
 from levymv.drivers import (DELTA, JumpAtoms, LevyTripletSpec, StableDriverSpec,
                             cf_constant_from_levy_constant,
                             levy_constant_from_cf_constant, sample_increment_array,
-                            truncated_stable_triplet)
+                            truncated)
 from levymv.rng import substream
 
 
@@ -126,47 +126,44 @@ class TestConstants:
             assert abs(val - c * xi ** alpha) / (c * xi ** alpha) < 2e-3, alpha
 
 
-def triplet_increments(spec, dt, n, rng, truncation=None):
-    """One row's (totals, big-jump sums) from the sampler's triplet row function:
-    the sums collect the jumps above a finite ``truncation``, the totals every jump."""
-    totals, big_sums = drivers._triplet_rows(spec, dt, n, [rng], truncation)
-    return totals[0], big_sums[0]
+def triplet_increments(spec, dt, n, rng):
+    """One row of increments from the sampler's triplet row function."""
+    return drivers._triplet_rows(spec, dt, n, [rng])[0]
 
 
 class TestTripletSampler:
     def test_pure_drift_is_exact(self):
         spec = LevyTripletSpec(gaussian_a=0.0, drift_b=1.0)
-        tot, big = triplet_increments(spec, 0.5, 10, substream(11), truncation=0.1)
+        tot = triplet_increments(truncated(spec, 0.1), 0.5, 10, substream(11))
         assert np.all(tot == 0.5)
-        assert np.all(big == 0.0)
 
     def test_gaussian_part_variance(self):
         spec = LevyTripletSpec(gaussian_a=2.0, drift_b=0.0)
-        tot, _ = triplet_increments(spec, 0.5, 300_000, substream(12))
+        tot = triplet_increments(spec, 0.5, 300_000, substream(12))
         assert abs(tot.var() - 1.0) < 0.01  # a * dt = 1
 
     def test_big_jump_atom_poisson_count(self):
-        # a truncation below the atom collects every jump in big_sums
         lam, dt = 3.0, 0.25
         spec = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, lam)]))
-        tot, big = triplet_increments(spec, dt, 20_000, substream(13), truncation=1.5)
-        counts = big / 2.0
+        tot = triplet_increments(spec, dt, 20_000, substream(13))
+        counts = tot / 2.0
         # all amplitudes sit on the atom: whole counts, and nothing else moves
         assert np.array_equal(counts, np.round(counts))
-        assert np.array_equal(tot, big)
         target = lam * dt
         assert abs(counts.mean() - target) < 4.0 * math.sqrt(target / counts.size)
 
     def test_record_total_minus_jumps_is_retained(self):
-        # with every jump above the level, totals - big_sums is the drift +
+        # with every jump above the level, the cut driver is the drift +
         # diffusion part, drawn first from the stream as without jumps
         jumps = JumpAtoms([(3.0, 2.0), (-2.0, 1.0)])
         spec = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3, big_jumps=jumps)
-        tot, big = triplet_increments(spec, 1.0, 50, substream(16), truncation=1.5)
-        plain, _ = triplet_increments(
-            LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3), 1.0, 50, substream(16))
-        assert np.any(big != 0.0)
-        assert np.allclose(tot - big, plain, rtol=0.0, atol=1e-12)
+        cut = truncated(spec, 1.5)
+        assert cut.big_jumps is None and cut.big_rate == 0.0
+        plain = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3)
+        assert np.array_equal(triplet_increments(cut, 1.0, 50, substream(16)),
+                              triplet_increments(plain, 1.0, 50, substream(16)))
+        assert not np.array_equal(triplet_increments(spec, 1.0, 50, substream(16)),
+                                  triplet_increments(plain, 1.0, 50, substream(16)))
 
     def test_invalid_atoms_rejected(self):
         with pytest.raises(ValueError):
@@ -180,29 +177,37 @@ class TestTripletSampler:
 ATOMS = LevyTripletSpec(drift_b=0.25, big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
 
 
-def increments(driver, truncation, n=2000, key=18):
-    return sample_increment_array(driver, 1.0, n, substream(key), truncation=truncation)
+def increments(driver, n=2000, key=18):
+    return sample_increment_array(driver, 1.0, n, substream(key))
 
 
 class TestTruncation:
-    def test_direct_subtraction(self):
-        # a level of 2 removes the 2.5 jumps and keeps the -1.5 ones
-        tot = increments(ATOMS, None)
-        cut = increments(ATOMS, 2.0)
-        removed = (tot - cut) / 2.5
-        kept = (cut - 0.25) / -1.5
-        assert np.any(removed > 0) and np.any(kept > 0)
-        assert np.allclose(removed, np.round(removed), rtol=0.0, atol=1e-9)
-        assert np.allclose(kept, np.round(kept), rtol=0.0, atol=1e-9)
+    @pytest.mark.parametrize("driver", [StableDriverSpec(1.5, 1.0), StableDriverSpec(2.0, 1.0),
+                                        ATOMS], ids=["stable", "gaussian", "atoms"])
+    def test_uncut_level_gives_the_driver_itself(self, driver):
+        assert truncated(driver, None) is driver
+        assert truncated(driver, math.inf) is driver
+
+    def test_cut_atoms_match_the_closed_form_cf(self):
+        # a level of 2 keeps the -1.5 atom and removes the 2.5 one: the cut
+        # increment over dt has CF exp(dt (i b xi + 2 (e^(-1.5 i xi) - 1)))
+        cut = truncated(ATOMS, 2.0)
+        assert cut.big_jumps.atoms == ((-1.5, 2.0),) and cut.drift_b == 0.25
+        dt, n = 0.5, 400_000
+        z = sample_increment_array(cut, dt, n, substream(18))
+        xi = np.array([0.3, 0.7, 1.5, 3.0])
+        exact = np.exp(dt * (1j * 0.25 * xi + 2.0 * (np.exp(-1.5j * xi) - 1.0)))
+        assert np.abs(empirical_cf(z, xi) - exact).max() < 4.0 / math.sqrt(n)
+        # the uncut driver is another law
+        full = sample_increment_array(ATOMS, dt, n, substream(18))
+        assert np.abs(empirical_cf(full, xi) - exact).max() > 0.05
 
     def test_noop_without_jumps(self):
         driver = LevyTripletSpec(gaussian_a=1.0, drift_b=0.5)
-        tot = increments(driver, None)
-        assert np.array_equal(increments(driver, 7.0), tot)
-        assert np.array_equal(increments(driver, math.inf), tot)
+        assert np.array_equal(increments(truncated(driver, 7.0)), increments(driver))
 
     def test_level_inf_keeps_everything(self):
-        assert np.array_equal(increments(ATOMS, math.inf), increments(ATOMS, None))
+        assert np.array_equal(increments(truncated(ATOMS, math.inf)), increments(ATOMS))
 
     def test_level_above_every_atom_keeps_everything(self):
         # a driver whose jumps all lie within the level is its own truncation
@@ -213,15 +218,31 @@ class TestTruncation:
                          rng.uniform(0.1, 3.0, 3))]
             driver = LevyTripletSpec(gaussian_a=0.3, big_jumps=JumpAtoms(atoms))
             level = max(abs(y) for y, _ in atoms) + float(rng.uniform(0.0, 1.0))
-            assert np.array_equal(increments(driver, level, n=200, key=key),
-                                  increments(driver, None, n=200, key=key))
+            assert np.array_equal(increments(truncated(driver, level), n=200, key=key),
+                                  increments(driver, n=200, key=key))
 
     def test_level_must_be_positive(self):
-        for level in (0.0, -1.0, math.nan, "2.0"):
+        for level in (0.0, -1.0, math.nan, "2.0", True):
             with pytest.raises(ValueError):
-                increments(ATOMS, level)
+                truncated(ATOMS, level)
             with pytest.raises(ValueError):
-                increments(StableDriverSpec(2.0, 1.0), level)
+                truncated(StableDriverSpec(2.0, 1.0), level)
+
+    def test_jump_counts_beyond_a_poisson_draw_rejected(self):
+        # the mean count per step must be finite and at most numpy's limit
+        check = drivers._check_step
+        check(StableDriverSpec(1.5, 1e300), 0.1)        # sampled exactly: no counts
+        check(truncated(StableDriverSpec(1.5, 1e12), 2.0), 0.1)
+        for scale in (1e300, 1e308):
+            with pytest.raises(ValueError, match="Poisson"):
+                check(truncated(StableDriverSpec(1.5, scale), 2.0), 0.1)
+        atoms = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, 1e300)]))
+        check(atoms, 1e-290)
+        with pytest.raises(ValueError, match="big-jump"):
+            check(atoms, 1.0)
+        substream(0).poisson(drivers._POISSON_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            substream(0).poisson(np.nextafter(drivers._POISSON_MAX, math.inf))
 
 
 class TestTruncatedStable:
@@ -229,9 +250,9 @@ class TestTruncatedStable:
         # CF exponent of the cut driver: 2K int_0^N (1 - cos(xi y)) y^(-1-a) dy
         alpha, level, dt = 1.5, 2.0, 0.5
         spec = StableDriverSpec(alpha, 1.0)
-        trip = truncated_stable_triplet(spec, level)
+        trip = truncated(spec, level)
         k_levy = levy_constant_from_cf_constant(1.0, alpha)
-        tot, _ = triplet_increments(trip, dt, 400_000, substream(19))
+        tot = triplet_increments(trip, dt, 400_000, substream(19))
         for xi in (0.5, 1.0, 2.0):
             psi = 2 * k_levy * quad(
                 lambda y: (1 - math.cos(xi * y)) * y ** (-1 - alpha),
@@ -240,33 +261,41 @@ class TestTruncatedStable:
             assert gap < 4.0 / math.sqrt(tot.size) + 2e-3, xi
 
     def test_alpha2_truncation_is_noop(self):
+        # alpha = 2 has no jumps to cut, at any level
         spec = StableDriverSpec(2.0, 1.0)
-        assert truncated_stable_triplet(spec, 3.0) is spec
+        for level in (0.5, 1.0, 3.0):
+            assert truncated(spec, level) is spec
 
-    def test_engine_path_requires_materialized_triplet(self):
-        with pytest.raises(ValueError):
-            sample_increment_array(StableDriverSpec(1.5, 1.0), 0.1, 10,
-                                   substream(20), truncation=2.0)
+    def test_cut_twice_samples_like_cut_once(self):
+        # restricting the level-4 triplet to 2 lowers its power law's upper
+        # edge to 2: the triplet built at 2, bit for bit
+        spec = StableDriverSpec(1.5, 20.0)
+        once, twice = truncated(spec, 2.0), truncated(truncated(spec, 4.0), 2.0)
+        assert twice.big_rate == once.big_rate and twice.band_rate == once.band_rate
+        keys = [substream(23, r) for r in range(4)]
+        assert np.array_equal(sample_increment_array(twice, 0.05, 37, keys),
+                              sample_increment_array(once, 0.05, 37,
+                                                     [substream(23, r) for r in range(4)]))
 
     def test_truncated_variance_matches_levy_integral(self):
         # Var per unit time of the cut driver is int y^2 over |y| <= N
         alpha, level = 1.5, 2.0
-        trip = truncated_stable_triplet(StableDriverSpec(alpha, 1.0), level)
+        trip = truncated(StableDriverSpec(alpha, 1.0), level)
         k_levy = levy_constant_from_cf_constant(1.0, alpha)
         expected = 2.0 * k_levy * level ** (2 - alpha) / (2 - alpha)
-        tot, _ = triplet_increments(trip, 0.5, 400_000, substream(21))
+        tot = triplet_increments(trip, 0.5, 400_000, substream(21))
         assert abs(tot.var() / 0.5 - expected) / expected < 0.05
 
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
-            truncated_stable_triplet(StableDriverSpec(1.5, 1.0), 0.8)
+            truncated(StableDriverSpec(1.5, 1.0), 0.8)
 
     def test_tail_rate_is_analytic(self):
         # under K|y|^(-1-a): rate of 1 < |y| <= N is 2K(1 - N^-a)/a, rate of
         # the band DELTA < |y| <= 1 is 2K(DELTA^-a - 1)/a, and the variance
         # of |y| <= DELTA, carried by the Gaussian part, is 2K DELTA^(2-a)/(2-a)
         alpha, level, scale = 1.5, 2.0, 0.5
-        trip = truncated_stable_triplet(StableDriverSpec(alpha, scale), level)
+        trip = truncated(StableDriverSpec(alpha, scale), level)
         k_levy = levy_constant_from_cf_constant(scale, alpha)
         expected = 2.0 * k_levy * (1.0 - level ** -alpha) / alpha
         assert trip.big_jumps.total_rate == pytest.approx(expected, rel=1e-14)
@@ -280,7 +309,7 @@ class TestTruncatedStable:
     def test_band_draws_are_the_bits_of_uniform(self):
         # the band's jumps are drawn by halves, one uniform on [0, rate)
         # each: the same stream gives the bits rng.uniform would give
-        band = truncated_stable_triplet(StableDriverSpec(1.5, 0.5), 2.0).band
+        band = truncated(StableDriverSpec(1.5, 0.5), 2.0).band
         for size in (1, 7, 1000):
             got = band.draw(substream(22, size), size)
             want = substream(22, size).uniform(0.0, band.total_rate, size)
@@ -290,34 +319,27 @@ class TestTruncatedStable:
 class TestRowSampler:
     """One call on a generator per row gives each generator's own call."""
 
-    @pytest.mark.parametrize("driver,truncation", [
-        (StableDriverSpec(1.5, 0.7), None),
-        (StableDriverSpec(2.0, 1.3), None),
-        # built at level 4 and cut at 2: some big jumps lie over the level
-        (truncated_stable_triplet(StableDriverSpec(1.5, 20.0), 4.0), 2.0),
-        (truncated_stable_triplet(StableDriverSpec(1.2, 1.0), 3.0), None),
-        (LevyTripletSpec(gaussian_a=0.3, drift_b=0.25,
-                         big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)])), 2.0),
+    @pytest.mark.parametrize("driver", [
+        StableDriverSpec(1.5, 0.7),
+        StableDriverSpec(2.0, 1.3),
+        # built at level 4 and cut at 2
+        truncated(truncated(StableDriverSpec(1.5, 20.0), 4.0), 2.0),
+        truncated(StableDriverSpec(1.2, 1.0), 3.0),
+        truncated(LevyTripletSpec(gaussian_a=0.3, drift_b=0.25,
+                                  big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)])), 2.0),
     ], ids=["stable-1.5", "stable-2.0", "triplet-cut", "triplet-uncut", "atoms"])
     @pytest.mark.parametrize("n", [1, 37])
-    def test_rows_equal_one_row_calls(self, driver, truncation, n):
+    def test_rows_equal_one_row_calls(self, driver, n):
         # dt = 0.05 leaves some rows without jumps and gives others several
         keys = [(70, n, r) for r in range(6)]
-        rows = sample_increment_array(driver, 0.05, n, [substream(*k) for k in keys],
-                                      truncation=truncation)
+        rows = sample_increment_array(driver, 0.05, n, [substream(*k) for k in keys])
         assert rows.shape == (len(keys), n)
         for row, key in zip(rows, keys):
-            alone = sample_increment_array(driver, 0.05, n, substream(*key),
-                                           truncation=truncation)
+            alone = sample_increment_array(driver, 0.05, n, substream(*key))
             assert alone.shape == (n,)
             assert np.array_equal(row, alone)
         if isinstance(driver, LevyTripletSpec):
-            totals, big = drivers._triplet_rows(driver, 0.05, n,
-                                                [substream(*k) for k in keys], truncation)
-            for t, b, key in zip(totals, big, keys):
-                want_t, want_b = triplet_increments(driver, 0.05, n, substream(*key),
-                                                    truncation=truncation)
-                assert np.array_equal(t, want_t) and np.array_equal(b, want_b)
-            assert np.array_equal(rows, totals - big)
-            if truncation is not None and n > 1:
-                assert np.any(big != 0.0)
+            totals = drivers._triplet_rows(driver, 0.05, n, [substream(*k) for k in keys])
+            for t, key in zip(totals, keys):
+                assert np.array_equal(t, triplet_increments(driver, 0.05, n, substream(*key)))
+            assert np.array_equal(rows, totals)

@@ -10,7 +10,8 @@ from scipy.stats import ks_2samp
 from levymv import particles
 from levymv.coefficients import (CauchyKernel, Constant, LinearInteraction,
                                  SineKernel, SmoothedDensityPower)
-from levymv.drivers import LevyTripletSpec, StableDriverSpec, sample_increment_array
+from levymv.drivers import (JumpAtoms, LevyTripletSpec, StableDriverSpec,
+                            sample_increment_array, truncated)
 from levymv.exports import (chaos_table_to_csv, flow_from_binary, flow_to_binary,
                             flow_to_csv)
 from levymv.measures import EmpiricalMeasure, second_moment, wasserstein2
@@ -22,11 +23,14 @@ from levymv.particles import (FileLaw, GaussianLaw,
 from levymv.rng import derive_key, substream
 
 
+# the truncated stable driver of the chaos-rate presets, built once
+CUT_DRIVER = truncated(StableDriverSpec(1.5, 0.5), 2.0)
+
+
 def make_cfg(**kw):
     base = dict(n_particles=100, dt=0.05, horizon_T=0.5, seed=42,
-                driver=StableDriverSpec(1.5, 0.5),
-                sigma=LinearInteraction(SineKernel(1.0, 0.5)),
-                initial_law=GaussianLaw(0.0, 1.0), truncation_N=2.0)
+                driver=CUT_DRIVER, sigma=LinearInteraction(SineKernel(1.0, 0.5)),
+                initial_law=GaussianLaw(0.0, 1.0))
     base.update(kw)
     return SimulationConfig(**base)
 
@@ -35,8 +39,7 @@ def step_increments(cfg, step_index):
     """The increment vector consumed by step ``step_index`` of a run, replayed
     from the engine's stream: a pure function of (seed, step) and the particle count."""
     rng = substream(cfg.seed, particles._ROLE_STEP, step_index)
-    return sample_increment_array(cfg.effective_driver, cfg.dt_effective,
-                                  cfg.n_particles, rng, truncation=cfg.truncation_N)
+    return sample_increment_array(cfg.driver, cfg.dt_effective, cfg.n_particles, rng)
 
 
 class TestStepping:
@@ -50,8 +53,7 @@ class TestStepping:
 
     def test_pure_drift_driver_moves_deterministically(self):
         driver = LevyTripletSpec(gaussian_a=0.0, drift_b=1.0)
-        cfg = make_cfg(driver=driver, sigma=Constant(1.0), dt=0.5, horizon_T=0.5,
-                       truncation_N=None)
+        cfg = make_cfg(driver=driver, sigma=Constant(1.0), dt=0.5, horizon_T=0.5)
         flow = simulate(cfg)
         assert np.allclose(flow.final().samples - flow.marginals[0].samples, 0.5)
 
@@ -111,8 +113,7 @@ class TestStepping:
 
     def test_nonfinite_positions_abort(self):
         driver = LevyTripletSpec(gaussian_a=0.0, drift_b=1e308)
-        cfg = make_cfg(driver=driver, sigma=Constant(1e308), dt=1.0, horizon_T=2.0,
-                       truncation_N=None)
+        cfg = make_cfg(driver=driver, sigma=Constant(1e308), dt=1.0, horizon_T=2.0)
         with pytest.raises(SimulationError):
             simulate(cfg)
 
@@ -151,7 +152,7 @@ class TestSimulate:
         # X_T = x0 + c * Z_T exactly, so the empirical CF must match
         cfg = make_cfg(n_particles=200_000, dt=0.1, horizon_T=1.0, seed=21,
                        driver=StableDriverSpec(1.5, 1.0), sigma=Constant(0.8),
-                       initial_law=PointMass(0.0), truncation_N=None)
+                       initial_law=PointMass(0.0))
         flow = simulate(cfg, record_every=10)
         z = flow.final().samples
         for xi in (0.5, 1.0, 2.0):
@@ -163,7 +164,7 @@ class TestSimulate:
         # halving dt leaves the terminal law unchanged
         base = dict(n_particles=50_000, horizon_T=1.0, seed=22,
                     driver=StableDriverSpec(1.5, 1.0), sigma=Constant(1.0),
-                    initial_law=PointMass(0.0), truncation_N=None)
+                    initial_law=PointMass(0.0))
         a = simulate(SimulationConfig(dt=0.1, **base), record_every=10)
         b = simulate(SimulationConfig(dt=0.05, **base), record_every=20)
         assert ks_2samp(a.final().samples, b.final().samples).pvalue > 0.01
@@ -182,7 +183,7 @@ class TestSimulate:
         # B = sup sigma and v = driver variance per unit time
         cfg = make_cfg(n_particles=20_000, dt=0.02, horizon_T=1.0, seed=24)
         flow = simulate(cfg)
-        tot = sample_increment_array(cfg.effective_driver, 1.0, 200_000, substream(25))
+        tot = sample_increment_array(cfg.driver, 1.0, 200_000, substream(25))
         v = float(tot.var())
         bound_sigma = 1.5  # sup of 1 + 0.5 sin
         m0 = second_moment(flow.marginals[0])
@@ -226,13 +227,18 @@ class TestSimulate:
             make_cfg(n_particles=0)
         with pytest.raises(ValueError):
             make_cfg(dt=-0.1)
-        with pytest.raises(ValueError):
-            make_cfg(truncation_N=-2.0)
-        with pytest.raises(ValueError):
-            make_cfg(truncation_N=math.nan)
-        inf_cut = make_cfg(truncation_N=math.inf)
-        assert inf_cut.truncation_N == math.inf
-        assert inf_cut.effective_driver is inf_cut.driver
+
+    def test_cut_atom_driver_steps_its_restricted_measure(self):
+        # a truncated triplet is stepped like any driver: under sigma 1 each
+        # particle moves by the drift and by whole jumps of the one atom
+        # within the level
+        driver = LevyTripletSpec(drift_b=0.25, big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
+        cfg = make_cfg(driver=truncated(driver, 2.0), sigma=Constant(1.0), seed=28)
+        total = sum(step_increments(cfg, k) for k in range(cfg.n_steps))
+        assert np.allclose(simulate(cfg).final().samples,
+                           np.sort(initial_positions(cfg) + total), atol=1e-12)
+        jumps = (total - 0.25 * cfg.horizon_T) / -1.5
+        assert np.allclose(jumps, np.round(jumps), atol=1e-9) and np.any(jumps > 0)
 
 
 class TestPicard:
@@ -291,8 +297,7 @@ class TestPicard:
             marginals = [EmpiricalMeasure(x)]
             for k in range(cfg.n_steps):
                 rng = substream(cfg.seed, 1, k) if common else substream(cfg.seed, 1, j, k)
-                dz = sample_increment_array(cfg.effective_driver, cfg.dt_effective, x.size,
-                                            rng, truncation=cfg.truncation_N)
+                dz = sample_increment_array(cfg.driver, cfg.dt_effective, x.size, rng)
                 x = x + sigma.from_summary(x, summaries[k]) * dz
                 marginals.append(EmpiricalMeasure(x))
             assert np.array_equal(flow.times, cfg.times())
@@ -437,19 +442,6 @@ class TestChaosExperiment:
                     for i, n in enumerate(n_list) for r in range(reps)]
         assert batch_sizes == [reps] * len(n_list)
         assert recorded == expected
-
-    def test_truncated_driver_built_once_per_experiment(self, monkeypatch):
-        builds = []
-        build = particles.truncated_stable_triplet
-
-        def counting_build(*args, **kwargs):
-            builds.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(particles, "truncated_stable_triplet", counting_build)
-        cfg = make_cfg(n_particles=20, dt=0.1, horizon_T=0.3, seed=55)
-        chaos_rate_experiment(cfg, [10, 20, 40, 80], reps=2, n_ref=800)
-        assert len(builds) == 1  # the config's own; reference and runs reuse it
 
     def test_validation_of_arguments(self):
         cfg = make_cfg()
