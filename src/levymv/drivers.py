@@ -22,7 +22,10 @@ exponentials; triplet: the normals, the band's jump counts and draws,
 then the big jumps' counts and draws); the transforms to increments and
 the per-particle jump sums then run once on all rows.  So a row's
 increments do not depend on the other rows, and a one-row call gives
-the bits of the same row drawn beside others.
+the bits of the same row drawn beside others.  The stable transform's
+sines and cosines come from the half-angle tangent, through the one
+helper that the sine kernel and the empirical CF gap use too,
+:func:`levymv.measures._sin_cos_of_half_tan`.
 
 Scale convention for the stable family: ``scale`` is the characteristic
 function constant, one increment over ``dt`` has CF
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _cf_gap
+from .measures import _cf_gap, _sin_cos_of_half_tan
 from .perturbation import CheckResult
 from .rng import substream
 
@@ -98,13 +101,8 @@ _QUARTER_PI_LO = 3.061616997868383e-17
 
 
 def _sin_of_double(h, scratch):
-    """sin 2h = 2t / (1 + t^2) with t = tan h, in place on h, for |h| < pi/2."""
-    np.tan(h, out=h)
-    np.multiply(h, h, out=scratch)
-    scratch += 1.0
-    h += h
-    h /= scratch
-    return h
+    """sin 2h, in place on h, for |h| < pi/2."""
+    return _sin_cos_of_half_tan(np.tan(h, out=h), cos=False, out=h, scratch=scratch)
 
 
 def _cos_of(k, u, out, scratch):

@@ -33,8 +33,9 @@ def flow_to_csv(flow, path):
     n = len(flow.marginals[0])
     with open(path, "w") as fh:
         fh.write("time," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+        row = ",".join(["%.17g"] * (n + 1)) + "\n"  # one format per row, on floats
         for t, m in zip(flow.times, flow.marginals):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in m.samples) + "\n")
+            fh.write(row % (t, *m.samples.tolist()))
 
 
 def _write_block(path, kind, times, rows):

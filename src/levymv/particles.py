@@ -10,8 +10,10 @@ evaluating sigma through the coefficient's ``summarize``/``from_summary``
 pair (see :mod:`levymv.coefficients`):
 
 * the interacting part -- sigma sees the system's own empirical measure,
-  row by row, summarized afresh at every step and evaluated in sorted
-  particle order (one argsort per step, values scattered back),
+  row by row, summarized afresh at every step from the sorted positions;
+  a pointwise sigma is then read in place, a table read-back in sorted
+  particle order (one argsort per step, values scattered back; see
+  ``sorted_reads`` in :mod:`levymv.coefficients`),
 * the frozen-flow part -- sigma sees an externally supplied marginal
   flow, summarized once per marginal, which turns the system into n
   independent copies of a linear equation.
@@ -227,25 +229,20 @@ def _ranks(x):
     return ranks
 
 
-def _sigma_in_order(sigma, ranked, ranks, summary=None):
-    """sigma at positions read in the order ``ranks`` (:func:`_ranks` of
-    some array of the same shape), scattered back to the order they were
-    read from.
+def _sigma_in_order(sigma, ranked, ranks, summary):
+    """sigma against ``summary`` at positions read in the order ``ranks``
+    (:func:`_ranks` of some array of the same shape), scattered back to the
+    order they were read from.
 
     ``ranked`` holds the positions so read, one system or one system per
-    row.  With ``summary`` None it is each row's own sorted positions, and
-    sigma sees the row's empirical measure mu^n: the sorted positions are
-    summarized, one summary per row (the measure is order-free, and a fixed
-    reduction order keeps interacting and frozen-flow stepping
-    bit-identical).  Otherwise every row is read against ``summary``.
-    Either way the positions are queried in that order, so a table
-    read-back walks its nodes forward when they are sorted or nearly so;
-    sigma is pointwise in the positions, so each gets the same number as
-    in place.  A non-finite sample gives non-finite sigma, which the
-    finiteness check on the advanced positions reports (the
-    smoothed-density table rejects it with ``ValueError`` instead).
+    row.  They are queried in that order, so a table read-back walks its
+    nodes forward when they are sorted or nearly so; sigma is pointwise in
+    the positions, so each gets the same number as in place.  A non-finite
+    sample gives non-finite sigma, which the finiteness check on the
+    advanced positions reports (the smoothed-density table rejects it with
+    ``ValueError`` instead).
     """
-    vals = sigma.from_summary(ranked, sigma.summarize(ranked) if summary is None else summary)
+    vals = sigma.from_summary(ranked, summary)
     out = np.empty(ranked.shape)
     out.put(ranks, vals)
     return out
@@ -261,7 +258,7 @@ def initial_positions(cfg):
     return cfg.initial_law.sample(cfg.n_particles, substream(cfg.seed, _ROLE_INIT))
 
 
-def _steps(cfg, streams, xs, parts):
+def _steps(cfg, streams, xs, parts, kept=None):
     """Step lockstep runs through ``cfg``'s time grid; yield each step's number.
 
     ``xs`` holds one ``(rows, n)`` position array per part, one run per
@@ -275,29 +272,44 @@ def _steps(cfg, streams, xs, parts):
     from ``streams.at(k)``, and all parts consume them; each advanced part
     is checked for finiteness before the next is advanced.
 
-    With an interacting part, every part is evaluated in the order of the
-    argsort that the step takes of the system's positions
-    (:func:`_sigma_in_order`): the coupled copies stay close to the
-    system, so in that order they come nearly sorted too, and a table
-    read-back walks the reference table forward instead of jumping about
-    it.  A frozen-flow part alone (a Picard iterate) is read in place.
-    The argsort lives from the step's draws to its end: held across the
-    next step's draws, it made compare's n = 1e5 runs fault in about
-    twice the pages.
+    The interacting part's summary at step k is sigma's summary of the
+    system's sorted positions (the measure is order-free, and one
+    reduction order keeps interacting and frozen-flow stepping
+    bit-identical), one per row, or one measure's summary for a single
+    row (which rows of copies can read too); ``kept``, when a list,
+    receives it, step after step.  Where sigma's ``sorted_reads``
+    is False, sigma is pointwise in the positions given the summary, so
+    the rows are sorted for it by ``np.sort`` and every part is read in
+    place.  Where it is True (a table read-back), every part is evaluated
+    in the order of the argsort that the step takes of the system's
+    positions (:func:`_sigma_in_order`), and the positions so read are the
+    sorted ones: the coupled copies stay close to the system, so in that
+    order they come nearly sorted too, and the read-back walks the
+    reference table forward instead of jumping about it.  The argsort
+    lives from the step's draws to its end: held across the next step's
+    draws, it made compare's n = 1e5 runs fault in about twice the pages.
+    A frozen-flow part alone (a Picard iterate) is read in place.
     """
     sigma = cfg.sigma
     for k in range(cfg.n_steps):
         dz = sample_increment_array(cfg.driver, cfg.dt_effective, cfg.n_particles, streams.at(k))
-        ranks = _ranks(xs[0]) if parts[0] is None else None
+        ranks = ordered = own = None
+        if parts[0] is None:
+            ranks = _ranks(xs[0]) if sigma.sorted_reads else None
+            ordered = np.sort(xs[0], axis=-1) if ranks is None else xs[0].take(ranks)
+            own = sigma.summarize(ordered[0] if len(ordered) == 1 else ordered)
+            if kept is not None:
+                kept.append(own)
         for i, summaries in enumerate(parts):
+            summary = own if summaries is None else summaries[k]
             if ranks is None:
-                sig = sigma.from_summary(xs[i], summaries[k])
+                sig = sigma.from_summary(xs[i], summary)
             else:
-                sig = _sigma_in_order(sigma, xs[i].take(ranks), ranks,
-                                      None if summaries is None else summaries[k])
+                sig = _sigma_in_order(sigma, ordered if i == 0 else xs[i].take(ranks), ranks,
+                                      summary)
             xs[i] = _advance(xs[i], sig, dz)
             _check_finite(xs[i], k + 1, (k + 1) * cfg.dt_effective)
-        del ranks
+        del ranks, ordered
         yield k + 1
 
 
@@ -487,7 +499,9 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     """Mean-square pathwise gaps for a ladder of system sizes.
 
     One reference flow is built at ``n_ref`` (>= 10x the largest system)
-    and reused as the frozen law for every coupled run; each (size,
+    and reused as the frozen law for every coupled run: the sigma
+    summaries its own steps take of its marginals are kept and read by
+    every copy, the bits :func:`simulate_coupled` reads; each (size,
     repetition) pair gets fresh substreams, including a fresh initial
     sample.  The reference error adds a size-independent floor, so keep
     the largest requested size well below ``n_ref``.
@@ -521,9 +535,11 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     if n_ref < 10 * max(n_list):
         raise ValueError("reference size must be at least 10x the largest system")
     _check_count("threads", threads)
-    reference_flow = simulate(replace(cfg_base, n_particles=n_ref,
-                                      seed=derive_key(cfg_base.seed, 0xFEED)))
-    summaries = [cfg_base.sigma.summarize(m.samples) for m in reference_flow.marginals[:-1]]
+    ref = replace(cfg_base, n_particles=n_ref, seed=derive_key(cfg_base.seed, 0xFEED))
+    summaries = []  # the reference run's own, step by step
+    for _ in _steps(ref, SubstreamRows([ref.seed], _ROLE_STEP), [initial_positions(ref)[None]],
+                    [None], summaries):
+        pass
 
     def one_batch(task):
         i, n, batch_reps = task

@@ -553,3 +553,36 @@ class TestEmpiricalMeasureContainer:
         mu.to_csv(path)
         back = EmpiricalMeasure.from_csv(path)
         assert np.array_equal(mu.samples, back.samples)
+
+
+class TestSinCosOfHalfTan:
+    # the sampler's, the sine kernel's and the CF gap's sines and cosines
+    # come from tan(x / 2)
+
+    def test_arrays_match_libm(self):
+        x = np.r_[np.linspace(-40.0, 40.0, 200001), np.arange(-25, 26) * (np.pi / 2)]
+        sin, cos = measures._sin_cos_of_half_tan(np.tan(x / 2))
+        assert np.max(np.abs(sin - np.sin(x))) <= 2.3e-16
+        assert np.max(np.abs(cos - np.cos(x))) <= 2.3e-16
+
+    @pytest.mark.parametrize("x", [1.3, np.float64(-2.0), np.asarray(0.65)])
+    def test_scalars_stay_scalars(self, x):
+        sin, cos = measures._sin_cos_of_half_tan(np.tan(np.multiply(x, 0.5)))
+        assert np.ndim(sin) == np.ndim(cos) == 0
+        assert sin == pytest.approx(math.sin(x), abs=2.3e-16)
+        assert cos == pytest.approx(math.cos(x), abs=2.3e-16)
+
+    def test_signed_zeros_and_non_finite_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            sin, cos = measures._sin_cos_of_half_tan(np.tan(x / 2))
+        assert np.array_equal(np.signbit(sin[:2]), [False, True])
+        assert np.array_equal(sin[:2], [0.0, 0.0]) and np.array_equal(cos[:2], [1.0, 1.0])
+        assert np.all(np.isnan(sin[2:])) and np.all(np.isnan(cos[2:]))
+
+    def test_in_place_sine_has_the_bits_of_a_fresh_one(self):
+        t = np.tan(substream(134).uniform(-1.5, 1.5, 1000))
+        fresh, _ = measures._sin_cos_of_half_tan(t)
+        scratch = np.empty_like(t)
+        out = measures._sin_cos_of_half_tan(t, cos=False, out=t, scratch=scratch)
+        assert out is t and np.array_equal(out, fresh)

@@ -128,7 +128,37 @@ class TestStepping:
         x = substream(114).permutation(np.r_[x, x[:300], np.zeros(20)])
         expected = sigma.from_summary(x, sigma.summarize(np.sort(x)))
         ranks = particles._ranks(x)
-        assert np.array_equal(particles._sigma_in_order(sigma, x.take(ranks), ranks), expected)
+        ranked = x.take(ranks)
+        assert np.array_equal(
+            particles._sigma_in_order(sigma, ranked, ranks, sigma.summarize(ranked)), expected)
+
+    @pytest.mark.parametrize("rows", [1, 20])
+    @pytest.mark.parametrize("sigma", [
+        Constant(1.5), LinearInteraction(SineKernel(1.0, 0.5)),
+        LinearInteraction(CauchyKernel(1.0, 0.5))])
+    def test_pointwise_coefficients_read_in_place_equal_ordered_reads(self, sigma, rows):
+        # sorted_reads False: the engine summarizes np.sort of the rows and
+        # reads the positions in place, bit for bit what the argsort path gives
+        assert not sigma.sorted_reads
+        x = substream(116).standard_cauchy((rows, 300))
+        ranks = particles._ranks(x)
+        ranked = x.take(ranks)
+        ordered = particles._sigma_in_order(sigma, ranked, ranks, sigma.summarize(ranked))
+        own = np.sort(x, axis=-1)
+        assert np.array_equal(sigma.from_summary(x, sigma.summarize(own)), ordered)
+        if rows == 1:  # the engine's one-measure summary of a single row
+            assert np.array_equal(sigma.from_summary(x, sigma.summarize(own[0])), ordered)
+
+    @pytest.mark.parametrize("sigma", [
+        LinearInteraction(SineKernel(1.0, 0.5)), LinearInteraction(CauchyKernel(1.0, 0.5))])
+    def test_coupled_run_in_place_equals_the_run_in_sorted_order(self, monkeypatch, sigma):
+        cfg = make_cfg(n_particles=60, dt=0.1, horizon_T=0.5, seed=117, sigma=sigma)
+        ref = simulate(replace(cfg, n_particles=600, seed=118))
+        in_place = simulate_coupled(cfg, ref)
+        monkeypatch.setattr(sigma, "sorted_reads", True)
+        ordered = simulate_coupled(cfg, ref)
+        assert np.array_equal(in_place.sup_abs_gaps, ordered.sup_abs_gaps)
+        assert in_place.distance_bound_excess == ordered.distance_bound_excess
 
     @pytest.mark.parametrize("sigma", [
         LinearInteraction(SineKernel(1.0, 0.5)), LinearInteraction(CauchyKernel(1.0, 0.5)),
@@ -416,6 +446,7 @@ class TestChaosExperiment:
 
     @pytest.mark.parametrize("sigma, n_ref", [
         (LinearInteraction(SineKernel(1.0, 0.5)), 800),
+        (LinearInteraction(CauchyKernel(1.0, 0.5)), 800),
         (SmoothedDensityPower(0.5, 0.5), 3200),
     ])
     def test_runs_equal_public_simulate_coupled(self, monkeypatch, sigma, n_ref):
@@ -531,6 +562,18 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time,x1,x2,x3"
         assert len(lines) == 1 + flow.times.size
+
+    def test_flow_csv_rows_format_each_value_to_17_digits(self, tmp_path):
+        # the text of one f"{v:.17g}" per numpy value, tails and -0 included
+        values = [-0.0, 1e-320, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -1e300, 5e-324, 7.0]
+        flow = MarginalFlow(times=np.array([0.0, 0.1]),
+                            marginals=[EmpiricalMeasure(values)] * 2)
+        path = tmp_path / "flow.csv"
+        flow_to_csv(flow, path)
+        rows = path.read_text().splitlines()[1:]
+        for t, row in zip(flow.times, rows, strict=True):
+            samples = flow.marginals[0].samples
+            assert row == f"{t:.17g}," + ",".join(f"{v:.17g}" for v in samples)
 
     def test_chaos_table_csv(self, tmp_path):
         table = {"rows": [], "fitted_slope": None, "slope_stderr": None, "slope_ci95": None,
