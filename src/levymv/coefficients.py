@@ -103,8 +103,8 @@ def _sin_cos(x):
 
 class SineKernel:
     """kernel(x, y) = c0 + c1 * sin(x - y); separable, so a measure reduces
-    to the means of cos and sin over its samples.  Every sine and cosine
-    comes from the half-angle tangent
+    to the means of cos and sin over its samples.  The reductions take
+    their sines and cosines from the half-angle tangent
     (:func:`levymv.measures._sin_cos_of_half_tan`), whose SIMD ``tan`` is
     several times faster than numpy's float64 ``sin`` and ``cos``."""
 
