@@ -13,9 +13,9 @@ from .fokker_planck import (DensityGrid, FractionalParams, FpResult, StabilityEr
 from .measures import (EmpiricalMeasure, check_empirical_distance_bound,
                        empirical_gap_experiment, second_moment, smoothed_density,
                        truncated_wasserstein2_upper, wasserstein2)
-from .particles import (CouplingResult, FileLaw, GaussianLaw, MarginalFlow, PicardResult,
-                        PointMass, SimulationConfig, SimulationError, UniformLaw,
-                        chaos_rate_experiment, picard_flow, simulate, simulate_coupled)
+from .particles import (FileLaw, GaussianLaw, MarginalFlow, PicardResult, PointMass,
+                        SimulationConfig, SimulationError, UniformLaw, chaos_rate_experiment,
+                        picard_flow, simulate, simulate_coupled)
 from .perturbation import (PerturbationParams, perturbation_profile,
                            perturbation_profile_deriv, verify_h1)
 from .rng import substream

@@ -8,9 +8,9 @@ is not convex), so that quantity is shipped as an upper bound; tests
 compare it against a brute-force assignment for small n.
 
 Each sample statistic is computed in one place: the sorted pairing's
-squared W2 and its excess over the paired-configuration bound, row by
-row, serve :func:`wasserstein2`, :func:`check_empirical_distance_bound`,
-the gap experiment and the particle engine's coupled runs; the blocked
+squared W2 and its excess over the paired-configuration bound serve
+:func:`wasserstein2`, :func:`check_empirical_distance_bound` and the gap
+experiment; the blocked
 pairwise kernel mean serves :func:`smoothed_density` and the pair-kernel
 coefficient; the Monte-Carlo mean with its standard error serves the gap
 and chaos-rate experiments, and the step check of such means within two
@@ -148,15 +148,15 @@ def _distance_bound(*, trials, n_min, n_max, tolerance, seed):
 
 
 def _sorted_pairing(xs, ys, gap=None):
-    """Row-wise along the last axis, for rows of n sorted samples each:
-    (W2^2 between the rows' empirical measures, the excess of W2 over the
-    identity pairing's cost |gap| / sqrt(n)).
+    """For two arrays of n sorted samples: (W2^2 between their empirical
+    measures, the excess of W2 over the identity pairing's cost
+    |gap| / sqrt(n)).
 
-    W2^2 is the mean squared difference of the sorted rows, the monotone
-    pairing being optimal for quadratic cost in one dimension.  ``gap`` is
-    the difference of the paired configurations that ``xs`` and ``ys``
-    sort; without it the excess is None.  Each row gets the bits a one-row
-    call would give it.
+    W2^2 is the mean squared difference of the sorted samples, the
+    monotone pairing being optimal for quadratic cost in one dimension.
+    ``gap`` is the difference of the paired configurations that ``xs`` and
+    ``ys`` sort; without it the excess is None.  Both reduce along the
+    last axis, so rows of samples get one value each.
     """
     d = xs - ys
     w2sq = np.mean(d * d, axis=-1)

@@ -23,7 +23,8 @@ pair (see :mod:`levymv.coefficients`):
 previous iterate's flow, and a coupled run (:func:`simulate_coupled`,
 :func:`chaos_rate_experiment`) both parts at once with shared increments
 per particle index, which is the construction behind the pathwise
-convergence-rate experiments.  The repetitions of one system size are
+convergence-rate experiments; it keeps only what those read, each
+particle's running sup gap.  The repetitions of one system size are
 stepped together; each row keeps its own substreams and its own system
 sigma, so a run's result does not depend on which runs share its array.
 
@@ -35,8 +36,9 @@ trajectories exactly as they act on the streams.
 
 The experiments on the engine return their payload and their checks:
 :func:`kde_l1_table` holds the system's marginals against a density
-solve in L1, the chaos-rate table gets its slope and monotone checks,
-and a constant-coefficient stable run its terminal CF test.
+solve in L1, scoring each as it is stepped, the chaos-rate table gets
+its slope and monotone checks, and a constant-coefficient stable run its
+terminal CF test.
 """
 
 import math
@@ -46,8 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drivers import _step_count, sample_increment_array
-from .measures import (EmpiricalMeasure, _cf_gap, _mean_stderr, _sorted_pairing,
-                       _within_2se, read_table, smoothing_table, wasserstein2)
+from .measures import (EmpiricalMeasure, _cf_gap, _mean_stderr, _within_2se, read_table,
+                       smoothing_table, wasserstein2)
 from .perturbation import CheckResult
 from .rng import SubstreamRows, derive_key, substream
 
@@ -59,7 +61,6 @@ __all__ = [
     "SimulationConfig",
     "MarginalFlow",
     "PicardResult",
-    "CouplingResult",
     "SimulationError",
     "simulate",
     "kde_l1_table",
@@ -313,18 +314,22 @@ def _steps(cfg, streams, xs, parts, kept=None):
         yield k + 1
 
 
+def _recorded(cfg, record_every):
+    """Run the interacting system; yield (time, marginal) at step 0, every
+    ``record_every`` steps and at the horizon, each as it is stepped."""
+    xs = [initial_positions(cfg)[None]]
+    yield 0.0, EmpiricalMeasure(xs[0])
+    for step in _steps(cfg, SubstreamRows([cfg.seed], _ROLE_STEP), xs, [None]):
+        if step % record_every == 0 or step == cfg.n_steps:
+            yield step * cfg.dt_effective, EmpiricalMeasure(xs[0])
+
+
 def simulate(cfg, record_every=1):
     """Run the interacting system, recording the marginal at step 0, every
     ``record_every`` steps and at the horizon."""
     _check_count("record_every", record_every)
-    xs = [initial_positions(cfg)[None]]
-    times = [0.0]
-    marginals = [EmpiricalMeasure(xs[0])]
-    for step in _steps(cfg, SubstreamRows([cfg.seed], _ROLE_STEP), xs, [None]):
-        if step % record_every == 0 or step == cfg.n_steps:
-            times.append(step * cfg.dt_effective)
-            marginals.append(EmpiricalMeasure(xs[0]))
-    return MarginalFlow(times=np.asarray(times), marginals=marginals)
+    times, marginals = zip(*_recorded(cfg, record_every))
+    return MarginalFlow(times=np.asarray(times), marginals=list(marginals))
 
 
 def _terminal_cf_test(flow, cfg, xi_grid, tolerance):
@@ -348,23 +353,28 @@ def kde_l1_table(cfg, n_list, pde, kde_eps, l1_max_at_largest=None):
     """The particle system against the density solver, by L1 distance.
 
     ``pde`` is a solve to ``cfg``'s horizon (an ``FpResult``) whose
-    snapshot count divides ``cfg.n_steps``; ``cfg`` gives everything but
+    snapshot count divides ``cfg.n_steps`` (any other raises
+    ``ValueError`` before a step is taken); ``cfg`` gives everything but
     the system size.  For each n of ``n_list``, in ascending order, the
-    system is simulated with its marginal recorded every ``cfg.n_steps /
-    snapshots`` steps, so that the k-th recorded marginal falls on the
-    solve's k-th snapshot after t = 0, and its :func:`smoothing_table` KDE
-    of width ``kde_eps`` is read on the snapshot's nodes.  Returns the
-    payload, one row of (n, time, L1 distance) per pair and the last n's
-    L1 at the horizon against ``l1_max_at_largest``, and the checks: at
-    the horizon L1 falls strictly with each step up in n, and the last is
-    at most ``l1_max_at_largest`` unless that is None.
+    system is stepped with its marginal taken every ``cfg.n_steps /
+    snapshots`` steps, so that the k-th marginal taken after t = 0 falls
+    on the solve's k-th snapshot after t = 0, and its
+    :func:`smoothing_table` KDE of width ``kde_eps`` is read on the
+    snapshot's nodes as the marginal arrives: no run keeps its past
+    marginals.  Returns the payload, one row of (n, time, L1 distance) per
+    pair and the last n's L1 at the horizon against ``l1_max_at_largest``,
+    and the checks: at the horizon L1 falls strictly with each step up in
+    n, and the last is at most ``l1_max_at_largest`` unless that is None.
     """
-    every = cfg.n_steps // (len(pde.times) - 1)
+    snapshots = len(pde.times) - 1
+    if cfg.n_steps % snapshots:
+        raise ValueError(f"the solve's {snapshots} snapshots must divide the particle "
+                         f"run's {cfg.n_steps} steps")
     rows = []
     for n in n_list:
-        flow = simulate(replace(cfg, n_particles=n), record_every=every)
-        for t, p_t, marg in zip(pde.times[1:], pde.grids[1:], flow.marginals[1:],
-                                strict=True):
+        recorded = _recorded(replace(cfg, n_particles=n), cfg.n_steps // snapshots)
+        next(recorded)  # t = 0, which both routes start from
+        for t, p_t, (_, marg) in zip(pde.times[1:], pde.grids[1:], recorded, strict=True):
             kde = read_table(smoothing_table(marg, kde_eps), p_t.nodes)
             l1 = float(np.sum(np.abs(kde - p_t.values)) * p_t.dx)
             rows.append({"n": n, "time": float(t), "l1_distance": l1})
@@ -416,26 +426,13 @@ def picard_flow(cfg, iterations, common_increments=True):
     return PicardResult(flows=flows[1:], successive_gaps=gaps)
 
 
-@dataclass
-class CouplingResult:
-    """Pathwise sup gaps between the interacting system and its copies."""
-
-    sup_abs_gaps: np.ndarray
-    distance_bound_excess: float
-
-    def mean_sq(self):
-        return float(np.mean(self.sup_abs_gaps ** 2))
-
-
 def simulate_coupled(cfg, reference_flow):
-    """Couple the interacting system to frozen-flow copies.
+    """Couple the interacting system to frozen-flow copies; return each
+    particle's sup over the run of |system - copy|, one array of n.
 
     Both systems start from the same initial sample and consume the same
     increment vector per step, so for measure-independent coefficients
-    the gaps vanish identically.  Along the way the sorted-coupling
-    distance between the two empirical measures is checked against the
-    paired-configuration bound |xi - zeta| / sqrt(n); the worst excess is
-    reported (it must be nonpositive up to roundoff).
+    the gaps vanish identically.
 
     At step k the copies read the reference marginal of step k, so the
     reference flow must be recorded at every time of ``cfg.times()``
@@ -454,7 +451,8 @@ def simulate_coupled(cfg, reference_flow):
 
 
 def _simulate_coupled(cfgs, summaries):
-    """Step coupled runs of one system size in lockstep; one result per run.
+    """Step coupled runs of one system size in lockstep; return their sup
+    gaps, one row of ``(len(cfgs), n)`` per run.
 
     ``cfgs`` share the particle count, the time grid, the driver and sigma
     and differ in their seeds.  Run
@@ -462,26 +460,20 @@ def _simulate_coupled(cfgs, summaries):
     :func:`_steps`, the system and the copies, which start from one array;
     it draws its increments and initial sample from its own substreams
     (the batch's own :class:`~levymv.rng.SubstreamRows`) and its system
-    sigma from its own row.  The distances act on all rows at once.
+    sigma from its own row.  The running sup of the gaps acts on all rows
+    at once.
     No row reads another, so a run's result does not depend on which runs
     share its batch.  ``summaries[k]`` is ``sigma.summarize`` of the
     reference marginal at step k, for each step (the final marginal is
     read by none); it is only read here, so one list can serve many
     batches, concurrent ones included.
     """
-    cfg = cfgs[0]
     xs = [np.stack([initial_positions(c) for c in cfgs])] * 2  # system, copies
     sup_gap = np.zeros(xs[0].shape)
-    worst_excess = np.full(len(cfgs), -math.inf)
     streams = SubstreamRows([c.seed for c in cfgs], _ROLE_STEP)
-    for _ in _steps(cfg, streams, xs, [None, summaries]):
-        gap = xs[0] - xs[1]
-        sup_gap = np.maximum(sup_gap, np.abs(gap))
-        # per row: W2 by the sorted pairing against the identity pairing's cost
-        _, excess = _sorted_pairing(np.sort(xs[0], axis=1), np.sort(xs[1], axis=1), gap)
-        worst_excess = np.maximum(worst_excess, excess)
-    return [CouplingResult(sup_abs_gaps=g, distance_bound_excess=float(e))
-            for g, e in zip(sup_gap, worst_excess)]
+    for _ in _steps(cfgs[0], streams, xs, [None, summaries]):
+        sup_gap = np.maximum(sup_gap, np.abs(xs[0] - xs[1]))
+    return sup_gap
 
 
 def _loglog_slope(ns, vals):
@@ -497,6 +489,9 @@ def _loglog_slope(ns, vals):
 
 def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
     """Mean-square pathwise gaps for a ladder of system sizes.
+
+    A run's mean-square gap is the mean over its particles of the squared
+    sup gap that :func:`simulate_coupled` returns.
 
     One reference flow is built at ``n_ref`` (>= 10x the largest system)
     and reused as the frozen law for every coupled run: the sigma
@@ -545,7 +540,7 @@ def chaos_rate_experiment(cfg_base, n_list, reps, n_ref=None, threads=1):
         i, n, batch_reps = task
         cfgs = [replace(cfg_base, n_particles=n, seed=derive_key(cfg_base.seed, i + 1, r))
                 for r in batch_reps]
-        return [res.mean_sq() for res in _simulate_coupled(cfgs, summaries)]
+        return [float(np.mean(gaps ** 2)) for gaps in _simulate_coupled(cfgs, summaries)]
 
     chunk = -(-reps // threads)
     tasks = [(i, n, range(lo, min(lo + chunk, reps)))

@@ -597,7 +597,7 @@ class TestCompareCommand:
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr(cli.fp, "solve_fp", no_run)
-        monkeypatch.setattr(cli.particles, "simulate", no_run)
+        monkeypatch.setattr(cli.particles, "_recorded", no_run)
         payload = {
             "command": "compare", "seed": 9,
             "driver": {"kind": "stable", "alpha": 1.5},
@@ -621,7 +621,7 @@ class TestCompareCommand:
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr(cli.fp, "solve_fp", no_run)
-        monkeypatch.setattr(cli.particles, "simulate", no_run)
+        monkeypatch.setattr(cli.particles, "_recorded", no_run)
         payload = {
             "command": "compare", "seed": 9,
             "driver": {"kind": "stable", "alpha": 1.5},

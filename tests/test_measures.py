@@ -68,7 +68,7 @@ class TestWasserstein2:
 
 class TestSortedPairing:
     def test_rows_equal_one_row_calls(self):
-        # the coupled runs take W2 and the bound excess of all rows at once
+        # both reduce along the last axis: a row gets the bits of a one-row call
         rng = substream(116)
         xs = rng.normal(0, 1, (7, 33))
         ys = xs + rng.standard_cauchy((7, 33))
