@@ -196,8 +196,8 @@ def _kinds(kinds):
 
 
 def _triplet(gaussian_a, drift_b, big_jump_atoms):
-    big = None if big_jump_atoms is None else JumpAtoms(big_jump_atoms)
-    return LevyTripletSpec(gaussian_a=gaussian_a, drift_b=drift_b, big_jumps=big)
+    jumps = None if big_jump_atoms is None else JumpAtoms(big_jump_atoms)
+    return LevyTripletSpec(gaussian_a=gaussian_a, drift_b=drift_b, jumps=jumps)
 
 
 _SCALE, _SNAPSHOTS, _STANDARD_NORMAL = (NUMBER, 1.0), (COUNT, 5), {"kind": "gaussian"}
@@ -229,12 +229,13 @@ _PARTICLE_RUN = {
 
 def _particles(c, n, dt, truncation=None):
     """The particle run of config ``c`` with ``n`` particles and step ``dt``,
-    its driver cut once at the ``truncation`` level; the cut driver's jump
-    counts per step must be ones a Poisson draw takes."""
+    its driver cut once at the ``truncation`` level; ``n`` is the largest
+    system the command steps, whose jump count per step, over all its
+    particles, must be one a Poisson draw takes."""
     driver = _named(("truncation",), drivers.truncated, c["driver"].built, truncation)
     sim = SimulationConfig(n_particles=n, dt=dt, horizon_T=c["horizon"], seed=c["seed"],
                            driver=driver, sigma=c["sigma"].built, initial_law=c["initial"].built)
-    _named(("driver",), drivers._check_step, driver, sim.dt_effective)
+    _named(("driver",), drivers._check_step, driver, sim.dt_effective, n)
     return sim
 
 
@@ -397,7 +398,9 @@ _COMMAND_KEYS = {
         **_PARTICLE_RUN, "n_list": _list_of(COUNT, 4, ascending=True), "reps": COUNT,
         "n_ref": (COUNT, None), "slope_max": (NUMBER, None, _CHAOS_GATES),
         "require_monotone": (FLAG, False, _CHAOS_GATES),
-    }, lambda c: _particles(c, max(c["n_list"]), c["dt"], c["truncation"]),
+        # the largest system is the reference run's, n_ref (by default 10
+        # times the largest of n_list)
+    }, lambda c: _particles(c, c["n_ref"] or 10 * max(c["n_list"]), c["dt"], c["truncation"]),
         _n_ref_covers_n_list),
     "pde": ({
         "grid": _GRID, "sigma": _SIGMA,

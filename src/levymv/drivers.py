@@ -5,8 +5,8 @@ Three layers:
 * exact symmetric alpha-stable increments via the polar
   (Chambers-Mallows-Stuck) transform,
 * general drivers specified by a characteristic triplet, assembled per
-  step as drift + diffusion + a symmetric jump band on |y| <= 1 + big
-  jumps on |y| > 1,
+  step as drift + diffusion + the jumps of one finite jump measure, drawn
+  as a compound-Poisson block,
 * truncation, :func:`truncated`: the driver with its jumps above a level
   ``N`` removed from its Levy measure, which turns a heavy-tailed driver
   into a square-integrable one; the stable driver's cut triplet is built
@@ -18,14 +18,14 @@ One sampler serves them all: :func:`sample_increment_array` takes one
 generator, for one array of increments, or one generator per row of
 lockstep runs.  Each row draws its variates from its own generator, in
 the order it would draw them alone (stable: the uniforms, then the
-exponentials; triplet: the normals, the band's jump counts and draws,
-then the big jumps' counts and draws); the transforms to increments and
-the per-particle jump sums then run once on all rows.  So a row's
-increments do not depend on the other rows, and a one-row call gives
-the bits of the same row drawn beside others.  The stable transform's
-sines and cosines come from the half-angle tangent, through the one
-helper that the sine kernel and the empirical CF gap use too,
-:func:`levymv.measures._sin_cos_of_half_tan`.
+exponentials; triplet: the normals, then one Poisson count of the row's
+jumps and one block of two uniforms per jump, its particle and its
+amplitude); the transforms to increments and the per-particle jump sums
+then run once on all rows.  So a row's increments do not depend on the
+other rows, and a one-row call gives the bits of the same row drawn
+beside others.  The stable transform's sines and cosines come from the
+half-angle tangent, through the one helper that the sine kernel and the
+empirical CF gap use too, :func:`levymv.measures._sin_cos_of_half_tan`.
 
 Scale convention for the stable family: ``scale`` is the characteristic
 function constant, one increment over ``dt`` has CF
@@ -160,12 +160,11 @@ def _stable_rows(spec, dt, n, rngs):
 class JumpAtoms:
     """Finite jump measure made of atoms [(position, rate), ...], |position| > 1.
 
-    Like every jump measure of a :class:`LevyTripletSpec`, it samples in
-    two parts: ``draw(rng, size)`` takes the variates of ``size`` jumps,
-    along the last axis, and ``amplitudes`` maps draws, of one generator or
-    of several joined along that axis, to jump amplitudes elementwise; and
-    ``within(level)`` is the measure restricted to |y| <= level, None when
-    nothing is left.
+    Like every jump measure of a :class:`LevyTripletSpec`, it has a
+    ``total_rate``; ``amplitudes(v)`` maps uniforms v on [0, 1), one per
+    jump, elementwise to jump amplitudes distributed as the measure
+    normalized by its total rate; and ``within(level)`` is the measure
+    restricted to |y| <= level, None when nothing is left.
     """
 
     def __init__(self, atoms):
@@ -176,17 +175,14 @@ class JumpAtoms:
             if r <= 0.0:
                 raise ValueError("atom rates must be positive")
         self.atoms = atoms
-        self.total_rate = sum(r for _, r in atoms)
         self._positions = np.array([y for y, _ in atoms])
-        rates = np.array([r for _, r in atoms])
-        self._weights = rates / rates.sum()
+        self._cumulative = np.cumsum([r for _, r in atoms])
+        self.total_rate = float(self._cumulative[-1])
 
-    def draw(self, rng, size):
-        """Atom indices."""
-        return rng.choice(len(self.atoms), size=size, p=self._weights)
-
-    def amplitudes(self, draws):
-        return self._positions[draws]
+    def amplitudes(self, v):
+        """The first atom whose cumulative rate exceeds v * total_rate."""
+        picked = np.searchsorted(self._cumulative, v * self.total_rate, side="right")
+        return self._positions[np.minimum(picked, len(self.atoms) - 1)]
 
     def within(self, level):
         kept = [(y, r) for y, r in self.atoms if abs(y) <= level]
@@ -196,67 +192,53 @@ class JumpAtoms:
 class _PowerJumps:
     """Symmetric finite jump measure K|y|^(-1-alpha) on lo < |y| <= hi.
 
-    Its total rate and inverse CDF are closed forms: a fraction v of the
-    one-sided mass lies below |y| = (lo^-a - v (lo^-a - hi^-a))^(-1/a).
-    A jump is drawn as one uniform for the magnitude and a second for the
-    sign, or, ``by_halves``, as one uniform on [0, total_rate) whose lower
-    half gives the positive jumps and upper half the negative ones.
+    Its total rate and inverse CDF are closed forms: a fraction w of the
+    one-sided mass lies below |y| = (lo^-a - w (lo^-a - hi^-a))^(-1/a).
+    A uniform v gives its jump by halves: v below 1/2 the positive jump at
+    w = 2v, and v above it the negative jump at w = 2v - 1.
     """
 
-    def __init__(self, levy_k, alpha, lo, hi, by_halves=False):
+    def __init__(self, levy_k, alpha, lo, hi):
         self.levy_k = levy_k
         self.alpha = alpha
         self.lo = lo
         self.hi = hi
-        self.by_halves = by_halves
         self.total_rate = 2.0 * levy_k * (lo ** -alpha - hi ** -alpha) / alpha
 
     def within(self, level):
-        """The same density on lo < |y| <= min(hi, level), the same draws."""
-        return _PowerJumps(self.levy_k, self.alpha, self.lo, min(self.hi, level),
-                           self.by_halves) if level > self.lo else None
+        """The same density on lo < |y| <= min(hi, level)."""
+        return _PowerJumps(self.levy_k, self.alpha, self.lo,
+                           min(self.hi, level)) if level > self.lo else None
 
-    def _magnitude(self, v):
-        a = self.alpha
-        return (self.lo ** -a - v * (self.lo ** -a - self.hi ** -a)) ** (-1.0 / a)
-
-    def draw(self, rng, size):
-        """The uniforms: ``size`` of them by halves, else a ``(2, size)``
-        array, the magnitude uniforms drawn first, then the sign uniforms."""
-        if self.by_halves:
-            # the bits of rng.uniform(0.0, total_rate, size), which computes
-            # 0.0 + total_rate * u, without its per-call broadcasting
-            return self.total_rate * rng.random(size)
-        return rng.random((2, size))
-
-    def amplitudes(self, draws):
-        if self.by_halves:
-            half = 0.5 * self.total_rate
-            on_pos = draws < half
-            mag = self._magnitude(np.where(on_pos, draws, draws - half) / half)
-            return np.where(on_pos, mag, -mag)
-        return np.where(draws[1] < 0.5, 1.0, -1.0) * self._magnitude(draws[0])
+    def amplitudes(self, v):
+        a, lo_a = self.alpha, self.lo ** -self.alpha
+        w = 2.0 * v
+        negative = w >= 1.0
+        w -= negative
+        w *= self.hi ** -a - lo_a
+        w += lo_a
+        np.power(w, -1.0 / a, out=w)
+        return np.negative(w, out=w, where=negative)
 
 
 class LevyTripletSpec:
     """Driver specified by (gaussian_a, drift_b, jump measure).
 
-    The jump measure is an optional symmetric ``band`` on |y| <= 1, which
-    needs no compensator (the one :func:`truncated` builds for a stable
-    driver), plus finite ``big_jumps`` on |y| > 1 (e.g. :class:`JumpAtoms`).
-    Each has a ``total_rate``, samples by ``draw`` and ``amplitudes`` and
-    restricts itself by ``within`` (see :class:`JumpAtoms`).
+    The jump measure, ``jumps``, is optional and finite, and needs no
+    compensator: atoms on |y| > 1 (:class:`JumpAtoms`), or the power law
+    that :func:`truncated` builds for a stable driver, symmetric about 0.
+    Its ``total_rate`` is the driver's ``jump_rate`` (0 without jumps); it
+    maps uniforms to amplitudes and restricts itself by ``within`` (see
+    :class:`JumpAtoms`).
     """
 
-    def __init__(self, gaussian_a=0.0, drift_b=0.0, band=None, big_jumps=None):
+    def __init__(self, gaussian_a=0.0, drift_b=0.0, jumps=None):
         if gaussian_a < 0.0:
             raise ValueError("gaussian coefficient must be nonnegative")
         self.gaussian_a = float(gaussian_a)
         self.drift_b = float(drift_b)
-        self.band = band
-        self.big_jumps = big_jumps
-        self.band_rate = 0.0 if band is None else band.total_rate
-        self.big_rate = 0.0 if big_jumps is None else big_jumps.total_rate
+        self.jumps = jumps
+        self.jump_rate = 0.0 if jumps is None else jumps.total_rate
 
 
 def _check_truncation(level):
@@ -273,14 +255,14 @@ def truncated(driver, level):
 
     A level of None or inf, or a driver without jumps (stable at alpha = 2),
     gives the driver itself.  A triplet keeps its Gaussian part and drift,
-    and each of its jump measures restricts itself (``within``): atoms
-    above the level go, a power-law piece lowers its upper edge.  Big jumps
-    carry no compensator, so removing them from the measure gives the law
-    that removing them from each path gives.  A stable driver, whose level
-    must exceed 1, becomes the triplet with the density K|y|^(-1-alpha)
-    kept exactly on DELTA < |y| <= level, as a band up to 1 and big jumps
-    above, and the jumps below DELTA replaced by a Gaussian of the same
-    variance, 2K DELTA^(2-alpha)/(2-alpha) (Asmussen & Rosinski 2001).
+    and its jump measure restricts itself (``within``): atoms above the
+    level go, a power law lowers its upper edge.  Big jumps carry no
+    compensator, so removing them from the measure gives the law that
+    removing them from each path gives.  A stable driver, whose level must
+    exceed 1, becomes the triplet whose one jump measure is the density
+    K|y|^(-1-alpha) kept exactly on DELTA < |y| <= level, with the jumps
+    below DELTA replaced by a Gaussian of the same variance,
+    2K DELTA^(2-alpha)/(2-alpha) (Asmussen & Rosinski 2001).
     """
     _check_truncation(level)
     if level is None or math.isinf(level):
@@ -292,59 +274,59 @@ def truncated(driver, level):
             raise ValueError("truncation level must exceed 1 for this construction")
         alpha = driver.alpha
         levy_k = levy_constant_from_cf_constant(driver.scale, alpha)
-        driver = LevyTripletSpec(
-            gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
-            band=_PowerJumps(levy_k, alpha, DELTA, 1.0, by_halves=True),
-            big_jumps=_PowerJumps(levy_k, alpha, 1.0, math.inf))
+        return LevyTripletSpec(gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
+                               jumps=_PowerJumps(levy_k, alpha, DELTA, level))
     return LevyTripletSpec(driver.gaussian_a, driver.drift_b,
-                           *(m and m.within(level) for m in (driver.band, driver.big_jumps)))
+                           driver.jumps and driver.jumps.within(level))
 
 
 # Generator.poisson rejects a mean above this (numpy's POISSON_LAM_MAX)
 _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-def _check_step(driver, dt):
-    """``ValueError`` unless each jump part of ``driver`` has a mean count per
-    step of ``dt`` that ``Generator.poisson`` can draw: finite and at most
-    ``_POISSON_MAX``."""
+def _check_step(driver, dt, n):
+    """``ValueError`` unless a row of ``n`` particles of ``driver`` has a mean
+    jump count per step of ``dt`` that ``Generator.poisson`` can draw: finite
+    and at most ``_POISSON_MAX``."""
     if isinstance(driver, StableDriverSpec):
         return
-    for part, rate in (("band", driver.band_rate), ("big-jump", driver.big_rate)):
-        if not rate * dt <= _POISSON_MAX:
-            raise ValueError(f"its {part} rate {rate:.6g} gives a mean jump count of "
-                             f"{rate * dt:.6g} per step of {dt:.6g}, above the "
-                             f"{_POISSON_MAX:.6g} that a Poisson draw takes")
+    mean = driver.jump_rate * dt * n
+    if not mean <= _POISSON_MAX:
+        raise ValueError(f"its jump rate {driver.jump_rate:.6g} gives a mean jump count of "
+                         f"{mean:.6g} per step of {dt:.6g} over {n} particles, above the "
+                         f"{_POISSON_MAX:.6g} that a Poisson draw takes")
 
 
 def _triplet_rows(spec, dt, n, rngs):
-    """``len(rngs)`` rows of n triplet increments."""
+    """``len(rngs)`` rows of n triplet increments.
+
+    A row's jumps are one compound-Poisson block: a Poisson total k of mean
+    n * jump_rate * dt, then a ``(2, k)`` uniform block whose first row
+    places each jump on particle floor(u n) and whose second gives its
+    amplitude.  By the colouring theorem (Kingman 1993) the particles'
+    counts are then independent Poisson of mean jump_rate * dt.
+    """
     rows = len(rngs)
     sd = math.sqrt(spec.gaussian_a * dt)
+    lam = spec.jump_rate * dt * n
     normal = np.empty((rows, n))
-    # (measure, mean jump count per step, counts, draws) of the band, then
-    # of the big jumps, each if its rate is positive
-    parts = [(measure, rate * dt, np.empty((rows, n), dtype=np.int64), [])
-             for measure, rate in ((spec.band, spec.band_rate),
-                                   (spec.big_jumps, spec.big_rate)) if rate > 0.0]
+    blocks = []
     for row, rng in enumerate(rngs):
         if sd > 0.0:
             rng.standard_normal(out=normal[row])
-        for measure, lam, counts, draws in parts:
-            counts[row] = rng.poisson(lam, n)
-            k = int(np.add.reduce(counts[row]))
-            if k:
-                draws.append(measure.draw(rng, k))
+        if lam > 0.0:
+            blocks.append(rng.random((2, rng.poisson(lam))))
     totals = np.full((rows, n), spec.drift_b * dt)
     if sd > 0.0:
         totals += sd * normal
-    for measure, _, counts, draws in parts:
-        if draws:
-            # particle i of row r owns bin r * n + i; its jumps arrive in the
-            # order the row drew them, so each bin sums as in a one-row call
-            owners = np.repeat(np.arange(rows * n), counts.ravel())
-            amps = measure.amplitudes(np.concatenate(draws, axis=-1))
-            totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
+    if blocks:
+        u = np.concatenate(blocks, axis=1)
+        # particle i of row r owns bin r * n + i; its jumps arrive in the
+        # order the row drew them, so each bin sums as in a one-row call
+        owners = np.minimum(u[0] * n, n - 1).astype(np.intp)
+        owners += np.repeat(np.arange(0, rows * n, n), [b.shape[1] for b in blocks])
+        amps = spec.jumps.amplitudes(u[1])
+        totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
     return totals
 
 
@@ -362,8 +344,10 @@ def sample_increment_array(driver, dt, n, rng):
     and cosines are evaluated by the half-angle tangent, to double-precision
     roundoff; its speed depends on numpy's ``tan`` being SIMD-dispatched,
     which float64 ``sin`` and ``cos`` need not be.  Triplet drivers are
-    assembled from their parts, every jump of their measure included; a
-    truncated driver is cut beforehand, by :func:`truncated`.
+    assembled from their parts, every jump of their measure included: a
+    row makes three generator calls, its n normals, its Poisson jump count
+    and one uniform block that places and sizes the jumps.  A truncated
+    driver is cut beforehand, by :func:`truncated`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")

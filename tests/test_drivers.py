@@ -126,6 +126,21 @@ class TestConstants:
             assert abs(val - c * xi ** alpha) / (c * xi ** alpha) < 2e-3, alpha
 
 
+class CountingGenerator:
+    """A generator that counts the calls made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
 def triplet_increments(spec, dt, n, rng):
     """One row of increments from the sampler's triplet row function."""
     return drivers._triplet_rows(spec, dt, n, [rng])[0]
@@ -142,23 +157,39 @@ class TestTripletSampler:
         tot = triplet_increments(spec, 0.5, 300_000, substream(12))
         assert abs(tot.var() - 1.0) < 0.01  # a * dt = 1
 
-    def test_big_jump_atom_poisson_count(self):
+    def test_atom_counts_are_poisson_per_particle(self):
+        # one Poisson total per row, its jumps placed uniformly on the row's
+        # particles, gives each particle an independent Poisson count
+        # (Kingman 1993): mean = variance = rate dt, neighbours uncorrelated
         lam, dt = 3.0, 0.25
-        spec = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, lam)]))
-        tot = triplet_increments(spec, dt, 20_000, substream(13))
+        spec = LevyTripletSpec(jumps=JumpAtoms([(2.0, lam)]))
+        tot = sample_increment_array(spec, dt, 2000, [substream(13, r) for r in range(10)])
         counts = tot / 2.0
         # all amplitudes sit on the atom: whole counts, and nothing else moves
         assert np.array_equal(counts, np.round(counts))
-        target = lam * dt
-        assert abs(counts.mean() - target) < 4.0 * math.sqrt(target / counts.size)
+        m, size = lam * dt, counts.size
+        assert abs(counts.mean() - m) < 4.0 * math.sqrt(m / size)
+        # the sample variance of Poisson counts has variance (m + 2 m^2) / size
+        assert abs(counts.var() - m) < 4.0 * math.sqrt((m + 2.0 * m * m) / size)
+        centred = counts - counts.mean()
+        corr = np.mean(centred[:, 1:] * centred[:, :-1]) / counts.var()
+        assert abs(corr) < 4.0 / math.sqrt(size)
+
+    def test_at_most_three_generator_calls_per_row(self):
+        # the normals, the row's jump count and one uniform block, each step
+        driver = truncated(StableDriverSpec(1.5, 0.5), 2.0)
+        rows = [CountingGenerator(substream(24, r)) for r in range(5)]
+        for step in range(1, 4):
+            sample_increment_array(driver, 0.05, 50, rows)
+            assert [g.calls for g in rows] == [3 * step] * len(rows)
 
     def test_record_total_minus_jumps_is_retained(self):
         # with every jump above the level, the cut driver is the drift +
         # diffusion part, drawn first from the stream as without jumps
         jumps = JumpAtoms([(3.0, 2.0), (-2.0, 1.0)])
-        spec = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3, big_jumps=jumps)
+        spec = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3, jumps=jumps)
         cut = truncated(spec, 1.5)
-        assert cut.big_jumps is None and cut.big_rate == 0.0
+        assert cut.jumps is None and cut.jump_rate == 0.0
         plain = LevyTripletSpec(gaussian_a=1.0, drift_b=-0.3)
         assert np.array_equal(triplet_increments(cut, 1.0, 50, substream(16)),
                               triplet_increments(plain, 1.0, 50, substream(16)))
@@ -174,7 +205,7 @@ class TestTripletSampler:
             LevyTripletSpec(gaussian_a=-1.0)
 
 
-ATOMS = LevyTripletSpec(drift_b=0.25, big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
+ATOMS = LevyTripletSpec(drift_b=0.25, jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
 
 
 def increments(driver, n=2000, key=18):
@@ -192,15 +223,18 @@ class TestTruncation:
         # a level of 2 keeps the -1.5 atom and removes the 2.5 one: the cut
         # increment over dt has CF exp(dt (i b xi + 2 (e^(-1.5 i xi) - 1)))
         cut = truncated(ATOMS, 2.0)
-        assert cut.big_jumps.atoms == ((-1.5, 2.0),) and cut.drift_b == 0.25
+        assert cut.jumps.atoms == ((-1.5, 2.0),) and cut.drift_b == 0.25
         dt, n = 0.5, 400_000
         z = sample_increment_array(cut, dt, n, substream(18))
         xi = np.array([0.3, 0.7, 1.5, 3.0])
         exact = np.exp(dt * (1j * 0.25 * xi + 2.0 * (np.exp(-1.5j * xi) - 1.0)))
         assert np.abs(empirical_cf(z, xi) - exact).max() < 4.0 / math.sqrt(n)
-        # the uncut driver is another law
+        # the uncut driver is another law, that of both atoms
         full = sample_increment_array(ATOMS, dt, n, substream(18))
         assert np.abs(empirical_cf(full, xi) - exact).max() > 0.05
+        both = np.exp(dt * (1j * 0.25 * xi + 1.5 * (np.exp(2.5j * xi) - 1.0)
+                            + 2.0 * (np.exp(-1.5j * xi) - 1.0)))
+        assert np.abs(empirical_cf(full, xi) - both).max() < 4.0 / math.sqrt(n)
 
     def test_noop_without_jumps(self):
         driver = LevyTripletSpec(gaussian_a=1.0, drift_b=0.5)
@@ -216,7 +250,7 @@ class TestTruncation:
             atoms = [(float(y), float(r)) for y, r in
                      zip(rng.uniform(1.1, 4.0, 3) * rng.choice([-1.0, 1.0], 3),
                          rng.uniform(0.1, 3.0, 3))]
-            driver = LevyTripletSpec(gaussian_a=0.3, big_jumps=JumpAtoms(atoms))
+            driver = LevyTripletSpec(gaussian_a=0.3, jumps=JumpAtoms(atoms))
             level = max(abs(y) for y, _ in atoms) + float(rng.uniform(0.0, 1.0))
             assert np.array_equal(increments(truncated(driver, level), n=200, key=key),
                                   increments(driver, n=200, key=key))
@@ -229,17 +263,23 @@ class TestTruncation:
                 truncated(StableDriverSpec(2.0, 1.0), level)
 
     def test_jump_counts_beyond_a_poisson_draw_rejected(self):
-        # the mean count per step must be finite and at most numpy's limit
+        # a row's mean count per step, over its n particles, must be finite
+        # and at most numpy's limit
         check = drivers._check_step
-        check(StableDriverSpec(1.5, 1e300), 0.1)        # sampled exactly: no counts
-        check(truncated(StableDriverSpec(1.5, 1e12), 2.0), 0.1)
+        check(StableDriverSpec(1.5, 1e300), 0.1, 800)   # sampled exactly: no counts
+        check(truncated(StableDriverSpec(1.5, 1e12), 2.0), 0.1, 800)
         for scale in (1e300, 1e308):
             with pytest.raises(ValueError, match="Poisson"):
-                check(truncated(StableDriverSpec(1.5, scale), 2.0), 0.1)
-        atoms = LevyTripletSpec(big_jumps=JumpAtoms([(2.0, 1e300)]))
-        check(atoms, 1e-290)
-        with pytest.raises(ValueError, match="big-jump"):
-            check(atoms, 1.0)
+                check(truncated(StableDriverSpec(1.5, scale), 2.0), 0.1, 1)
+        # within the limit per particle, beyond it over the row
+        cut = truncated(StableDriverSpec(1.5, 1e17), 2.0)
+        check(cut, 0.1, 1)
+        with pytest.raises(ValueError, match="over 100 particles"):
+            check(cut, 0.1, 100)
+        atoms = LevyTripletSpec(jumps=JumpAtoms([(2.0, 1e300)]))
+        check(atoms, 1e-290, 1000)
+        with pytest.raises(ValueError, match=r"jump rate 1e\+300"):
+            check(atoms, 1.0, 1)
         substream(0).poisson(drivers._POISSON_MAX)
         with pytest.raises(ValueError, match="lam value too large"):
             substream(0).poisson(np.nextafter(drivers._POISSON_MAX, math.inf))
@@ -271,7 +311,7 @@ class TestTruncatedStable:
         # edge to 2: the triplet built at 2, bit for bit
         spec = StableDriverSpec(1.5, 20.0)
         once, twice = truncated(spec, 2.0), truncated(truncated(spec, 4.0), 2.0)
-        assert twice.big_rate == once.big_rate and twice.band_rate == once.band_rate
+        assert twice.jump_rate == once.jump_rate
         keys = [substream(23, r) for r in range(4)]
         assert np.array_equal(sample_increment_array(twice, 0.05, 37, keys),
                               sample_increment_array(once, 0.05, 37,
@@ -291,29 +331,31 @@ class TestTruncatedStable:
             truncated(StableDriverSpec(1.5, 1.0), 0.8)
 
     def test_tail_rate_is_analytic(self):
-        # under K|y|^(-1-a): rate of 1 < |y| <= N is 2K(1 - N^-a)/a, rate of
-        # the band DELTA < |y| <= 1 is 2K(DELTA^-a - 1)/a, and the variance
-        # of |y| <= DELTA, carried by the Gaussian part, is 2K DELTA^(2-a)/(2-a)
+        # under K|y|^(-1-a): the rate of the one jump measure, on
+        # DELTA < |y| <= N, is 2K(DELTA^-a - N^-a)/a, and the variance of
+        # |y| <= DELTA, carried by the Gaussian part, is 2K DELTA^(2-a)/(2-a)
         alpha, level, scale = 1.5, 2.0, 0.5
         trip = truncated(StableDriverSpec(alpha, scale), level)
         k_levy = levy_constant_from_cf_constant(scale, alpha)
-        expected = 2.0 * k_levy * (1.0 - level ** -alpha) / alpha
-        assert trip.big_jumps.total_rate == pytest.approx(expected, rel=1e-14)
-        assert trip.big_rate == trip.big_jumps.total_rate
-        band = 2.0 * k_levy * (DELTA ** -alpha - 1.0) / alpha
-        assert trip.band_rate == pytest.approx(band, rel=1e-14)
+        expected = 2.0 * k_levy * (DELTA ** -alpha - level ** -alpha) / alpha
+        assert trip.jump_rate == pytest.approx(expected, rel=1e-14)
+        assert trip.jump_rate == trip.jumps.total_rate
         small_var = 2.0 * k_levy * DELTA ** (2.0 - alpha) / (2.0 - alpha)
         assert trip.gaussian_a == pytest.approx(small_var, rel=1e-14)
         assert trip.drift_b == 0.0
 
-    def test_band_draws_are_the_bits_of_uniform(self):
-        # the band's jumps are drawn by halves, one uniform on [0, rate)
-        # each: the same stream gives the bits rng.uniform would give
-        band = truncated(StableDriverSpec(1.5, 0.5), 2.0).band
-        for size in (1, 7, 1000):
-            got = band.draw(substream(22, size), size)
-            want = substream(22, size).uniform(0.0, band.total_rate, size)
-            assert got.tobytes() == want.tobytes()
+    def test_amplitudes_take_uniforms_by_halves(self):
+        # the lower half of [0, 1) gives the positive jumps and the upper
+        # half the negative ones, each through the one-sided inverse CDF
+        alpha, level = 1.5, 2.0
+        jumps = truncated(StableDriverSpec(alpha, 0.5), level).jumps
+        median = ((DELTA ** -alpha + level ** -alpha) / 2.0) ** (-1.0 / alpha)
+        got = jumps.amplitudes(np.array([0.0, 0.25, 0.5, 0.75]))
+        assert got == pytest.approx([DELTA, median, -DELTA, -median], rel=1e-14)
+        v = substream(22).random(100_000)
+        amps = jumps.amplitudes(v)
+        assert np.all((DELTA <= np.abs(amps)) & (np.abs(amps) <= level))
+        assert np.array_equal(amps > 0.0, v < 0.5)
 
 
 class TestRowSampler:
@@ -326,7 +368,7 @@ class TestRowSampler:
         truncated(truncated(StableDriverSpec(1.5, 20.0), 4.0), 2.0),
         truncated(StableDriverSpec(1.2, 1.0), 3.0),
         truncated(LevyTripletSpec(gaussian_a=0.3, drift_b=0.25,
-                                  big_jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)])), 2.0),
+                                  jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)])), 2.0),
     ], ids=["stable-1.5", "stable-2.0", "triplet-cut", "triplet-uncut", "atoms"])
     @pytest.mark.parametrize("n", [1, 37])
     def test_rows_equal_one_row_calls(self, driver, n):
