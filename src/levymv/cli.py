@@ -235,7 +235,7 @@ def _particles(c, n, dt, truncation=None):
     driver = _named(("truncation",), drivers.truncated, c["driver"].built, truncation)
     sim = SimulationConfig(n_particles=n, dt=dt, horizon_T=c["horizon"], seed=c["seed"],
                            driver=driver, sigma=c["sigma"].built, initial_law=c["initial"].built)
-    _named(("driver",), drivers._check_step, driver, sim.dt_effective, n)
+    _named(("driver",), driver.check_step, sim.dt_effective, n)
     return sim
 
 

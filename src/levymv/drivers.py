@@ -1,31 +1,32 @@
 """Sampling of Levy-process increments.
 
-Three layers:
+Each kind of driver is a class that carries its own sampler, its own cut
+and its own step check: ``rows(dt, n, rngs)``, ``within(level)`` and
+``check_step(dt, n)``.
 
-* exact symmetric alpha-stable increments via the polar
-  (Chambers-Mallows-Stuck) transform,
-* general drivers specified by a characteristic triplet, assembled per
-  step as drift + diffusion + the jumps of one finite jump measure, drawn
-  as a compound-Poisson block,
-* truncation, :func:`truncated`: the driver with its jumps above a level
-  ``N`` removed from its Levy measure, which turns a heavy-tailed driver
-  into a square-integrable one; the stable driver's cut triplet is built
-  in closed form, with the jumps below ``DELTA`` replaced by a
-  variance-matched Gaussian.  The cut is made once, on the driver, and
-  sampling only ever draws the driver it is given.
+* :class:`StableDriverSpec`, symmetric alpha-stable, is drawn exactly via
+  the polar (Chambers-Mallows-Stuck) transform; its cut is the triplet
+  built in closed form, its jumps below ``DELTA`` replaced by a
+  variance-matched Gaussian.
+* :class:`LevyTripletSpec`, given by a characteristic triplet, is
+  assembled per step as drift + diffusion + the jumps of one finite jump
+  measure, drawn as a compound-Poisson block; its cut restricts that
+  measure.
 
-One sampler serves them all: :func:`sample_increment_array` takes one
-generator, for one array of increments, or one generator per row of
-lockstep runs.  Each row draws its variates from its own generator, in
-the order it would draw them alone (stable: the uniforms, then the
-exponentials; triplet: the normals, then one Poisson count of the row's
-jumps and one block of two uniforms per jump, its particle and its
-amplitude); the transforms to increments and the per-particle jump sums
-then run once on all rows.  So a row's increments do not depend on the
-other rows, and a one-row call gives the bits of the same row drawn
-beside others.  The stable transform's sines and cosines come from the
-half-angle tangent, through the one helper that the sine kernel and the
-empirical CF gap use too, :func:`levymv.measures._sin_cos_of_half_tan`.
+No code asks which kind a driver is.  :func:`truncated` removes the jumps
+above a level ``N`` from a driver's Levy measure, which turns a
+heavy-tailed driver into a square-integrable one, by calling ``within``;
+the cut is made once, on the driver, and sampling only ever draws the
+driver it is given.  :func:`sample_increment_array` takes one generator,
+for one array of increments, or one generator per row of lockstep runs,
+and calls ``rows``.  Each row draws its variates from its own generator,
+in the order it would draw them alone; the transforms to increments and
+the per-particle jump sums then run once on all rows.  So a row's
+increments do not depend on the other rows, and a one-row call gives the
+bits of the same row drawn beside others.  The stable transform's sines
+and cosines come from the half-angle tangent, through the one helper that
+the sine kernel and the empirical CF gap use too,
+:func:`levymv.measures._sin_cos_of_half_tan`.
 
 Scale convention for the stable family: ``scale`` is the characteristic
 function constant, one increment over ``dt`` has CF
@@ -94,6 +95,43 @@ class StableDriverSpec:
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
+    def rows(self, dt, n, rngs):
+        """``len(rngs)`` rows of n increments over dt, exact in law.
+
+        Each row draws n uniforms, then n exponentials, from its own
+        generator; the polar transform maps them to increments, scaled by
+        (scale*dt)^(1/alpha).  The transform's sines and cosines are
+        evaluated by the half-angle tangent, to double-precision roundoff;
+        its speed depends on numpy's ``tan`` being SIMD-dispatched, which
+        float64 ``sin`` and ``cos`` need not be.
+        """
+        u, w = np.empty((len(rngs), n)), np.empty((len(rngs), n))
+        for row, rng in enumerate(rngs):
+            u[row] = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+            rng.standard_exponential(out=w[row])
+        return _standard_symmetric_stable(self.alpha, u, w,
+                                          (self.scale * dt) ** (1.0 / self.alpha))
+
+    def within(self, level):
+        """The driver without its jumps above ``level``, which must exceed 1.
+
+        The triplet whose one jump measure is the density K|y|^(-1-alpha)
+        kept exactly on DELTA < |y| <= level, with the jumps below DELTA
+        replaced by a Gaussian of the same variance,
+        2K DELTA^(2-alpha)/(2-alpha) (Asmussen & Rosinski 2001).  At
+        alpha = 2 there are no jumps to cut, and the driver is its own cut.
+        """
+        if self.alpha == 2.0:
+            return self
+        if not level > 1.0:
+            raise ValueError("truncation level must exceed 1 for this construction")
+        alpha, levy_k = self.alpha, levy_constant_from_cf_constant(self.scale, self.alpha)
+        return LevyTripletSpec(gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
+                               jumps=_PowerJumps(levy_k, alpha, DELTA, level))
+
+    def check_step(self, dt, n):
+        """Nothing to check: a row draws 2n variates at any ``dt``."""
+
 
 # pi/4 as the double math.pi/4 plus the rest, so pi/4 - |x|/2 keeps its
 # relative accuracy as |x| -> pi/2
@@ -147,18 +185,9 @@ def _standard_symmetric_stable(alpha, u, w, c=1.0):
     return u
 
 
-def _stable_rows(spec, dt, n, rngs):
-    # each row: n uniforms, then n exponentials, from its own generator
-    u = np.empty((len(rngs), n))
-    w = np.empty((len(rngs), n))
-    for row, rng in enumerate(rngs):
-        u[row] = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-        rng.standard_exponential(out=w[row])
-    return _standard_symmetric_stable(spec.alpha, u, w, (spec.scale * dt) ** (1.0 / spec.alpha))
-
-
 class JumpAtoms:
-    """Finite jump measure made of atoms [(position, rate), ...], |position| > 1.
+    """Finite jump measure made of atoms [(position, rate), ...], |position| > 1,
+    each position and rate finite.
 
     Like every jump measure of a :class:`LevyTripletSpec`, it has a
     ``total_rate``; ``amplitudes(v)`` maps uniforms v on [0, 1), one per
@@ -170,10 +199,10 @@ class JumpAtoms:
     def __init__(self, atoms):
         atoms = tuple((float(y), float(r)) for y, r in atoms)
         for y, r in atoms:
-            if abs(y) <= 1.0:
-                raise ValueError("big-jump atoms must sit at |y| > 1")
-            if r <= 0.0:
-                raise ValueError("atom rates must be positive")
+            if not 1.0 < abs(y) < math.inf:
+                raise ValueError(f"big-jump atoms must sit at a finite |y| > 1, got {y}")
+            if not 0.0 < r < math.inf:
+                raise ValueError(f"atom rates must be positive and finite, got {r}")
         self.atoms = atoms
         self._positions = np.array([y for y, _ in atoms])
         self._cumulative = np.cumsum([r for _, r in atoms])
@@ -221,24 +250,87 @@ class _PowerJumps:
         return np.negative(w, out=w, where=negative)
 
 
+# Generator.poisson rejects a mean above this (numpy's POISSON_LAM_MAX)
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
 class LevyTripletSpec:
     """Driver specified by (gaussian_a, drift_b, jump measure).
 
-    The jump measure, ``jumps``, is optional and finite, and needs no
+    ``gaussian_a`` is finite and nonnegative and ``drift_b`` finite.  The
+    jump measure, ``jumps``, is optional and finite, and needs no
     compensator: atoms on |y| > 1 (:class:`JumpAtoms`), or the power law
-    that :func:`truncated` builds for a stable driver, symmetric about 0.
-    Its ``total_rate`` is the driver's ``jump_rate`` (0 without jumps); it
+    that :meth:`StableDriverSpec.within` builds, symmetric about 0.  Its
+    ``total_rate`` is the driver's ``jump_rate`` (0 without jumps); it
     maps uniforms to amplitudes and restricts itself by ``within`` (see
     :class:`JumpAtoms`).
     """
 
     def __init__(self, gaussian_a=0.0, drift_b=0.0, jumps=None):
-        if gaussian_a < 0.0:
-            raise ValueError("gaussian coefficient must be nonnegative")
+        if not 0.0 <= gaussian_a < math.inf:
+            raise ValueError(f"gaussian_a must be finite and nonnegative, got {gaussian_a}")
+        if not math.isfinite(drift_b):
+            raise ValueError(f"drift_b must be finite, got {drift_b}")
         self.gaussian_a = float(gaussian_a)
         self.drift_b = float(drift_b)
         self.jumps = jumps
         self.jump_rate = 0.0 if jumps is None else jumps.total_rate
+
+    def rows(self, dt, n, rngs):
+        """``len(rngs)`` rows of n increments over dt, assembled from the parts.
+
+        Each row makes three calls on its own generator: its n normals, a
+        Poisson total k of mean n * jump_rate * dt, and one ``(2, k)``
+        uniform block whose first row places each jump on particle
+        floor(u n) and whose second gives its amplitude, every jump of the
+        measure included.  By the colouring theorem (Kingman 1993) the
+        particles' counts are then independent Poisson of mean
+        jump_rate * dt.
+        """
+        rows = len(rngs)
+        sd = math.sqrt(self.gaussian_a * dt)
+        lam = self.jump_rate * dt * n
+        normal = np.empty((rows, n))
+        blocks = []
+        for row, rng in enumerate(rngs):
+            if sd > 0.0:
+                rng.standard_normal(out=normal[row])
+            if lam > 0.0:
+                blocks.append(rng.random((2, rng.poisson(lam))))
+        totals = np.full((rows, n), self.drift_b * dt)
+        if sd > 0.0:
+            totals += sd * normal
+        if blocks:
+            u = np.concatenate(blocks, axis=1)
+            # particle i of row r owns bin r * n + i; its jumps arrive in the
+            # order the row drew them, so each bin sums as in a one-row call
+            owners = np.minimum(u[0] * n, n - 1).astype(np.intp)
+            owners += np.repeat(np.arange(0, rows * n, n), [b.shape[1] for b in blocks])
+            amps = self.jumps.amplitudes(u[1])
+            totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
+        return totals
+
+    def within(self, level):
+        """The driver without its jumps above ``level``.
+
+        The Gaussian part and drift stay, and the jump measure restricts
+        itself (``within``): atoms above the level go, a power law lowers
+        its upper edge.  Big jumps carry no compensator, so removing them
+        from the measure gives the law that removing them from each path
+        gives.
+        """
+        return LevyTripletSpec(self.gaussian_a, self.drift_b,
+                               self.jumps and self.jumps.within(level))
+
+    def check_step(self, dt, n):
+        """``ValueError`` unless a row of ``n`` particles has a mean jump count
+        per step of ``dt`` that ``Generator.poisson`` can draw: finite and at
+        most ``_POISSON_MAX``."""
+        mean = self.jump_rate * dt * n
+        if not mean <= _POISSON_MAX:
+            raise ValueError(f"its jump rate {self.jump_rate:.6g} gives a mean jump count of "
+                             f"{mean:.6g} per step of {dt:.6g} over {n} particles, above the "
+                             f"{_POISSON_MAX:.6g} that a Poisson draw takes")
 
 
 def _check_truncation(level):
@@ -253,81 +345,13 @@ def _check_truncation(level):
 def truncated(driver, level):
     """``driver`` with its Levy measure restricted to |y| <= ``level``.
 
-    A level of None or inf, or a driver without jumps (stable at alpha = 2),
-    gives the driver itself.  A triplet keeps its Gaussian part and drift,
-    and its jump measure restricts itself (``within``): atoms above the
-    level go, a power law lowers its upper edge.  Big jumps carry no
-    compensator, so removing them from the measure gives the law that
-    removing them from each path gives.  A stable driver, whose level must
-    exceed 1, becomes the triplet whose one jump measure is the density
-    K|y|^(-1-alpha) kept exactly on DELTA < |y| <= level, with the jumps
-    below DELTA replaced by a Gaussian of the same variance,
-    2K DELTA^(2-alpha)/(2-alpha) (Asmussen & Rosinski 2001).
+    A level of None or inf gives the driver itself; any other positive
+    level is the driver's own cut, ``driver.within(level)``.
     """
     _check_truncation(level)
     if level is None or math.isinf(level):
         return driver
-    if isinstance(driver, StableDriverSpec):
-        if driver.alpha == 2.0:
-            return driver
-        if not level > 1.0:
-            raise ValueError("truncation level must exceed 1 for this construction")
-        alpha = driver.alpha
-        levy_k = levy_constant_from_cf_constant(driver.scale, alpha)
-        return LevyTripletSpec(gaussian_a=2.0 * levy_k * DELTA ** (2.0 - alpha) / (2.0 - alpha),
-                               jumps=_PowerJumps(levy_k, alpha, DELTA, level))
-    return LevyTripletSpec(driver.gaussian_a, driver.drift_b,
-                           driver.jumps and driver.jumps.within(level))
-
-
-# Generator.poisson rejects a mean above this (numpy's POISSON_LAM_MAX)
-_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-
-
-def _check_step(driver, dt, n):
-    """``ValueError`` unless a row of ``n`` particles of ``driver`` has a mean
-    jump count per step of ``dt`` that ``Generator.poisson`` can draw: finite
-    and at most ``_POISSON_MAX``."""
-    if isinstance(driver, StableDriverSpec):
-        return
-    mean = driver.jump_rate * dt * n
-    if not mean <= _POISSON_MAX:
-        raise ValueError(f"its jump rate {driver.jump_rate:.6g} gives a mean jump count of "
-                         f"{mean:.6g} per step of {dt:.6g} over {n} particles, above the "
-                         f"{_POISSON_MAX:.6g} that a Poisson draw takes")
-
-
-def _triplet_rows(spec, dt, n, rngs):
-    """``len(rngs)`` rows of n triplet increments.
-
-    A row's jumps are one compound-Poisson block: a Poisson total k of mean
-    n * jump_rate * dt, then a ``(2, k)`` uniform block whose first row
-    places each jump on particle floor(u n) and whose second gives its
-    amplitude.  By the colouring theorem (Kingman 1993) the particles'
-    counts are then independent Poisson of mean jump_rate * dt.
-    """
-    rows = len(rngs)
-    sd = math.sqrt(spec.gaussian_a * dt)
-    lam = spec.jump_rate * dt * n
-    normal = np.empty((rows, n))
-    blocks = []
-    for row, rng in enumerate(rngs):
-        if sd > 0.0:
-            rng.standard_normal(out=normal[row])
-        if lam > 0.0:
-            blocks.append(rng.random((2, rng.poisson(lam))))
-    totals = np.full((rows, n), spec.drift_b * dt)
-    if sd > 0.0:
-        totals += sd * normal
-    if blocks:
-        u = np.concatenate(blocks, axis=1)
-        # particle i of row r owns bin r * n + i; its jumps arrive in the
-        # order the row drew them, so each bin sums as in a one-row call
-        owners = np.minimum(u[0] * n, n - 1).astype(np.intp)
-        owners += np.repeat(np.arange(0, rows * n, n), [b.shape[1] for b in blocks])
-        amps = spec.jumps.amplitudes(u[1])
-        totals += np.bincount(owners, weights=amps, minlength=rows * n).reshape(rows, n)
-    return totals
+    return driver.within(level)
 
 
 def sample_increment_array(driver, dt, n, rng):
@@ -336,24 +360,13 @@ def sample_increment_array(driver, dt, n, rng):
     ``rng`` is one generator, for an array of n increments, or a sequence
     of generators, one per row of a ``(len(rng), n)`` array; row r is bit
     for bit what ``rng[r]`` alone gives, so the rows of lockstep runs are
-    sampled in one call.
-
-    Stable drivers are drawn exactly in law: one uniform and one
-    exponential variate per increment are pushed through the polar
-    transform, then scaled by (scale*dt)^(1/alpha).  The transform's sines
-    and cosines are evaluated by the half-angle tangent, to double-precision
-    roundoff; its speed depends on numpy's ``tan`` being SIMD-dispatched,
-    which float64 ``sin`` and ``cos`` need not be.  Triplet drivers are
-    assembled from their parts, every jump of their measure included: a
-    row makes three generator calls, its n normals, its Poisson jump count
-    and one uniform block that places and sizes the jumps.  A truncated
-    driver is cut beforehand, by :func:`truncated`.
+    sampled in one call.  The driver draws the rows, by its ``rows``; a
+    truncated driver is cut beforehand, by :func:`truncated`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    totals = (_stable_rows if isinstance(driver, StableDriverSpec) else _triplet_rows)(
-        driver, dt, n, rngs)
+    totals = driver.rows(dt, n, rngs)
     return totals[0] if rngs is not rng else totals
 
 

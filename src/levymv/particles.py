@@ -167,7 +167,13 @@ class SimulationConfig:
     ``horizon_T`` is snapped to a whole number of steps of length ``dt``
     at construction and the effective step recorded in ``dt_effective``.
     The run steps ``driver`` as it is given; a truncated driver is cut
-    beforehand, once, by :func:`levymv.drivers.truncated`.
+    beforehand, once, by :func:`levymv.drivers.truncated`.  A driver is
+    any object with the three methods of the driver classes of
+    :mod:`levymv.drivers`: ``rows(dt, n, rngs)``, one row of n increments
+    over dt per generator, each row drawn from its own generator alone;
+    ``within(level)``, the driver without its jumps above ``level``; and
+    ``check_step(dt, n)``, which raises ``ValueError`` when a row of n
+    increments over dt cannot be drawn.  Stepping reads only ``rows``.
     """
 
     n_particles: int

@@ -791,6 +791,14 @@ SMALL_CONFIGS = {
 }
 
 
+# the value sweep also runs a triplet driver, cut between its two atoms; it
+# reaches no check, so it is not one of SMALL_CONFIGS
+SWEPT_CONFIGS = {**SMALL_CONFIGS, "simulate-triplet": {
+    **SMALL_CONFIGS["simulate"], "truncation": 2.0,
+    "driver": {"kind": "triplet", "gaussian_a": 0.5, "drift_b": 0.4,
+               "big_jump_atoms": [[3.0, 2.0], [-1.5, 1.0]]}}}
+
+
 def _numeric_leaves(cfg, path=()):
     """The path of each number in ``cfg`` (a bool is not one), but the seed's."""
     if isinstance(cfg, (dict, list)):
@@ -820,18 +828,21 @@ class TestValueSweep:
             code = main([cfg["command"], write_config(tmp_path, _with_value(cfg, path, value)),
                          "--out", str(out)])
             err = capsys.readouterr().err
-            named = [key for key in path[-2:] if isinstance(key, str)]
+            # the keys among the last two; a number two list levels down (an
+            # atom's) is named by the last two keys above it
+            named = [key for key in path[-2:] if isinstance(key, str)] or \
+                [key for key in path if isinstance(key, str)][-2:]
             assert "Traceback" not in err and code in (0, 1, 2), (path, value, err)
             if code == 2:
                 assert err.startswith("error:") and any(key in err for key in named), \
                     (path, value, err)
                 assert not out.exists(), (path, value)
 
-    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(SWEPT_CONFIGS))
     def test_each_number_set_to_0_minus_1_and_nan(self, tmp_path, capsys, monkeypatch,
                                                  name):
         # and no command meets a value that the library rejects
-        cfg = SMALL_CONFIGS[name]
+        cfg = SWEPT_CONFIGS[name]
         command, rejected = cli._COMMANDS[cfg["command"]], []
 
         def run(*args):
@@ -845,10 +856,10 @@ class TestValueSweep:
         self._sweep(tmp_path, capsys, cfg, (0, -1, math.nan))
         assert not rejected
 
-    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(SWEPT_CONFIGS))
     def test_each_number_set_to_huge_and_infinite(self, tmp_path, capsys, name):
         # a run may still find a finite value too large for it (exit 1)
-        self._sweep(tmp_path, capsys, SMALL_CONFIGS[name], (1e308, math.inf, -math.inf))
+        self._sweep(tmp_path, capsys, SWEPT_CONFIGS[name], (1e308, math.inf, -math.inf))
 
 
 class TestChecks:

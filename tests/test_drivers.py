@@ -142,8 +142,8 @@ class CountingGenerator:
 
 
 def triplet_increments(spec, dt, n, rng):
-    """One row of increments from the sampler's triplet row function."""
-    return drivers._triplet_rows(spec, dt, n, [rng])[0]
+    """One row of increments from the triplet driver's own row sampler."""
+    return spec.rows(dt, n, [rng])[0]
 
 
 class TestTripletSampler:
@@ -203,6 +203,19 @@ class TestTripletSampler:
             JumpAtoms([(2.0, -1.0)])
         with pytest.raises(ValueError):
             LevyTripletSpec(gaussian_a=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parts_rejected(self, value):
+        # NaN passes every comparison, and no config resolution gives one:
+        # only the library can receive it
+        with pytest.raises(ValueError, match="gaussian_a"):
+            LevyTripletSpec(gaussian_a=value)
+        with pytest.raises(ValueError, match="drift_b"):
+            LevyTripletSpec(drift_b=value)
+        with pytest.raises(ValueError, match="finite"):
+            JumpAtoms([(2.0, 1.0), (value, 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            JumpAtoms([(2.0, value)])
 
 
 ATOMS = LevyTripletSpec(drift_b=0.25, jumps=JumpAtoms([(2.5, 1.5), (-1.5, 2.0)]))
@@ -265,21 +278,20 @@ class TestTruncation:
     def test_jump_counts_beyond_a_poisson_draw_rejected(self):
         # a row's mean count per step, over its n particles, must be finite
         # and at most numpy's limit
-        check = drivers._check_step
-        check(StableDriverSpec(1.5, 1e300), 0.1, 800)   # sampled exactly: no counts
-        check(truncated(StableDriverSpec(1.5, 1e12), 2.0), 0.1, 800)
+        StableDriverSpec(1.5, 1e300).check_step(0.1, 800)   # sampled exactly: no counts
+        truncated(StableDriverSpec(1.5, 1e12), 2.0).check_step(0.1, 800)
         for scale in (1e300, 1e308):
             with pytest.raises(ValueError, match="Poisson"):
-                check(truncated(StableDriverSpec(1.5, scale), 2.0), 0.1, 1)
+                truncated(StableDriverSpec(1.5, scale), 2.0).check_step(0.1, 1)
         # within the limit per particle, beyond it over the row
         cut = truncated(StableDriverSpec(1.5, 1e17), 2.0)
-        check(cut, 0.1, 1)
+        cut.check_step(0.1, 1)
         with pytest.raises(ValueError, match="over 100 particles"):
-            check(cut, 0.1, 100)
+            cut.check_step(0.1, 100)
         atoms = LevyTripletSpec(jumps=JumpAtoms([(2.0, 1e300)]))
-        check(atoms, 1e-290, 1000)
+        atoms.check_step(1e-290, 1000)
         with pytest.raises(ValueError, match=r"jump rate 1e\+300"):
-            check(atoms, 1.0, 1)
+            atoms.check_step(1.0, 1)
         substream(0).poisson(drivers._POISSON_MAX)
         with pytest.raises(ValueError, match="lam value too large"):
             substream(0).poisson(np.nextafter(drivers._POISSON_MAX, math.inf))
@@ -380,8 +392,8 @@ class TestRowSampler:
             alone = sample_increment_array(driver, 0.05, n, substream(*key))
             assert alone.shape == (n,)
             assert np.array_equal(row, alone)
-        if isinstance(driver, LevyTripletSpec):
-            totals = drivers._triplet_rows(driver, 0.05, n, [substream(*k) for k in keys])
-            for t, key in zip(totals, keys):
-                assert np.array_equal(t, triplet_increments(driver, 0.05, n, substream(*key)))
-            assert np.array_equal(rows, totals)
+        # and the driver's own rows are what the sampler returns
+        totals = driver.rows(0.05, n, [substream(*k) for k in keys])
+        for t, key in zip(totals, keys):
+            assert np.array_equal(t, driver.rows(0.05, n, [substream(*key)])[0])
+        assert np.array_equal(rows, totals)

@@ -44,7 +44,41 @@ def step_increments(cfg, step_index):
     return sample_increment_array(cfg.driver, cfg.dt_effective, cfg.n_particles, rng)
 
 
+def rows_only_driver(size):
+    """A driver with nothing but the three driver methods: increment i of
+    every row is (i + 1) size dt, and its cut at any level halves size."""
+    class RowsOnly:
+        __slots__ = ()
+
+        def rows(self, dt, n, rngs):
+            return np.tile(size * dt * np.arange(1.0, n + 1.0), (len(rngs), 1))
+
+        def within(self, level):
+            return rows_only_driver(size / 2.0)
+
+        def check_step(self, dt, n):
+            pass
+    return RowsOnly()
+
+
 class TestStepping:
+    def test_the_driver_methods_are_all_a_run_reads(self):
+        # the stub is cut through its within, and each particle moves by
+        # sigma times what the cut's rows return
+        driver = rows_only_driver(1.0)
+        assert [name for name in dir(driver) if not name.startswith("__")] == [
+            "check_step", "rows", "within"]
+        cfg = make_cfg(n_particles=7, driver=truncated(driver, 2.0), sigma=Constant(0.5),
+                       initial_law=PointMass(1.0))
+        flow = simulate(cfg)
+        step = 0.5 * (0.5 * cfg.dt_effective * np.arange(1.0, 8.0))
+        expected = np.full(7, 1.0)
+        assert np.array_equal(flow.marginals[0].samples, expected)
+        for marginal in flow.marginals[1:]:
+            expected = expected + step
+            assert np.array_equal(marginal.samples, expected)
+        assert len(flow.marginals) == cfg.n_steps + 1
+
     def test_zero_coefficient_freezes_positions(self):
         cfg = make_cfg(sigma=Constant(0.0))
         flow = simulate(cfg)
